@@ -681,7 +681,6 @@ class ResumeState:
 def capture_state(M, stack: List[Frame], executed: int) -> ResumeState:
     """Copy the complete mid-run state (non-destructively — the run
     continues unperturbed)."""
-    mem = M.memory
     frames = []
     for f in stack:
         dfn = f.dfn
@@ -693,11 +692,12 @@ def capture_state(M, stack: List[Frame], executed: int) -> ResumeState:
             times=tuple(f.times),
             mark=f.mark,
         ))
+    heap, heap_top, stack_mem, stack_top = M.memory.image()
     return ResumeState(
-        heap=bytes(memoryview(mem._heap)[:mem.heap_top - HEAP_BASE]),
-        stack_mem=bytes(memoryview(mem._stack)[:mem.stack_top - STACK_BASE]),
-        heap_top=mem.heap_top,
-        stack_top=mem.stack_top,
+        heap=heap,
+        stack_mem=stack_mem,
+        heap_top=heap_top,
+        stack_top=stack_top,
         output=tuple(M.output),
         counters=copy.deepcopy(M.counters),
         cache=copy.deepcopy(M.cache),
@@ -720,19 +720,8 @@ def restore_payload(M, state: ResumeState) -> None:
     checkpoint serves any number of resumes. Leaves the machine with no
     plans armed, no hooks, ``count_only`` off — callers arm what they
     need (:func:`arm_resume`) before :func:`rebuild_frames`."""
-    mem = M.memory
-    heap_used = state.heap_top - HEAP_BASE
-    cur_heap = mem.heap_top - HEAP_BASE
-    mem._heap[:heap_used] = state.heap
-    if cur_heap > heap_used:
-        mem._heap[heap_used:cur_heap] = bytes(cur_heap - heap_used)
-    stack_used = state.stack_top - STACK_BASE
-    cur_stack = mem.stack_top - STACK_BASE
-    mem._stack[:stack_used] = state.stack_mem
-    if cur_stack > stack_used:
-        mem._stack[stack_used:cur_stack] = bytes(cur_stack - stack_used)
-    mem.heap_top = state.heap_top
-    mem.stack_top = state.stack_top
+    M.memory.load_image(state.heap, state.heap_top,
+                        state.stack_mem, state.stack_top)
     M.output = list(state.output)
     M.counters = copy.deepcopy(state.counters)
     M.cache = copy.deepcopy(state.cache)

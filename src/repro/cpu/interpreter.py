@@ -60,7 +60,7 @@ from .errors import (
     MemoryFault,
     Trap,
 )
-from .memory import HEAP_BASE, STACK_BASE, Memory
+from .memory import HEAP_BASE, Memory, pack_array
 from .timing import TimingModel
 
 _MASK64 = (1 << 64) - 1
@@ -539,10 +539,8 @@ class Machine:
         addr = self.globals_addr[name]
         ty = gv.content_type
         if ty.is_array:
-            elem = elem_ty or ty.elem
-            esize = T.sizeof(elem)
-            for i, v in enumerate(values):
-                self.memory.store_scalar(elem, addr + i * esize, v)
+            self.memory.write_bytes(
+                addr, pack_array(elem_ty or ty.elem, list(values)))
         else:
             self.memory.store_scalar(ty, addr, values)
 
@@ -818,14 +816,12 @@ class Machine:
         (``_static_info``, ``_eligible_fn_cache``, the module's decoded
         form) are deliberately *not* part of a snapshot.
         """
-        mem = self.memory
-        heap_used = mem.heap_top - HEAP_BASE
-        stack_used = mem.stack_top - STACK_BASE
+        heap, heap_top, stack, stack_top = self.memory.image()
         return MachineSnapshot(
-            heap=bytes(memoryview(mem._heap)[:heap_used]),
-            stack=bytes(memoryview(mem._stack)[:stack_used]),
-            heap_top=mem.heap_top,
-            stack_top=mem.stack_top,
+            heap=heap,
+            stack=stack,
+            heap_top=heap_top,
+            stack_top=stack_top,
             output=list(self.output),
             counters=copy.deepcopy(self.counters),
             cache=copy.deepcopy(self.cache),
@@ -856,19 +852,8 @@ class Machine:
         this). Memory the machine touched *after* the snapshot is
         re-zeroed, so a restored machine is indistinguishable from a
         fresh one with the snapshot replayed onto it."""
-        mem = self.memory
-        heap_used = snap.heap_top - HEAP_BASE
-        cur_heap = mem.heap_top - HEAP_BASE
-        mem._heap[:heap_used] = snap.heap
-        if cur_heap > heap_used:
-            mem._heap[heap_used:cur_heap] = bytes(cur_heap - heap_used)
-        stack_used = snap.stack_top - STACK_BASE
-        cur_stack = mem.stack_top - STACK_BASE
-        mem._stack[:stack_used] = snap.stack
-        if cur_stack > stack_used:
-            mem._stack[stack_used:cur_stack] = bytes(cur_stack - stack_used)
-        mem.heap_top = snap.heap_top
-        mem.stack_top = snap.stack_top
+        self.memory.load_image(snap.heap, snap.heap_top,
+                               snap.stack, snap.stack_top)
         self.output = list(snap.output)
         self.counters = copy.deepcopy(snap.counters)
         self.cache = copy.deepcopy(snap.cache)

@@ -6,6 +6,17 @@ A single address space with two bump-allocated regions:
 - the *stack* (allocas), growing up from ``STACK_BASE`` with LIFO
   save/restore around function calls.
 
+Each region is backed by a grow-only arena: a fresh ``Memory`` holds
+no bytes, and ``alloc``/``stack_alloc`` zero-extend the bytearray in
+place (amortised doubling, capped at the capacity) so it always covers
+everything below the region's top. A machine thus pays only for the
+memory its program uses. ``heap_capacity``/``stack_capacity`` are
+limits, not sizes: an allocation past one raises ``MemoryError``.
+Arenas never shrink, so bytes a released stack frame wrote stay
+visible to a later ``alloca``, as on a real stack. The engines read
+``_heap``/``_stack`` by attribute on every access, so growth must stay
+in place and no memoryview may be held across it.
+
 Addresses below ``HEAP_BASE`` are never mapped, so small corrupted
 pointers fault like a null-page access would. The memory subsystem is
 assumed ECC-protected (paper §III-A): the fault injector never flips
@@ -27,14 +38,15 @@ HEAP_BASE = 0x1000
 STACK_BASE = 0x40000000  # 1 GiB mark; heap may grow until here
 
 _FLOAT_FMT = {32: "<f", 64: "<d"}
+_UINT_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by byte size
 
 
 class Memory:
     def __init__(self, heap_capacity: int = 64 << 20, stack_capacity: int = 8 << 20):
         self.heap_capacity = heap_capacity
         self.stack_capacity = stack_capacity
-        self._heap = bytearray(heap_capacity)
-        self._stack = bytearray(stack_capacity)
+        self._heap = bytearray()
+        self._stack = bytearray()
         self.heap_top = HEAP_BASE
         self.stack_top = STACK_BASE
 
@@ -50,6 +62,8 @@ class Memory:
                 f"simulated heap exhausted ({self.heap_capacity} bytes)"
             )
         self.heap_top = addr + size
+        if self.heap_top - HEAP_BASE > len(self._heap):
+            _grow(self._heap, self.heap_top - HEAP_BASE, self.heap_capacity)
         return addr
 
     def stack_alloc(self, size: int, align: int = 8) -> int:
@@ -59,6 +73,8 @@ class Memory:
                 f"simulated stack exhausted ({self.stack_capacity} bytes)"
             )
         self.stack_top = addr + size
+        if self.stack_top - STACK_BASE > len(self._stack):
+            _grow(self._stack, self.stack_top - STACK_BASE, self.stack_capacity)
         return addr
 
     def stack_mark(self) -> int:
@@ -66,6 +82,27 @@ class Memory:
 
     def stack_release(self, mark: int) -> None:
         self.stack_top = mark
+
+    # Memory image ---------------------------------------------------------------
+
+    def image(self) -> tuple:
+        """``(heap, heap_top, stack, stack_top)``: copies of the used
+        prefixes of both regions plus their tops."""
+        return (bytes(memoryview(self._heap)[:self.heap_top - HEAP_BASE]),
+                self.heap_top,
+                bytes(memoryview(self._stack)[:self.stack_top - STACK_BASE]),
+                self.stack_top)
+
+    def load_image(self, heap: bytes, heap_top: int,
+                   stack: bytes, stack_top: int) -> None:
+        """Put back an :meth:`image`. Bytes between the image's top and
+        the current one are re-zeroed, so memory used after the image
+        was taken reads as zero again; an arena shorter than the image
+        grows in place to fit it."""
+        _load(self._heap, heap, self.heap_top - HEAP_BASE)
+        _load(self._stack, stack, self.stack_top - STACK_BASE)
+        self.heap_top = heap_top
+        self.stack_top = stack_top
 
     # Raw access ----------------------------------------------------------------
 
@@ -139,16 +176,42 @@ class Memory:
             return addr
         # Sequence of scalars for an array type.
         if content_type.is_array:
-            elem = content_type.elem
-            esize = T.sizeof(elem)
             values = list(initializer)
             if len(values) > content_type.count:
                 raise ValueError("initializer larger than array global")
-            for i, v in enumerate(values):
-                self.store_scalar(elem, addr + i * esize, v)
+            self.write_bytes(addr, pack_array(content_type.elem, values))
             return addr
         self.store_scalar(content_type, addr, initializer)
         return addr
+
+
+def pack_array(elem: T.Type, values) -> bytes:
+    """Encode ``values`` as consecutive ``elem`` scalars, byte-identical
+    to one :meth:`Memory.store_scalar` per element (same masking, same
+    IEEE-754 encoding, same errors) but in one ``struct.pack`` call."""
+    n = len(values)
+    if elem.is_float:
+        return struct.pack(f"<{n}{_FLOAT_FMT[elem.bits][1]}", *values)
+    size = T.sizeof(elem)
+    mask = (1 << (size * 8)) - 1
+    code = _UINT_CODE.get(size)
+    if code is None:
+        return b"".join((int(v) & mask).to_bytes(size, "little")
+                        for v in values)
+    return struct.pack(f"<{n}{code}", *[int(v) & mask for v in values])
+
+
+def _grow(buf: bytearray, need: int, capacity: int) -> None:
+    """Zero-extend ``buf`` in place to at least ``need`` (<= ``capacity``)
+    bytes, doubling its length but not past ``capacity``."""
+    buf.extend(bytes(max(need, min(capacity, 2 * len(buf))) - len(buf)))
+
+
+def _load(buf: bytearray, data: bytes, cur: int) -> None:
+    used = len(data)
+    buf[:used] = data  # in place; a shorter arena grows to ``used``
+    if cur > used:
+        buf[used:cur] = bytes(cur - used)
 
 
 def _align_up(value: int, align: int) -> int:

@@ -364,12 +364,13 @@ class InjectionSession:
     """Per-cell injection scaffolding, hoisted out of the per-plan loop.
 
     :func:`inject_once` rebuilds the whole machine for every injection —
-    a fresh multi-megabyte memory image, global layout, and (first time
-    through) the decoded module. A session builds the machine once,
-    warms the decode, snapshots the golden start state, and turns each
-    injection into restore → arm → run → classify. Classification is
-    the same code path as :func:`inject_once`, and the differential
-    tests pin per-plan outcome identity between the two.
+    memory arenas, global layout, cache/predictor/timing state, and
+    (first time through) the decoded module. A session builds the
+    machine once, warms the decode, snapshots the golden start state,
+    and turns each injection into restore → arm → run → classify.
+    Classification is the same code path as :func:`inject_once`, and
+    the differential tests pin per-plan outcome identity between the
+    two.
 
     The session machine/snapshot pair doubles as the execution substrate
     for the batched engine (:mod:`repro.cpu.batch`).
@@ -447,9 +448,10 @@ class InjectionSession:
 
 #: The one live injection session, as ``(module, key, session)``. A
 #: single slot across ALL modules, not one per module: every session
-#: pins a Machine whose heap/stack arenas are tens of MB, and a
-#: multi-cell campaign (or benchmark sweep) that kept one per module
-#: would accumulate an arena per cell ever run. Beyond parent RSS,
+#: pins a Machine — arenas as large as its program's footprint, cache
+#: and timing state, the golden snapshot — and a multi-cell campaign
+#: (or benchmark sweep) that kept one per module would accumulate all
+#: of that for every cell ever run. Beyond parent RSS,
 #: that bloat taxes every ``os.fork()`` the batched engine makes —
 #: page-table size and copy-on-write faults scale with the parent's
 #: resident footprint, which measurably halves late cells' speedup.
