@@ -39,6 +39,13 @@ class GSharePredictor:
         self.history = ((self.history << 1) | (1 if taken else 0)) & self.mask
         return correct
 
+    def copy(self) -> "GSharePredictor":
+        """Independent copy (checkpoints and machine snapshots)."""
+        new = object.__new__(GSharePredictor)
+        new.__dict__.update(self.__dict__)
+        new.counters = bytearray(self.counters)
+        return new
+
     @property
     def miss_ratio(self) -> float:
         if self.predictions == 0:

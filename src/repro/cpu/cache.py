@@ -58,6 +58,12 @@ class Cache:
         cset.insert(0, line_addr)
         return False
 
+    def copy(self) -> "Cache":
+        new = object.__new__(Cache)
+        new.__dict__.update(self.__dict__)
+        new._sets = [list(s) for s in self._sets]
+        return new
+
     def reset(self) -> None:
         for cset in self._sets:
             cset.clear()
@@ -76,6 +82,13 @@ class StreamPrefetcher:
         self._streams: List[int] = [-(2 + i) for i in range(nstreams)]
         self._clock = 0
         self._last_used: List[int] = [0] * nstreams
+
+    def copy(self) -> "StreamPrefetcher":
+        new = object.__new__(StreamPrefetcher)
+        new.__dict__.update(self.__dict__)
+        new._streams = list(self._streams)
+        new._last_used = list(self._last_used)
+        return new
 
     def advance(self, line: int) -> List[int]:
         """Record an access; returns lines to prefetch (empty if the
@@ -200,6 +213,17 @@ class CacheHierarchy:
                 streams[victim] = line + 1
                 last_used[victim] = pf._clock
         return level, _LATENCY[level]
+
+    def copy(self) -> "CacheHierarchy":
+        """Independent copy (checkpoints and machine snapshots)."""
+        new = object.__new__(CacheHierarchy)
+        new.__dict__.update(self.__dict__)
+        new.l1 = self.l1.copy()
+        new.l2 = self.l2.copy()
+        new.l3 = self.l3.copy()
+        if self.prefetcher is not None:
+            new.prefetcher = self.prefetcher.copy()
+        return new
 
     def _access_line(self, line: int) -> int:
         if self.l1.access(line):

@@ -18,9 +18,12 @@ the batched lane engine (:mod:`repro.cpu.batch`):
   with operands resolved to register slots, semantics and the timing
   model's ``issue()`` inlined, cost-table entries baked in as literals,
   and branch targets resolved to the successor's segment (threaded
-  dispatch). Frames that need per-record bookkeeping — fault
-  injection, tracing, checkpoint capture — keep the record path;
-  segments are the ``engine="compiled"`` fast path for everything else.
+  dispatch). Fault-eligible frames of a run with active faults (armed
+  plans, ``count_only`` profiling, checkpoint capture) execute the
+  *armed* variant: it counts the four targeting streams exactly and
+  hands every block in which a plan could fire or a checkpoint be
+  taken back to the record path. Trace hooks and stream watches keep
+  the record path throughout. Variants compile on first use.
 - **Code cache**: generated code objects are shared across machine
   instances keyed by the module's content digest (the same digest that
   keys the toolchain artifact cache), so campaigns compile once per
@@ -46,7 +49,6 @@ passed (:func:`covers`).
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -96,9 +98,11 @@ from .interpreter import (
     _ICMP,
     _MASK64,
     _cast_scalar,
+    _copied,
     _compute_static,
     _float_binop,
     _int_binop,
+    _is_checker_site,
     _to_signed,
     RunResult,
 )
@@ -177,6 +181,62 @@ def push_frame(M, stack: List[Frame], dfn: DecodedFunction, args: List,
     return f
 
 
+def _call_result_step(M, f, regs, executed) -> bool:
+    """The caller loop's inject bookkeeping on the result of the defined
+    call at ``f.i`` (the callee has returned). No checker step: a
+    defined call is never a checker site. Returns True when a plan
+    fired (the armed segments' event limits are then stale)."""
+    meta = f.block.inject[f.i]
+    if meta is None:
+        return False
+    rdst, _ty, inst = meta
+    index = M.eligible_executed
+    M.eligible_executed = index + 1
+    if M._trace_eligible is not None and index >= M._trace_skip_until:
+        M._executed = executed
+        M._trace_eligible(inst, M._current_fn)
+    plans = M.fault_plans
+    cursor = M._next_plan
+    if cursor < len(plans) and index == plans[cursor].target_index:
+        regs[rdst] = M._apply_reg_plans(regs[rdst], inst, index)
+        return True
+    return False
+
+
+#: Event limit of a stream with nothing pending.
+_NEVER = 1 << 62
+
+
+def _next_target(plans, cursor, count) -> int:
+    """Index of the next event that fires a plan on one stream. A plan
+    aimed below the stream's count can never fire, and it blocks the
+    cursor (the record path compares only ``plans[cursor]``)."""
+    if cursor < len(plans):
+        target = plans[cursor].target_index
+        if target >= count:
+            return target
+    return _NEVER
+
+
+def _event_limits(M, capture) -> Tuple[int, int, int, int]:
+    """Largest event index each targeting stream (eligible, memory,
+    conditional branch, checker) may reach in armed segments before the
+    record path must take over. An armed segment covering ``d`` events
+    of a stream whose count is ``c`` runs only when ``c + d <= limit``:
+    no plan fires at indices ``c .. c+d-1``, and no capture poll inside
+    it can see the eligible count reach ``capture.next_index``."""
+    elig = _next_target(M.fault_plans, M._next_plan, M.eligible_executed)
+    if capture is not None and capture.next_index - 1 < elig:
+        elig = capture.next_index - 1
+    return (elig,
+            _next_target(M._mem_plans, M._next_mem_plan,
+                         M.mem_accesses_eligible),
+            _next_target(M._branch_plans, M._next_branch_plan,
+                         M.cond_branches_eligible),
+            _next_target(M._checker_plans, M._next_checker_plan,
+                         M.checker_sites_executed))
+
+
 def run_stack(M, stack: List[Frame], executed: int, capture=None):
     """Run the frame stack to completion; returns the root frame's
     return value. ``executed`` continues the global dynamic-instruction
@@ -193,12 +253,21 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
     byop = counters.collect_by_opcode
     timing = M.timing
     maxi = M.config.max_instructions
-    # Compiled segments are only sound for frames with no per-record
-    # bookkeeping: capture placement polls every record, and inject
-    # frames interleave fault/trace/checker steps — both keep the
-    # record path (bit-identical either way; segments are pure speed).
-    segments_on = capture is None and M.config.engine == "compiled"
+    # Segment variants per frame mode (bit-identical either way;
+    # segments are pure speed). Inject frames run the armed variant,
+    # which counts the four targeting streams and bails to the record
+    # path before any block where a plan could fire or a checkpoint be
+    # taken — unless a trace hook or stream watch must see every event.
+    # Other frames run the unarmed variant unless capture placement
+    # polls (their eligible count is frozen, so only the record path's
+    # per-record poll sees a threshold crossed by a callee's return).
+    compiled = M.config.engine == "compiled"
+    armed_ok = compiled and M._trace_eligible is None and (
+        M._watch_checker is None and M._watch_mem is None
+        and M._watch_branch is None)
+    plain_ok = compiled and capture is None
     vidx = 0 if timing is not None else 1
+    ready = [False] * len(_VARIANTS)  # variants ensured this run
     value = None
     returning = False
     try:
@@ -226,28 +295,12 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                         times[dst] = done
                 executed = M._executed
                 if f.inject:
-                    meta = block.inject[f.i]
-                    if meta is not None:
-                        rdst, _ty, inst = meta
-                        index = M.eligible_executed
-                        M.eligible_executed = index + 1
-                        if (M._trace_eligible is not None
-                                and index >= M._trace_skip_until):
-                            M._executed = executed
-                            M._trace_eligible(inst, M._current_fn)
-                        if M._checker_needed:
-                            regs[rdst] = M._checker_step(regs[rdst], inst)
-                        plans = M.fault_plans
-                        cursor = M._next_plan
-                        if (cursor < len(plans)
-                                and index == plans[cursor].target_index):
-                            regs[rdst] = M._apply_reg_plans(
-                                regs[rdst], inst, index
-                            )
+                    _call_result_step(M, f, regs, executed)
                 f.i += 1
 
             inject = f.inject
-            fast = segments_on and not inject
+            fast = armed_ok if inject else plain_ok
+            sidx = vidx + 2 if inject else vidx
             pushed = False
             while True:  # block chain within this frame
                 block = f.block
@@ -296,9 +349,14 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                                 times[dst] = t
 
                 if fast:
+                    if not ready[sidx]:
+                        ensure_compiled(f.dfn.dmod, sidx)
+                        ready[sidx] = True
+                    if inject:
+                        M._next_events = _event_limits(M, capture)
                     maps = block.compiled
                     if maps is not None:
-                        segmap = maps[vidx]
+                        segmap = maps[sidx]
                         seg = (segmap.get(f.i)
                                if segmap is not None else None)
                         if seg is not None:
@@ -309,12 +367,14 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                             # or 3 to run the current block's records
                             # generically (budget within one block of
                             # exhaustion — the record path raises the
-                            # HangError at the exact instruction).
+                            # HangError at the exact instruction — or,
+                            # armed, a pending event inside the block).
                             # Defined-call pushes and frame returns
-                            # between fast frames are handled without
-                            # leaving this loop: the pop/epilogue below
-                            # is the same code the outer loop runs, it
-                            # just skips the frame re-derivation hop.
+                            # between frames of the same mode are
+                            # handled without leaving this loop: the
+                            # pop/epilogue below is the same code the
+                            # outer loop runs, it just skips the frame
+                            # re-derivation hop.
                             while True:
                                 executed, ctrl = seg(
                                     M, f, regs, times, executed,
@@ -325,7 +385,7 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                                         f.pending_call = None
                                         f2 = push_frame(M, stack, cdfn,
                                                         cargs, cats)
-                                        if f2.inject:
+                                        if f2.inject != inject:
                                             pushed = True
                                             break
                                         f = f2
@@ -333,7 +393,7 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                                         times = f.times
                                         maps = f.block.compiled
                                         if maps is not None:
-                                            segmap = maps[vidx]
+                                            segmap = maps[sidx]
                                             if segmap is not None:
                                                 seg = segmap.get(0)
                                                 if seg is not None:
@@ -344,9 +404,10 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                                     seg = ctrl
                                     continue
                                 # Frame return: pop this frame, then —
-                                # when the caller is a fast frame too —
-                                # run the returning epilogue inline and
-                                # resume its compiled suspension point.
+                                # when the caller runs in the same mode
+                                # — run the returning epilogue inline
+                                # and resume its compiled suspension
+                                # point.
                                 value = f.rv
                                 f.rv = None
                                 if executed > M._executed:
@@ -358,7 +419,7 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                                 M._branch_stream_live = f.prev_branch
                                 M.memory.stack_release(f.mark)
                                 M._depth = f.depth - 1
-                                if not stack or stack[-1].inject:
+                                if not stack or stack[-1].inject != inject:
                                     returning = True
                                     break
                                 f = stack[-1]
@@ -379,11 +440,15 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                                     if dst >= 0:
                                         times[dst] = done
                                 executed = M._executed
+                                if inject and _call_result_step(
+                                        M, f, regs, executed):
+                                    M._next_events = _event_limits(
+                                        M, capture)
                                 f.i += 1
                                 maps = block.compiled
                                 seg = None
                                 if maps is not None:
-                                    segmap = maps[vidx]
+                                    segmap = maps[sidx]
                                     if segmap is not None:
                                         seg = segmap.get(f.i)
                                 if seg is None:
@@ -597,8 +662,8 @@ def run_resumable(M, fn_name: str, args: Sequence = (),
     """``Machine.run`` on the trampoline — bit-identical results, no
     recursion-limit dance, and optional mid-run capture via
     ``capture``. Runs compiled segments when the machine's engine is
-    ``"compiled"`` (and no capture policy is polling); the record path
-    otherwise."""
+    ``"compiled"`` (see :func:`run_stack` for which frames); the record
+    path otherwise."""
     fn = M.module.get_function(fn_name)
     if fn.is_declaration:
         raise ValueError(f"cannot run declaration @{fn_name}")
@@ -612,11 +677,9 @@ def run_resumable(M, fn_name: str, args: Sequence = (),
     if M._call_sites:
         M._call_sites.clear()
     dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
-    dfn = dmod.function(fn)
-    if M.config.engine == "compiled" and capture is None:
-        ensure_compiled(dmod, 0 if M.timing is not None else 1)
     stack: List[Frame] = []
-    push_frame(M, stack, dfn, arg_values, [0.0] * len(arg_values))
+    push_frame(M, stack, dmod.function(fn), arg_values,
+               [0.0] * len(arg_values))
     value = run_stack(M, stack, M._executed, capture)
     cycles = M.timing.cycles if M.timing is not None else 0.0
     ilp = M.timing.ilp if M.timing is not None else 0.0
@@ -699,10 +762,10 @@ def capture_state(M, stack: List[Frame], executed: int) -> ResumeState:
         heap_top=heap_top,
         stack_top=stack_top,
         output=tuple(M.output),
-        counters=copy.deepcopy(M.counters),
-        cache=copy.deepcopy(M.cache),
-        predictor=copy.deepcopy(M.predictor),
-        timing=copy.deepcopy(M.timing),
+        counters=M.counters.copy(),
+        cache=_copied(M.cache),
+        predictor=M.predictor.copy(),
+        timing=_copied(M.timing),
         branch_pcs=dict(M._branch_pcs),
         next_pc=M._next_pc,
         executed=executed,
@@ -716,17 +779,17 @@ def capture_state(M, stack: List[Frame], executed: int) -> ResumeState:
 
 def restore_payload(M, state: ResumeState) -> None:
     """Put the machine's architectural state back to the checkpoint.
-    Non-destructive on ``state`` (deep copies), so one deserialized
+    Non-destructive on ``state`` (copies), so one deserialized
     checkpoint serves any number of resumes. Leaves the machine with no
     plans armed, no hooks, ``count_only`` off — callers arm what they
     need (:func:`arm_resume`) before :func:`rebuild_frames`."""
     M.memory.load_image(state.heap, state.heap_top,
                         state.stack_mem, state.stack_top)
     M.output = list(state.output)
-    M.counters = copy.deepcopy(state.counters)
-    M.cache = copy.deepcopy(state.cache)
-    M.predictor = copy.deepcopy(state.predictor)
-    M.timing = copy.deepcopy(state.timing)
+    M.counters = state.counters.copy()
+    M.cache = _copied(state.cache)
+    M.predictor = state.predictor.copy()
+    M.timing = _copied(state.timing)
     M._branch_pcs = dict(state.branch_pcs)
     M._next_pc = state.next_pc
     M._executed = state.executed
@@ -801,7 +864,6 @@ def rebuild_frames(M, state: ResumeState) -> List[Frame]:
     would have at each frame's push in a from-scratch run."""
     dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
     stack: List[Frame] = []
-    needs_segments = M.config.engine == "compiled"
     caller_fn = None
     prev_mem = False
     prev_branch = False
@@ -843,8 +905,6 @@ def rebuild_frames(M, state: ResumeState) -> List[Frame]:
     # ids rebuild the call-site chain the batch digests compare.
     for f in stack[:-1]:
         M._call_sites.append(f.block.call_meta[f.i][7])
-    if needs_segments:
-        ensure_compiled(dmod, 0 if M.timing is not None else 1)
     return stack
 
 
@@ -921,10 +981,17 @@ def covers(state: ResumeState, plan) -> bool:
 #   increments; an escaping exception leaves the flush to the
 #   trampoline's unwind handler via ``f.i``, exactly like the record
 #   path.
-# - Segments are only entered for frames with no per-record
+# - Unarmed segments are only entered for frames with no per-record
 #   bookkeeping (no fault injection, tracing, checker stepping or
-#   capture polling), so the eligible-stream counters and stream-live
-#   checks are statically absent, not skipped.
+#   capture polling), so stream counting is statically absent, not
+#   skipped. Armed segments add each block's static stream deltas
+#   (memory/branch/checker counts stored back only while their gates
+#   are on) and run a block only when no plan or capture poll can be
+#   due inside it (:func:`_event_limits`): plan firing, checker
+#   stepping and polling are statically absent there too, because those
+#   blocks run on the record path. Trap exactness follows the record
+#   path: eligible and checker events count after their record, a
+#   memory event before its access.
 
 import math  # noqa: E402
 import os  # noqa: E402
@@ -1038,11 +1105,17 @@ class _Emitter:
     bound as keyword-parameter defaults, and the deferred-timing
     bookkeeping the exits and the exception path must restore."""
 
-    def __init__(self, consts, seen, with_timing):
+    def __init__(self, consts, seen, with_timing, armed=False):
         self.lines: List[str] = []
         self.consts = consts          # function-level: name -> value
         self.seen = seen              # function-level: id(value) -> name
         self.with_timing = with_timing
+        # Armed variant: the targeting-stream counts live in the _se/
+        # _sm/_sb/_sc locals as of the current block (segment) start;
+        # pend_ev holds the per-stream deltas of the code emitted so far
+        # in the block (added at exits), rec_ev each record's events
+        # (the exception-flush tables).
+        self.armed = armed
         self.used: List[str] = []     # const names this segment binds
         self.uops_used = set()
         self.pend_issued = 0
@@ -1056,6 +1129,9 @@ class _Emitter:
         self.rec_adj: List[int] = [0]
         self.exec_base = 0            # first record not yet in `executed`
         self.inlined = False          # any leaf call inlined so far
+        self.pend_ev = [0, 0, 0, 0]
+        self.rec_ev: List[Tuple[int, int, int]] = []
+        self.edge_phis = 0
         self.need_mem = False
         self.need_cache = False
         self.uses_sg = False
@@ -1092,6 +1168,40 @@ class _Emitter:
         self.rec_adj = [0]
         self.exec_base = start
         self.inlined = False
+        self.pend_ev = [0, 0, 0, 0]
+        self.rec_ev = []
+        self.edge_phis = 0
+
+    def span_events(self) -> Tuple[int, int, int, int]:
+        """Armed: per-stream event totals of the block (segment) just
+        emitted, through its terminator and the phis of the successor
+        it branches to — every phi is an eligible event, and the
+        larger edge counts, so a plan aimed at a phi sends the
+        predecessor block to the record path, whose phi stage fires
+        it."""
+        el, ma, cb, cs = self.pend_ev
+        return el + self.edge_phis, ma, cb, cs
+
+    def count_record(self, db, k, inst) -> None:
+        """Armed: add body record ``k``'s events to the pending deltas.
+        A value-producing record is an eligible event (counted after it
+        executes), a checker site also a checker event, a load/store a
+        memory event (counted before the access)."""
+        el = 1 if db.inject[k] is not None else 0
+        ma = 1 if isinstance(inst, (LoadInst, StoreInst)) else 0
+        cs = 1 if el and _is_checker_site(inst) else 0
+        self.rec_ev.append((el, ma, cs))
+        pend = self.pend_ev
+        pend[0] += el
+        pend[1] += ma
+        pend[3] += cs
+
+    def stream_flush(self, d, el, ma, cb, cs) -> None:
+        """Store the stream counts back through :func:`_put_streams`;
+        each argument is the source added to that stream's local (a
+        literal or a table lookup, "" for none)."""
+        self.w(d, f"{self.KI(_put_streams)}(M, _se{el}, _sm{ma}, "
+                  f"_sb{cb}, _sc{cs})")
 
     def _use(self, name: str) -> str:
         if name not in self.used:
@@ -1178,10 +1288,13 @@ class _Emitter:
 
     def writeback(self, d) -> None:
         """Flush the hoisted timing scalars, the deferred issued/uops
-        totals, and (region mode) the counter accumulators back to
-        their homes (exit paths)."""
+        totals, (region mode) the counter accumulators and (armed) the
+        stream counts back to their homes (exit paths)."""
         if self.region_mode:
             self.w(d, "%CTRFLUSH%")
+        if self.armed:
+            self.stream_flush(d, *(f" + {n}" if n else ""
+                                   for n in self.pend_ev))
         if not self.with_timing:
             return
         if self.region_mode:
@@ -1915,6 +2028,8 @@ def _emit_span(E, d, db, records, start, seg_s, rv, slot_map, costs,
         E.w(d, f"_i = {k}")
         _emit_record(E, d, records[k], slot_map.get(id(records[k]), -1),
                      rv, costs, rtp)
+        if E.armed:
+            E.count_record(db, k, records[k])
         E.mark(k + 1)
     if nxt is None:
         _emit_terminator(E, d, db, seg_s, costs, seg_lookup, bi_of, rtp)
@@ -1972,6 +2087,61 @@ def _timing_hoists(E) -> List[str]:
     return hoists
 
 
+def _put_streams(M, eligible, mem, branch, checker) -> None:
+    """Armed exits: store the stream counts. The memory, branch and
+    checker counts move only while their stream is needed — the record
+    path's gates."""
+    M.eligible_executed = eligible
+    if M._mem_stream_live:
+        M.mem_accesses_eligible = mem
+    if M._branch_stream_live:
+        M.cond_branches_eligible = branch
+    if M._checker_needed:
+        M.checker_sites_executed = checker
+
+
+def _event_tables(E) -> Tuple[tuple, tuple, tuple]:
+    """Armed exception-flush tables (eligible, memory, checker) of the
+    current block, indexed by the raising record's offset: events of
+    the records before it — plus the raiser's own memory event, which
+    is counted before the access. Terminators never raise, so the
+    branch stream needs none."""
+    el, ma, cs = [0], [0], [0]
+    for e, m, c in E.rec_ev:
+        el.append(el[-1] + e)
+        ma.append(ma[-1] + m)
+        cs.append(cs[-1] + c)
+    return tuple(el), tuple(ma[1:] + ma[-1:]), tuple(cs)
+
+
+#: Armed entry: the eligible, memory, conditional-branch and checker
+#: stream counts (that order everywhere) and the event limits the
+#: trampoline published (:func:`_event_limits`).
+_STREAM_HOISTS = (
+    "_se = M.eligible_executed",
+    "_sm = M.mem_accesses_eligible",
+    "_sb = M.cond_branches_eligible",
+    "_sc = M.checker_sites_executed",
+    "_he, _hm, _hb, _hc = M._next_events",
+)
+
+
+def _event_guard(events) -> str:
+    """Condition under which a unit with these per-stream event totals
+    could reach a pending event: the record path must run it. The
+    eligible term stays even with no events: every record polls a
+    capture policy that may already be due."""
+    el, ma, cb, cs = events
+    terms = [f"_se + {el} > _he"]
+    if ma:
+        terms.append(f"_sm + {ma} > _hm")
+    if cb:
+        terms.append(f"_sb + {cb} > _hb")
+    if cs:
+        terms.append(f"_sc + {cs} > _hc")
+    return " or ".join(terms)
+
+
 #: Hoisted by any segment/region with a conditional branch (the inlined
 #: gshare update reads these every iteration).
 _PRED_HOISTS = (
@@ -2021,6 +2191,10 @@ def _emit_branch_arm(E, d, cur_db, succ_db, seg_lookup, bi_of):
         E.writeback(d)
         E.w(d, "return executed, 2")
         return
+    # Armed: the phis are eligible events (the entry guard covered them).
+    phis = len(moves) if E.armed and moves else 0
+    E.pend_ev[0] += phis
+    E.edge_phis = max(E.edge_phis, phis)
     if moves:
         dsts = {m[0] for m in moves}
         srcs = {m[1] for m in moves if m[1] >= 0}
@@ -2049,12 +2223,17 @@ def _emit_branch_arm(E, d, cur_db, succ_db, seg_lookup, bi_of):
         if E.with_timing:
             E.w(d, f"_nis += {E.pend_issued}")
             E.w(d, f"_nuo += {E.pend_uops}")
-        E.w(d, f"_b = {tbi}")
+        if E.armed:
+            for local, n in zip(("_se", "_sm", "_sb", "_sc"), E.pend_ev):
+                if n:
+                    E.w(d, f"{local} += {n}")
+        E.w(d, f"_bk = {tbi}")
         E.w(d, "continue")
-        return
-    E.writeback(d)
-    E.uses_sg = True
-    E.w(d, f"return executed, _sg[{tgt}]")
+    else:
+        E.writeback(d)
+        E.uses_sg = True
+        E.w(d, f"return executed, _sg[{tgt}]")
+    E.pend_ev[0] -= phis
 
 
 def _emit_terminator(E, d, db, s, costs, seg_lookup, bi_of, rtp):
@@ -2123,6 +2302,8 @@ def _emit_terminator(E, d, db, s, costs, seg_lookup, bi_of, rtp):
         else:
             E.w(d, "if not _cor:")
             E.w(d + 1, "cd['branch_misses'] += 1")
+        if E.armed:
+            E.pend_ev[2] += 1
         E.w(d, "if _tk:")
         _emit_branch_arm(E, d + 1, db, tb, seg_lookup, bi_of)
         _emit_branch_arm(E, d, db, eb, seg_lookup, bi_of)
@@ -2148,7 +2329,7 @@ def _emit_terminator(E, d, db, s, costs, seg_lookup, bi_of, rtp):
 
 def _emit_block_segments(db, records, rv, slot_map, costs, consts, seen,
                          with_timing, seg_lookup, bi, bi_of, rtp, leaf_of,
-                         skip_entry=False):
+                         skip_entry=False, armed=False):
     """Emit every segment of one block. Returns (source lines,
     [(boundary, fname), ...]). Raises :class:`_Unsupported` /
     ``_Undecodable`` if any record falls outside the compiled subset.
@@ -2162,7 +2343,7 @@ def _emit_block_segments(db, records, rv, slot_map, costs, consts, seen,
     if not skip_entry:
         starts = [0] + starts
     for s in starts:
-        E = _Emitter(consts, seen, with_timing)
+        E = _Emitter(consts, seen, with_timing, armed)
         E.reset_block(s)
         fname = f"_s{seg_lookup(bi, s)}"
         blkc = E.KI(db)
@@ -2200,8 +2381,15 @@ def _emit_block_segments(db, records, rv, slot_map, costs, consts, seen,
             E.w(2, f"_ex = executed + (_i - {s}) + 1")
         E.w(2, "if _ex > M._executed:")
         E.w(3, "M._executed = _ex")
+        if armed:
+            el, ma, cs = (f" + {t!r}[_i - {s}]" for t in _event_tables(E))
+            E.stream_flush(2, el, ma, "", cs)
         E.w(2, "raise")
         hoists = []
+        if armed:
+            hoists += _STREAM_HOISTS
+            hoists.append(f"if {_event_guard(E.span_events())}:")
+            hoists.append("    return executed, 3")
         if with_timing and E.pend_issued:
             hoists += _timing_hoists(E)
         if E.need_mem:
@@ -2222,11 +2410,12 @@ def _emit_block_segments(db, records, rv, slot_map, costs, consts, seen,
 
 
 def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
-                 seen, with_timing, seg_lookup, bi_of, rtp, rname, leaf_of):
+                 seen, with_timing, seg_lookup, bi_of, rtp, rname, leaf_of,
+                 armed=False):
     """Emit the function's region closure: every supported block whose
     defined calls (if any) are all leaf-inlinable, compiled into one
-    ``while True`` dispatch loop keyed on the block index ``_b``.
-    Intra-region branches become phi moves plus ``_b = <target>;
+    ``while True`` dispatch loop keyed on the block index ``_bk``.
+    Intra-region branches become phi moves plus ``_bk = <target>;
     continue`` — no trampoline round-trip and no per-block
     flush/rehoist of the timing scalars, which is where the per-segment
     scheme spent most of its time on loopy code. Issued and uop totals
@@ -2240,13 +2429,14 @@ def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
     call whose runtime guard fails suspends like a segment would; the
     caller emits boundary segments for such blocks so the driver can
     resume after the real call."""
-    E = _Emitter(consts, seen, with_timing)
+    E = _Emitter(consts, seen, with_timing, armed)
     E.region_bis = frozenset(region_bis)
     E.region_mode = True
     bmap: Dict[int, object] = {}
     cum_tables: Dict[int, tuple] = {}
     iss_tables: Dict[int, tuple] = {}
     adj_tables: Dict[int, tuple] = {}
+    ev_tables: Dict[int, tuple] = {}
     E.w(1, "_i = 0")
     if with_timing:
         E.w(1, "_nis = 0")
@@ -2260,13 +2450,14 @@ def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
         db = dfn.blocks[bi]
         records = supported[bi]
         bmap[bi] = db
-        E.w(3, f"{'if' if first else 'elif'} _b == {bi}:")
+        E.w(3, f"{'if' if first else 'elif'} _bk == {bi}:")
         first = False
         d = 4
         # Per-block static accounting restarts here (the completed
         # blocks' totals were rolled into _nis/_nuo at the jump).
         E.reset_block(0)
         E.w(d, "_i = 0")
+        guard_at = len(E.lines)
         E.w(d, f"if executed + {_precheck_span(db, 0, leaf_of)} > maxi:")
         E.w(d + 1, f"f.block = {E.KI(db)}")
         E.w(d + 1, "f.in_body = True")
@@ -2278,16 +2469,22 @@ def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
         cum_tables[bi] = tuple(E.cum_uops)
         iss_tables[bi] = tuple(E.cum_issued)
         adj_tables[bi] = tuple(E.rec_adj)
+        if armed:
+            # The entry guard needs the block's event totals, known
+            # only now.
+            E.lines[guard_at] = (E.lines[guard_at][:-1] + " or "
+                                 + _event_guard(E.span_events()) + ":")
+            ev_tables[bi] = _event_tables(E)
     E.w(3, "else:")
-    E.w(4, "raise RuntimeError('bad region block %r' % _b)")
+    E.w(4, "raise RuntimeError('bad region block %r' % _bk)")
     # Only records raise (phi moves are pure reg/const reads, inlined
     # leaf bodies are exception-free by construction, and the
     # terminators cannot raise: budget is prechecked and the inlined
-    # predictor/timing updates are exception-free), so _b/_i pinpoint
+    # predictor/timing updates are exception-free), so _bk/_i pinpoint
     # the raising record and the frame/timing flush mirrors the
     # segment except path with the completed blocks' totals added.
     E.w(1, "except BaseException:")
-    E.w(2, f"f.block = {E.K(bmap)}[_b]")
+    E.w(2, f"f.block = {E.K(bmap)}[_bk]")
     E.w(2, "f.in_body = True")
     E.w(2, "f.i = _i")
     E.w(2, "%CTRFLUSH%")
@@ -2295,13 +2492,19 @@ def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
         E.w(2, "_tm.issue_time = _ti")
         E.w(2, "_tm.finish_time = _tr")
         E.w(2, "_tm._retire_frontier = _tr")
-        E.w(2, f"_tm.issued += _nis + {E.K(iss_tables)}[_b][_i]")
-        E.w(2, f"_tm.uops_issued += _nuo + {E.K(cum_tables)}[_b][_i]")
-    E.w(2, f"_ex = executed + {E.K(adj_tables)}[_b][_i] + 1")
+        E.w(2, f"_tm.issued += _nis + {E.K(iss_tables)}[_bk][_i]")
+        E.w(2, f"_tm.uops_issued += _nuo + {E.K(cum_tables)}[_bk][_i]")
+    E.w(2, f"_ex = executed + {E.K(adj_tables)}[_bk][_i] + 1")
     E.w(2, "if _ex > M._executed:")
     E.w(3, "M._executed = _ex")
+    if armed:
+        el, ma, cs = (f" + {E.K({bi: t[j] for bi, t in ev_tables.items()})}"
+                      f"[_bk][_i]" for j in range(3))
+        E.stream_flush(2, el, ma, "", cs)
     E.w(2, "raise")
     hoists = []
+    if armed:
+        hoists += _STREAM_HOISTS
     if with_timing:
         hoists += _timing_hoists(E)
     if E.need_mem:
@@ -2331,14 +2534,16 @@ def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
     params = "".join(f", {n}={n}" for n in E.used)
     sg = ", _sg=_sg" if E.uses_sg else ""
     return ([f"def {rname}(M, f, regs, times, executed, timing, "
-             f"maxi, cd, byop, _b{sg}{params}):"]
+             f"maxi, cd, byop, _bk{sg}{params}):"]
             + lines + [""])
 
 
-def _emit_function(dfn, costs, globals_addr, with_timing):
+def _emit_function(dfn, costs, globals_addr, with_timing, armed=False):
     """Compile-emit one decoded function. Returns (source, consts,
     [(block index, boundary, fname), ...]) or None if nothing in the
-    function is compilable."""
+    function is compilable. The armed variant inlines no leaf calls:
+    armed frames run only while faults are active, when the inline
+    guard always takes the real push."""
     fn = dfn.fn
     slot_map, nslots = slot_layout(fn)
     if nslots != dfn.nslots:
@@ -2351,6 +2556,8 @@ def _emit_function(dfn, costs, globals_addr, with_timing):
 
     def leaf_of(cdfn):
         """Memoized inline plan per callee (None = real push)."""
+        if armed:
+            return None
         key = id(cdfn)
         if key not in leaf_cache:
             leaf_cache[key] = _leaf_inline_info(
@@ -2367,17 +2574,21 @@ def _emit_function(dfn, costs, globals_addr, with_timing):
             continue
         candidates[bi] = records
 
-    # Probe pass into throwaway accumulators: a block with any record
-    # outside the compiled subset stays whole on the record path (the
-    # real pass then starts from a known-supported set, so constant
-    # numbering is deterministic).
+    # Probe each record into a throwaway emitter: a block with any
+    # record outside the compiled subset stays whole on the record path
+    # (the real pass then starts from a known-supported set, so constant
+    # numbering is deterministic). Nothing else emitted for a block can
+    # fail: defined calls, terminators and phi edges are pre-resolved by
+    # decode, and leaf inlines probe their callee themselves.
     supported = {}
     for bi, records in sorted(candidates.items()):
+        call_meta = dfn.blocks[bi].call_meta
+        scratch = _Emitter({}, {}, with_timing)
         try:
-            _emit_block_segments(dfn.blocks[bi], records, rv, slot_map,
-                                 costs, {}, {}, with_timing,
-                                 lambda _bi, _s: 0, bi, bi_of, rtp,
-                                 leaf_of)
+            for k, r in enumerate(records):
+                if call_meta[k] is None:
+                    _emit_record(scratch, 1, r, slot_map.get(id(r), -1),
+                                 rv, costs, rtp)
         except (_Unsupported, _Undecodable):
             continue
         supported[bi] = records
@@ -2406,8 +2617,10 @@ def _emit_function(dfn, costs, globals_addr, with_timing):
 
     consts: Dict[str, object] = {}
     seen: Dict[int, str] = {}
-    out: List[str] = [f"# compiled segments of @{fn.name} "
-                      f"({'timing' if with_timing else 'plain'})"]
+    variant = "timing" if with_timing else "plain"
+    if armed:
+        variant += ", armed"
+    out: List[str] = [f"# compiled segments of @{fn.name} ({variant})"]
     metas: List[Tuple[int, int, str]] = []
     rname = "_rg0"
     if region:
@@ -2415,7 +2628,8 @@ def _emit_function(dfn, costs, globals_addr, with_timing):
         # binds it as a keyword default at def time.
         out.extend(_emit_region(dfn, region, supported, rv, slot_map,
                                 costs, consts, seen, with_timing,
-                                seg_lookup, bi_of, rtp, rname, leaf_of))
+                                seg_lookup, bi_of, rtp, rname, leaf_of,
+                                armed))
     for bi in sorted(supported):
         db = dfn.blocks[bi]
         if bi in region:
@@ -2442,7 +2656,8 @@ def _emit_function(dfn, costs, globals_addr, with_timing):
         lines, ms = _emit_block_segments(db, supported[bi],
                                          rv, slot_map, costs, consts,
                                          seen, with_timing, seg_lookup,
-                                         bi, bi_of, rtp, leaf_of)
+                                         bi, bi_of, rtp, leaf_of,
+                                         armed=armed)
         out.extend(lines)
         metas.extend((bi, s, fname) for s, fname in ms)
     return "\n".join(out) + "\n", consts, metas
@@ -2454,10 +2669,10 @@ def _compile_dfn(dmod, dfn, vidx, digest):
     compiled before. Returns (segments, blocks, code hit, code miss)."""
     for db in dfn.blocks:
         if db.compiled is None:
-            db.compiled = [None, None]
+            db.compiled = [None] * len(_VARIANTS)
     try:
         emitted = _emit_function(dfn, dmod.costs, dmod.globals_addr,
-                                 vidx == 0)
+                                 vidx % 2 == 0, vidx >= 2)
     except Exception:
         if STRICT_COMPILE:
             raise
@@ -2496,14 +2711,20 @@ def _compile_dfn(dmod, dfn, vidx, digest):
     return (len(metas), len(per_block), hit, miss)
 
 
+#: Segment variants, indexed like ``DecodedBlock.compiled``: with or
+#: without the inlined timing model, unarmed or armed (stream counting
+#: behind the next-event guard).
+_VARIANTS = ("timing", "plain", "timing-armed", "plain-armed")
+
+
 def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
     """Compile segments for every decoded function of ``dmod`` in the
-    given variant (0 = timing, 1 = plain) that is not compiled yet.
-    Idempotent and cheap when there is nothing to do. Returns the
-    compile-event payload when work happened, else None."""
+    given variant (an index into :data:`_VARIANTS`) that is not
+    compiled yet. Idempotent and cheap when there is nothing to do.
+    Returns the compile-event payload when work happened, else None."""
     done = getattr(dmod, "_compiled_fns", None)
     if done is None:
-        done = dmod._compiled_fns = [set(), set()]
+        done = dmod._compiled_fns = [set() for _ in _VARIANTS]
     todo = [(fid, dfn) for fid, dfn in dmod._functions.items()
             if fid not in done[vidx]]
     if not todo:
@@ -2527,7 +2748,7 @@ def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
     COMPILE_STATS.code_misses += misses
     payload = {
         "digest": digest,
-        "variant": "timing" if vidx == 0 else "plain",
+        "variant": _VARIANTS[vidx],
         "functions": len(todo),
         "blocks": blocks,
         "segments": segs,
@@ -2543,13 +2764,13 @@ def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
 # --- Engine runners -----------------------------------------------------------
 #
 # Machine.run dispatches through the engine registry
-# (repro.cpu.interpreter) to one of these. Both decode once per
-# (module, cost model) and run on the trampoline; "compiled" also
-# ensures segments exist for the variant this machine needs.
+# (repro.cpu.interpreter) to these. Both decode once per (module, cost
+# model) and run on the trampoline, which compiles the segment variants
+# a "compiled" machine's frames need on their first use.
 
 
 def run_decoded(M, fn, arg_values):
-    """``engine="decoded"``: trampoline over decoded records."""
+    """``engine="decoded"``/``"compiled"``: the frame trampoline."""
     dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
     dfn = dmod.function(fn)
     stack: List[Frame] = []
@@ -2557,11 +2778,4 @@ def run_decoded(M, fn, arg_values):
     return run_stack(M, stack, M._executed)
 
 
-def run_compiled(M, fn, arg_values):
-    """``engine="compiled"``: trampoline + compiled segments."""
-    dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
-    dfn = dmod.function(fn)
-    ensure_compiled(dmod, 0 if M.timing is not None else 1)
-    stack: List[Frame] = []
-    push_frame(M, stack, dfn, arg_values, [0.0] * len(arg_values))
-    return run_stack(M, stack, M._executed)
+run_compiled = run_decoded

@@ -40,6 +40,13 @@ class PerfCounters:
 
     collect_by_opcode: bool = False
 
+    def copy(self) -> "PerfCounters":
+        """Independent copy (checkpoints and machine snapshots)."""
+        new = object.__new__(PerfCounters)
+        new.__dict__.update(self.__dict__)
+        new.by_opcode = dict(self.by_opcode)
+        return new
+
     def count(self, opcode: str) -> None:
         if self.collect_by_opcode:
             self.by_opcode[opcode] = self.by_opcode.get(opcode, 0) + 1

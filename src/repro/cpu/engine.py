@@ -116,7 +116,7 @@ class DecodedBlock:
         "phi_moves",       # {pred DecodedBlock: ((dst, slot, const), ...)} | None
         "phi_meta",        # ((type, phi inst), ...) for inject bookkeeping
         "call_meta",       # parallel to body: defined-call metadata or None
-        "compiled",        # [timing segmap, plain segmap] | None (cpu.compiled)
+        "compiled",        # segmap per compiled variant | None (cpu.compiled)
     )
 
     def __init__(self, name: str):
@@ -127,10 +127,11 @@ class DecodedBlock:
 
 
 class DecodedFunction:
-    __slots__ = ("fn", "nargs", "nslots", "entry", "blocks")
+    __slots__ = ("fn", "dmod", "nargs", "nslots", "entry", "blocks")
 
-    def __init__(self, fn: Function):
+    def __init__(self, fn: Function, dmod: "DecodedModule"):
         self.fn = fn
+        self.dmod = dmod  # owner: cpu.compiled compiles segments per module
         self.nargs = len(fn.args)
         self.nslots = 0
         self.entry: Optional[DecodedBlock] = None
@@ -1359,7 +1360,7 @@ class DecodedModule:
         if dfn is None:
             # Register the shell before filling so recursive and
             # mutually-recursive calls can bind it.
-            dfn = DecodedFunction(fn)
+            dfn = DecodedFunction(fn, self)
             self._functions[id(fn)] = dfn
             _fill_function(self, dfn)
         return dfn

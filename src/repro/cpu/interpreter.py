@@ -16,7 +16,6 @@ injection rule — is flipped.
 
 from __future__ import annotations
 
-import copy
 import math
 import struct
 import sys
@@ -456,6 +455,9 @@ class Machine:
         self._branch_stream_needed = False
         self._mem_stream_live = False
         self._branch_stream_live = False
+        # Per-stream event limits the trampoline publishes for armed
+        # compiled segments (repro.cpu.compiled._event_limits).
+        self._next_events: Tuple[int, int, int, int] = (0, 0, 0, 0)
         self._current_fn: Optional[Function] = None
         self._depth = -1
         self._layout_globals()
@@ -823,10 +825,10 @@ class Machine:
             heap_top=heap_top,
             stack_top=stack_top,
             output=list(self.output),
-            counters=copy.deepcopy(self.counters),
-            cache=copy.deepcopy(self.cache),
-            predictor=copy.deepcopy(self.predictor),
-            timing=copy.deepcopy(self.timing),
+            counters=self.counters.copy(),
+            cache=_copied(self.cache),
+            predictor=self.predictor.copy(),
+            timing=_copied(self.timing),
             branch_pcs=dict(self._branch_pcs),
             next_pc=self._next_pc,
             executed=self._executed,
@@ -855,10 +857,10 @@ class Machine:
         self.memory.load_image(snap.heap, snap.heap_top,
                                snap.stack, snap.stack_top)
         self.output = list(snap.output)
-        self.counters = copy.deepcopy(snap.counters)
-        self.cache = copy.deepcopy(snap.cache)
-        self.predictor = copy.deepcopy(snap.predictor)
-        self.timing = copy.deepcopy(snap.timing)
+        self.counters = snap.counters.copy()
+        self.cache = _copied(snap.cache)
+        self.predictor = snap.predictor.copy()
+        self.timing = _copied(snap.timing)
         self._branch_pcs = dict(snap.branch_pcs)
         self._next_pc = snap.next_pc
         self._executed = snap.executed
@@ -1419,6 +1421,12 @@ def _is_checker_site(inst: Instruction) -> bool:
             _CHECKER_PREFIXES
         )
     return False
+
+
+def _copied(component):
+    """``component.copy()``, or None for a disabled one (the cache and
+    timing model are optional)."""
+    return component.copy() if component is not None else None
 
 
 def _zero_value(ty: T.Type):

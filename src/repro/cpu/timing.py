@@ -58,6 +58,15 @@ class TimingModel:
         self._rob: deque = deque()
         self._retire_frontier = 0.0
 
+    def copy(self) -> "TimingModel":
+        """Independent copy (checkpoints and machine snapshots); the
+        cost model is read-only and shared."""
+        new = object.__new__(TimingModel)
+        new.__dict__.update(self.__dict__)
+        new._port_free = dict(self._port_free)
+        new._rob = deque(self._rob)
+        return new
+
     def reset(self) -> None:
         self.issue_time = 0.0
         self.finish_time = 0.0

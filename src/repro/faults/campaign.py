@@ -391,9 +391,9 @@ class InjectionSession:
                                       fault_eligible=fault_eligible,
                                       engine=engine)
         if engine in ("decoded", "compiled"):
-            # Decode (and for "compiled", compile segments) up front so
-            # the first injection's timing is not an outlier (both are
-            # cached on the module either way).
+            # Decode up front so the first injection's timing is not an
+            # outlier (cached on the module either way). Segments are
+            # compiled by the first run that executes them.
             from ..cpu.engine import decoded_module
 
             dmod = decoded_module(
@@ -401,12 +401,6 @@ class InjectionSession:
                 self.machine.globals_addr,
             )
             dmod.function(module.get_function(entry))
-            if engine == "compiled":
-                from ..cpu.compiled import ensure_compiled
-
-                ensure_compiled(
-                    dmod, 0 if self.machine.timing is not None else 1
-                )
         self.snapshot = self.machine.snapshot()
         self._trace = None  # lockstep trace, built on first batched use
         self._checkpoints = None  # CheckpointSet, attached per run_plans

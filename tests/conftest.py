@@ -6,7 +6,13 @@ import os
 
 import pytest
 
-from repro.cpu import Machine, MachineConfig
+# Strict segment compilation: a compiler error raises instead of falling
+# back to the (bit-identical, slower) record path. Set before repro is
+# imported — repro.cpu.compiled reads it once — and inherited by worker
+# subprocesses.
+os.environ.setdefault("REPRO_COMPILED_STRICT", "1")
+
+from repro.cpu import Machine, MachineConfig  # noqa: E402
 from repro.ir import IRBuilder, Module
 from repro.ir import types as T
 

@@ -5,9 +5,11 @@ defined calls (pure leaves the segment compiler inlines and impure
 helpers it must really suspend around), intrinsics, memory traffic,
 float arithmetic, and trapping division — run through every engine
 tier, through mid-run capture/resume, through batched injection, and
-through every registered fault model. Outcomes, output streams, stream
-counters, and architectural counters must be bit-identical everywhere:
-the compiled core is admissible only as a pure performance change.
+through every registered fault model, including plans aimed at the
+site shapes where fault-armed segments hand over to the record path.
+Outcomes, output streams, stream counters, and architectural counters
+must be bit-identical everywhere: the compiled core is admissible only
+as a pure performance change.
 
 The file also pins the compiled core's supporting machinery: the
 engine registry (``MachineConfig.engine`` validation,
@@ -45,7 +47,11 @@ from repro.faults import (
 from repro.faults.campaign import run_plans
 from repro.ir import Module
 from repro.ir import types as T
+from repro.ir.instructions import PhiInst
 from repro.passes import elzar_transform, mem2reg
+from repro.snap.format import serialize_state
+from repro.snap.placement import CapturePolicy
+from repro.workloads import ALL
 
 from ..conftest import make_function
 
@@ -144,10 +150,12 @@ def build_random_module(seed, trap=False):
 
 
 def _observe(module, entry, args, engine, collect_timing=True, plan=None,
-             max_instructions=None, count_only=False):
+             max_instructions=None, count_only=False, fault_eligible=None):
     config = MachineConfig(engine=engine, collect_timing=collect_timing)
     if max_instructions is not None:
         config.max_instructions = max_instructions
+    if fault_eligible is not None:
+        config.fault_eligible = fault_eligible
     machine = Machine(module, config)
     if count_only:
         machine.count_only = True
@@ -171,6 +179,7 @@ def _observe(module, entry, args, engine, collect_timing=True, plan=None,
             machine.eligible_executed, machine.mem_accesses_eligible,
             machine.cond_branches_eligible, machine.checker_sites_executed)
         observed["injected"] = machine.fault_injected
+        observed["target"] = machine.fault_target
     if result is not None:
         observed["value"] = result.value
         if collect_timing:
@@ -398,3 +407,209 @@ def test_durable_campaign_emits_engine_compile_event():
                 "compile_ms", "code_hits", "code_misses"):
         assert key in payload, key
     assert payload["segments"] > 0
+
+
+def _gep_trap_module():
+    """A loop whose load walks off the stack in a fused region."""
+    module = Module("gep-trap")
+    _fn, b = make_function(module, "main", T.I64, [T.I64])
+    buf = b.alloca(T.I64, count=4)
+    loop = b.begin_loop(b.i64(0), b.i64(100))
+    b.load(T.I64, b.gep(T.I64, buf, b.mul(loop.index, b.i64(1000))))
+    b.end_loop(loop)
+    b.ret(b.i64(0))
+    return module, "main", [1]
+
+
+def test_region_trap_after_gep_identical_across_engines():
+    """A trap in a fused region after a record that writes the
+    emitter's scratch locals (a GEP base) still reports the trapping
+    block exactly."""
+    module, entry, args = _gep_trap_module()
+    runs = {engine: _observe(module, entry, args, engine)
+            for engine in ENGINES}
+    assert runs["reference"]["exc"][0] == "MemoryFault"
+    assert runs["compiled"] == runs["reference"]
+
+
+# --- Armed segments: fault-armed frames on compiled code ----------------
+
+#: One plan builder per registered fault model, with the stream its
+#: target index counts (0 eligible, 1 memory, 2 branch, 3 checker).
+_MODEL_PLANS = {
+    "register-bitflip": (0, lambda t: FaultPlan(t, bit=3, lane=1)),
+    "multi-bitflip": (0, lambda t: FaultPlan(t, bit=2, kind="multi",
+                                             bits=(9, 40))),
+    "instruction-skip": (0, lambda t: FaultPlan(t, bit=0, kind="skip")),
+    "memory-bitflip": (0, lambda t: FaultPlan(t, bit=5, kind="mem",
+                                              offset=12345)),
+    "address-bitflip": (1, lambda t: FaultPlan(t, bit=62, kind="addr")),
+    "branch-flip": (2, lambda t: FaultPlan(t, bit=0, kind="branch")),
+    "checker-fault": (3, lambda t: FaultPlan(t, bit=1, lane=2,
+                                             kind="checker")),
+}
+
+
+def _stream_events(module, entry, args):
+    """The instruction behind every event of each targeting stream, in
+    order, from a count_only reference run."""
+    machine = Machine(module, MachineConfig(engine="reference",
+                                            collect_timing=False))
+    machine.count_only = True
+    events = ([], [], [], [])
+    machine.trace_eligible = lambda inst, fn: events[0].append(inst)
+    machine.set_stream_watches(
+        mem=lambda inst, i: events[1].append(inst),
+        branch=lambda inst, i: events[2].append(inst),
+        checker=lambda inst, i: events[3].append(inst))
+    try:
+        machine.run(entry, args)
+    except Exception:
+        pass  # a trapping module's events up to the trap
+    return events
+
+
+def _targeted_sites(insts, entry):
+    """Event indices by site shape: first/last event of a block visit,
+    a phi, the first event after an intra-function block boundary, an
+    event in a callee frame, and the last event (in a trapping module:
+    the trapping block)."""
+    sites = {}
+    n = len(insts)
+    for idx in range(n):
+        inst = insts[idx]
+        bb = inst.parent
+        prev = insts[idx - 1].parent if idx else None
+        nxt = insts[idx + 1].parent if idx + 1 < n else None
+        if prev is not bb:
+            sites.setdefault("block-first", idx)
+            if prev is not None and prev.parent is bb.parent:
+                sites.setdefault("region-boundary", idx)
+        if nxt is not bb:
+            sites.setdefault("block-last", idx)
+        if isinstance(inst, PhiInst):
+            sites.setdefault("phi", idx)
+        if bb.parent.name != entry:
+            sites.setdefault("callee", idx)
+    if n:
+        sites["last"] = n - 1
+    return sites
+
+
+def _armed_modules():
+    for seed in (0, 3):
+        module, entry, args = build_random_module(seed)
+        yield f"elzar{seed}", elzar_transform(mem2reg(module)), entry, args
+    module, entry, args = build_random_module(5)
+    yield "native5", mem2reg(module), entry, args
+    module, entry, args = build_random_module(1, trap=True)
+    yield "trap1", elzar_transform(mem2reg(module)), entry, args
+    yield ("gep-trap",) + _gep_trap_module()
+
+
+@pytest.mark.parametrize("model", sorted(_MODEL_PLANS))
+def test_armed_segments_identical_at_targeted_sites(model):
+    """Every fault model, aimed at the site shapes where armed segments
+    must hand over to the record path exactly: compiled equals the
+    reference on streams, fault target, counters, output or exception.
+    The armed variant must really have run."""
+    assert set(_MODEL_PLANS) == set(model_names())
+    stream, make_plan = _MODEL_PLANS[model]
+    payloads = []
+    add_compile_hook(payloads.append)
+    tried = 0
+    try:
+        for name, module, entry, args in _armed_modules():
+            events = _stream_events(module, entry, args)
+            budget = len(events[0]) * 20 + 5000
+            for site, idx in sorted(_targeted_sites(events[stream],
+                                                    entry).items()):
+                plan = make_plan(idx)
+                for timing in (False, True):
+                    runs = {engine: _observe(module, entry, args, engine,
+                                             collect_timing=timing,
+                                             plan=plan,
+                                             max_instructions=budget)
+                            for engine in ("reference", "compiled")}
+                    assert runs["compiled"] == runs["reference"], \
+                        (name, site, plan, timing)
+                    assert runs["reference"]["injected"], (name, site)
+                    tried += 1
+    finally:
+        remove_compile_hook(payloads.append)
+    assert tried >= 6
+    assert sum(p["segments"] for p in payloads
+               if p["variant"].endswith("armed")) > 0
+
+
+def test_armed_frames_around_ineligible_callees():
+    """Armed frames calling fault-ineligible functions (unarmed
+    segments) and back: pushes and returns switch segment variants."""
+    module, entry, args = build_random_module(2)
+    module = elzar_transform(mem2reg(module))
+    eligible = lambda fn: fn.name == entry  # noqa: E731
+    golden = _observe(module, entry, args, "reference", count_only=True,
+                      fault_eligible=eligible)
+    for target in (0, golden["streams"][0] // 2, golden["streams"][0] - 1):
+        plan = FaultPlan(target_index=target, bit=5, lane=3)
+        runs = {engine: _observe(module, entry, args, engine, plan=plan,
+                                 fault_eligible=eligible)
+                for engine in ("reference", "compiled")}
+        assert runs["compiled"] == runs["reference"], target
+        assert runs["reference"]["injected"]
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_count_only_streams_identical_on_armed_segments(timing):
+    for name, module, entry, args in _armed_modules():
+        runs = {engine: _observe(module, entry, args, engine,
+                                 collect_timing=timing, count_only=True)
+                for engine in ENGINES}
+        assert runs["decoded"] == runs["reference"], name
+        assert runs["compiled"] == runs["reference"], name
+
+
+def test_capture_bytes_identical_across_engines():
+    """A capture run on armed segments takes every checkpoint at the
+    record the record path takes it, with the same bytes."""
+    module, entry, args = build_random_module(3)
+    module = elzar_transform(mem2reg(module))
+    blobs = {}
+    for engine in ("decoded", "compiled"):
+        machine = Machine(module, MachineConfig(engine=engine))
+        machine.count_only = True
+        policy = CapturePolicy({"": 7}, limit=1000)
+        run_resumable(machine, entry, args, capture=policy)
+        blobs[engine] = [serialize_state(s, machine)
+                         for s in policy.states]
+    assert len(blobs["decoded"]) > 10
+    assert blobs["compiled"] == blobs["decoded"]
+
+
+def test_armed_injection_runs_mostly_on_segments():
+    """Guard on the fast path itself: an armed fi-scale histogram/elzar
+    injection executes under 10% of its instructions through decoded
+    record handlers — the rest on armed segments."""
+    built = ALL["histogram"].build_at("fi")
+    module = elzar_transform(mem2reg(built.module))
+    golden = Machine(module, MachineConfig(collect_timing=False))
+    golden.count_only = True
+    golden.run(built.entry, built.args)
+    eligible = golden.eligible_executed
+    dmod = next(iter(module._decoded_cache.values()))
+    calls = [0]
+
+    def counted(handler):
+        def wrapper(*args):
+            calls[0] += 1
+            return handler(*args)
+        return wrapper
+
+    for dfn in dmod._functions.values():
+        for db in dfn.blocks:
+            db.body = tuple(counted(h) for h in db.body)
+    machine = Machine(module, MachineConfig(collect_timing=False))
+    machine.arm_fault(FaultPlan(target_index=eligible // 2, bit=7, lane=1))
+    machine.run(built.entry, built.args)
+    assert machine.fault_injected
+    assert calls[0] < 0.1 * machine.counters.instructions, calls[0]
