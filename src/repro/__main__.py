@@ -6,7 +6,7 @@ Usage::
     python -m repro fig11 [--scale test|perf]
     python -m repro fig13 [--injections N] [--workers N]
     python -m repro all [--scale test|perf] [--injections N]
-    python -m repro bench [--suite engine|batch|snap|all] [--json PATH]
+    python -m repro bench [--suite engine|snap|all] [--json PATH]
     python -m repro campaign [--resume] [--workers N] [--ci-target F]
     python -m repro chaos run --scenario S --seed N
     python -m repro cluster coordinator|worker ...
@@ -123,10 +123,10 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="for 'bench': also write results as JSON")
     parser.add_argument("--suite", default="engine",
-                        choices=("engine", "batch", "snap", "all"),
+                        choices=("engine", "snap", "all"),
                         help="for 'bench': which benchmark suite(s) to "
-                             "run (engine throughput, batched injection, "
-                             "checkpointed injection, or all three)")
+                             "run (engine throughput, checkpointed "
+                             "injection, or both)")
     args = parser.parse_args(argv)
 
     if args.experiment == "list":

@@ -12,10 +12,9 @@ counters, and cycles are asserted equal across all three engines for
 every workload measured (any drift fails the benchmark rather than
 silently reporting a speedup for a different simulation).
 
-:func:`run_suites` is the ``--suite engine|batch|snap|all`` entry point
-that also fans out to :mod:`repro.bench_batch` (batched lane-parallel
-injection, ``BENCH_batch.json``) and :mod:`repro.bench_snap`
-(checkpoint-resumed injection, ``BENCH_snap.json``).
+:func:`run_suites` is the ``--suite engine|snap|all`` entry point that
+also fans out to :mod:`repro.bench_snap` (checkpoint-resumed injection,
+``BENCH_snap.json``).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ DEFAULT_WORKLOADS = (
 ENGINES = ("reference", "decoded", "compiled")
 
 #: Benchmark suites ``run_suites`` knows how to drive.
-SUITES = ("engine", "batch", "snap")
+SUITES = ("engine", "snap")
 
 
 def _run(module, entry, args, engine: str, collect_timing: bool):
@@ -161,13 +160,6 @@ def run_suites(suite: str = "engine", scale: str = "fi",
             rows = bench_engine_throughput(scale=scale)
             out = json_path or "BENCH_engine.json"
             write_report(rows, out)
-        elif name == "batch":
-            from .bench_batch import bench_batch_injection
-            from .bench_batch import write_report as write_batch
-
-            rows = bench_batch_injection(scale=scale)
-            out = json_path or "BENCH_batch.json"
-            write_batch(rows, out)
         else:
             from .bench_snap import bench_checkpoint_injection
             from .bench_snap import write_report as write_snap

@@ -43,8 +43,7 @@ from .workloads.registry import FI_BENCHMARKS
 #: eligible stream — the late-site regime checkpointing exists for.
 LATE_FRACTION = 0.75
 
-#: Injections per cell; matches the batched benchmark's default so the
-#: two reports are comparable.
+#: Injections per cell.
 DEFAULT_INJECTIONS = 64
 
 

@@ -111,10 +111,6 @@ class CellJob:
     rtol: float
     engine: str
     fault_model: str
-    #: Per-worker lane count for batched injection (1 = sequential);
-    #: an execution knob like ``engine``, so it travels in the prepare
-    #: frame but never in store keys.
-    batch: int
     #: Expected handshake values, computed from the coordinator's own
     #: build of the cell.
     expected: Dict[str, object]
@@ -665,7 +661,6 @@ class ClusterCoordinator:
                 "rtol": job.rtol,
                 "engine": job.engine,
                 "fault_model": job.fault_model,
-                "batch": job.batch,
             })
         except (ConnectionError, OSError):
             pass
@@ -876,7 +871,6 @@ def run_distributed_campaign(
             rtol=config.rtol,
             engine=config.engine,
             fault_model=config.fault_model,
-            batch=config.batch,
             expected={
                 "module_digest": module_digest(module),
                 "golden_digest": golden_digest(

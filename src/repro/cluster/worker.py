@@ -90,10 +90,6 @@ class _CellRuntime:
     budget: int
     rtol: float
     engine: str
-    #: Lanes per batched golden run; 1 = sequential injection. A
-    #: per-worker execution knob (counts are bit-identical for any
-    #: value), so it rides the prepare frame, not the store spec.
-    batch: int = 1
     fault_model: str = "register-bitflip"
 
 
@@ -232,7 +228,7 @@ class ClusterWorker:
             module, entry, args = self._cells.get(
                 str(message["workload"]), str(message["build_scale"]),
                 str(message["version"]))
-            engine = str(message.get("engine", "decoded"))
+            engine = str(message.get("engine", "compiled"))
             reference, profile = golden_profile(module, entry, args, None,
                                                 engine=engine)
             model = get_model(str(message["fault_model"]))
@@ -242,7 +238,6 @@ class ClusterWorker:
                             * float(message["hang_factor"])) + 10_000),
                 rtol=float(message["rtol"]),
                 engine=engine,
-                batch=int(message.get("batch", 1)),
                 fault_model=str(message["fault_model"]),
             )
         except Exception as exc:
@@ -315,7 +310,7 @@ class ClusterWorker:
         last_beat = time.monotonic()
 
         def beat() -> None:
-            # run_plans ticks after every injection (or batch), which
+            # run_plans ticks after every injection, which
             # keeps the lease alive without a heartbeat thread.
             nonlocal last_beat
             now = time.monotonic()
@@ -329,7 +324,7 @@ class ClusterWorker:
             counts = Counter(run_plans(
                 runtime.module, runtime.entry, runtime.args, plans,
                 runtime.reference, runtime.budget, runtime.rtol, None,
-                engine=runtime.engine, batch=runtime.batch,
+                engine=runtime.engine,
                 fault_model=runtime.fault_model, tick=beat,
             ))
         except Exception as exc:

@@ -4,9 +4,8 @@ specialized Python closures generated from the decoded stream
 (threaded code: each segment returns the next segment to run).
 
 This module is the single substrate behind the ``decoded`` and
-``compiled`` engines, the resumable checkpoint machinery
-(:mod:`repro.cpu.resumable` is now a compatibility shim over it) and
-the batched lane engine (:mod:`repro.cpu.batch`):
+``compiled`` engines and the resumable checkpoint machinery
+(:mod:`repro.cpu.resumable` is now a compatibility shim over it):
 
 - **Trampoline** (:func:`run_stack`): the explicit frame stack. Defined
   calls push a :class:`Frame` where the recursive engine would recurse,
@@ -22,12 +21,12 @@ the batched lane engine (:mod:`repro.cpu.batch`):
   plans, ``count_only`` profiling, checkpoint capture) execute the
   *armed* variant: it counts the four targeting streams exactly and
   hands every block in which a plan could fire or a checkpoint be
-  taken back to the record path. Trace hooks and stream watches keep
-  the record path throughout. Variants compile on first use.
+  taken back to the record path. Trace hooks keep the record path
+  throughout. Variants compile on first use.
 - **Code cache**: generated code objects are shared across machine
   instances keyed by the module's content digest (the same digest that
   keys the toolchain artifact cache), so campaigns compile once per
-  cell and forked/batched/cluster workers reuse the compiled form.
+  cell and forked/cluster workers reuse the compiled form.
 
 Bit-identity contract: a trampoline run — with or without segments —
 is indistinguishable from a recursive ``Machine.run``: return value,
@@ -116,7 +115,7 @@ class Frame:
 
     __slots__ = (
         "dfn",          # DecodedFunction
-        "regs",         # register file (shared with M._frames entry)
+        "regs",         # register file
         "times",        # ready-time file
         "mark",         # stack mark at entry (memory.stack_release target)
         "depth",        # call depth (root = 0)
@@ -138,8 +137,8 @@ class Frame:
 def push_frame(M, stack: List[Frame], dfn: DecodedFunction, args: List,
                arg_times: List[float]) -> Frame:
     """Mirror of ``exec_decoded_function``'s prologue: depth check,
-    register-file setup, stack mark, ``_frames``/``_current_fn``/
-    stream-flag maintenance — as an explicit frame push."""
+    register-file setup, stack mark, ``_current_fn``/stream-flag
+    maintenance — as an explicit frame push."""
     depth = M._depth + 1
     if depth > M.config.max_call_depth:
         raise HangError(f"call depth exceeded in @{dfn.fn.name}")
@@ -157,7 +156,6 @@ def push_frame(M, stack: List[Frame], dfn: DecodedFunction, args: List,
     f.mark = M.memory.stack_mark()
     f.caller_fn = M._current_fn
     M._current_fn = dfn.fn
-    M._frames.append((dfn, regs))
     f.prev_mem = M._mem_stream_live
     f.prev_branch = M._branch_stream_live
     f.depth = depth
@@ -192,7 +190,7 @@ def _call_result_step(M, f, regs, executed) -> bool:
     rdst, _ty, inst = meta
     index = M.eligible_executed
     M.eligible_executed = index + 1
-    if M._trace_eligible is not None and index >= M._trace_skip_until:
+    if M._trace_eligible is not None:
         M._executed = executed
         M._trace_eligible(inst, M._current_fn)
     plans = M.fault_plans
@@ -257,14 +255,12 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
     # segments are pure speed). Inject frames run the armed variant,
     # which counts the four targeting streams and bails to the record
     # path before any block where a plan could fire or a checkpoint be
-    # taken — unless a trace hook or stream watch must see every event.
+    # taken — unless a trace hook must see every event.
     # Other frames run the unarmed variant unless capture placement
     # polls (their eligible count is frozen, so only the record path's
     # per-record poll sees a threshold crossed by a callee's return).
     compiled = M.config.engine == "compiled"
-    armed_ok = compiled and M._trace_eligible is None and (
-        M._watch_checker is None and M._watch_mem is None
-        and M._watch_branch is None)
+    armed_ok = compiled and M._trace_eligible is None
     plain_ok = compiled and capture is None
     vidx = 0 if timing is not None else 1
     ready = [False] * len(_VARIANTS)  # variants ensured this run
@@ -282,9 +278,8 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                 # the caller loop's inject bookkeeping on the result.
                 returning = False
                 block = f.block
-                (arg_rs, dst, _cdfn, lat, uops, isv, port,
-                 _site) = block.call_meta[f.i]
-                M._call_sites.pop()
+                (arg_rs, dst, _cdfn, lat, uops, isv,
+                 port) = block.call_meta[f.i]
                 if dst >= 0:
                     regs[dst] = value
                 if timing is not None:
@@ -329,8 +324,7 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                                     staged, block.phi_meta):
                                 index = M.eligible_executed
                                 M.eligible_executed = index + 1
-                                if (M._trace_eligible is not None
-                                        and index >= M._trace_skip_until):
+                                if M._trace_eligible is not None:
                                     M._executed = executed
                                     M._trace_eligible(phi, M._current_fn)
                                 if M._checker_needed:
@@ -413,7 +407,6 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                                 if executed > M._executed:
                                     M._executed = executed
                                 stack.pop()
-                                M._frames.pop()
                                 M._current_fn = f.caller_fn
                                 M._mem_stream_live = f.prev_mem
                                 M._branch_stream_live = f.prev_branch
@@ -427,8 +420,7 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                                 times = f.times
                                 block = f.block
                                 (arg_rs, dst, _cdfn, lat, uops, isv,
-                                 port, _site) = block.call_meta[f.i]
-                                M._call_sites.pop()
+                                 port) = block.call_meta[f.i]
                                 if dst >= 0:
                                     regs[dst] = value
                                 if timing is not None:
@@ -489,14 +481,12 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                         if cm is not None:
                             # Defined call: the handler's prologue, then
                             # a frame push where it would recurse.
-                            arg_rs, dst, cdfn, lat, uops, isv, port, \
-                                site = cm
+                            arg_rs, dst, cdfn, lat, uops, isv, port = cm
                             cargs = [regs[s] if s >= 0 else c
                                      for s, c in arg_rs]
                             cats = [times[s] if s >= 0 else 0.0
                                     for s, c in arg_rs]
                             M._executed = executed
-                            M._call_sites.append(site)
                             f.i = i
                             push_frame(M, stack, cdfn, cargs, cats)
                             pushed = True
@@ -508,8 +498,7 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                                 rdst, _ty, inst = meta
                                 index = M.eligible_executed
                                 M.eligible_executed = index + 1
-                                if (M._trace_eligible is not None
-                                        and index >= M._trace_skip_until):
+                                if M._trace_eligible is not None:
                                     M._executed = executed
                                     M._trace_eligible(inst, M._current_fn)
                                 if M._checker_needed:
@@ -615,7 +604,6 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                 if executed > M._executed:
                     M._executed = executed
                 stack.pop()
-                M._frames.pop()
                 M._current_fn = f.caller_fn
                 M._mem_stream_live = f.prev_mem
                 M._branch_stream_live = f.prev_branch
@@ -632,7 +620,6 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
         # do when the callee's exception propagated through the handler.
         while stack:
             f = stack.pop()
-            M._frames.pop()
             if f.in_body:
                 block = f.block
                 i = f.i
@@ -672,10 +659,6 @@ def run_resumable(M, fn_name: str, args: Sequence = (),
         raise TypeError(
             f"@{fn_name} expects {len(fn.args)} args, got {len(arg_values)}"
         )
-    if M._frames:
-        M._frames.clear()
-    if M._call_sites:
-        M._call_sites.clear()
     dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
     stack: List[Frame] = []
     push_frame(M, stack, dmod.function(fn), arg_values,
@@ -716,7 +699,7 @@ class ResumeState:
     Everything :class:`MachineSnapshot` captures between runs, plus the
     frame stack, the live dynamic-instruction count, and the four
     stream counters — precisely what a golden-prefix checkpoint needs.
-    Fault plumbing (plans, watches, hooks) is deliberately absent:
+    Fault plumbing (plans, hooks) is deliberately absent:
     checkpoints are captured during ``count_only`` golden runs where
     all of it is empty, and :func:`resume_run` arms the injected plan
     itself.
@@ -809,10 +792,6 @@ def restore_payload(M, state: ResumeState) -> None:
     M.fault_target = None
     M._count_only = False
     M._trace_eligible = None
-    M._trace_skip_until = -1
-    M._watch_checker = M._watch_mem = M._watch_branch = None
-    M._frames.clear()
-    M._call_sites.clear()
     M._current_fn = None
     M._depth = -1
     M._mem_stream_live = False
@@ -859,7 +838,7 @@ def arm_resume(M, plans: Sequence) -> None:
 
 def rebuild_frames(M, state: ResumeState) -> List[Frame]:
     """Reconstruct the live frame stack from a checkpoint. Must run
-    *after* plans/watches are armed — per-frame inject mode and the
+    *after* plans are armed — per-frame inject mode and the
     stream-live flags depend on ``M._fault_active``, exactly as they
     would have at each frame's push in a from-scratch run."""
     dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
@@ -889,7 +868,6 @@ def rebuild_frames(M, state: ResumeState) -> List[Frame]:
         f.rv = None
         f.pending_call = None
         stack.append(f)
-        M._frames.append((dfn, f.regs))
         caller_fn = fn
         if f.inject:
             prev_mem = M._mem_stream_needed
@@ -901,10 +879,6 @@ def rebuild_frames(M, state: ResumeState) -> List[Frame]:
     M._branch_stream_live = prev_branch
     M._depth = len(stack) - 1
     M._current_fn = stack[-1].dfn.fn if stack else None
-    # Suspended parents each sit at a defined-call record; their site
-    # ids rebuild the call-site chain the batch digests compare.
-    for f in stack[:-1]:
-        M._call_sites.append(f.block.call_meta[f.i][7])
     return stack
 
 
@@ -1860,11 +1834,11 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
 
 def _emit_call_exit(E, d, db, k, s):
     """Suspend at the defined-call record ``k``: publish the count,
-    register the call site, park the callee + evaluated args on the
+    park the callee + evaluated args on the
     frame and return control 1 (the trampoline pushes the frame — its
     depth-limit HangError then unwinds through ``f.i``/``f.in_body``
     exactly like the record path's)."""
-    arg_rs, _dst, cdfn, _lat, _uops, _isv, _port, site = db.call_meta[k]
+    arg_rs, _dst, cdfn, _lat, _uops, _isv, _port = db.call_meta[k]
     E.w(d, f"_i = {k}")
     E.w(d, f"executed += {k - E.exec_base + 1}")
     args = ", ".join(f"regs[{ss}]" if ss >= 0 else E.K(cc)
@@ -1874,7 +1848,6 @@ def _emit_call_exit(E, d, db, k, s):
     E.w(d, f"_ca = [{args}]")
     E.w(d, f"_ct = [{ats}]")
     E.w(d, "M._executed = executed")
-    E.w(d, f"M._call_sites.append({E.K(site)})")
     E.w(d, f"f.i = {k}")
     E.w(d, f"f.pending_call = ({E.KI(cdfn)}, _ca, _ct)")
     E.writeback(d)
@@ -1942,7 +1915,7 @@ def _emit_leaf_call(E, d, db, k, s, leaf, costs, rtp):
     effects in order: callee records, callee block counters, ret issue,
     then the caller's call-record issue — same TimingModel and counter
     evolution, no Frame, no driver round trip."""
-    arg_rs, dst, cdfn, lat, uops, isv, port, _site = db.call_meta[k]
+    arg_rs, dst, cdfn, lat, uops, isv, port = db.call_meta[k]
     crecords, cslot_map, crv, cnslots, cdb = leaf
     t = E.with_timing
     span = (k - E.exec_base + 1) + (cdb.n + 1)

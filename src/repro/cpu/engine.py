@@ -967,7 +967,7 @@ def _make_call_defined(rv, inst, costs, static, dst, dfn):
     # Python recursion: it pushes an explicit frame where the recursive
     # engine recursed, and completes the post-return bookkeeping
     # (dst write, call timing) itself.
-    h._call_meta = (arg_rs, dst, dfn, lat, uops, isv, port, id(inst))
+    h._call_meta = (arg_rs, dst, dfn, lat, uops, isv, port)
     return h
 
 

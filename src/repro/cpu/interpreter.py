@@ -366,7 +366,6 @@ class MachineSnapshot:
     fault_state: tuple
     count_only: bool
     trace_eligible: object
-    watches: tuple
 
 
 class Machine:
@@ -416,31 +415,7 @@ class Machine:
         self.cond_branches_eligible = 0
         self._eligible_fn_cache: Dict[int, bool] = {}
         self._trace_eligible = None
-        # Skip gate for the eligible-stream hook: the engines invoke
-        # ``_trace_eligible`` only once ``eligible_executed`` exceeds
-        # this, so a hook that knows its next interesting index (a site
-        # watch or checkpoint comparator) costs one int compare per
-        # event instead of a Python call. -1 (the value the setter
-        # resets to) fires at every event — dense hooks like
-        # ``faults.trace`` need no changes.
-        self._trace_skip_until = -1
         self._count_only = False
-        # Stream watch hooks (repro.cpu.batch). Each is an optional
-        # ``(inst, index) -> None`` callable fired at every dynamic event
-        # of its stream *before* that event's plan-cursor reads, so a
-        # hook may arm plans that fire at the very event it observed
-        # (the batch engine forks a lane inside the hook and arms the
-        # lane's plan in the child). Set via :meth:`set_stream_watches`.
-        self._watch_checker = None
-        self._watch_mem = None
-        self._watch_branch = None
-        # Execution-position registries for the batch engine's state
-        # digests (decoded engine only; cleared at every ``run()``):
-        # ``_frames`` holds ``(dfn, regs)`` per live decoded frame,
-        # outermost first; ``_call_sites`` holds ``id(call_inst)`` per
-        # suspended caller, identifying where each frame resumes.
-        self._frames: List[tuple] = []
-        self._call_sites: List[int] = []
         #: True when any per-eligible-instruction bookkeeping is needed
         #: (armed plans, count-only profiling, or a trace hook); the
         #: decoded engine skips that bookkeeping entirely otherwise.
@@ -472,36 +447,12 @@ class Machine:
             or bool(self._branch_plans)
             or self._count_only
             or self._trace_eligible is not None
-            or self._watch_checker is not None
-            or self._watch_mem is not None
-            or self._watch_branch is not None
         )
-        self._checker_needed = (
-            self._count_only
-            or bool(self._checker_plans)
-            or self._watch_checker is not None
-        )
-        self._mem_stream_needed = (
-            self._count_only
-            or bool(self._mem_plans)
-            or self._watch_mem is not None
-        )
+        self._checker_needed = self._count_only or bool(self._checker_plans)
+        self._mem_stream_needed = self._count_only or bool(self._mem_plans)
         self._branch_stream_needed = (
-            self._count_only
-            or bool(self._branch_plans)
-            or self._watch_branch is not None
+            self._count_only or bool(self._branch_plans)
         )
-
-    def set_stream_watches(self, checker=None, mem=None, branch=None) -> None:
-        """Install (or, with no arguments, clear) the per-stream watch
-        hooks and recompute the bookkeeping gates. The eligible stream
-        has no separate watch — use :attr:`trace_eligible`, which fires
-        at every eligible event with the same fire-at-observed-event
-        guarantee."""
-        self._watch_checker = checker
-        self._watch_mem = mem
-        self._watch_branch = branch
-        self._refresh_fault_mode()
 
     @property
     def trace_eligible(self):
@@ -512,7 +463,6 @@ class Machine:
     @trace_eligible.setter
     def trace_eligible(self, hook) -> None:
         self._trace_eligible = hook
-        self._trace_skip_until = -1
         self._refresh_fault_mode()
 
     @property
@@ -628,8 +578,7 @@ class Machine:
             return value
         index = self.eligible_executed
         self.eligible_executed += 1
-        if (self._trace_eligible is not None
-                and self.eligible_executed > self._trace_skip_until):
+        if self._trace_eligible is not None:
             self._trace_eligible(inst, self._current_fn)
         if self._checker_needed:
             value = self._checker_step(value, inst)
@@ -688,10 +637,6 @@ class Machine:
             return value
         index = self.checker_sites_executed
         self.checker_sites_executed = index + 1
-        if self._watch_checker is not None:
-            # The hook may arm plans aimed at this very site (batch lane
-            # fork), so the plan list and cursor are read after it.
-            self._watch_checker(inst, index)
         plans = self._checker_plans
         cursor = self._next_checker_plan
         if cursor >= len(plans) or index != plans[cursor].target_index:
@@ -714,8 +659,6 @@ class Machine:
         the paper's post-check window on extracted scalar addresses."""
         index = self.mem_accesses_eligible
         self.mem_accesses_eligible = index + 1
-        if self._watch_mem is not None:
-            self._watch_mem(inst, index)
         plans = self._mem_plans
         cursor = self._next_mem_plan
         if cursor >= len(plans) or index != plans[cursor].target_index:
@@ -734,8 +677,6 @@ class Machine:
         ptest/branch synchronisation point."""
         index = self.cond_branches_eligible
         self.cond_branches_eligible = index + 1
-        if self._watch_branch is not None:
-            self._watch_branch(inst, index)
         plans = self._branch_plans
         cursor = self._next_branch_plan
         if cursor >= len(plans) or index != plans[cursor].target_index:
@@ -765,13 +706,6 @@ class Machine:
             raise TypeError(
                 f"@{fn_name} expects {len(fn.args)} args, got {len(arg_values)}"
             )
-        # A previous run abandoned after a Trap leaves stale entries in
-        # the position registries (they are popped by normal unwinding,
-        # but a machine is allowed to be rerun after a caught Trap).
-        if self._frames:
-            self._frames.clear()
-        if self._call_sites:
-            self._call_sites.clear()
         saved_limit = sys.getrecursionlimit()
         if saved_limit < _RUN_RECURSION_LIMIT:
             sys.setrecursionlimit(_RUN_RECURSION_LIMIT)
@@ -843,8 +777,6 @@ class Machine:
             ),
             count_only=self._count_only,
             trace_eligible=self._trace_eligible,
-            watches=(self._watch_checker, self._watch_mem,
-                     self._watch_branch),
         )
 
     def restore(self, snap: "MachineSnapshot") -> None:
@@ -878,18 +810,12 @@ class Machine:
         self._branch_plans = list(self._branch_plans)
         self._count_only = snap.count_only
         self._trace_eligible = snap.trace_eligible
-        self._trace_skip_until = -1
-        self._watch_checker, self._watch_mem, self._watch_branch = (
-            snap.watches
-        )
         # Between-runs invariants (restore targets a quiescent machine;
         # an aborted run may have left these mid-frame).
         self._current_fn = None
         self._depth = -1
         self._mem_stream_live = False
         self._branch_stream_live = False
-        self._frames.clear()
-        self._call_sites.clear()
         self._refresh_fault_mode()
 
     # The core loop ---------------------------------------------------------------------

@@ -65,21 +65,11 @@ class CampaignConfig:
     #: differential tests enforce it); the knob exists so CI can prove
     #: that end to end. Excluded from durable store keys.
     engine: str = "compiled"
-    #: Injections executed per batched lane group (see
-    #: :mod:`repro.cpu.batch`): 1 runs the classic sequential loop;
-    #: K > 1 shares each batch's golden prefix across K forked lanes.
-    #: Per-plan outcomes are bit-identical to sequential injection, so
-    #: — like ``engine`` and ``workers`` — ``batch`` is a pure
-    #: execution knob, excluded from durable store keys. Batching is
-    #: per *worker*: with forked or distributed workers each worker
-    #: batches its own shards. Requires the decoded engine and
-    #: ``os.fork``; anything else falls back to sequential injection.
-    batch: int = 1
     #: Mid-run checkpointing (see :mod:`repro.snap`): resolve each
     #: plan's fault site to the nearest checkpoint at or before it and
     #: execute only the tail. Per-plan outcomes are bit-identical with
     #: and without it (the differential tests and CI pin that), so —
-    #: like ``engine``, ``workers`` and ``batch`` — a pure execution
+    #: like ``engine`` and ``workers`` — a pure execution
     #: knob, excluded from durable store keys. Decoded engine only;
     #: cells with unkeyable eligibility predicates or golden runs
     #: shorter than :data:`repro.snap.MIN_ELIGIBLE` skip it silently.
@@ -242,7 +232,7 @@ _draw_plans = draw_plans
 
 
 # Fork-inherited campaign context: (module, entry, args, reference,
-# budget, rtol, fault_eligible, engine, batch, fault_model, snap). Set
+# budget, rtol, fault_eligible, engine, fault_model, snap). Set
 # in the parent right before the pool forks; never pickled, so modules
 # and predicates need not be picklable.
 _FORK_CONTEXT = None
@@ -250,9 +240,9 @@ _FORK_CONTEXT = None
 
 def _run_shard(plans: List[FaultPlan]) -> List[Outcome]:
     (module, entry, args, reference, budget, rtol, fault_eligible,
-     engine, batch, fault_model, snap) = _FORK_CONTEXT
+     engine, fault_model, snap) = _FORK_CONTEXT
     return run_plans(module, entry, args, plans, reference, budget, rtol,
-                     fault_eligible, engine=engine, batch=batch,
+                     fault_eligible, engine=engine,
                      fault_model=fault_model, snap=snap)
 
 
@@ -300,7 +290,7 @@ def run_campaign(
         shards = [plans[i::workers] for i in range(workers)]
         _FORK_CONTEXT = (module, entry, args, reference, budget,
                          config.rtol, config.fault_eligible, config.engine,
-                         config.batch, config.fault_model, config.snap)
+                         config.fault_model, config.snap)
         try:
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(processes=workers) as pool:
@@ -313,7 +303,7 @@ def run_campaign(
 
     for outcome in run_plans(module, entry, args, plans, reference, budget,
                              config.rtol, config.fault_eligible,
-                             engine=config.engine, batch=config.batch,
+                             engine=config.engine,
                              fault_model=config.fault_model,
                              snap=config.snap):
         result.counts[outcome] += 1
@@ -371,9 +361,6 @@ class InjectionSession:
     Classification is the same code path as :func:`inject_once`, and
     the differential tests pin per-plan outcome identity between the
     two.
-
-    The session machine/snapshot pair doubles as the execution substrate
-    for the batched engine (:mod:`repro.cpu.batch`).
     """
 
     def __init__(self, module: Module, entry: str, args: Sequence,
@@ -402,7 +389,6 @@ class InjectionSession:
             )
             dmod.function(module.get_function(entry))
         self.snapshot = self.machine.snapshot()
-        self._trace = None  # lockstep trace, built on first batched use
         self._checkpoints = None  # CheckpointSet, attached per run_plans
 
     def attach_checkpoints(self, cset) -> None:
@@ -445,10 +431,9 @@ class InjectionSession:
 #: pins a Machine — arenas as large as its program's footprint, cache
 #: and timing state, the golden snapshot — and a multi-cell campaign
 #: (or benchmark sweep) that kept one per module would accumulate all
-#: of that for every cell ever run. Beyond parent RSS,
-#: that bloat taxes every ``os.fork()`` the batched engine makes —
-#: page-table size and copy-on-write faults scale with the parent's
-#: resident footprint, which measurably halves late cells' speedup.
+#: of that for every cell ever run. Beyond parent RSS, that bloat
+#: taxes every ``os.fork()`` of a forked campaign — page-table size
+#: and copy-on-write faults scale with the parent's resident footprint.
 #: Campaigns iterate cells one at a time, so one slot hits for every
 #: shard of the current cell and retires the previous cell's arena.
 #:
@@ -482,36 +467,6 @@ def _get_session(module: Module, entry: str, args: Sequence,
     return session
 
 
-def _lockstep_trace(module: Module, session: InjectionSession,
-                    fault_eligible: Optional[Callable],
-                    profile: StreamProfile):
-    """Golden checkpoint trace for batched execution, collected once per
-    cell and cached both on the session and (when keyable) in the
-    module's golden cache — forked lab workers inherit the parent's
-    entry instead of re-tracing per shard."""
-    if session._trace is not None:
-        return session._trace
-    from ..cpu.batch import collect_lockstep_trace, default_interval
-
-    interval = default_interval(profile.eligible)
-    ekey = _eligibility_key(fault_eligible)
-    key = None
-    if ekey is not None:
-        key = ("lockstep-trace", module.version, session.entry,
-               _args_key(session.args), session.budget, ekey, interval)
-        cached = module._golden_cache.get(key)
-        if cached is not None:
-            session._trace = cached
-            return cached
-    trace = collect_lockstep_trace(session.machine, session.snapshot,
-                                   session.entry, session.args, profile,
-                                   interval)
-    if key is not None:
-        module._golden_cache[key] = trace
-    session._trace = trace
-    return trace
-
-
 def _cell_checkpoints(module: Module, entry: str, args: Sequence,
                       budget: int, fault_eligible: Optional[Callable],
                       fault_model: str, engine: str, snap: bool):
@@ -541,38 +496,18 @@ def run_plans(
     rtol: float = 1e-9,
     fault_eligible: Optional[Callable] = None,
     engine: str = "compiled",
-    batch: int = 1,
     fault_model: str = DEFAULT_MODEL,
     tick: Optional[Callable] = None,
     snap: bool = True,
-    events=None,
-    stats: Optional[dict] = None,
 ) -> List[Outcome]:
-    """Classify a list of fault plans; the shard-level entry point every
-    fabric (inline, forked, durable, distributed) runs.
+    """Classify a list of fault plans, in plan order, on a reused
+    :class:`InjectionSession`; the shard-level entry point every fabric
+    (inline, forked, durable, distributed) runs. ``tick``, when given,
+    is called after every injection (cluster workers heartbeat there).
 
-    Returns outcomes in plan order. With ``batch > 1`` on the decoded
-    or compiled engine (and ``os.fork`` available), plans are
-    re-ordered by the
-    model's ``sort_for_batching`` hook, grouped into batches of
-    ``batch``, and dispatched to :func:`repro.cpu.batch.run_batch`;
-    results are scattered back to plan order, so the outcome *list* —
-    not just its counts — is bit-identical to sequential injection.
-    Everything else (reference engine, no fork, ``batch=1``) runs the
-    sequential loop on a reused :class:`InjectionSession`. ``tick``,
-    when given, is called after every injection or batch (cluster
-    workers heartbeat there).
-
-    ``snap`` resumes each injection (or batch group) from the nearest
-    mid-run checkpoint at or before its fault site (:mod:`repro.snap`)
-    — a pure execution-speed knob, bit-identical outcomes either way.
-    ``events`` (an :class:`repro.lab.events.EventBus`) receives a
-    ``batch-lane-degraded`` event for every batched lane that died
-    unreported and had to be reclassified sequentially; ``stats``, when
-    given, accumulates ``lanes_degraded`` / ``forked`` / ``converged``
-    counters for campaign manifests. Both only see lanes run by *this*
-    process: a forked lab worker's degradations stay in the worker
-    (the shard pipe carries outcome counts only)."""
+    ``snap`` resumes each injection from the nearest mid-run checkpoint
+    at or before its fault site (:mod:`repro.snap`) — a pure
+    execution-speed knob, bit-identical outcomes either way."""
     session = _get_session(module, entry, args, reference, budget, rtol,
                            fault_eligible, engine)
     plans = list(plans)
@@ -581,64 +516,9 @@ def run_plans(
         cset = _cell_checkpoints(module, entry, args, budget,
                                  fault_eligible, fault_model, engine, snap)
     session.attach_checkpoints(cset)
-    batched = (batch > 1 and len(plans) > 1
-               and engine in ("decoded", "compiled")
-               and hasattr(os, "fork"))
-    if not batched:
-        outcomes = []
-        for plan in plans:
-            outcomes.append(session.inject(plan))
-            if tick is not None:
-                tick()
-        return outcomes
-
-    from ..cpu.batch import run_batch
-
-    _, profile = golden_profile(module, entry, args, fault_eligible,
-                                engine=engine)
-    trace = _lockstep_trace(module, session, fault_eligible, profile)
-    order = get_model(fault_model).sort_for_batching(plans)
-    outcomes: List[Optional[Outcome]] = [None] * len(plans)
-    # Convergence is a pure scheduling win (it truncates lane tails,
-    # never changes an outcome), so probe it: if a full batch forks a
-    # whole lane-worth of plans and not one reconverges — typical of
-    # float workloads whose faulted state drifts within rtol forever —
-    # stop installing the comparator for the rest of the cell.
-    bstats = {"forked": 0, "converged": 0}
-    degraded = 0
-    for start in range(0, len(order), batch):
-        group = [(i, plans[i]) for i in order[start:start + batch]]
-        if len(group) == 1:
-            index, plan = group[0]
-            outcomes[index] = session.inject(plan)
-        else:
-            converge = bstats["converged"] > 0 or bstats["forked"] < batch
-            resume = (cset.nearest_for_all([p for _, p in group])
-                      if cset is not None else None)
-            got = run_batch(session.machine, session.snapshot, entry,
-                            session.args, group, session.reference,
-                            budget, rtol, trace, converge=converge,
-                            stats=bstats, resume_from=resume)
-            for index, plan in group:
-                outcome = got.get(index)
-                if outcome is None:
-                    # Lane died unreported: classify sequentially — and
-                    # say so, because each such lane costs a full extra
-                    # run (previously this fallback was silent).
-                    degraded += 1
-                    if events is not None:
-                        events.emit(
-                            "batch-lane-degraded", index=index,
-                            plan_kind=getattr(plan, "kind", "reg"),
-                            target=getattr(plan, "target_index", None),
-                        )
-                    outcome = session.inject(plan)
-                outcomes[index] = outcome
+    outcomes = []
+    for plan in plans:
+        outcomes.append(session.inject(plan))
         if tick is not None:
             tick()
-    if stats is not None:
-        stats["lanes_degraded"] = stats.get("lanes_degraded", 0) + degraded
-        stats["forked"] = stats.get("forked", 0) + bstats["forked"]
-        stats["converged"] = (stats.get("converged", 0)
-                              + bstats["converged"])
     return outcomes

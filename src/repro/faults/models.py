@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..cpu.interpreter import FaultPlan
 
@@ -79,19 +79,6 @@ class FaultModel:
     def draw(self, rng: random.Random, population: int) -> FaultPlan:
         """One plan. Must consume a fixed number of RNG draws."""
         raise NotImplementedError
-
-    def sort_for_batching(self, plans: Sequence[FaultPlan]) -> List[int]:
-        """Execution order — a permutation of ``range(len(plans))`` —
-        for the batched engine (:mod:`repro.cpu.batch`): ascending
-        fault site, ties in draw order. Lanes grouped into one batch
-        then share the longest possible golden prefix, and each batch's
-        golden run aborts at its *latest* site — which, with sorted
-        sites, sits near a quantile of the run instead of its end, so
-        total golden re-execution across batches halves. Pure
-        scheduling: the runner scatters outcomes back to draw order, so
-        results are unaffected (the differential matrix pins it)."""
-        return sorted(range(len(plans)),
-                      key=lambda i: (plans[i].target_index, i))
 
     def draw_plans(self, profile: StreamProfile, config) -> List[FaultPlan]:
         """The campaign's full plan list, in the serial draw order (the

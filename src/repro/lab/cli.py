@@ -77,15 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=2016)
     parser.add_argument("--workers", type=int, default=1,
                         help="forked campaign workers (0 = all CPUs)")
-    parser.add_argument("--batch", type=int, default=1, metavar="K",
-                        help="lane-parallel injections per batched golden "
-                             "run (repro.cpu.batch); a per-worker knob that "
-                             "composes with --workers and --cluster — each "
-                             "worker batches its own shards. Outcome counts "
-                             "are bit-identical to --batch 1, so the store "
-                             "is shared across batch sizes. Requires the "
-                             "compiled or decoded engine; falls back to "
-                             "sequential injection otherwise")
     parser.add_argument("--cluster", type=int, default=None, metavar="N",
                         help="distribute shards over N local worker agents "
                              "(TCP, not fork) — counts are bit-identical to "
@@ -142,7 +133,6 @@ def _spec_from_args(args: argparse.Namespace) -> Dict:
         else shard_size,
         "fault_model": args.fault_model,
         "engine": args.engine,
-        "batch": args.batch,
         "cluster": args.cluster or 0,
     }
 
@@ -158,17 +148,15 @@ def _run_cells(spec: Dict, store: ResultStore, events: EventBus,
     local forked workers or leases shards to networked worker agents.
     Either way the cell's outcome counts are bit-identical."""
     build_scale = "fi" if spec["scale"] == "perf" else "test"
-    # Resume manifests written before the fault-model/engine/batch
-    # flags existed lack these keys; default to the historical
-    # behaviour.
+    # Resume manifests written before the fault-model/engine flags
+    # existed lack these keys; default them like a fresh campaign. Keys
+    # of retired knobs (``batch``) are ignored.
     fault_model = spec.get("fault_model", DEFAULT_MODEL)
-    engine = spec.get("engine", "decoded")
-    batch = int(spec.get("batch", 1))
+    engine = spec.get("engine", "compiled")
     rows: List[tuple] = []
     cells: List[Dict] = []
     totals = {"shards_total": 0, "shards_from_store": 0,
-              "injections_executed": 0, "injections_from_store": 0,
-              "batch_lanes_degraded": 0}
+              "injections_executed": 0, "injections_from_store": 0}
     toolchain = default_toolchain()
     for name in spec["benchmarks"]:
         for version in spec["versions"]:
@@ -181,7 +169,7 @@ def _run_cells(spec: Dict, store: ResultStore, events: EventBus,
             config = CampaignConfig(
                 injections=spec["injections"], seed=spec["seed"],
                 workers=spec["workers"], fault_model=fault_model,
-                engine=engine, batch=batch,
+                engine=engine,
             )
             try:
                 outcome = cell_runner(module, built, name, version, config,
@@ -215,21 +203,17 @@ def _run_cells(spec: Dict, store: ResultStore, events: EventBus,
                 "shards_from_store": info.shards_from_store,
                 "injections_executed": info.injections_executed,
                 "injections_from_store": info.injections_from_store,
-                "batch_lanes_degraded": info.batch_lanes_degraded,
             })
             totals["shards_total"] += info.shards_total
             totals["shards_from_store"] += info.shards_from_store
             totals["injections_executed"] += info.injections_executed
             totals["injections_from_store"] += info.injections_from_store
-            totals["batch_lanes_degraded"] += info.batch_lanes_degraded
     return rows, cells, totals
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.batch < 1:
-        parser.error(f"--batch must be >= 1 (got {args.batch})")
     store_path = args.store or default_store_path()
     store = ResultStore(store_path)
 

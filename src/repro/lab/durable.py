@@ -92,12 +92,6 @@ class LabRunInfo:
     ci_halfwidth: Optional[float]
     #: False when the store was disabled (or the spec was unkeyable).
     durable: bool
-    #: Batched lanes that died unreported and were reclassified
-    #: sequentially (each one costs a full extra run; a persistently
-    #: nonzero count means batching is misbehaving for the cell). Only
-    #: lanes run in *this* process are counted — forked shard workers
-    #: report outcome counts alone, so their degradations stay local.
-    batch_lanes_degraded: int = 0
 
 
 @dataclass
@@ -201,19 +195,13 @@ def run_durable_campaign(
         results: Dict[int, Counter] = dict(loaded)
         executed_shards = [0]
         executed_injections = [0]
-        lane_stats: Dict[str, int] = {}
 
         def runner(shard: ShardPlan) -> Counter:
-            # Shard-level entry point shared with every other fabric:
-            # honours config.batch (and falls back to the sequential
-            # session loop when batching can't apply) with outcome counts
-            # bit-identical either way. ``lane_stats`` / the bus only see
-            # shards run in-process; forked workers report counts alone.
+            # Shard-level entry point shared with every other fabric.
             return Counter(run_plans(
                 module, entry, args, shard.plans, reference, budget,
                 config.rtol, config.fault_eligible, engine=config.engine,
-                batch=config.batch, fault_model=config.fault_model,
-                snap=config.snap, events=events, stats=lane_stats))
+                fault_model=config.fault_model, snap=config.snap))
 
         def on_result(shard: ShardPlan, counts: Counter, seconds: float) -> None:
             results[shard.index] = counts
@@ -285,12 +273,10 @@ def run_durable_campaign(
             ci_halfwidth=(stopper.max_halfwidth(result.counts)
                           if stopper is not None else None),
             durable=durable,
-            batch_lanes_degraded=lane_stats.get("lanes_degraded", 0),
         )
         events.emit(
             "campaign-finished", workload=workload, version=version,
             injections=result.total, executed=info.injections_executed,
             from_store=info.injections_from_store,
-            lanes_degraded=info.batch_lanes_degraded,
         )
         return DurableCampaign(result=result, info=info, spec=spec)

@@ -22,13 +22,6 @@ Event kinds emitted today:
 ``shard-completed``    index, n, seconds, counts (by outcome value)
 ``shard-retry``        index, attempt, reason
 ``shard-degraded``     index, reason (runs in-process from here on)
-``batch-lane-degraded`` index, plan_kind, target (a batched lane died
-                       unreported; its plan was reclassified
-                       sequentially). Emitted by the process running
-                       the batch, so forked shard workers' events stay
-                       in the worker — in-process runs (the default
-                       service/cluster shard path, ``--workers 1``)
-                       see every one.
 ``engine-compile``     digest, variant, functions, blocks, segments,
                        compile_ms, code_hits, code_misses (the
                        compiled engine translated this campaign's
@@ -217,12 +210,6 @@ class ConsoleReporter:
             self._say(
                 f"[lab]   shard {data.get('index')} degraded to in-process "
                 f"run: {data.get('reason')}"
-            )
-        elif event.kind == "batch-lane-degraded":
-            self._say(
-                f"[lab]   batched lane for plan {data.get('index')} "
-                f"({data.get('plan_kind')} @{data.get('target')}) died "
-                "unreported; reclassified sequentially"
             )
         elif event.kind == "store-stale":
             self._say(

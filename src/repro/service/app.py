@@ -341,8 +341,13 @@ class ReproService:
         for row in payload.get("campaigns", []):
             if row.get("status") not in (INTERRUPTED, QUEUED):
                 continue
+            spec = dict(row.get("spec") or {})
+            # Manifests written before the batched-lane knob was
+            # retired still carry it; drop it here only (a live POST
+            # that sends it is still rejected as an unknown field).
+            spec.pop("batch", None)
             try:
-                request = parse_request(row.get("spec") or {})
+                request = parse_request(spec)
                 campaign = self._submit(
                     str(row.get("tenant") or "anonymous"), request)
             except (SpecError, QuotaExceeded, HttpError):

@@ -109,7 +109,6 @@ def _submit_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--shard-size", type=int, default=None)
     parser.add_argument("--ci-target", type=float, default=None)
-    parser.add_argument("--batch", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None,
                         help="forked workers (local-fabric service only)")
     parser.add_argument("--priority", type=int, default=None)
@@ -136,7 +135,7 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
     spec = {"workload": args.workload, "version": args.version,
             "fault_model": args.fault_model, "engine": args.engine,
             "scale": args.scale}
-    for name in ("injections", "seed", "shard_size", "ci_target", "batch",
+    for name in ("injections", "seed", "shard_size", "ci_target",
                  "workers", "priority"):
         value = getattr(args, name)
         if value is not None:

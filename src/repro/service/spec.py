@@ -10,7 +10,7 @@ repro campaign`` could run, and the two produce bit-identical counts.
 
 :func:`CampaignRequest.digest` is the request's content address over
 the *outcome-determining* fields only. Execution knobs — engine,
-batch, workers, priority — are excluded for the same reason the lab
+workers, priority — are excluded for the same reason the lab
 store excludes them from its spec keys: counts are bit-identical
 across all of them by contract. Two requests with equal digests
 therefore have equal results, which is what lets the service coalesce
@@ -67,7 +67,6 @@ class CampaignRequest:
     seed: int = 2016
     shard_size: int = 0      # 0 -> scale default
     ci_target: Optional[float] = None
-    batch: int = 1
     #: Local-fabric forked workers per campaign (ignored under the
     #: cluster fabric, where parallelism is the worker pool).
     workers: int = 1
@@ -81,7 +80,7 @@ class CampaignRequest:
         return CampaignConfig(
             injections=self.injections, seed=self.seed,
             workers=self.workers, fault_model=self.fault_model,
-            engine=self.engine, batch=self.batch,
+            engine=self.engine,
         )
 
     def digest(self) -> str:
@@ -98,7 +97,7 @@ class CampaignRequest:
 
 _FIELDS = {f: True for f in (
     "workload", "version", "fault_model", "engine", "scale", "injections",
-    "seed", "shard_size", "ci_target", "batch", "workers", "priority",
+    "seed", "shard_size", "ci_target", "workers", "priority",
 )}
 
 
@@ -153,7 +152,7 @@ def parse_request(payload: object) -> CampaignRequest:
                         f"unknown fault model {fault_model!r}; see "
                         f"{', '.join(model_names())}")
 
-    engine = payload.get("engine", "decoded")
+    engine = payload.get("engine", "compiled")
     if engine not in registered_engines():
         raise SpecError("engine",
                         f"unknown engine {engine!r}; registered: "
@@ -181,7 +180,6 @@ def parse_request(payload: object) -> CampaignRequest:
         seed=_as_int(payload, "seed", 2016, 0, 2**63 - 1),
         shard_size=_as_int(payload, "shard_size", default_shard, 1, 100_000),
         ci_target=ci_target,
-        batch=_as_int(payload, "batch", 1, 1, 4096),
         workers=_as_int(payload, "workers", 1, 0, 256),
         priority=_as_int(payload, "priority", 0, -100, 100),
     )

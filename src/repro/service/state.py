@@ -172,7 +172,6 @@ def result_summary(outcome) -> Dict:
         "shards_total": info.shards_total,
         "shards_from_store": info.shards_from_store,
         "shards_executed": info.shards_executed,
-        "batch_lanes_degraded": info.batch_lanes_degraded,
         "stopped_early": info.stopped_early,
         "ci_halfwidth": info.ci_halfwidth,
         "spec_key": outcome.spec.spec_key if outcome.spec else None,

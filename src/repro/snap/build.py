@@ -7,8 +7,7 @@ content key, serves the set from the in-process cache or the on-disk
 pays one ``count_only`` golden run on the resumable trampoline with
 the placement policy's capture hook attached. The resulting
 :class:`CheckpointSet` resolves fault plans to the nearest checkpoint
-at or before their dynamic site (:meth:`CheckpointSet.nearest`, or
-:meth:`nearest_for_all` for a batched lane group).
+at or before their dynamic site (:meth:`CheckpointSet.nearest`).
 """
 
 from __future__ import annotations
@@ -51,16 +50,6 @@ class CheckpointSet:
                 if mark > best_mark:
                     best = state
                     best_mark = mark
-        return best
-
-    def nearest_for_all(self, plans: Sequence) -> Optional[ResumeState]:
-        """The latest checkpoint that reaches *every* plan's site —
-        the resume point for one batched lane group."""
-        best = None
-        for state in self.states:
-            if all(covers(state, p) for p in plans):
-                if best is None or state.eligible > best.eligible:
-                    best = state
         return best
 
 

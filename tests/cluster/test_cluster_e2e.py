@@ -60,21 +60,6 @@ class TestClusterCampaign:
         assert cluster["cells"][0]["rates"] == reference["cells"][0]["rates"]
         assert cluster["store"]["injections_executed"] == 40
 
-    def test_batched_cluster_counts_bit_identical(self, lab_store,
-                                                  tmp_path, capsys):
-        # --batch rides the prepare frame to every worker agent; the
-        # batched lanes must land the same counts as sequential forked
-        # workers.
-        reference = _forked_reference(tmp_path)
-        cluster_json = str(tmp_path / "cluster-batched.json")
-        assert _campaign("--cluster", "2", "--batch", "8",
-                         "--json", cluster_json) == 0
-        capsys.readouterr()
-        cluster = _report(cluster_json)
-        assert cluster["cells"][0]["counts"] == \
-            reference["cells"][0]["counts"]
-        assert cluster["store"]["injections_executed"] == 40
-
     def test_second_cluster_run_is_all_store_hits(self, lab_store,
                                                   tmp_path, capsys):
         first = str(tmp_path / "first.json")

@@ -4,8 +4,8 @@ Randomly generated small modules — nested branches, counted loops,
 defined calls (pure leaves the segment compiler inlines and impure
 helpers it must really suspend around), intrinsics, memory traffic,
 float arithmetic, and trapping division — run through every engine
-tier, through mid-run capture/resume, through batched injection, and
-through every registered fault model, including plans aimed at the
+tier, through mid-run capture/resume, and through every registered
+fault model, including plans aimed at the
 site shapes where fault-armed segments hand over to the record path.
 Outcomes, output streams, stream counters, and architectural counters
 must be bit-identical everywhere: the compiled core is admissible only
@@ -292,8 +292,7 @@ def test_compiled_resume_mid_run_matches_straight_run(seed, at):
 @pytest.mark.parametrize("model", model_names())
 def test_fault_models_identical_per_plan(seed, model):
     """Every fault model, on hardened random code: the per-plan outcome
-    *list* — sequential decoded, sequential compiled, and batched
-    compiled lanes — must be bit-identical."""
+    *list* — reference, decoded and compiled — must be bit-identical."""
     module, entry, args = build_random_module(seed)
     module = elzar_transform(mem2reg(module))
     golden = Machine(module, MachineConfig(engine="compiled",
@@ -305,16 +304,14 @@ def test_fault_models_identical_per_plan(seed, model):
     plans = draw_model_plans(profile, cfg)
 
     outcomes = {}
-    for key, engine, batch in (("decoded", "decoded", 1),
-                               ("compiled", "compiled", 1),
-                               ("compiled-batched", "compiled", 3)):
+    for engine in ("reference", "decoded", "compiled"):
         campaign_mod._SESSION_TLS.__dict__.clear()
         module._golden_cache.clear()
-        outcomes[key] = run_plans(module, entry, args, plans, reference,
-                                  budget, engine=engine, batch=batch,
-                                  fault_model=model, snap=False)
+        outcomes[engine] = run_plans(module, entry, args, plans, reference,
+                                     budget, engine=engine,
+                                     fault_model=model, snap=False)
     assert outcomes["compiled"] == outcomes["decoded"], model
-    assert outcomes["compiled-batched"] == outcomes["decoded"], model
+    assert outcomes["compiled"] == outcomes["reference"], model
 
 
 def test_fault_plans_with_snap_resume_identical():
@@ -458,10 +455,21 @@ def _stream_events(module, entry, args):
     machine.count_only = True
     events = ([], [], [], [])
     machine.trace_eligible = lambda inst, fn: events[0].append(inst)
-    machine.set_stream_watches(
-        mem=lambda inst, i: events[1].append(inst),
-        branch=lambda inst, i: events[2].append(inst),
-        checker=lambda inst, i: events[3].append(inst))
+    # Tap the per-stream step methods on this instance: an event is an
+    # advance of the stream's counter (the checker step also sees
+    # non-checker records and passes them through uncounted).
+    for step, counter, log in (
+            ("_mem_step", "mem_accesses_eligible", events[1]),
+            ("_branch_step", "cond_branches_eligible", events[2]),
+            ("_checker_step", "checker_sites_executed", events[3])):
+        def tapped(value, inst, real=getattr(machine, step),
+                   counter=counter, log=log):
+            before = getattr(machine, counter)
+            value = real(value, inst)
+            if getattr(machine, counter) != before:
+                log.append(inst)
+            return value
+        setattr(machine, step, tapped)
     try:
         machine.run(entry, args)
     except Exception:

@@ -1,8 +1,7 @@
 """Round-trip tests for the ``Machine.snapshot()/restore()`` micro-API
 and the resumable trampoline's mid-run capture/resume extension of it.
 
-The batched fault-injection engine (``repro.cpu.batch``) and the
-injection session both lean on one property: restoring a snapshot puts
+The injection session leans on one property: restoring a snapshot puts
 the machine in a state from which a run is *bit-identical* to a run
 from the snapshot point — outputs, every architectural counter, and
 cycles. These tests pin that property across workloads, hardened

@@ -6,13 +6,17 @@ from repro.faults import (
     CampaignConfig,
     CampaignResult,
     Outcome,
+    golden_profile,
     golden_run,
     inject_once,
     run_campaign,
+    run_plans,
 )
+from repro.faults.models import get_model
 from repro.cpu.interpreter import FaultPlan
 from repro.ir import Module, types as T
 from repro.passes import elzar_transform, mem2reg, swiftr_transform
+from repro.toolchain import default_toolchain
 from repro.workloads import get
 
 from ..conftest import make_function
@@ -196,3 +200,82 @@ class TestWorkerResolution:
         auto = run_campaign(module, built.entry, built.args, "h", "native",
                             CampaignConfig(injections=20, seed=7, workers=0))
         assert auto.counts == serial.counts
+
+    def test_forked_workers_match_serial_counts(self, hist):
+        module, built = hist
+        serial = run_campaign(module, built.entry, built.args, "h", "native",
+                              CampaignConfig(injections=24, seed=2016,
+                                             workers=1))
+        forked = run_campaign(module, built.entry, built.args, "h", "native",
+                              CampaignConfig(injections=24, seed=2016,
+                                             workers=2))
+        assert forked.counts == serial.counts
+
+
+class _PlanConfig:
+    def __init__(self, seed, injections):
+        self.seed = seed
+        self.injections = injections
+
+
+@pytest.fixture(scope="module")
+def hardened_cell():
+    built = default_toolchain().build("histogram", "test", "elzar")
+    reference, profile = golden_profile(built.module, built.entry,
+                                        built.args)
+    budget = max(1000, profile.executed * 10)
+    return built, reference, profile, budget
+
+
+class TestShardPlans:
+    """``run_plans`` (the shard entry point: reused session, checkpoint
+    resume) returns the per-plan outcome list of a fresh-machine
+    ``inject_once`` loop, on shards shaped to stress that reuse."""
+
+    def baseline(self, cell, plans):
+        built, reference, _, budget = cell
+        return [inject_once(built.module, built.entry, built.args, plan,
+                            reference, budget) for plan in plans]
+
+    def find_plan(self, cell, candidates, want):
+        for plan in candidates:
+            outcome = self.baseline(cell, [plan])[0]
+            if outcome in want:
+                return plan
+        pytest.skip(f"no plan classifying as {want} found at this scale")
+
+    def test_early_trap_and_late_sdc_in_one_shard(self, hardened_cell):
+        # A plan that traps near the start of the run and one that
+        # silently corrupts near its end, around ordinary plans: the
+        # session must come back clean after each.
+        built, reference, profile, budget = hardened_cell
+        trap_plan = self.find_plan(
+            hardened_cell,
+            [FaultPlan(target_index=i, bit=40, kind="addr")
+             for i in range(8)],
+            {Outcome.OS_DETECTED, Outcome.DETECTED, Outcome.HANG})
+        sdc_plan = self.find_plan(
+            hardened_cell,
+            [FaultPlan(target_index=profile.eligible - 1 - i, bit=b, lane=0)
+             for b in (31, 15, 7) for i in range(10)],
+            {Outcome.SDC})
+        filler = get_model("register-bitflip").draw_plans(
+            profile, _PlanConfig(seed=3, injections=6))
+        plans = [trap_plan, *filler, sdc_plan]
+        got = run_plans(built.module, built.entry, built.args, plans,
+                        reference, budget)
+        assert got == self.baseline(hardened_cell, plans)
+
+    def test_never_firing_and_dead_bit_plans(self, hardened_cell):
+        built, reference, profile, budget = hardened_cell
+        plans = [
+            # Site beyond the stream population: never fires.
+            FaultPlan(target_index=profile.eligible + 1000, bit=3, lane=0),
+            # Dead bit on a scalar (bit past the type width).
+            FaultPlan(target_index=1, bit=63, lane=0),
+            *get_model("register-bitflip").draw_plans(
+                profile, _PlanConfig(seed=9, injections=4)),
+        ]
+        got = run_plans(built.module, built.entry, built.args, plans,
+                        reference, budget)
+        assert got == self.baseline(hardened_cell, plans)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.lab.store import _OPEN_STORES
+from repro.lab.store import _OPEN_STORES, ResultStore
 
 
 @pytest.fixture()
@@ -85,33 +85,35 @@ class TestCampaignCommand:
         assert report["spec"]["ci_target"] == 0.5
         assert report["cells"][0]["ci_halfwidth"] is not None
 
-    def test_batch_matches_sequential_counts(self, tmp_path, capsys):
-        # --batch is a per-worker execution knob: same store-less
-        # counts as --batch 1, and its shards land in the same store
-        # rows (separate stores here so both runs actually execute).
-        seq_json = str(tmp_path / "seq.json")
+    def test_resume_manifest_with_retired_batch_key(self, lab_store,
+                                                    tmp_path, capsys):
+        # A run manifest written before --batch was retired (and before
+        # --engine existed) still resumes, with the same counts.
+        ref_json = str(tmp_path / "ref.json")
         assert main(["campaign", "--scale", "test", "--quiet",
                      "--benchmarks", "histogram", "--versions", "native",
                      "--injections", "20",
-                     "--store", str(tmp_path / "seq.sqlite"),
-                     "--json", seq_json]) == 0
-        batched_json = str(tmp_path / "batched.json")
-        assert main(["campaign", "--scale", "test", "--quiet",
-                     "--benchmarks", "histogram", "--versions", "native",
-                     "--injections", "20", "--batch", "8",
-                     "--store", str(tmp_path / "batched.sqlite"),
-                     "--json", batched_json]) == 0
-        capsys.readouterr()
-        seq, batched = _report(seq_json), _report(batched_json)
-        assert batched["cells"][0]["counts"] == seq["cells"][0]["counts"]
-        assert batched["spec"]["batch"] == 8
-        assert batched["store"]["injections_executed"] == 20
+                     "--store", str(tmp_path / "ref.sqlite"),
+                     "--json", ref_json]) == 0
+        store = ResultStore(lab_store)
+        store.begin_run({
+            "scale": "test", "benchmarks": ["histogram"],
+            "versions": ["native"], "injections": 20, "seed": 2016,
+            "workers": 1, "ci_target": None, "shard_size": 10,
+            "fault_model": "register-bitflip", "batch": 4, "cluster": 0,
+        })
+        store.close()
+        resumed_json = str(tmp_path / "resumed.json")
+        assert _campaign("--resume", "--json", resumed_json) == 0
+        assert "resuming interrupted campaign" in capsys.readouterr().out
+        assert _report(resumed_json)["cells"][0]["counts"] == \
+            _report(ref_json)["cells"][0]["counts"]
 
-    def test_batch_rejects_nonpositive(self, lab_store, capsys):
+    def test_batch_option_is_rejected(self, lab_store, capsys):
         with pytest.raises(SystemExit) as exc:
-            _campaign("--batch", "0")
+            _campaign("--batch", "4")
         assert exc.value.code == 2
-        assert "--batch must be >= 1" in capsys.readouterr().err
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
 
 class TestMainDispatch:

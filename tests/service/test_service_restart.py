@@ -13,10 +13,11 @@ import time
 import pytest
 
 from repro.chaos.hooks import ChaosRule, ChaosSpec, chaos_active
-from repro.service import ReproService, ServiceClient
+from repro.service import ReproService, ServiceClient, ServiceError
 from repro.service.state import (
     Campaign,
     CampaignFeed,
+    _manifest_checksum,
     load_manifest,
     write_manifest,
 )
@@ -131,6 +132,40 @@ class TestColdStartRecovery:
             assert result["injections_from_store"] == 20
         finally:
             service2.stop()
+
+    def test_manifest_with_retired_batch_key_is_resubmitted(self, tmp_path):
+        # Manifests written before the batch knob was retired carry it
+        # in every spec. Recovery drops it; a live POST still gets 400.
+        from repro.service.spec import parse_request
+
+        path = tmp_path / "store.sqlite.manifest.json"
+        write_manifest(str(path), [_campaign(parse_request(_SPEC))],
+                       reason="drain")
+        payload = json.loads(path.read_text())
+        payload["campaigns"][0]["spec"]["batch"] = 4
+        payload["checksum"] = _manifest_checksum(payload)
+        path.write_text(json.dumps(payload))
+
+        service, host, port = _start(tmp_path, max_running=1)
+        try:
+            client = ServiceClient(host, port, tenant="alice")
+            with pytest.raises(ServiceError) as exc:
+                client.submit({**_SPEC, "batch": 4})
+            assert exc.value.status == 400
+            assert "unknown field" in json.dumps(exc.value.payload)
+            recovered = None
+            deadline = time.time() + 120.0
+            while time.time() < deadline:
+                recovered = next(
+                    (r for r in client.campaigns()["campaigns"]
+                     if r.get("resumed_from") == "c0001-aaaaaaaa"), None)
+                if recovered and recovered["status"] == "succeeded":
+                    break
+                time.sleep(0.1)
+            assert recovered is not None, "manifest row was never resubmitted"
+            assert recovered["status"] == "succeeded"
+        finally:
+            service.stop()
 
     def test_torn_manifest_starts_fresh_without_crashing(self, tmp_path):
         manifest_path = tmp_path / "store.sqlite.manifest.json"

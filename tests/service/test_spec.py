@@ -24,6 +24,7 @@ class TestValidation:
         assert request.shard_size == 10
         assert request.seed == 2016
         assert request.build_scale == "test"
+        assert request.engine == "compiled"   # same as CampaignConfig
 
     def test_perf_scale_defaults(self):
         request = _parse(scale="perf")
@@ -86,12 +87,11 @@ class TestValidation:
 
 class TestDigest:
     def test_execution_knobs_do_not_change_digest(self):
-        # Counts are bit-identical across engine/batch/workers/priority
+        # Counts are bit-identical across engine/workers/priority
         # by the determinism contract, so the digest — which drives
         # coalescing and cache hits — must ignore them.
         base = _parse().digest()
         assert _parse(engine="reference").digest() == base
-        assert _parse(batch=8).digest() == base
         assert _parse(workers=4).digest() == base
         assert _parse(priority=9).digest() == base
 

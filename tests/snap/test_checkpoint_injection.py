@@ -4,12 +4,8 @@ the snap subsystem.
 For every registered fault model, the outcome *list* (not just counts)
 of a checkpointed campaign must be bit-identical to the from-scratch
 sequential loop and to the reference interpreter — checkpoints are a
-pure execution-speed knob. The batched engine gets the same treatment
-with ``resume_from`` group resumption, and the degraded-lane telemetry
-satellite is pinned by forcing the fallback path.
+pure execution-speed knob.
 """
-
-from collections import Counter
 
 import pytest
 
@@ -23,7 +19,6 @@ from repro.faults.campaign import (
 )
 from repro.faults.models import model_names
 from repro.lab.durable import run_durable_campaign
-from repro.lab.events import EventBus, EventLog
 from repro.lab.store import ResultStore
 from repro.toolchain import default_toolchain
 
@@ -72,20 +67,6 @@ class TestModelMatrixIdentity:
                                engine="reference", **kwargs)
         assert snap == scratch == ref_engine
 
-    @pytest.mark.parametrize("model",
-                             ["register-bitflip", "branch-flip",
-                              "memory-bitflip"])
-    def test_batched_checkpointed_equals_scratch(self, model):
-        built, reference, profile, budget = _cell()
-        plans = _model_plans(profile, model, n=8)
-        scratch = run_plans(built.module, built.entry, built.args, plans,
-                            reference, budget, fault_model=model,
-                            snap=False)
-        batched = run_plans(built.module, built.entry, built.args, plans,
-                            reference, budget, fault_model=model,
-                            batch=4, snap=True)
-        assert batched == scratch
-
     def test_campaign_counts_identical_with_and_without_snap(self):
         built, _, _, _ = _cell()
         base = CampaignConfig(injections=10, seed=5)
@@ -96,47 +77,6 @@ class TestModelMatrixIdentity:
                            config=CampaignConfig(**{**base.__dict__,
                                                     "snap": False}))
         assert on.counts == off.counts
-
-
-class TestDegradedLaneTelemetry:
-    def test_fallback_emits_event_and_counts(self, monkeypatch):
-        # Simulate a lane dying unreported: drop one key from every
-        # batch result. run_plans must reclassify it sequentially (so
-        # the outcome list stays correct), emit batch-lane-degraded,
-        # and count it into the caller's stats.
-        import repro.cpu.batch as batch_mod
-
-        real = batch_mod.run_batch
-        dropped = []
-
-        def lossy(machine, snapshot, entry, args, plans, *a, **kw):
-            got = real(machine, snapshot, entry, args, plans, *a, **kw)
-            for key, _plan in plans:
-                if key in got:
-                    dropped.append(key)
-                    del got[key]
-                    break
-            return got
-
-        monkeypatch.setattr(batch_mod, "run_batch", lossy)
-        built, reference, profile, budget = _cell()
-        plans = _model_plans(profile, "register-bitflip", n=8)
-        scratch = run_plans(built.module, built.entry, built.args, plans,
-                            reference, budget, snap=False)
-
-        log = EventLog()
-        bus = EventBus()
-        bus.subscribe(log)
-        stats = {}
-        got = run_plans(built.module, built.entry, built.args, plans,
-                        reference, budget, batch=4, events=bus,
-                        stats=stats)
-        assert got == scratch
-        assert dropped  # the monkeypatch actually exercised the path
-        assert stats["lanes_degraded"] == len(dropped)
-        assert log.count("batch-lane-degraded") == len(dropped)
-        event = log.of("batch-lane-degraded")[0]
-        assert event.data["index"] in dropped
 
 
 class TestDurableStoreRows:
@@ -160,14 +100,3 @@ class TestDurableStoreRows:
         assert on.info.shards_from_store == 3
         assert on.info.shards_executed == 0
         assert on.result.counts == off.result.counts
-
-    def test_durable_campaign_reports_degraded_lanes(self, tmp_path):
-        # No degradation in a healthy run — the field exists and is 0.
-        built, _, _, _ = _cell()
-        store = ResultStore(str(tmp_path / "lab.sqlite"))
-        out = run_durable_campaign(
-            built.module, built.entry, built.args, "histogram", "elzar",
-            CampaignConfig(injections=8, seed=3, batch=4),
-            store=store, shard_size=8,
-        )
-        assert out.info.batch_lanes_degraded == 0
