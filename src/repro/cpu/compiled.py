@@ -23,10 +23,12 @@ This module is the single substrate behind the ``decoded`` and
   hands every block in which a plan could fire or a checkpoint be
   taken back to the record path. Trace hooks keep the record path
   throughout. Variants compile on first use.
-- **Code cache**: generated code objects are shared across machine
-  instances keyed by the module's content digest (the same digest that
-  keys the toolchain artifact cache), so campaigns compile once per
-  cell and forked/cluster workers reuse the compiled form.
+- **Code cache**: generated code objects are keyed by the content of
+  their source (:func:`_code_key`) in two tiers: in-process, shared
+  across machine instances, and on disk beside the toolchain
+  artifacts (``.code`` entries), shared across processes. Campaigns
+  compile once per cell, and fresh processes, forked workers and
+  cluster agents start with compiled code.
 
 Bit-identity contract: a trampoline run — with or without segments —
 is indistinguishable from a recursive ``Machine.run``: return value,
@@ -48,7 +50,11 @@ passed (:func:`covers`).
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import marshal
 import time
+import types
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -1002,8 +1008,14 @@ class CompileStats:
     blocks: int = 0
     segments: int = 0
     compile_ms: float = 0.0
+    #: Functions whose code came from a cache tier (in-process or disk).
     code_hits: int = 0
+    #: Functions that ran ``compile()``.
     code_misses: int = 0
+    #: The subset of ``code_hits`` read from disk.
+    code_disk_hits: int = 0
+    #: Disk entries that failed validation, were removed and recompiled.
+    code_invalid: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -1013,7 +1025,13 @@ class CompileStats:
             "compile_ms": self.compile_ms,
             "code_hits": self.code_hits,
             "code_misses": self.code_misses,
+            "code_disk_hits": self.code_disk_hits,
+            "code_invalid": self.code_invalid,
         }
+
+    def add(self, other: "CompileStats") -> None:
+        for name, value in other.as_dict().items():
+            setattr(self, name, getattr(self, name) + value)
 
 
 COMPILE_STATS = CompileStats()
@@ -1024,11 +1042,13 @@ COMPILE_STATS = CompileStats()
 #: bridges these onto its EventBus as ``engine-compile`` events.
 _COMPILE_HOOKS: List[Callable[[Dict[str, object]], None]] = []
 
-#: Cross-instance code-object cache: (module digest, cost-model id,
-#: variant, function name) -> (costs ref, source, code). Two machines
-#: running the same IR under the same cost model re-exec the cached
-#: code object with fresh instance constants instead of re-compiling.
-_CODE_CACHE: Dict[tuple, tuple] = {}
+#: In-process code-object cache: content key (:func:`_code_key`) ->
+#: code. Two machines whose emitted source is byte-identical re-exec
+#: the cached code object with fresh instance constants instead of
+#: re-compiling. The disk tier under it uses the same key.
+_CODE_CACHE: Dict[str, types.CodeType] = {}
+
+_CODE_SUFFIX = ".code"
 
 
 def add_compile_hook(fn: Callable[[Dict[str, object]], None]) -> None:
@@ -1048,12 +1068,87 @@ def code_cache_clear() -> None:
 
 def _module_digest(dmod) -> str:
     """Content digest of the module (the toolchain's artifact key), or
-    "" when the digest pipeline is unavailable."""
+    "" when the digest pipeline is unavailable (raises under
+    ``REPRO_COMPILED_STRICT``). Telemetry only: code is keyed by its
+    source, so caching does not depend on it."""
     try:
         from ..toolchain.build import module_digest
         return module_digest(dmod.module)
     except Exception:
+        if STRICT_COMPILE:
+            raise
         return ""
+
+
+def _code_key(filename: str, source: str) -> str:
+    """Content key of one function's segment code, for both cache
+    tiers. The source names every constant it binds and bakes every
+    cost in as a literal, so byte-identical source under the same
+    bytecode format means an identical code object."""
+    h = hashlib.sha256(importlib.util.MAGIC_NUMBER)
+    h.update(filename.encode("utf-8"))
+    h.update(b"\0")
+    h.update(source.encode("utf-8"))
+    return h.hexdigest()
+
+
+def _code_root() -> Optional[str]:
+    """The disk tier's directory: the toolchain artifact cache root, or
+    None when ``REPRO_TOOLCHAIN_CACHE`` turns the cache off."""
+    from ..toolchain.cache import cache_disabled, default_cache_path
+    return None if cache_disabled() else default_cache_path()
+
+
+def _load_code(path: str, stats: CompileStats):
+    """The code object stored at ``path``, or None. A damaged entry
+    (bad trailer, unloadable marshal data, not a code object) counts
+    as ``code_invalid`` and is removed; it never yields code."""
+    from ..toolchain.cache import _quietly_remove, _touch, unseal
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    body = unseal(data)
+    code = None
+    if body is not None:
+        try:
+            code = marshal.loads(body)
+        except (EOFError, ValueError, TypeError):
+            code = None
+    if not isinstance(code, types.CodeType):
+        stats.code_invalid += 1
+        _quietly_remove(path)
+        return None
+    _touch(path)
+    return code
+
+
+def _code_for(source: str, filename: str, root: Optional[str],
+              stats: CompileStats):
+    """The code object for ``source``: in-process tier, then the disk
+    tier under ``root``, then ``compile()`` (written back to both)."""
+    key = _code_key(filename, source)
+    code = _CODE_CACHE.get(key)
+    if code is not None:
+        stats.code_hits += 1
+        return code
+    path = None
+    if root is not None:
+        from ..toolchain.cache import entry_path
+        path = entry_path(root, key, _CODE_SUFFIX)
+        code = _load_code(path, stats)
+    if code is not None:
+        stats.code_hits += 1
+        stats.code_disk_hits += 1
+    else:
+        code = compile(source, filename, "exec")
+        stats.code_misses += 1
+        if path is not None:
+            from ..toolchain.cache import atomic_write, seal
+            atomic_write(path, seal(marshal.dumps(code)))
+    _CODE_CACHE[key] = code
+    return code
 
 
 def _block_records(bb):
@@ -2636,10 +2731,10 @@ def _emit_function(dfn, costs, globals_addr, with_timing, armed=False):
     return "\n".join(out) + "\n", consts, metas
 
 
-def _compile_dfn(dmod, dfn, vidx, digest):
+def _compile_dfn(dmod, dfn, vidx, root, stats):
     """Emit + exec the segments of one function, reusing a cached code
-    object when this (module digest, cost model, variant, function) was
-    compiled before. Returns (segments, blocks, code hit, code miss)."""
+    object when its source was compiled before (:func:`_code_for`).
+    Adds the segments and blocks it compiled to ``stats``."""
     for db in dfn.blocks:
         if db.compiled is None:
             db.compiled = [None] * len(_VARIANTS)
@@ -2651,26 +2746,12 @@ def _compile_dfn(dmod, dfn, vidx, digest):
             raise
         emitted = None  # the record path stays available (and correct)
     if emitted is None:
-        return (0, 0, 0, 0)
+        return
+    # Emission re-runs per instance (the consts are per-decode
+    # objects); only compile() is shared.
     source, consts, metas = emitted
-    key = ((digest, id(dmod.costs), vidx, dfn.fn.name) if digest
-           else None)
-    code = None
-    hit = miss = 0
-    if key is not None:
-        entry = _CODE_CACHE.get(key)
-        # Emission re-runs per instance (the consts are per-decode
-        # objects); only compile() is shared, and only when the
-        # generated source is byte-identical.
-        if entry is not None and entry[1] == source:
-            code = entry[2]
-            hit = 1
-    if code is None:
-        code = compile(source, f"<repro.compiled:@{dfn.fn.name}>", "exec")
-        miss = 1
-        if key is not None:
-            # Keep the cost model alive so its id() cannot be recycled.
-            _CODE_CACHE[key] = (dmod.costs, source, code)
+    code = _code_for(source, f"<repro.compiled:@{dfn.fn.name}>", root,
+                     stats)
     seglist: List[object] = [None] * len(metas)
     ns = dict(consts)
     ns["_sg"] = seglist
@@ -2681,7 +2762,8 @@ def _compile_dfn(dmod, dfn, vidx, digest):
         per_block.setdefault(bi, {})[boundary] = ns[fname]
     for bi, segmap in per_block.items():
         dfn.blocks[bi].compiled[vidx] = segmap
-    return (len(metas), len(per_block), hit, miss)
+    stats.segments += len(metas)
+    stats.blocks += len(per_block)
 
 
 #: Segment variants, indexed like ``DecodedBlock.compiled``: with or
@@ -2703,31 +2785,19 @@ def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
     if not todo:
         return None
     digest = _module_digest(dmod)
+    root = _code_root()
     t0 = time.perf_counter()
-    segs = blocks = hits = misses = 0
+    stats = CompileStats(functions=len(todo))
     for fid, dfn in todo:
-        n_segs, n_blocks, hit, miss = _compile_dfn(dmod, dfn, vidx, digest)
+        _compile_dfn(dmod, dfn, vidx, root, stats)
         done[vidx].add(fid)
-        segs += n_segs
-        blocks += n_blocks
-        hits += hit
-        misses += miss
-    ms = (time.perf_counter() - t0) * 1000.0
-    COMPILE_STATS.functions += len(todo)
-    COMPILE_STATS.blocks += blocks
-    COMPILE_STATS.segments += segs
-    COMPILE_STATS.compile_ms += ms
-    COMPILE_STATS.code_hits += hits
-    COMPILE_STATS.code_misses += misses
+    stats.compile_ms = (time.perf_counter() - t0) * 1000.0
+    COMPILE_STATS.add(stats)
     payload = {
         "digest": digest,
+        "digest_unavailable": 0 if digest else 1,
         "variant": _VARIANTS[vidx],
-        "functions": len(todo),
-        "blocks": blocks,
-        "segments": segs,
-        "compile_ms": ms,
-        "code_hits": hits,
-        "code_misses": misses,
+        **stats.as_dict(),
     }
     for hook in list(_COMPILE_HOOKS):
         hook(payload)

@@ -22,10 +22,13 @@ Event kinds emitted today:
 ``shard-completed``    index, n, seconds, counts (by outcome value)
 ``shard-retry``        index, attempt, reason
 ``shard-degraded``     index, reason (runs in-process from here on)
-``engine-compile``     digest, variant, functions, blocks, segments,
-                       compile_ms, code_hits, code_misses (the
-                       compiled engine translated this campaign's
-                       module; cache-warm campaigns emit none)
+``engine-compile``     digest, digest_unavailable, variant,
+                       functions, blocks, segments, compile_ms,
+                       code_hits (in-process + disk), code_misses
+                       (real ``compile()`` calls), code_disk_hits,
+                       code_invalid (the compiled engine translated
+                       this campaign's module; cache-warm campaigns
+                       emit none)
 ``store-stale``        purged (stale shard rows dropped for this cell)
 ``store-disabled``     reason (unkeyable eligibility predicate)
 ``adaptive-stop``      injections, halfwidth, target

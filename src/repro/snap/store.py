@@ -29,15 +29,14 @@ sets exactly like cold build artifacts.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
-import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..toolchain.cache import CacheStats, _quietly_remove, _touch, \
-    cache_disabled, default_cache_path
+    atomic_write, cache_disabled, default_cache_path, entry_path, seal, \
+    unseal
 from ..toolchain.digest import digest_of
 from .format import SNAP_VERSION
 
@@ -45,11 +44,6 @@ SNAPSET_MAGIC = b"RSST"
 SNAPSET_SUFFIX = ".snapset"
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_DIGEST_LEN = 16
-
-
-def _blob_digest(data: bytes) -> bytes:
-    return hashlib.blake2b(data, digest_size=_DIGEST_LEN).digest()
 
 
 def checkpoint_key(module, entry: str, args_key, ekey, model: str,
@@ -112,7 +106,7 @@ class SnapStore:
         return self._root is not None
 
     def _path(self, key: str) -> str:
-        return os.path.join(self._root, key[:2], f"{key}{SNAPSET_SUFFIX}")
+        return entry_path(self._root, key, SNAPSET_SUFFIX)
 
     # Lookup ------------------------------------------------------------------
 
@@ -145,21 +139,7 @@ class SnapStore:
         unwritable (the campaign simply stays cold)."""
         if not self.enabled:
             return False
-        path = self._path(key)
-        body = _render_set(blobs, meta)
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(body)
-                os.replace(tmp, path)
-            except BaseException:
-                _quietly_remove(tmp)
-                raise
-        except OSError:
+        if not atomic_write(self._path(key), _render_set(blobs, meta)):
             return False
         self.stats.stores += 1
         return True
@@ -203,15 +183,12 @@ def _render_set(blobs: Sequence[bytes], meta: Dict) -> bytes:
     for blob in blobs:
         parts.append(_U64.pack(len(blob)))
         parts.append(blob)
-    body = b"".join(parts)
-    return body + _blob_digest(body)
+    return seal(b"".join(parts))
 
 
 def _parse_set(data: bytes) -> Optional[Tuple[List[bytes], Dict]]:
-    if len(data) < 12 + _DIGEST_LEN or data[:4] != SNAPSET_MAGIC:
-        return None
-    body, trailer = data[:-_DIGEST_LEN], data[-_DIGEST_LEN:]
-    if _blob_digest(body) != trailer:
+    body = unseal(data)
+    if body is None or len(body) < 12 or body[:4] != SNAPSET_MAGIC:
         return None
     try:
         (version,) = _U32.unpack_from(body, 4)

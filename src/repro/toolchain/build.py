@@ -176,8 +176,7 @@ class Toolchain:
         if cached is not None:
             return cached
         noavx = get_variant("noavx")
-        art = self.cache.load(self.artifact_key(workload, scale, noavx),
-                              _ir_text_digest)
+        art = self._load_artifact(workload, scale, noavx)
         base: Optional[BuiltWorkload] = None
         if art is not None:
             base = self._rehydrated_base(art)
@@ -236,8 +235,7 @@ class Toolchain:
                 from_cache=(workload, scale) in self._bases_from_cache,
             )
         else:
-            art = self.cache.load(self.artifact_key(workload, scale, spec),
-                                  _ir_text_digest)
+            art = self._load_artifact(workload, scale, spec)
             if art is not None and art.meta.get("args") is not None:
                 try:
                     verify_module(art.module)
@@ -276,6 +274,17 @@ class Toolchain:
         return self.build(workload, scale, variant).ir_digest
 
     # Artifact plumbing -------------------------------------------------------
+
+    def _load_artifact(self, workload: str, scale: str, spec: VariantSpec):
+        art = self.cache.load(self.artifact_key(workload, scale, spec),
+                              _ir_text_digest)
+        if art is not None:
+            # load() matched the module's printed form against this
+            # digest; memoize it so module_digest() need not print the
+            # module again.
+            art.module._lab_digest = (art.module.version,
+                                      art.meta["ir_digest"])
+        return art
 
     def _store_artifact(self, workload: str, scale: str, spec: VariantSpec,
                         module: Module, built) -> None:

@@ -21,6 +21,7 @@ hand-edited artifact) are treated as misses and rebuilt.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -130,9 +131,7 @@ class ArtifactCache:
         return self._root is not None
 
     def _path(self, key: str) -> str:
-        # Two-level fanout keeps directories small at 14 workloads x
-        # 12 variants x scales but scales to thousands of artifacts.
-        return os.path.join(self._root, key[:2], f"{key}.json")
+        return entry_path(self._root, key, ".json")
 
     # Lookup ------------------------------------------------------------------
 
@@ -177,21 +176,9 @@ class ArtifactCache:
         the build simply stays cold)."""
         if not self.enabled:
             return False
-        path = self._path(key)
         payload = {"meta": meta, "ir": format_module(module)}
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh)
-                os.replace(tmp, path)
-            except BaseException:
-                _quietly_remove(tmp)
-                raise
-        except OSError:
+        if not atomic_write(self._path(key),
+                            json.dumps(payload).encode("utf-8")):
             return False
         self.stats.stores += 1
         return True
@@ -201,11 +188,13 @@ class ArtifactCache:
     def gc(self, max_bytes: int) -> GCStats:
         """Evict least-recently-used entries until the cache fits in
         ``max_bytes``. Covers every regular file under the root —
-        build artifacts *and* the checkpoint blobs :mod:`repro.snap`
-        keys beside them — using mtime as the LRU clock (:meth:`load`
-        and ``SnapStore.load`` touch on hit). Safe to run concurrently
-        with readers: eviction is plain unlink, and a reader that
-        loses the race just sees a miss and rebuilds."""
+        build artifacts (``.json``), the checkpoint sets
+        :mod:`repro.snap` keys beside them (``.snapset``) and the
+        compiled segment code :mod:`repro.cpu.compiled` persists
+        (``.code``) — using mtime as the LRU clock (every loader
+        touches on hit). Safe to run concurrently with readers:
+        eviction is plain unlink, and a reader that loses the race
+        just sees a miss and rebuilds."""
         stats = GCStats()
         if not self.enabled or not os.path.isdir(self._root):
             return stats
@@ -239,6 +228,59 @@ class ArtifactCache:
             except OSError:
                 pass
         return stats
+
+
+def entry_path(root: str, key: str, suffix: str) -> str:
+    """Where the entry ``key`` of one kind (``suffix``) lives under
+    ``root``. Two-level fanout keeps directories small at 14 workloads
+    x 12 variants x scales but scales to thousands of entries."""
+    return os.path.join(root, key[:2], f"{key}{suffix}")
+
+
+def atomic_write(path: str, data: bytes) -> bool:
+    """Write ``data`` to ``path`` via a temp file in the same directory
+    and a rename, so readers see the old entry or the new one, never a
+    partial one, and concurrent writers race benignly. False when the
+    directory is unwritable (callers stay cold, they do not fail)."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            _quietly_remove(tmp)
+            raise
+    except OSError:
+        return False
+    return True
+
+
+_TRAILER_LEN = 16
+
+
+def _trailer(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=_TRAILER_LEN).digest()
+
+
+def seal(body: bytes) -> bytes:
+    """``body`` plus its blake2b trailer: the framing of binary cache
+    entries (``.snapset``, ``.code``)."""
+    return body + _trailer(body)
+
+
+def unseal(data: bytes) -> Optional[bytes]:
+    """The body of a :func:`seal`-ed entry, or None when the trailer
+    does not match (truncated or corrupted file). The trailer catches
+    damage, not tampering: anyone who can write the cache dir can
+    write a matching trailer."""
+    if len(data) < _TRAILER_LEN:
+        return None
+    body = data[:-_TRAILER_LEN]
+    if _trailer(body) != data[-_TRAILER_LEN:]:
+        return None
+    return body
 
 
 def _touch(path: str) -> None:

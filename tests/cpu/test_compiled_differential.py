@@ -13,14 +13,21 @@ as a pure performance change.
 
 The file also pins the compiled core's supporting machinery: the
 engine registry (``MachineConfig.engine`` validation,
-``register_engine``), the cross-instance compiled-code cache (warm
-compiles are 100% digest hits), and the ``engine-compile`` lab event.
+``register_engine``), the two-tier compiled-code cache (warm compiles
+are 100% hits in-process and across processes; damaged disk entries
+are recompiled, never trusted), and the ``engine-compile`` lab event.
 """
 
+import json
+import marshal
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 import repro.cpu.compiled as compiled_mod
 import repro.faults.campaign as campaign_mod
 from repro.cpu import Machine, MachineConfig
@@ -51,6 +58,7 @@ from repro.ir.instructions import PhiInst
 from repro.passes import elzar_transform, mem2reg
 from repro.snap.format import serialize_state
 from repro.snap.placement import CapturePolicy
+from repro.toolchain.cache import ArtifactCache, seal
 from repro.workloads import ALL
 
 from ..conftest import make_function
@@ -363,11 +371,41 @@ def test_register_engine_round_trip():
         _ENGINE_SPECS.pop("experimental", None)
 
 
-def test_warm_compile_is_all_code_cache_hits():
+@pytest.fixture
+def code_dir(tmp_path, monkeypatch):
+    """An empty code cache: both tiers cleared, the disk tier (the
+    toolchain cache root) pointed at ``tmp_path`` instead of the
+    session-wide dir, where earlier tests leave entries behind."""
+    monkeypatch.setenv("REPRO_TOOLCHAIN_CACHE", str(tmp_path))
+    code_cache_clear()
+    yield tmp_path
+    code_cache_clear()
+
+
+def _code_files(root):
+    return sorted(p for p in root.rglob("*.code"))
+
+
+def _compile_and_observe(seed=7):
+    """One compiled run of a fresh random module: (its compile
+    payloads, the observation)."""
+    payloads = []
+    add_compile_hook(payloads.append)
+    try:
+        module, entry, args = build_random_module(seed)
+        observed = _observe(module, entry, args, "compiled")
+    finally:
+        remove_compile_hook(payloads.append)
+    totals = {key: sum(p[key] for p in payloads)
+              for key in ("functions", "code_hits", "code_misses",
+                          "code_disk_hits", "code_invalid")}
+    return totals, observed
+
+
+def test_warm_compile_is_all_code_cache_hits(code_dir):
     """Two machines decoding byte-identical IR in separate module
     instances share compiled code objects: the second compile is 100%
     digest hits, zero fresh ``compile()`` calls."""
-    code_cache_clear()
     payloads = []
     add_compile_hook(payloads.append)
     try:
@@ -385,6 +423,107 @@ def test_warm_compile_is_all_code_cache_hits():
     assert warm["code_hits"] == cold["code_hits"] + cold["code_misses"]
 
 
+_FRESH_PROCESS_RUN = """
+import json
+from repro.cpu import Machine, MachineConfig
+from repro.cpu.compiled import COMPILE_STATS
+from repro.passes import elzar_transform, mem2reg
+from repro.workloads import ALL
+
+built = ALL["histogram"].build_at("test")
+module = elzar_transform(mem2reg(built.module))
+machine = Machine(module, MachineConfig(engine="compiled"))
+result = machine.run(built.entry, built.args)
+print(json.dumps({"value": repr(result.value),
+                  "cycles": repr(result.cycles),
+                  "output": repr(list(machine.output)),
+                  "counters": machine.counters.as_dict(),
+                  "stats": COMPILE_STATS.as_dict()}))
+"""
+
+
+def _run_fresh_process(cache_dir, hash_seed):
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(hash_seed),
+               REPRO_TOOLCHAIN_CACHE=str(cache_dir),
+               REPRO_COMPILED_STRICT="1")
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS_RUN],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_second_process_compiles_nothing(tmp_path):
+    """A fresh process sharing the cache dir (and hashing strings
+    differently) reads every code object from disk: zero
+    ``compile()`` calls, and a bit-identical run."""
+    cold = _run_fresh_process(tmp_path, 1)
+    warm = _run_fresh_process(tmp_path, 2)
+    assert cold["stats"]["code_misses"] > 0
+    assert cold["stats"]["code_disk_hits"] == 0
+    assert _code_files(tmp_path)
+    assert warm["stats"]["code_misses"] == 0
+    assert warm["stats"]["code_invalid"] == 0
+    assert warm["stats"]["code_disk_hits"] == warm["stats"]["code_hits"]
+    assert warm["stats"]["code_hits"] == (cold["stats"]["code_hits"]
+                                          + cold["stats"]["code_misses"])
+    for key in ("value", "cycles", "output", "counters"):
+        assert warm[key] == cold[key], key
+    assert float(warm["cycles"]) > 0
+
+
+def test_damaged_code_entries_are_recompiled(code_dir):
+    """Truncated, bit-flipped, non-marshal and non-code entries are
+    each a counted ``code_invalid`` miss: removed, recompiled from the
+    source, rewritten — and the run stays bit-identical."""
+    cold, want = _compile_and_observe()
+    files = _code_files(code_dir)
+    assert cold["code_misses"] == len(files) >= 4
+    damage = [
+        lambda data: data[:len(data) // 2],
+        lambda data: data[:40] + bytes([data[40] ^ 0x10]) + data[41:],
+        lambda data: seal(b"not marshal data"),
+        lambda data: seal(marshal.dumps(42)),
+    ]
+    for path, spoil in zip(files, damage):
+        path.write_bytes(spoil(path.read_bytes()))
+    code_cache_clear()
+    warm, got = _compile_and_observe()
+    assert got == want
+    assert warm["code_invalid"] == len(damage)
+    assert warm["code_misses"] == len(damage)
+    assert warm["code_disk_hits"] == len(files) - len(damage)
+    assert _code_files(code_dir) == files  # rewritten whole
+    code_cache_clear()
+    again, got = _compile_and_observe()
+    assert got == want
+    assert again["code_misses"] == again["code_invalid"] == 0
+    assert again["code_disk_hits"] == len(files)
+
+
+def test_cache_off_writes_no_code_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_TOOLCHAIN_CACHE", "off")
+    code_cache_clear()
+    try:
+        stats, _ = _compile_and_observe()
+    finally:
+        code_cache_clear()
+    assert stats["code_misses"] == stats["functions"] > 0
+    assert stats["code_disk_hits"] == 0
+    assert not list(tmp_path.rglob("*"))
+
+
+def test_artifact_cache_gc_evicts_code_entries(code_dir):
+    _compile_and_observe()
+    files = _code_files(code_dir)
+    assert files
+    gc = ArtifactCache(root=str(code_dir)).gc(0)
+    assert gc.evicted_files == len(files)
+    assert not _code_files(code_dir)
+
+
 def test_durable_campaign_emits_engine_compile_event():
     from repro.lab import run_durable_campaign
     from repro.lab.events import EventBus
@@ -400,10 +539,12 @@ def test_durable_campaign_emits_engine_compile_event():
     compiles = [e for e in seen if e.kind == "engine-compile"]
     assert compiles, [e.kind for e in seen]
     payload = compiles[0].data
-    for key in ("digest", "variant", "functions", "blocks", "segments",
-                "compile_ms", "code_hits", "code_misses"):
+    for key in ("digest", "digest_unavailable", "variant", "functions",
+                "blocks", "segments", "compile_ms", "code_hits",
+                "code_misses", "code_disk_hits", "code_invalid"):
         assert key in payload, key
     assert payload["segments"] > 0
+    assert payload["digest_unavailable"] == 0
 
 
 def _gep_trap_module():

@@ -1,6 +1,7 @@
 """The content-addressed artifact cache: hits, validation, and the
 degrade-to-miss guarantees."""
 
+import importlib
 import json
 import os
 
@@ -38,6 +39,30 @@ class TestWarmRebuild:
         assert warm.cache.stats.misses == 0
         assert warm.cache.stats.hits == len(cells)
         assert warm.cache.stats.stores == 0
+
+    def test_rehydrated_digest_needs_no_second_print(
+            self, tmp_path, monkeypatch):
+        """A rehydrated module's digest is the one ``load`` already
+        validated: ``module_digest`` returns it without printing the
+        module again, and it equals a fresh digest of the module."""
+        # The package re-exports a ``build`` function over the module.
+        build_mod = importlib.import_module("repro.toolchain.build")
+        monkeypatch.setenv("REPRO_TOOLCHAIN_CACHE", str(tmp_path))
+        cells = [("histogram", "test", v) for v in ("noavx", "elzar")]
+        cold = Toolchain()
+        for cell in cells:
+            cold.build(*cell)
+        warm = [Toolchain().build(*cell) for cell in cells]
+        fresh = [_ir_text_digest(build_mod.format_module(b.module))
+                 for b in warm]
+
+        def no_print(module):
+            raise AssertionError("module printed again")
+
+        monkeypatch.setattr(build_mod, "format_module", no_print)
+        for built, want in zip(warm, fresh):
+            assert built.from_cache
+            assert build_mod.module_digest(built.module) == want
 
     def test_in_process_memoization_returns_same_object(
             self, tmp_path, monkeypatch):
