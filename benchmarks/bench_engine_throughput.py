@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""Engine throughput: compiled and decoded engines vs reference.
+"""Engine throughput: the compiled engine and its record path vs
+the reference interpreter.
 
 Not a paper figure — this measures the simulator itself: simulated
-instructions per wall-clock second for each kernel under all three
-engines (``MachineConfig.engine``), asserting bit-identical outputs,
-counters, and cycles along the way, and writes the numbers to
-``BENCH_engine.json``. Targets: decoded >=3x, compiled >=10x geomean.
+instructions per wall-clock second for each kernel on three tiers
+(reference, the record path alone, compiled), asserting bit-identical
+outputs, counters, and cycles along the way, and writes the numbers to
+``BENCH_engine.json``. Target: compiled >=10x geomean, and never below
+the record path.
 
 Run:  PYTHONPATH=src python benchmarks/bench_engine_throughput.py
 Env:  REPRO_SCALE ("perf" default -> fi-scale inputs, "test" for smoke)

@@ -1,14 +1,15 @@
-"""Engine throughput benchmark: compiled vs decoded vs reference.
+"""Engine throughput benchmark: compiled vs record path vs reference.
 
 Measures simulated instructions per wall-clock second for every kernel
-under all three execution engines (``MachineConfig.engine``), both with
-and without the timing model, and reports the speedup of each
-accelerated tier over the reference interpreter. ``python -m repro
-bench --suite engine`` and ``benchmarks/bench_engine_throughput.py``
-both drive this module; the numbers land in ``BENCH_engine.json``.
+on three tiers — the reference interpreter, the compiled engine's
+record path on its own (:func:`repro.cpu.compiled.run_records`), and
+the compiled engine — and reports the speedup of each accelerated tier
+over the reference interpreter. ``python -m repro bench --suite
+engine`` and ``benchmarks/bench_engine_throughput.py`` both drive this
+module; the numbers land in ``BENCH_engine.json``.
 
-The accelerated engines must be pure performance changes: outputs,
-counters, and cycles are asserted equal across all three engines for
+The accelerated tiers must be pure performance changes: outputs,
+counters, and cycles are asserted equal across all three tiers for
 every workload measured (any drift fails the benchmark rather than
 silently reporting a speedup for a different simulation).
 
@@ -23,6 +24,7 @@ import json
 import time
 from typing import Dict, List, Optional, Sequence
 
+from .cpu.compiled import run_records
 from .cpu.interpreter import Machine, MachineConfig
 from .workloads import ALL
 
@@ -32,61 +34,66 @@ DEFAULT_WORKLOADS = (
 )
 
 #: Measurement order: the reference tier is the denominator of every
-#: speedup; "decoded" is the trampoline over decoded records and
-#: "compiled" adds closure-compiled block segments on the same
-#: trampoline.
-ENGINES = ("reference", "decoded", "compiled")
+#: speedup; "records" is the compiled engine's trampoline with every
+#: frame on the record functions, and "compiled" adds the compiled
+#: block segments on the same trampoline.
+TIERS = ("reference", "records", "compiled")
 
 #: Benchmark suites ``run_suites`` knows how to drive.
 SUITES = ("engine", "snap")
 
 
-def _run(module, entry, args, engine: str, collect_timing: bool):
+def _run(module, entry, args, tier: str, collect_timing: bool):
+    engine = "reference" if tier == "reference" else "compiled"
     machine = Machine(
         module, MachineConfig(engine=engine, collect_timing=collect_timing)
     )
     start = time.perf_counter()
-    result = machine.run(entry, args)
+    if tier == "records":
+        result = run_records(machine, entry, args)
+    else:
+        result = machine.run(entry, args)
     elapsed = time.perf_counter() - start
     return result, elapsed
 
 
 def bench_workload(name: str, scale: str = "fi", repeats: int = 3,
                    collect_timing: bool = True) -> Dict:
-    """Best-of-``repeats`` throughput for one kernel on all engines."""
+    """Best-of-``repeats`` throughput for one kernel on every tier."""
     built = ALL[name].build_at(scale)
     module, entry, args = built.module, built.entry, built.args
 
-    # Warm the decode and segment-compile caches so the one-time
-    # translation cost is not billed to the first timed repeat (it is
-    # amortised across campaign runs either way).
-    _run(module, entry, args, "compiled", collect_timing)
+    # Warm the decode, segment and record compile caches so the
+    # one-time translation cost is not billed to the first timed repeat
+    # (it is amortised across campaign runs either way).
+    for tier in ("records", "compiled"):
+        _run(module, entry, args, tier, collect_timing)
 
-    times: Dict[str, List[float]] = {engine: [] for engine in ENGINES}
+    times: Dict[str, List[float]] = {tier: [] for tier in TIERS}
     results = {}
     for _ in range(repeats):
-        for engine in ENGINES:
-            result, elapsed = _run(module, entry, args, engine, collect_timing)
-            times[engine].append(elapsed)
-            results[engine] = result
+        for tier in TIERS:
+            result, elapsed = _run(module, entry, args, tier, collect_timing)
+            times[tier].append(elapsed)
+            results[tier] = result
 
     ref = results["reference"]
-    for engine in ("decoded", "compiled"):
-        res = results[engine]
+    for tier in ("records", "compiled"):
+        res = results[tier]
         if res.output != ref.output:
-            raise AssertionError(f"{name}: {engine} engine outputs differ")
+            raise AssertionError(f"{name}: {tier} tier outputs differ")
         if res.counters.as_dict() != ref.counters.as_dict():
-            raise AssertionError(f"{name}: {engine} engine counters differ")
+            raise AssertionError(f"{name}: {tier} tier counters differ")
         if collect_timing and res.cycles != ref.cycles:
-            raise AssertionError(f"{name}: {engine} engine cycles differ")
+            raise AssertionError(f"{name}: {tier} tier cycles differ")
 
     instructions = ref.counters.instructions
-    best = {engine: min(ts) for engine, ts in times.items()}
+    best = {tier: min(ts) for tier, ts in times.items()}
     row = {"workload": name, "scale": scale, "instructions": instructions}
-    for engine in ENGINES:
-        row[f"{engine}_seconds"] = best[engine]
-        row[f"{engine}_ips"] = instructions / best[engine]
-    row["decoded_speedup"] = best["reference"] / best["decoded"]
+    for tier in TIERS:
+        row[f"{tier}_seconds"] = best[tier]
+        row[f"{tier}_ips"] = instructions / best[tier]
+    row["records_speedup"] = best["reference"] / best["records"]
     row["compiled_speedup"] = best["reference"] / best["compiled"]
     # Headline number: the fastest tier over the reference interpreter.
     row["speedup"] = row["compiled_speedup"]
@@ -114,13 +121,13 @@ def bench_engine_throughput(scale: str = "fi", repeats: int = 3,
         if verbose:
             print(
                 f"{name:<18} {row['instructions']:>10} instrs  "
-                f"decoded {row['decoded_speedup']:>5.2f}x  "
+                f"records {row['records_speedup']:>5.2f}x  "
                 f"compiled {row['compiled_speedup']:>5.2f}x  "
                 f"({row['compiled_ips'] / 1e3:.0f}k ips)"
             )
     if verbose and rows:
         print(f"{'geomean speedup':<18} "
-              f"decoded {_geomean(rows, 'decoded_speedup'):>16.2f}x  "
+              f"records {_geomean(rows, 'records_speedup'):>16.2f}x  "
               f"compiled {_geomean(rows, 'compiled_speedup'):>5.2f}x")
     return rows
 
@@ -129,9 +136,9 @@ def write_report(rows: List[Dict], path: str = "BENCH_engine.json") -> None:
     report = {
         "benchmark": "engine_throughput",
         "unit": "simulated instructions per second",
-        "engines": list(ENGINES),
+        "tiers": list(TIERS),
         "geomean_speedup": _geomean(rows, "compiled_speedup"),
-        "geomean_decoded_speedup": _geomean(rows, "decoded_speedup"),
+        "geomean_records_speedup": _geomean(rows, "records_speedup"),
         "geomean_compiled_speedup": _geomean(rows, "compiled_speedup"),
         "rows": rows,
     }

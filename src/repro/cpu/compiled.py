@@ -1,28 +1,40 @@
 """The compiled execution core: one explicit-frame trampoline running
-decoded blocks either record-by-record or as compiled *segments* —
-specialized Python closures generated from the decoded stream
-(threaded code: each segment returns the next segment to run).
+decoded blocks (:mod:`repro.cpu.engine`) on code emitted from them.
 
-This module is the single substrate behind the ``decoded`` and
-``compiled`` engines and the resumable checkpoint machinery
-(:mod:`repro.cpu.resumable` is now a compatibility shim over it):
+This module holds the only instruction semantics besides the reference
+interpreter's, as a Python source emitter (:func:`_emit_record`). Its
+output runs in two shapes:
+
+- **Segments**: per basic block, the records between defined-call
+  boundaries compile to one closure with operands resolved to register
+  slots, semantics and the timing model's ``issue()`` inlined,
+  cost-table entries baked in as literals, and branch targets resolved
+  to the successor's segment (threaded code: each segment returns the
+  next segment to run).
+- **Record functions**: one function per body record, the unit of the
+  trampoline's *record path*. It runs whatever segments cannot: blocks
+  outside the compiled subset, budget exhaustion (the HangError at the
+  exact instruction), and every block in which a fault plan could fire
+  or a checkpoint be taken. The loop around the records owns the
+  per-record bookkeeping — phis, capture polls, the instruction budget,
+  the inject/trace/checker hooks, defined-call pushes, terminators and
+  the exact counter flush when an exception unwinds.
+
+The parts:
 
 - **Trampoline** (:func:`run_stack`): the explicit frame stack. Defined
-  calls push a :class:`Frame` where the recursive engine would recurse,
+  calls push a :class:`Frame` where the reference interpreter recurses,
   so at any body-record boundary the complete run state is a plain data
   structure (:class:`ResumeState`) that can be copied, serialized
   (:mod:`repro.snap.format`) and resumed in another process.
-- **Segment compiler** (:func:`ensure_compiled`): per basic block, the
-  records between defined-call boundaries are compiled to one closure
-  with operands resolved to register slots, semantics and the timing
-  model's ``issue()`` inlined, cost-table entries baked in as literals,
-  and branch targets resolved to the successor's segment (threaded
-  dispatch). Fault-eligible frames of a run with active faults (armed
-  plans, ``count_only`` profiling, checkpoint capture) execute the
-  *armed* variant: it counts the four targeting streams exactly and
-  hands every block in which a plan could fire or a checkpoint be
-  taken back to the record path. Trace hooks keep the record path
-  throughout. Variants compile on first use.
+- **Compiler** (:func:`ensure_compiled`): emits and compiles one
+  variant (:data:`_VARIANTS`) for every decoded function of a module,
+  on first use in a run. Fault-eligible frames of a run with active
+  faults (armed plans, ``count_only`` profiling, checkpoint capture)
+  execute the *armed* segment variant: it counts the four targeting
+  streams exactly and hands every block in which a plan could fire or
+  a checkpoint be taken back to the record path. Trace hooks keep the
+  record path throughout.
 - **Code cache**: generated code objects are keyed by the content of
   their source (:func:`_code_key`) in two tiers: in-process, shared
   across machine instances, and on disk beside the toolchain
@@ -30,12 +42,12 @@ This module is the single substrate behind the ``decoded`` and
   compile once per cell, and fresh processes, forked workers and
   cluster agents start with compiled code.
 
-Bit-identity contract: a trampoline run — with or without segments —
-is indistinguishable from a recursive ``Machine.run``: return value,
-output, every counter (including the exact partial flushes of
+Bit-identity contract: a trampoline run — on segments, on records, or
+any mix — is indistinguishable from a reference ``Machine.run``: return
+value, output, every counter (including the exact partial flushes of
 trap-abandoned blocks), cycles, branch-predictor/cache state, fault
 behaviour, and exception type. Segments inline the *same* statement
-order the record handlers and ``TimingModel.issue`` execute; the
+order the record functions and ``TimingModel.issue`` execute; the
 differential tests in ``tests/cpu/`` and ``tests/snap/`` pin the
 contract across workloads, fault models and machine configurations.
 
@@ -58,6 +70,7 @@ import types
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..avx import costs as C
 from ..ir import types as T
 from ..ir.instructions import (
     AllocaInst,
@@ -83,13 +96,9 @@ from .engine import (
     _T_RET,
     _T_RET_VOID,
     _T_UNREACHABLE,
-    _MEM_L1,
     _TERMINATOR_OPCODES,
     _Undecodable,
-    _float_op,
-    _int_op,
     _intrinsic_impl,
-    _vec_op,
     DecodedBlock,
     DecodedFunction,
     decoded_module,
@@ -131,7 +140,7 @@ class Frame:
         "caller_fn",    # _current_fn to restore on pop
         "block",        # current DecodedBlock
         "prev",         # predecessor block (phi edge), valid if phis_pending
-        "i",            # resume cursor into block.body
+        "i",            # resume cursor into the block's records
         "phis_pending",  # phi stage of `block` not yet run
         "in_body",      # inside the counted region (exception flush applies)
         "budget_exc",   # the HangError this frame raised for budget, if any
@@ -142,9 +151,9 @@ class Frame:
 
 def push_frame(M, stack: List[Frame], dfn: DecodedFunction, args: List,
                arg_times: List[float]) -> Frame:
-    """Mirror of ``exec_decoded_function``'s prologue: depth check,
-    register-file setup, stack mark, ``_current_fn``/stream-flag
-    maintenance — as an explicit frame push."""
+    """Mirror of the reference ``Machine._exec_function`` prologue:
+    depth check, register-file setup, stack mark, ``_current_fn``/
+    stream-flag maintenance — as an explicit frame push."""
     depth = M._depth + 1
     if depth > M.config.max_call_depth:
         raise HangError(f"call depth exceeded in @{dfn.fn.name}")
@@ -257,18 +266,18 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
     byop = counters.collect_by_opcode
     timing = M.timing
     maxi = M.config.max_instructions
-    # Segment variants per frame mode (bit-identical either way;
-    # segments are pure speed). Inject frames run the armed variant,
-    # which counts the four targeting streams and bails to the record
-    # path before any block where a plan could fire or a checkpoint be
-    # taken — unless a trace hook must see every event.
+    # Segment variants per frame mode (bit-identical to the record
+    # path; segments are pure speed). Inject frames run the armed
+    # variant, which counts the four targeting streams and bails to the
+    # record path before any block where a plan could fire or a
+    # checkpoint be taken — unless a trace hook must see every event.
     # Other frames run the unarmed variant unless capture placement
     # polls (their eligible count is frozen, so only the record path's
     # per-record poll sees a threshold crossed by a callee's return).
-    compiled = M.config.engine == "compiled"
-    armed_ok = compiled and M._trace_eligible is None
-    plain_ok = compiled and capture is None
+    armed_ok = M._trace_eligible is None
+    plain_ok = capture is None
     vidx = 0 if timing is not None else 1
+    ridx = vidx + _RECORD_VARIANT  # record functions, same timing mode
     ready = [False] * len(_VARIANTS)  # variants ensured this run
     value = None
     returning = False
@@ -279,8 +288,8 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
             times = f.times
 
             if returning:
-                # Complete the suspended defined call at f.i: the
-                # epilogue of _make_call_defined's handler, followed by
+                # Complete the suspended defined call at f.i: the dst
+                # write and call timing of the reference's call, then
                 # the caller loop's inject bookkeeping on the result.
                 returning = False
                 block = f.block
@@ -464,8 +473,11 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                             # dispatch entered — re-derive the local.
                             block = f.block
 
+                if not ready[ridx]:
+                    ensure_compiled(f.dfn.dmod, ridx)
+                    ready[ridx] = True
                 f.in_body = True
-                body = block.body
+                body = block.compiled[ridx]
                 inj = block.inject
                 call_meta = block.call_meta
                 n = block.n
@@ -485,8 +497,8 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                             raise f.budget_exc
                         cm = call_meta[i]
                         if cm is not None:
-                            # Defined call: the handler's prologue, then
-                            # a frame push where it would recurse.
+                            # Defined call: evaluate the arguments, then
+                            # push a frame where the reference recurses.
                             arg_rs, dst, cdfn, lat, uops, isv, port = cm
                             cargs = [regs[s] if s >= 0 else c
                                      for s, c in arg_rs]
@@ -497,7 +509,7 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                             push_frame(M, stack, cdfn, cargs, cats)
                             pushed = True
                             break
-                        executed = body[i](M, regs, times, executed, timing)
+                        body[i](M, regs, times, timing)
                         if inject:
                             meta = inj[i]
                             if meta is not None:
@@ -604,9 +616,9 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                     f.i = i
                     raise
 
-                # Frame return: the epilogues of _run_* (publish the
-                # instruction count) and exec_decoded_function (pop,
-                # restore caller context, release stack).
+                # Frame return: publish the instruction count, then the
+                # reference ``_exec_function`` epilogue (pop, restore
+                # caller context, release stack).
                 if executed > M._executed:
                     M._executed = executed
                 stack.pop()
@@ -623,7 +635,7 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
         # engine's `except` clause) plus the frame epilogue, innermost
         # first. A frame suspended at a defined call flushes its call
         # record partially — exactly what its recursive `except` would
-        # do when the callee's exception propagated through the handler.
+        # do when the callee's exception propagated through the call.
         while stack:
             f = stack.pop()
             if f.in_body:
@@ -654,9 +666,8 @@ def run_resumable(M, fn_name: str, args: Sequence = (),
                   capture=None) -> RunResult:
     """``Machine.run`` on the trampoline — bit-identical results, no
     recursion-limit dance, and optional mid-run capture via
-    ``capture``. Runs compiled segments when the machine's engine is
-    ``"compiled"`` (see :func:`run_stack` for which frames); the record
-    path otherwise."""
+    ``capture``. This is how the ``"compiled"`` engine runs (see
+    :func:`run_stack` for which frames run segments)."""
     fn = M.module.get_function(fn_name)
     if fn.is_declaration:
         raise ValueError(f"cannot run declaration @{fn_name}")
@@ -682,6 +693,45 @@ def run_resumable(M, fn_name: str, args: Sequence = (),
     )
 
 
+class _RecordPath:
+    """Capture policy that keeps a whole trampoline run on the record
+    path: it is due at every record, which turns off plain segments and
+    makes every armed segment's event guard hand its block to the
+    record path. It captures nothing itself; an inner ``capture``
+    policy still takes its checkpoints at its own thresholds."""
+
+    next_index = 0
+
+    def __init__(self, capture=None):
+        self.capture = capture
+
+    def take(self, M, stack, executed) -> None:
+        inner = self.capture
+        if inner is not None and M.eligible_executed >= inner.next_index:
+            inner.take(M, stack, executed)
+
+
+def compile_records(M, fn_name: str) -> None:
+    """Compile the record functions ``M``'s runs of ``fn_name`` use —
+    what a run otherwise does on its first record-path block. Fault
+    campaigns call it before forking injection workers: every injection
+    fires its fault on the record path, and the workers inherit the
+    compiled code instead of each emitting it again."""
+    dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
+    dmod.function(M.module.get_function(fn_name))
+    timing_mode = 0 if M.timing is not None else 1
+    ensure_compiled(dmod, _RECORD_VARIANT + timing_mode)
+
+
+def run_records(M, fn_name: str, args: Sequence = (),
+                capture=None) -> RunResult:
+    """:func:`run_resumable` with every frame on the record functions —
+    no segment runs. Bit-identical to any other run; the engine
+    benchmark and the differential tests use it to measure and check
+    the record path on its own."""
+    return run_resumable(M, fn_name, args, _RecordPath(capture))
+
+
 # --- Mid-run state capture / restore -----------------------------------------
 
 
@@ -692,7 +742,7 @@ class FrameState:
 
     fn: str
     block: int    # index into dfn.blocks
-    i: int        # resume cursor into block.body
+    i: int        # resume cursor into the block's records
     regs: tuple
     times: tuple
     mark: int     # memory stack mark at frame entry
@@ -949,9 +999,9 @@ def covers(state: ResumeState, plan) -> bool:
 #
 # Bit-identity rules baked into the generated code:
 #
-# - Value semantics mirror the decoded handlers statement for
-#   statement (same bounds checks, same masking, same helper calls for
-#   div/rem, f32 and cast paths).
+# - Segments and record functions share one record emitter
+#   (:func:`_emit_record`): same bounds checks, same masking, same
+#   helper calls for div/rem, f32 and the rare casts.
 # - ``TimingModel.issue`` is inlined with its scalar state (issue
 #   time, finish time, retire frontier) hoisted into locals; the
 #   ``issued``/``uops_issued`` totals are deferred to the segment
@@ -976,11 +1026,14 @@ def covers(state: ResumeState, plan) -> bool:
 import math  # noqa: E402
 import os  # noqa: E402
 
-#: Re-raise segment-compiler errors instead of silently falling back
-#: to the record path (the fallback is bit-identical, so a compiler
-#: bug would otherwise only show up as a missing speedup). Tests set
-#: REPRO_COMPILED_STRICT=1.
+#: Re-raise segment-compiler errors instead of falling back to the
+#: record path (the fallback is bit-identical and counted in
+#: ``CompileStats.fallbacks``, so a compiler bug would otherwise only
+#: show up as a missing speedup). Tests set REPRO_COMPILED_STRICT=1.
+#: Record functions have no fallback: an emission error always raises.
 STRICT_COMPILE = os.environ.get("REPRO_COMPILED_STRICT", "") not in ("", "0")
+
+_MEM_L1 = float(C.MEM_LATENCY[1])
 
 _SUPPORTED_TERMS = (_T_BR, _T_CONDBR, _T_RET, _T_RET_VOID)
 
@@ -1016,6 +1069,9 @@ class CompileStats:
     code_disk_hits: int = 0
     #: Disk entries that failed validation, were removed and recompiled.
     code_invalid: int = 0
+    #: Functions whose segment emission failed: they run on the record
+    #: path (raises instead under ``REPRO_COMPILED_STRICT``).
+    fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -1027,6 +1083,7 @@ class CompileStats:
             "code_misses": self.code_misses,
             "code_disk_hits": self.code_disk_hits,
             "code_invalid": self.code_invalid,
+            "fallbacks": self.fallbacks,
         }
 
     def add(self, other: "CompileStats") -> None:
@@ -1037,9 +1094,10 @@ class CompileStats:
 COMPILE_STATS = CompileStats()
 
 #: Subscribers called with one payload dict per :func:`ensure_compiled`
-#: invocation that did work: module digest, function/block/segment
-#: counts, compile wall time and code-cache hit/miss split. The lab
-#: bridges these onto its EventBus as ``engine-compile`` events.
+#: invocation that did work: module digest, variant, function/block/
+#: segment counts, compile wall time, code-cache hit/miss split and
+#: segment fallbacks. The lab bridges these onto its EventBus as
+#: ``engine-compile`` events.
 _COMPILE_HOOKS: List[Callable[[Dict[str, object]], None]] = []
 
 #: In-process code-object cache: content key (:func:`_code_key`) ->
@@ -1174,11 +1232,17 @@ class _Emitter:
     bound as keyword-parameter defaults, and the deferred-timing
     bookkeeping the exits and the exception path must restore."""
 
-    def __init__(self, consts, seen, with_timing, armed=False):
+    def __init__(self, consts, seen, with_timing, armed=False,
+                 records=False):
         self.lines: List[str] = []
         self.consts = consts          # function-level: name -> value
         self.seen = seen              # function-level: id(value) -> name
         self.with_timing = with_timing
+        # Record function (see _emit_records): it steps the memory
+        # targeting stream itself, and calls the timing and cache
+        # models instead of inlining them — record functions are the
+        # cold path, so source size matters more than dispatch cost.
+        self.records = records
         # Armed variant: the targeting-stream counts live in the _se/
         # _sm/_sb/_sc locals as of the current block (segment) start;
         # pend_ev holds the per-stream deltas of the code emitted so far
@@ -1313,8 +1377,16 @@ class _Emitter:
         """Inline ``TimingModel.issue`` (timing variant only): exact
         statement order — ROB, operand maxes, port, vector-ALU group,
         completion, retire frontier, frontend advance. Leaves the
-        completion time in ``_d``."""
+        completion time in ``_d``. Record functions call ``issue()``
+        itself (a constant operand's 0.0 ready time never wins the
+        max, so it is left out either way)."""
         w = self.w
+        if self.records:
+            ops = "".join(f"{t}, " for t in tops if t is not None)
+            pk = "None" if port is None else self.KI(port)
+            w(d, f"_d = timing.issue(None, {lat_expr}, ({ops}), "
+                 f"{extra or 0.0}, {uops}, {isv}, {pk})")
+            return
         w(d, "_s = _ti")
         w(d, "if len(_rob) >= _robsz:")
         w(d + 1, "_o = _rpop()")
@@ -1384,8 +1456,9 @@ class _Emitter:
         self.w(d, f"_tm.uops_issued += {self.pend_uops}")
 
 def _scalar_int_expr(E, opcode, a, b, width):
-    """Expression mirroring ``_int_op(opcode, width)`` applied to the
-    operand expressions ``a``/``b`` (pure reads, safe to repeat)."""
+    """Expression for the reference's ``_int_binop(opcode, a, b,
+    width)`` over the operand expressions ``a``/``b`` (pure reads, safe
+    to repeat), inlined except for div/rem."""
     mask = (1 << width) - 1
     if opcode == "add":
         return f"(({a} + {b}) & {mask})"
@@ -1416,7 +1489,8 @@ def _scalar_int_expr(E, opcode, a, b, width):
 
 
 def _scalar_float_expr(E, opcode, a, b, bits):
-    """Expression mirroring ``_float_op(opcode, bits)``."""
+    """Expression for the reference's ``_float_binop(opcode, a, b,
+    bits)``: f64 add/sub/mul inlined, the rest through the helper."""
     fb = None
     if bits == 32:
         fb = E.KI(_float_binop)
@@ -1472,8 +1546,8 @@ def _emit_miss_ladder(E, d):
 
 def _emit_cache_probe(E, d, size, for_store):
     """Cache access + hierarchical miss accounting, mirroring the
-    load/store handlers (loads also consume the extra latency ``_x``;
-    stores drop it like the reference does).
+    reference's loads and stores (loads also consume the extra latency
+    ``_x``; stores drop it like the reference does).
 
     The non-straddling case inlines :meth:`CacheHierarchy.access`
     statement for statement (L1 probe, straddle-free, prefetcher
@@ -1481,9 +1555,12 @@ def _emit_cache_probe(E, d, size, for_store):
     locals — the access per se is a handful of list operations, so the
     method-call round trip and the (level, latency) tuple dominated the
     memory-bound kernels. A straddling access (rare) falls back to the
-    real method."""
-    E.need_cache = True
+    real method. Record functions always call it, like the reference."""
     w = E.w
+    if E.records:
+        w(d, "_ch = M.cache")
+    else:
+        E.need_cache = True
     if for_store:
         w(d, "if _ch is not None:")
     else:
@@ -1491,6 +1568,10 @@ def _emit_cache_probe(E, d, size, for_store):
         w(d + 1, f"_x = {E.K(_MEM_L1)}")
         w(d, "else:")
     b = d + 1
+    if E.records:
+        w(b, f"_lv, _x = _ch.access(_a, {size})")
+        _emit_miss_ladder(E, b)
+        return
     w(b, "_cl = _a // 64")
     if size > 1:
         w(b, f"if (_a + {size - 1}) // 64 != _cl:")
@@ -1559,11 +1640,22 @@ def _emit_cache_probe(E, d, size, for_store):
     w(p + 1, "_lu[_vt] = _pfo._clock")
 
 
+def _emit_address(E, d, pp, inst):
+    """A load/store address into ``_a``. Record functions step the
+    memory targeting stream on it (an ``addr`` plan corrupts it) —
+    segments never run where the stream is live and a plan could fire."""
+    E.w(d, f"_a = {E.oexpr(pp)}")
+    if E.records:
+        E.w(d, "if M._mem_stream_live:")
+        E.w(d + 1, f"_a = M._mem_step(_a, {E.KI(inst)})")
+
+
 def _emit_record(E, d, inst, dst, rv, costs, rtp):
-    """Emit one body record, mirroring the decoded handler for the
-    instruction class statement for statement. Raises
-    :class:`_Unsupported` for anything outside the compiled subset
-    (raiser records, declaration calls, unknown classes)."""
+    """Emit one body record: the reference interpreter's semantics for
+    the instruction class, statement for statement, with operands
+    resolved to slots and constants. Raises :class:`_Unsupported` for
+    anything else (raiser records, defined and declaration calls,
+    unknown classes)."""
     w = E.w
     t = E.with_timing
     opcode = inst.opcode
@@ -1692,7 +1784,7 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
         port = costs.ports.get("load")
         E.need_mem = True
         mf = E.KI(MemoryFault)
-        w(d, f"_a = {E.oexpr(pp)}")
+        _emit_address(E, d, pp, inst)
         if ty.is_vector:
             w(d, f"regs[{dst}] = _mem.load_value({E.KI(ty)}, _a)")
         elif ty.is_float:
@@ -1748,7 +1840,7 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
         port = costs.ports.get("store")
         E.need_mem = True
         mf = E.KI(MemoryFault)
-        w(d, f"_a = {E.oexpr(pp)}")
+        _emit_address(E, d, pp, inst)
         w(d, f"_v = {E.oexpr(pv)}")
         if vty.is_vector:
             w(d, f"_mem.store_value({E.KI(vty)}, _a, _v)")
@@ -2731,29 +2823,88 @@ def _emit_function(dfn, costs, globals_addr, with_timing, armed=False):
     return "\n".join(out) + "\n", consts, metas
 
 
+def _emit_records(dfn, costs, globals_addr, with_timing):
+    """Emit the record functions of one decoded function: one
+    ``rec(M, regs, times, timing)`` per body record, executing exactly
+    that record; a raiser record raises its decoded exception. Defined
+    calls get none (the trampoline pushes a frame instead). Returns
+    (source, consts, [(block index, record index, fname), ...]).
+    Unlike segments, every record must emit: a failure raises."""
+    fn = dfn.fn
+    slot_map, _nslots = slot_layout(fn)
+    rv = operand_resolver(slot_map, globals_addr)
+    rtp = costs.vector_alu_rtp
+    consts: Dict[str, object] = {}
+    seen: Dict[int, str] = {}
+    variant = "timing" if with_timing else "plain"
+    out: List[str] = [f"# record functions of @{fn.name} ({variant})"]
+    metas: List[Tuple[int, int, str]] = []
+    for bi, db in enumerate(dfn.blocks):
+        records, _terminator = _block_records(fn.blocks[bi])
+        for k in range(db.n):
+            if db.call_meta[k] is not None:
+                continue
+            E = _Emitter(consts, seen, with_timing, records=True)
+            raiser = db.raisers[k]
+            if raiser is not None:
+                exc_type, message = raiser
+                E.w(1, f"raise {E.KI(exc_type)}({E.K(message)})")
+            else:
+                inst = records[k]
+                _emit_record(E, 1, inst, slot_map.get(id(inst), -1), rv,
+                             costs, rtp)
+            fname = f"_r{len(metas)}"
+            params = "".join(f", {n}={n}" for n in E.used)
+            out.append(f"def {fname}(M, regs, times, timing{params}):")
+            if E.need_mem:
+                out.append("    _mem = M.memory")
+            out.extend(E.lines)
+            out.append("")
+            metas.append((bi, k, fname))
+    return "\n".join(out) + "\n", consts, metas
+
+
 def _compile_dfn(dmod, dfn, vidx, root, stats):
-    """Emit + exec the segments of one function, reusing a cached code
+    """Emit + exec one variant of one function, reusing a cached code
     object when its source was compiled before (:func:`_code_for`).
-    Adds the segments and blocks it compiled to ``stats``."""
+    Segment variants add the segments and blocks they compiled to
+    ``stats``; a function whose segment emission fails runs on the
+    record path (``stats.fallbacks``). Record variants store one tuple
+    of record functions per block and never fall back."""
     for db in dfn.blocks:
         if db.compiled is None:
             db.compiled = [None] * len(_VARIANTS)
-    try:
-        emitted = _emit_function(dfn, dmod.costs, dmod.globals_addr,
-                                 vidx % 2 == 0, vidx >= 2)
-    except Exception:
-        if STRICT_COMPILE:
-            raise
-        emitted = None  # the record path stays available (and correct)
-    if emitted is None:
-        return
+    with_timing = vidx % 2 == 0
+    records = vidx >= _RECORD_VARIANT
+    if records:
+        emitted = _emit_records(dfn, dmod.costs, dmod.globals_addr,
+                                with_timing)
+    else:
+        try:
+            emitted = _emit_function(dfn, dmod.costs, dmod.globals_addr,
+                                     with_timing, vidx >= 2)
+        except Exception:
+            if STRICT_COMPILE:
+                raise
+            stats.fallbacks += 1
+            return
+        if emitted is None:
+            return
     # Emission re-runs per instance (the consts are per-decode
     # objects); only compile() is shared.
     source, consts, metas = emitted
     code = _code_for(source, f"<repro.compiled:@{dfn.fn.name}>", root,
                      stats)
-    seglist: List[object] = [None] * len(metas)
     ns = dict(consts)
+    if records:
+        exec(code, ns)  # noqa: S102 - our own generated records
+        bodies = [[None] * db.n for db in dfn.blocks]
+        for bi, k, fname in metas:
+            bodies[bi][k] = ns[fname]
+        for db, body in zip(dfn.blocks, bodies):
+            db.compiled[vidx] = tuple(body)
+        return
+    seglist: List[object] = [None] * len(metas)
     ns["_sg"] = seglist
     exec(code, ns)  # noqa: S102 - our own generated segments
     per_block: Dict[int, Dict[int, object]] = {}
@@ -2766,17 +2917,22 @@ def _compile_dfn(dmod, dfn, vidx, root, stats):
     stats.blocks += len(per_block)
 
 
-#: Segment variants, indexed like ``DecodedBlock.compiled``: with or
-#: without the inlined timing model, unarmed or armed (stream counting
-#: behind the next-event guard).
-_VARIANTS = ("timing", "plain", "timing-armed", "plain-armed")
+#: Compiled variants, indexed like ``DecodedBlock.compiled``: segments
+#: with or without the inlined timing model, unarmed or armed (stream
+#: counting behind the next-event guard), then the record functions
+#: with or without timing. A segment variant holds a segmap
+#: ``{boundary: segment}`` per block, a record variant a tuple of
+#: record functions (None at defined calls).
+_VARIANTS = ("timing", "plain", "timing-armed", "plain-armed",
+             "timing-records", "plain-records")
+_RECORD_VARIANT = 4
 
 
 def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
-    """Compile segments for every decoded function of ``dmod`` in the
-    given variant (an index into :data:`_VARIANTS`) that is not
-    compiled yet. Idempotent and cheap when there is nothing to do.
-    Returns the compile-event payload when work happened, else None."""
+    """Compile every decoded function of ``dmod`` in the given variant
+    (an index into :data:`_VARIANTS`) that is not compiled yet.
+    Idempotent and cheap when there is nothing to do. Returns the
+    compile-event payload when work happened, else None."""
     done = getattr(dmod, "_compiled_fns", None)
     if done is None:
         done = dmod._compiled_fns = [set() for _ in _VARIANTS]
@@ -2802,23 +2958,3 @@ def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
     for hook in list(_COMPILE_HOOKS):
         hook(payload)
     return payload
-
-
-# --- Engine runners -----------------------------------------------------------
-#
-# Machine.run dispatches through the engine registry
-# (repro.cpu.interpreter) to these. Both decode once per (module, cost
-# model) and run on the trampoline, which compiles the segment variants
-# a "compiled" machine's frames need on their first use.
-
-
-def run_decoded(M, fn, arg_values):
-    """``engine="decoded"``/``"compiled"``: the frame trampoline."""
-    dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
-    dfn = dmod.function(fn)
-    stack: List[Frame] = []
-    push_frame(M, stack, dfn, arg_values, [0.0] * len(arg_values))
-    return run_stack(M, stack, M._executed)
-
-
-run_compiled = run_decoded

@@ -76,38 +76,10 @@ _RUN_RECURSION_LIMIT = 8000
 _NON_ALU_OPS = frozenset({"load", "store", "br", "ret", "call", "phi", "alloca"})
 
 
-# --- Engine registry ---------------------------------------------------------
-#
-# Maps MachineConfig.engine names to runners. "reference" is special
-# (the tree-walking interpreter below, dispatched inline by
-# Machine.run); every other engine resolves lazily to
-# ``module_path.attr``, a callable ``runner(machine, fn, arg_values) ->
-# value`` (lazy so importing this module never pulls the decode or
-# compile layers).
-_ENGINE_SPECS: Dict[str, Optional[Tuple[str, str]]] = {
-    "reference": None,
-    "decoded": ("repro.cpu.compiled", "run_decoded"),
-    "compiled": ("repro.cpu.compiled", "run_compiled"),
-}
-
-
-def register_engine(name: str, spec: Optional[Tuple[str, str]]) -> None:
-    """Register (or override) an execution engine. ``spec`` is a
-    ``(module_path, attr)`` pair naming a runner, or None for engines
-    dispatched specially by Machine.run."""
-    _ENGINE_SPECS[name] = spec
-
-
-def registered_engines() -> Tuple[str, ...]:
-    return tuple(sorted(_ENGINE_SPECS))
-
-
-def _engine_runner(name: str):
-    import importlib
-
-    spec = _ENGINE_SPECS[name]
-    module_path, attr = spec
-    return getattr(importlib.import_module(module_path), attr)
+#: ``MachineConfig.engine`` values: the tree-walking interpreter below
+#: (the oracle), and the explicit-frame trampoline over emitted code in
+#: :mod:`repro.cpu.compiled`. Results are bit-identical.
+ENGINES = ("reference", "compiled")
 
 
 @dataclass
@@ -133,19 +105,20 @@ class MachineConfig:
     #: Which functions fault injection may target (None = every defined
     #: non-intrinsic function in the module).
     fault_eligible: Optional[Callable[[Function], bool]] = None
-    #: Execution engine: "decoded" runs decoded records on the frame
-    #: trampoline, "compiled" (the default) additionally runs
-    #: closure-compiled block segments (both in repro.cpu.compiled,
-    #: bit-identical results); "reference" runs the original
-    #: tree-walking interpreter.
+    #: Execution engine (one of :data:`ENGINES`): "compiled" (the
+    #: default) runs code emitted from the decoded program on the frame
+    #: trampoline (repro.cpu.compiled); "reference" runs the
+    #: tree-walking interpreter. Results are bit-identical.
     engine: str = "compiled"
 
     def __post_init__(self) -> None:
-        if self.engine not in _ENGINE_SPECS:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; registered engines: "
-                + ", ".join(registered_engines())
-            )
+        _check_engine(self.engine)
+
+
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; engines: "
+                         + ", ".join(ENGINES))
 
 
 @dataclass
@@ -418,7 +391,7 @@ class Machine:
         self._count_only = False
         #: True when any per-eligible-instruction bookkeeping is needed
         #: (armed plans, count-only profiling, or a trace hook); the
-        #: decoded engine skips that bookkeeping entirely otherwise.
+        #: compiled engine skips that bookkeeping entirely otherwise.
         self._fault_active = False
         # Stream gates. ``*_needed`` = this run must count the stream at
         # all (count-only profiling or plans of that kind armed);
@@ -706,22 +679,18 @@ class Machine:
             raise TypeError(
                 f"@{fn_name} expects {len(fn.args)} args, got {len(arg_values)}"
             )
+        _check_engine(self.config.engine)
+        if self.config.engine == "compiled":
+            from .compiled import run_resumable
+
+            return run_resumable(self, fn_name, arg_values)
         saved_limit = sys.getrecursionlimit()
         if saved_limit < _RUN_RECURSION_LIMIT:
             sys.setrecursionlimit(_RUN_RECURSION_LIMIT)
         try:
-            engine = self.config.engine
-            if _ENGINE_SPECS.get(engine, None) is None:
-                if engine not in _ENGINE_SPECS:
-                    raise ValueError(
-                        f"unknown engine {engine!r}; registered engines: "
-                        + ", ".join(registered_engines())
-                    )
-                value = self._exec_function(
-                    fn, arg_values, [0.0] * len(arg_values), 0
-                )
-            else:
-                value = _engine_runner(engine)(self, fn, arg_values)
+            value = self._exec_function(
+                fn, arg_values, [0.0] * len(arg_values), 0
+            )
         finally:
             if saved_limit < _RUN_RECURSION_LIMIT:
                 sys.setrecursionlimit(saved_limit)

@@ -1,16 +1,12 @@
-"""Compatibility shim: the explicit-frame (trampoline) executor now
-lives in :mod:`repro.cpu.compiled`.
+"""Re-export of the explicit-frame (trampoline) executor's public
+surface, which lives in :mod:`repro.cpu.compiled`.
 
-Historically this module held a hand-maintained mirror of the decoded
-engine's recursive executors, rewritten over an explicit frame stack so
-mid-run state could be captured and resumed. The compiled execution
-core made that mirror the *only* executor — the same trampoline runs
-plain decoded records (``engine="decoded"``) and closure-compiled block
-segments (``engine="compiled"``) — so the implementation moved to
-:mod:`repro.cpu.compiled` and this module simply re-exports the public
-surface. The frame/cursor format is unchanged: checkpoints written by
-:mod:`repro.snap.format` before the move still load and resume
-bit-identically, and existing imports keep working.
+The trampoline is the compiled engine's only executor: it runs compiled
+block segments and, wherever those cannot run, one emitted function per
+decoded record. This module keeps the checkpoint-facing names
+(capture, restore, resume, stream marks) importable from one stable
+place. The frame/cursor format is unchanged: checkpoints written by
+:mod:`repro.snap.format` still load and resume bit-identically.
 """
 
 from __future__ import annotations

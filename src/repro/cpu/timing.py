@@ -33,8 +33,8 @@ from ..avx.costs import BRANCH_MISS_PENALTY, ISSUE_WIDTH, ROB_SIZE, CostModel
 
 #: Default for ``TimingModel.issue``'s ``port`` parameter: look the port
 #: up in the cost model by opcode. Callers that pre-resolve the lookup
-#: (the pre-decoded engine) pass the ``(name, busy)`` tuple — or None —
-#: directly.
+#: (the compiled engine's record functions and call epilogues) pass the
+#: ``(name, busy)`` tuple — or None — directly.
 _PORT_LOOKUP = object()
 
 
@@ -92,7 +92,7 @@ class TimingModel:
 
         Hot path: called once per dynamic instruction, so the port
         reservation (:meth:`_reserve_port`) is inlined and attribute
-        traffic minimised. The arithmetic is unchanged — the decoded
+        traffic minimised. The arithmetic is unchanged — the compiled
         and reference engines must produce bit-identical cycle counts.
         """
         self.issued += 1

@@ -60,7 +60,7 @@ class CampaignConfig:
     #: Registered fault-model name (see :mod:`repro.faults.models`).
     #: The default reproduces the paper's single register bit flip.
     fault_model: str = DEFAULT_MODEL
-    #: Execution engine for every run of the campaign ("decoded" or
+    #: Execution engine for every run of the campaign ("compiled" or
     #: "reference"). Outcome counts are bit-identical either way (the
     #: differential tests enforce it); the knob exists so CI can prove
     #: that end to end. Excluded from durable store keys.
@@ -238,6 +238,20 @@ _draw_plans = draw_plans
 _FORK_CONTEXT = None
 
 
+def warm_record_path(module: Module, entry: str,
+                     fault_eligible: Optional[Callable] = None,
+                     engine: str = "compiled") -> None:
+    """Compile, in this process, the record functions the cell's
+    injections fire their faults on. Call it before forking injection
+    workers: they inherit the code instead of each emitting it again."""
+    if engine != "compiled":
+        return
+    from ..cpu.compiled import compile_records
+
+    compile_records(_fresh_machine(module, fault_eligible=fault_eligible,
+                                   engine=engine), entry)
+
+
 def _run_shard(plans: List[FaultPlan]) -> List[Outcome]:
     (module, entry, args, reference, budget, rtol, fault_eligible,
      engine, fault_model, snap) = _FORK_CONTEXT
@@ -282,11 +296,12 @@ def run_campaign(
 
     workers = max(1, min(workers, len(plans) or 1))
     if workers > 1 and _fork_available():
-        # Warm the cell's checkpoint set in the parent so every forked
-        # worker inherits it through the module cache (copy-on-write)
-        # instead of each re-loading or re-capturing it.
+        # Warm the cell's checkpoint set and record functions in the
+        # parent so every forked worker inherits them (copy-on-write)
+        # instead of each re-loading, re-capturing or re-emitting them.
         _cell_checkpoints(module, entry, args, budget, config.fault_eligible,
                           config.fault_model, config.engine, config.snap)
+        warm_record_path(module, entry, config.fault_eligible, config.engine)
         shards = [plans[i::workers] for i in range(workers)]
         _FORK_CONTEXT = (module, entry, args, reference, budget,
                          config.rtol, config.fault_eligible, config.engine,
@@ -377,17 +392,14 @@ class InjectionSession:
         self.machine = _fresh_machine(module, max_instructions=budget,
                                       fault_eligible=fault_eligible,
                                       engine=engine)
-        if engine in ("decoded", "compiled"):
-            # Decode up front so the first injection's timing is not an
-            # outlier (cached on the module either way). Segments are
-            # compiled by the first run that executes them.
-            from ..cpu.engine import decoded_module
+        if engine == "compiled":
+            # Decode and compile the record functions every injection
+            # fires on up front, so the first injection's timing is not
+            # an outlier (cached on the module either way). Segments
+            # are compiled by the first run that executes them.
+            from ..cpu.compiled import compile_records
 
-            dmod = decoded_module(
-                module, self.machine.config.cost_model,
-                self.machine.globals_addr,
-            )
-            dmod.function(module.get_function(entry))
+            compile_records(self.machine, entry)
         self.snapshot = self.machine.snapshot()
         self._checkpoints = None  # CheckpointSet, attached per run_plans
 
@@ -475,7 +487,7 @@ def _cell_checkpoints(module: Module, entry: str, args: Sequence,
     predicate, or a golden run too short to profit). Cached through
     the module's golden cache, so shards and forked workers share one
     set per (cell, model)."""
-    if not snap or engine not in ("decoded", "compiled"):
+    if not snap or engine != "compiled":
         return None
     from ..snap.build import build_checkpoints
 

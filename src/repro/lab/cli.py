@@ -23,7 +23,7 @@ import argparse
 import json
 from typing import Dict, List, Optional
 
-from ..cpu.interpreter import registered_engines
+from ..cpu.interpreter import ENGINES
 from ..faults.campaign import CampaignConfig
 from ..faults.models import DEFAULT_MODEL, model_names
 from ..faults.outcomes import Outcome
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="fault shape to inject (see docs/FAULTS.md); "
                              "each model keys its own store rows")
     parser.add_argument("--engine", default="compiled",
-                        choices=registered_engines(),
+                        choices=ENGINES,
                         help="execution engine; outcome counts are "
                              "bit-identical on every engine (CI proves "
                              "it), so the store is shared between engines")
@@ -150,9 +150,12 @@ def _run_cells(spec: Dict, store: ResultStore, events: EventBus,
     build_scale = "fi" if spec["scale"] == "perf" else "test"
     # Resume manifests written before the fault-model/engine flags
     # existed lack these keys; default them like a fresh campaign. Keys
-    # of retired knobs (``batch``) are ignored.
+    # of retired knobs (``batch``) are ignored, and the retired
+    # ``decoded`` engine resumes as ``compiled`` (same outcomes).
     fault_model = spec.get("fault_model", DEFAULT_MODEL)
     engine = spec.get("engine", "compiled")
+    if engine == "decoded":
+        engine = "compiled"
     rows: List[tuple] = []
     cells: List[Dict] = []
     totals = {"shards_total": 0, "shards_from_store": 0,

@@ -35,6 +35,7 @@ from ..faults.campaign import (
     golden_profile,
     resolve_workers,
     run_plans,
+    warm_record_path,
 )
 from ..faults.models import get_model
 from ..faults.outcomes import CampaignResult
@@ -216,9 +217,12 @@ def run_durable_campaign(
                 counts={o.value: int(c) for o, c in counts.items()},
             )
 
-        scheduler = ShardScheduler(
-            policy or SchedulerPolicy(workers=workers), events
-        )
+        policy = policy or SchedulerPolicy(workers=workers)
+        scheduler = ShardScheduler(policy, events)
+        if policy.workers > 1 and len(results) < len(shards):
+            # Forked shard workers inherit the record functions.
+            warm_record_path(module, entry, config.fault_eligible,
+                             config.engine)
         stopper = (AdaptiveStop(ci_target=ci_target, min_injections=min_injections)
                    if ci_target is not None else None)
 

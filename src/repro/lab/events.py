@@ -26,9 +26,10 @@ Event kinds emitted today:
                        functions, blocks, segments, compile_ms,
                        code_hits (in-process + disk), code_misses
                        (real ``compile()`` calls), code_disk_hits,
-                       code_invalid (the compiled engine translated
-                       this campaign's module; cache-warm campaigns
-                       emit none)
+                       code_invalid, fallbacks (functions whose segment
+                       emission failed and that run on the record path)
+                       (the compiled engine translated this campaign's
+                       module; cache-warm campaigns emit none)
 ``store-stale``        purged (stale shard rows dropped for this cell)
 ``store-disabled``     reason (unkeyable eligibility predicate)
 ``adaptive-stop``      injections, halfwidth, target

@@ -346,6 +346,11 @@ class ReproService:
             # retired still carry it; drop it here only (a live POST
             # that sends it is still rejected as an unknown field).
             spec.pop("batch", None)
+            # Likewise the retired record-only engine: it ran the same
+            # outcomes as "compiled", and the engine is in no spec or
+            # store key, so the banked shards still serve the resume.
+            if spec.get("engine") == "decoded":
+                spec["engine"] = "compiled"
             try:
                 request = parse_request(spec)
                 campaign = self._submit(

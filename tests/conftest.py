@@ -13,6 +13,7 @@ import pytest
 os.environ.setdefault("REPRO_COMPILED_STRICT", "1")
 
 from repro.cpu import Machine, MachineConfig  # noqa: E402
+from repro.cpu.compiled import run_records  # noqa: E402
 from repro.ir import IRBuilder, Module
 from repro.ir import types as T
 
@@ -80,3 +81,23 @@ def build_expr_fn(ret_ty, body):
     fn, b = make_function(module, "f", ret_ty, [])
     b.ret(body(b))
     return module
+
+
+#: Differential tiers: the reference interpreter (the oracle), the
+#: compiled engine's record path on its own (every frame on the record
+#: functions, no segment), and the compiled engine.
+TIERS = ("reference", "records", "compiled")
+
+
+def tier_config(tier: str, **kwargs) -> MachineConfig:
+    """MachineConfig for one differential tier (see :data:`TIERS`)."""
+    return MachineConfig(engine="compiled" if tier == "records" else tier,
+                         **kwargs)
+
+
+def run_tier(machine: Machine, tier: str, entry: str, args=()):
+    """``machine.run(entry, args)`` on one tier: "records" runs it
+    through :func:`repro.cpu.compiled.run_records`."""
+    if tier == "records":
+        return run_records(machine, entry, args)
+    return machine.run(entry, args)

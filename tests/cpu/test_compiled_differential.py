@@ -1,23 +1,26 @@
-"""Differential fuzz: the compiled execution core vs decoded vs reference.
+"""Differential fuzz: the compiled engine and its record path vs the
+reference interpreter.
 
 Randomly generated small modules — nested branches, counted loops,
 defined calls (pure leaves the segment compiler inlines and impure
 helpers it must really suspend around), intrinsics, memory traffic,
-float arithmetic, and trapping division — run through every engine
-tier, through mid-run capture/resume, and through every registered
-fault model, including plans aimed at the
-site shapes where fault-armed segments hand over to the record path.
+float arithmetic, and trapping division — run through every tier
+(reference, the record path alone, compiled), through mid-run
+capture/resume, and through every registered fault model, including
+plans aimed at the site shapes where fault-armed segments hand over to
+the record path.
 Outcomes, output streams, stream counters, and architectural counters
 must be bit-identical everywhere: the compiled core is admissible only
 as a pure performance change.
 
-The file also pins the compiled core's supporting machinery: the
-engine registry (``MachineConfig.engine`` validation,
-``register_engine``), the two-tier compiled-code cache (warm compiles
-are 100% hits in-process and across processes; damaged disk entries
-are recompiled, never trusted), and the ``engine-compile`` lab event.
+The file also pins the compiled core's supporting machinery:
+``MachineConfig.engine`` validation, the two-tier compiled-code cache
+(warm compiles are 100% hits in-process and across processes; damaged
+disk entries are recompiled, never trusted), counted segment
+fallbacks, and the ``engine-compile`` lab event.
 """
 
+import contextlib
 import json
 import marshal
 import os
@@ -32,18 +35,19 @@ import repro.cpu.compiled as compiled_mod
 import repro.faults.campaign as campaign_mod
 from repro.cpu import Machine, MachineConfig
 from repro.cpu.compiled import (
+    _RECORD_VARIANT,
+    _RecordPath,
     add_compile_hook,
     capture_state,
     code_cache_clear,
+    ensure_compiled,
     remove_compile_hook,
     resume_run,
+    run_records,
     run_resumable,
 )
-from repro.cpu.interpreter import (
-    FaultPlan,
-    register_engine,
-    registered_engines,
-)
+from repro.cpu.engine import decoded_module
+from repro.cpu.interpreter import FaultPlan
 from repro.cpu.intrinsics import rt_print_i64
 from repro.faults import (
     CampaignConfig,
@@ -61,9 +65,7 @@ from repro.snap.placement import CapturePolicy
 from repro.toolchain.cache import ArtifactCache, seal
 from repro.workloads import ALL
 
-from ..conftest import make_function
-
-ENGINES = ("reference", "decoded", "compiled")
+from ..conftest import TIERS, make_function, run_tier, tier_config
 
 PURE_OPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr")
 CMPS = ("eq", "ne", "ult", "ule", "slt", "sle", "sgt", "uge")
@@ -159,7 +161,7 @@ def build_random_module(seed, trap=False):
 
 def _observe(module, entry, args, engine, collect_timing=True, plan=None,
              max_instructions=None, count_only=False, fault_eligible=None):
-    config = MachineConfig(engine=engine, collect_timing=collect_timing)
+    config = tier_config(engine, collect_timing=collect_timing)
     if max_instructions is not None:
         config.max_instructions = max_instructions
     if fault_eligible is not None:
@@ -171,8 +173,8 @@ def _observe(module, entry, args, engine, collect_timing=True, plan=None,
         machine.arm_fault(plan)
     exc = result = None
     try:
-        result = machine.run(entry, args)
-    except Exception as err:  # classified below; engines must agree
+        result = run_tier(machine, engine, entry, args)
+    except Exception as err:  # classified below; tiers must agree
         exc = (type(err).__name__, str(err))
     observed = {
         "exc": exc,
@@ -181,8 +183,8 @@ def _observe(module, entry, args, engine, collect_timing=True, plan=None,
     }
     if plan is not None or count_only:
         # The eligible-stream counters are maintained by the reference
-        # interpreter unconditionally but by the accelerated engines
-        # only for armed or count_only runs (pure bookkeeping skip).
+        # interpreter unconditionally but by the compiled engine only
+        # for armed or count_only runs (pure bookkeeping skip).
         observed["streams"] = (
             machine.eligible_executed, machine.mem_accesses_eligible,
             machine.cond_branches_eligible, machine.checker_sites_executed)
@@ -202,10 +204,10 @@ def test_random_modules_identical_across_engines(seed):
     add_compile_hook(payloads.append)
     try:
         runs = {engine: _observe(module, entry, args, engine)
-                for engine in ENGINES}
+                for engine in TIERS}
     finally:
         remove_compile_hook(payloads.append)
-    assert runs["decoded"] == runs["reference"]
+    assert runs["records"] == runs["reference"]
     assert runs["compiled"] == runs["reference"]
     # The compiled run must actually have compiled something — an
     # all-fallback run would make this test vacuous.
@@ -219,8 +221,8 @@ def test_armed_random_runs_identical_across_engines(seed):
     module, entry, args = build_random_module(seed)
     golden = {engine: _observe(module, entry, args, engine,
                                collect_timing=False, count_only=True)
-              for engine in ENGINES}
-    assert golden["decoded"] == golden["reference"]
+              for engine in TIERS}
+    assert golden["records"] == golden["reference"]
     assert golden["compiled"] == golden["reference"]
     eligible = golden["reference"]["streams"][0]
     budget = golden["reference"]["counters"]["instructions"] * 4 + 1000
@@ -231,8 +233,8 @@ def test_armed_random_runs_identical_across_engines(seed):
         runs = {engine: _observe(module, entry, args, engine,
                                  collect_timing=False, plan=plan,
                                  max_instructions=budget)
-                for engine in ENGINES}
-        assert runs["decoded"] == runs["reference"], plan
+                for engine in TIERS}
+        assert runs["records"] == runs["reference"], plan
         assert runs["compiled"] == runs["reference"], plan
 
 
@@ -240,10 +242,10 @@ def test_armed_random_runs_identical_across_engines(seed):
 def test_trapping_modules_identical_across_engines(seed):
     module, entry, args = build_random_module(seed, trap=True)
     runs = {engine: _observe(module, entry, args, engine)
-            for engine in ENGINES}
+            for engine in TIERS}
     assert runs["reference"]["exc"] is not None
     assert runs["reference"]["exc"][0] == "ArithmeticFault"
-    assert runs["decoded"] == runs["reference"]
+    assert runs["records"] == runs["reference"]
     assert runs["compiled"] == runs["reference"]
 
 
@@ -255,10 +257,10 @@ def test_budget_exhaustion_identical_across_engines(budget):
     module, entry, args = build_random_module(2)
     runs = {engine: _observe(module, entry, args, engine,
                              max_instructions=budget)
-            for engine in ENGINES}
+            for engine in TIERS}
     assert runs["reference"]["exc"] is not None
     assert runs["reference"]["exc"][0] == "HangError"
-    assert runs["decoded"] == runs["reference"]
+    assert runs["records"] == runs["reference"]
     assert runs["compiled"] == runs["reference"]
 
 
@@ -296,11 +298,38 @@ def test_compiled_resume_mid_run_matches_straight_run(seed, at):
     assert result.counters.as_dict() == reference.counters.as_dict()
 
 
+@contextlib.contextmanager
+def _runs_on_records():
+    """Route every compiled ``Machine.run`` — including the ones the
+    campaign code makes — through the record path, as
+    :func:`run_records` does for a single run."""
+    real = compiled_mod.run_resumable
+
+    def on_records(M, fn_name, args=(), capture=None):
+        return real(M, fn_name, args, _RecordPath(capture))
+
+    compiled_mod.run_resumable = on_records
+    try:
+        yield
+    finally:
+        compiled_mod.run_resumable = real
+
+
+def _run_plans_on(tier, module, *args, **kwargs):
+    campaign_mod._SESSION_TLS.__dict__.clear()
+    module._golden_cache.clear()
+    engine = "compiled" if tier == "records" else tier
+    runs = _runs_on_records() if tier == "records" else contextlib.nullcontext()
+    with runs:
+        return run_plans(module, *args, engine=engine, **kwargs)
+
+
 @pytest.mark.parametrize("seed", [0, 4])
 @pytest.mark.parametrize("model", model_names())
 def test_fault_models_identical_per_plan(seed, model):
     """Every fault model, on hardened random code: the per-plan outcome
-    *list* — reference, decoded and compiled — must be bit-identical."""
+    *list* — reference, record path and compiled — must be
+    bit-identical."""
     module, entry, args = build_random_module(seed)
     module = elzar_transform(mem2reg(module))
     golden = Machine(module, MachineConfig(engine="compiled",
@@ -311,20 +340,17 @@ def test_fault_models_identical_per_plan(seed, model):
     cfg = CampaignConfig(injections=6, seed=seed + 17, fault_model=model)
     plans = draw_model_plans(profile, cfg)
 
-    outcomes = {}
-    for engine in ("reference", "decoded", "compiled"):
-        campaign_mod._SESSION_TLS.__dict__.clear()
-        module._golden_cache.clear()
-        outcomes[engine] = run_plans(module, entry, args, plans, reference,
-                                     budget, engine=engine,
-                                     fault_model=model, snap=False)
-    assert outcomes["compiled"] == outcomes["decoded"], model
+    outcomes = {tier: _run_plans_on(tier, module, entry, args, plans,
+                                    reference, budget, fault_model=model,
+                                    snap=False)
+                for tier in TIERS}
+    assert outcomes["compiled"] == outcomes["records"], model
     assert outcomes["compiled"] == outcomes["reference"], model
 
 
 def test_fault_plans_with_snap_resume_identical():
     """Checkpoint-resumed injection on the compiled engine returns the
-    exact outcome list of from-scratch decoded injection."""
+    exact outcome list of from-scratch injection on the record path."""
     module, entry, args = build_random_module(3)
     module = elzar_transform(mem2reg(module))
     golden = Machine(module, MachineConfig(engine="compiled",
@@ -335,40 +361,56 @@ def test_fault_plans_with_snap_resume_identical():
     cfg = CampaignConfig(injections=10, seed=29)
     plans = draw_model_plans(profile, cfg)
 
-    outcomes = {}
-    for engine, snap in (("decoded", False), ("compiled", True)):
-        campaign_mod._SESSION_TLS.__dict__.clear()
-        module._golden_cache.clear()
-        outcomes[(engine, snap)] = run_plans(
-            module, entry, args, plans, reference, budget,
-            engine=engine, snap=snap)
-    assert outcomes[("compiled", True)] == outcomes[("decoded", False)]
+    scratch = _run_plans_on("records", module, entry, args, plans,
+                            reference, budget, snap=False)
+    resumed = _run_plans_on("compiled", module, entry, args, plans,
+                            reference, budget, snap=True)
+    assert resumed == scratch
 
 
 def test_machine_config_rejects_unknown_engine():
     with pytest.raises(ValueError, match="unknown engine"):
         MachineConfig(engine="jit")
-    # The error names the registered engines so the fix is self-evident.
+    # The retired record-only engine is gone: run_records replaces it.
+    with pytest.raises(ValueError, match="unknown engine"):
+        MachineConfig(engine="decoded")
+    # The error names the engines so the fix is self-evident.
     try:
         MachineConfig(engine="jit")
     except ValueError as exc:
-        for name in ("reference", "decoded", "compiled"):
+        for name in ("reference", "compiled"):
             assert name in str(exc)
 
 
-def test_register_engine_round_trip():
-    from repro.cpu.interpreter import _ENGINE_SPECS
+def test_segment_fallback_is_counted_and_identical(monkeypatch):
+    """A function whose segment emission fails runs on the record path:
+    one counted fallback, bit-identical results — and a raise instead
+    under ``REPRO_COMPILED_STRICT``."""
+    module, entry, args = _gep_trap_module()
+    want = _observe(module, entry, args, "reference")
 
-    assert set(ENGINES) <= set(registered_engines())
-    register_engine("experimental", ("repro.cpu.compiled", "run_decoded"))
+    def broken(*args, **kwargs):
+        raise RuntimeError("segment emitter bug")
+
+    monkeypatch.setattr(compiled_mod, "_emit_function", broken)
+    monkeypatch.setattr(compiled_mod, "STRICT_COMPILE", False)
+    payloads = []
+    add_compile_hook(payloads.append)
     try:
-        assert "experimental" in registered_engines()
-        module, entry, args = build_random_module(6)
-        got = _observe(module, entry, args, "experimental")
-        want = _observe(module, entry, args, "decoded")
-        assert got == want
+        got = _observe(module, entry, args, "compiled")
     finally:
-        _ENGINE_SPECS.pop("experimental", None)
+        remove_compile_hook(payloads.append)
+    assert got == want
+    segments = [p for p in payloads if p["variant"] == "timing"]
+    assert [p["fallbacks"] for p in segments] == [1]
+    assert segments[0]["segments"] == 0
+    assert all(p["fallbacks"] == 0 for p in payloads
+               if p["variant"] == "timing-records")
+
+    monkeypatch.setattr(compiled_mod, "STRICT_COMPILE", True)
+    module, entry, args = _gep_trap_module()
+    with pytest.raises(RuntimeError, match="segment emitter bug"):
+        Machine(module, MachineConfig()).run(entry, args)
 
 
 @pytest.fixture
@@ -541,7 +583,8 @@ def test_durable_campaign_emits_engine_compile_event():
     payload = compiles[0].data
     for key in ("digest", "digest_unavailable", "variant", "functions",
                 "blocks", "segments", "compile_ms", "code_hits",
-                "code_misses", "code_disk_hits", "code_invalid"):
+                "code_misses", "code_disk_hits", "code_invalid",
+                "fallbacks"):
         assert key in payload, key
     assert payload["segments"] > 0
     assert payload["digest_unavailable"] == 0
@@ -565,9 +608,59 @@ def test_region_trap_after_gep_identical_across_engines():
     block exactly."""
     module, entry, args = _gep_trap_module()
     runs = {engine: _observe(module, entry, args, engine)
-            for engine in ENGINES}
+            for engine in TIERS}
     assert runs["reference"]["exc"][0] == "MemoryFault"
     assert runs["compiled"] == runs["reference"]
+
+
+def _raiser_module(shape):
+    """A loop whose third iteration reaches a record the reference
+    fails on before doing any work: a call to an undefined function,
+    an operand it cannot resolve (a value of another function), an
+    instruction class it cannot execute (an interior phi), or a
+    terminator whose operand it cannot resolve."""
+    module = Module(f"raiser-{shape}")
+    other, ob = make_function(module, "other", T.I64, [T.I64])
+    foreign = ob.add(other.args[0], ob.i64(1))
+    ob.ret(foreign)
+    ext = module.declare_function("mystery.fn",
+                                  T.FunctionType(T.I64, (T.I64,)))
+    fn, b = make_function(module, "main", T.I64, [T.I64])
+    buf = b.alloca(T.I64, count=4)
+    loop = b.begin_loop(b.i64(0), b.i64(4))
+    v = b.add(fn.args[0], loop.index)
+    b.store(v, b.gep(T.I64, buf, b.and_(loop.index, b.i64(3))))
+    state = b.begin_if(b.icmp("eq", loop.index, b.i64(2)))
+    if shape == "undefined-callee":
+        b.call(ext, [v])
+    elif shape == "undefined-value":
+        b.add(foreign, v)
+    elif shape == "interior-phi":
+        w = b.mul(v, b.i64(3))
+        b.block.insert(b.block.instructions.index(w) + 1, PhiInst(T.I64))
+    elif shape == "ret-undefined":
+        b.ret(foreign)
+        b.position_at_end(fn.append_block("dead"))
+    b.end_if(state)
+    b.end_loop(loop)
+    b.ret(b.load(T.I64, buf))
+    return module, "main", [5]
+
+
+@pytest.mark.parametrize("shape", ["undefined-callee", "undefined-value",
+                                   "interior-phi", "ret-undefined"])
+def test_raiser_records_identical_across_tiers(shape):
+    """Records the reference fails on before doing any work raise the
+    same exception, with the same message and exact partial counters,
+    on every tier."""
+    module, entry, args = _raiser_module(shape)
+    for timing in (False, True):
+        runs = {tier: _observe(module, entry, args, tier,
+                               collect_timing=timing)
+                for tier in TIERS}
+        assert runs["reference"]["exc"] is not None, shape
+        assert runs["records"] == runs["reference"], (shape, timing)
+        assert runs["compiled"] == runs["reference"], (shape, timing)
 
 
 # --- Armed segments: fault-armed frames on compiled code ----------------
@@ -713,8 +806,8 @@ def test_count_only_streams_identical_on_armed_segments(timing):
     for name, module, entry, args in _armed_modules():
         runs = {engine: _observe(module, entry, args, engine,
                                  collect_timing=timing, count_only=True)
-                for engine in ENGINES}
-        assert runs["decoded"] == runs["reference"], name
+                for engine in TIERS}
+        assert runs["records"] == runs["reference"], name
         assert runs["compiled"] == runs["reference"], name
 
 
@@ -724,21 +817,62 @@ def test_capture_bytes_identical_across_engines():
     module, entry, args = build_random_module(3)
     module = elzar_transform(mem2reg(module))
     blobs = {}
-    for engine in ("decoded", "compiled"):
-        machine = Machine(module, MachineConfig(engine=engine))
+    for tier, run in (("records", run_records),
+                      ("compiled", run_resumable)):
+        machine = Machine(module, MachineConfig())
         machine.count_only = True
         policy = CapturePolicy({"": 7}, limit=1000)
-        run_resumable(machine, entry, args, capture=policy)
-        blobs[engine] = [serialize_state(s, machine)
-                         for s in policy.states]
-    assert len(blobs["decoded"]) > 10
-    assert blobs["compiled"] == blobs["decoded"]
+        run(machine, entry, args, capture=policy)
+        blobs[tier] = [serialize_state(s, machine) for s in policy.states]
+    assert len(blobs["records"]) > 10
+    assert blobs["compiled"] == blobs["records"]
+
+
+def test_run_records_runs_every_record_on_the_record_path(monkeypatch):
+    """``run_records`` is the record path alone: every executed body
+    record goes through its record function (the rest of the dynamic
+    instructions are terminators and defined-call pushes)."""
+    module, entry, args = build_random_module(4)
+    module = elzar_transform(mem2reg(module))
+    machine = Machine(module, MachineConfig(collect_by_opcode=True))
+    dmod = decoded_module(module, machine.config.cost_model,
+                          machine.globals_addr)
+    dmod.function(module.get_function(entry))
+    ensure_compiled(dmod, _RECORD_VARIANT)
+    calls = [0]
+
+    def counted(record):
+        def wrapper(*args):
+            calls[0] += 1
+            return record(*args)
+        return wrapper
+
+    for dfn in dmod._functions.values():
+        for db in dfn.blocks:
+            db.compiled[_RECORD_VARIANT] = tuple(
+                None if r is None else counted(r)
+                for r in db.compiled[_RECORD_VARIANT])
+    pushes = [0]
+    real_push = compiled_mod.push_frame
+
+    def push_frame(*args):
+        pushes[0] += 1
+        return real_push(*args)
+
+    monkeypatch.setattr(compiled_mod, "push_frame", push_frame)
+    result = run_records(machine, entry, args)
+    by_op = result.counters.by_opcode
+    terminators = by_op.get("br", 0) + by_op.get("ret", 0)
+    defined_calls = pushes[0] - 1  # the root frame is no call
+    assert defined_calls > 0
+    assert calls[0] == result.counters.instructions - terminators \
+        - defined_calls
 
 
 def test_armed_injection_runs_mostly_on_segments():
     """Guard on the fast path itself: an armed fi-scale histogram/elzar
-    injection executes under 10% of its instructions through decoded
-    record handlers — the rest on armed segments."""
+    injection executes under 10% of its instructions through record
+    functions — the rest on armed segments."""
     built = ALL["histogram"].build_at("fi")
     module = elzar_transform(mem2reg(built.module))
     golden = Machine(module, MachineConfig(collect_timing=False))
@@ -746,17 +880,21 @@ def test_armed_injection_runs_mostly_on_segments():
     golden.run(built.entry, built.args)
     eligible = golden.eligible_executed
     dmod = next(iter(module._decoded_cache.values()))
+    plain_records = _RECORD_VARIANT + 1
+    ensure_compiled(dmod, plain_records)
     calls = [0]
 
-    def counted(handler):
+    def counted(record):
         def wrapper(*args):
             calls[0] += 1
-            return handler(*args)
+            return record(*args)
         return wrapper
 
     for dfn in dmod._functions.values():
         for db in dfn.blocks:
-            db.body = tuple(counted(h) for h in db.body)
+            db.compiled[plain_records] = tuple(
+                None if r is None else counted(r)
+                for r in db.compiled[plain_records])
     machine = Machine(module, MachineConfig(collect_timing=False))
     machine.arm_fault(FaultPlan(target_index=eligible // 2, bit=7, lane=1))
     machine.run(built.entry, built.args)

@@ -1,13 +1,16 @@
-"""Differential tests: pre-decoded engine vs reference interpreter.
+"""Differential tests: the compiled engine's record path vs the
+reference interpreter.
 
-The decoded engine (``repro.cpu.engine``) is a pure performance
-optimisation — for every workload it must reproduce the reference
-interpreter *bit for bit*: outputs, every architectural counter
-(instructions, uops, loads, stores, branches, cache hierarchy, branch
-misses, by-opcode histogram), cycle counts, ILP, and the fault-injection
-observables (eligible counts, injection site, outcome). These tests
-sweep all 14 kernels, the three case-study apps, hardened builds, and
-armed fault runs through both engines and require exact equality.
+The record path — the trampoline running one emitted function per
+decoded record (``repro.cpu.compiled.run_records``) — is what the
+compiled engine falls back to wherever segments cannot run, so for
+every workload it must reproduce the reference interpreter *bit for
+bit*: outputs, every architectural counter (instructions, uops, loads,
+stores, branches, cache hierarchy, branch misses, by-opcode histogram),
+cycle counts, ILP, and the fault-injection observables (eligible
+counts, injection site, outcome). These tests sweep all 14 kernels, the
+three case-study apps, hardened builds, and armed fault runs through
+both and require exact equality.
 """
 
 import random
@@ -30,12 +33,14 @@ from repro.passes import elzar_transform, mem2reg
 from repro.workloads import ALL
 from repro.workloads.registry import BENCHMARKS
 
+from ..conftest import run_tier, tier_config
+
 KERNELS = [w.name for w in BENCHMARKS]
 
 
 def run_engine(module, entry, args, engine, collect_timing=True, plan=None,
                max_instructions=None):
-    config = MachineConfig(engine=engine, collect_timing=collect_timing)
+    config = tier_config(engine, collect_timing=collect_timing)
     if max_instructions is not None:
         config.max_instructions = max_instructions
     machine = Machine(module, config)
@@ -44,8 +49,8 @@ def run_engine(module, entry, args, engine, collect_timing=True, plan=None,
     outcome = None
     result = None
     try:
-        result = machine.run(entry, args)
-    except Exception as exc:  # classified later; both engines must match
+        result = run_tier(machine, engine, entry, args)
+    except Exception as exc:  # classified later; both tiers must match
         outcome = (type(exc).__name__, str(exc))
     return machine, result, outcome
 
@@ -53,18 +58,18 @@ def run_engine(module, entry, args, engine, collect_timing=True, plan=None,
 def assert_identical(module, entry, args, collect_timing=True):
     _, ref, ref_exc = run_engine(module, entry, args, "reference",
                                  collect_timing)
-    _, dec, dec_exc = run_engine(module, entry, args, "decoded",
+    _, rec, rec_exc = run_engine(module, entry, args, "records",
                                  collect_timing)
-    assert dec_exc == ref_exc
+    assert rec_exc == ref_exc
     if ref is None:
         return None, None
-    assert dec.value == ref.value
-    assert dec.output == ref.output
-    assert dec.counters.as_dict() == ref.counters.as_dict()
+    assert rec.value == ref.value
+    assert rec.output == ref.output
+    assert rec.counters.as_dict() == ref.counters.as_dict()
     if collect_timing:
-        assert dec.cycles == ref.cycles
-        assert dec.ilp == ref.ilp
-    return dec, ref
+        assert rec.cycles == ref.cycles
+        assert rec.ilp == ref.ilp
+    return rec, ref
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -111,7 +116,7 @@ def test_armed_runs_identical(name):
         plan = FaultPlan(target_index=rng.randrange(eligible),
                          bit=rng.randrange(64), lane=rng.randrange(4))
         runs = {}
-        for engine in ("reference", "decoded"):
+        for engine in ("reference", "records"):
             machine, result, exc = run_engine(
                 module, entry, args, engine, collect_timing=False,
                 plan=plan, max_instructions=executed * 4,
@@ -124,13 +129,13 @@ def test_armed_runs_identical(name):
                 result.output if result else None,
                 machine.counters.as_dict(),
             )
-        assert runs["decoded"] == runs["reference"], plan
+        assert runs["records"] == runs["reference"], plan
 
 
 @pytest.mark.parametrize("model", model_names())
 def test_fault_models_identical_per_plan(model):
     """For every registered fault model, the interpreter and the
-    decoded engine must classify the identical per-plan observables:
+    record path must classify the identical per-plan observables:
     same streams counted, same injection site, same output or trap.
     This is the contract that lets the durable store share shard rows
     between engines."""
@@ -143,7 +148,7 @@ def test_fault_models_identical_per_plan(model):
     budget = profile.executed * 4 + 10_000
     for plan in plans:
         runs = {}
-        for engine in ("reference", "decoded"):
+        for engine in ("reference", "records"):
             machine, result, exc = run_engine(
                 module, entry, args, engine, collect_timing=False,
                 plan=plan, max_instructions=budget,
@@ -159,7 +164,7 @@ def test_fault_models_identical_per_plan(model):
                 tuple(result.output) if result else None,
                 machine.counters.corrections,
             )
-        assert runs["decoded"] == runs["reference"], (model, plan)
+        assert runs["records"] == runs["reference"], (model, plan)
 
 
 @pytest.mark.parametrize("model", model_names())
@@ -169,30 +174,31 @@ def test_fault_model_campaign_counts_identical(model):
     built = ALL["histogram"].build_at("test")
     module = elzar_transform(mem2reg(built.module))
     counts = {}
-    for engine in ("reference", "decoded"):
+    for engine in ("reference", "compiled"):
         cfg = CampaignConfig(injections=12, seed=21, fault_model=model,
                              engine=engine)
         result = run_campaign(module, built.entry, built.args, "h", "elzar",
                               cfg)
         assert result.fault_model == model
         counts[engine] = dict(result.counts)
-    assert counts["decoded"] == counts["reference"]
+    assert counts["compiled"] == counts["reference"]
 
 
 def test_count_only_mode_matches_engines():
     """count_only profiles the eligible stream without arming a fault,
-    identically on both engines and identically to an armed run."""
+    identically on the reference and the record path and identically
+    to an armed run."""
     built = ALL["kmeans"].build_at("test")
     counts = {}
-    for engine in ("reference", "decoded"):
+    for engine in ("reference", "records"):
         machine = Machine(built.module,
-                          MachineConfig(engine=engine, collect_timing=False))
+                          tier_config(engine, collect_timing=False))
         machine.count_only = True
-        result = machine.run(built.entry, built.args)
+        result = run_tier(machine, engine, built.entry, built.args)
         assert not machine.fault_injected
         counts[engine] = (machine.eligible_executed, tuple(result.output))
-    assert counts["decoded"] == counts["reference"]
-    assert counts["decoded"][0] > 0
+    assert counts["records"] == counts["reference"]
+    assert counts["records"][0] > 0
 
 
 def test_golden_run_has_no_sentinel_plan():

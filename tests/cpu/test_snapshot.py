@@ -51,7 +51,7 @@ class TestSnapshotRoundTrip:
     @pytest.mark.parametrize("name,version", WORKLOADS)
     def test_restore_then_run_is_bit_identical(self, name, version):
         module, entry, args = build(name, version)
-        machine = Machine(module, MachineConfig(engine="decoded"))
+        machine = Machine(module, MachineConfig())
         snap = machine.snapshot()
         first = observe(machine, entry, args)
         # The first run dirtied heap, counters, caches; restore must
@@ -62,16 +62,16 @@ class TestSnapshotRoundTrip:
 
     def test_restore_equals_fresh_machine(self):
         module, entry, args = build("histogram", "elzar")
-        machine = Machine(module, MachineConfig(engine="decoded"))
+        machine = Machine(module, MachineConfig())
         snap = machine.snapshot()
         observe(machine, entry, args)
         machine.restore(snap)
-        fresh = Machine(module, MachineConfig(engine="decoded"))
+        fresh = Machine(module, MachineConfig())
         assert observe(machine, entry, args) == observe(fresh, entry, args)
 
     def test_repeated_restores_stay_identical(self):
         module, entry, args = build("histogram", "native")
-        machine = Machine(module, MachineConfig(engine="decoded"))
+        machine = Machine(module, MachineConfig())
         snap = machine.snapshot()
         runs = []
         for _ in range(3):
@@ -89,7 +89,7 @@ class TestSnapshotRoundTrip:
         # snapshot() captures armed-but-unfired plans; a restored run
         # must fire the same fault at the same dynamic site.
         module, entry, args = build("histogram", "elzar")
-        machine = Machine(module, MachineConfig(engine="decoded"))
+        machine = Machine(module, MachineConfig())
         machine.arm_fault(plan)
         snap = machine.snapshot()
         first = observe(machine, entry, args)
@@ -101,7 +101,7 @@ class TestSnapshotRoundTrip:
         # the machine with live frames and a half-written heap; restore
         # must still recover a clean golden run.
         module, entry, args = build("histogram", "native")
-        machine = Machine(module, MachineConfig(engine="decoded"))
+        machine = Machine(module, MachineConfig())
         snap = machine.snapshot()
         golden = observe(machine, entry, args)
         assert golden[0] == "ok"
@@ -141,8 +141,8 @@ class TestResumableTrampoline:
     @pytest.mark.parametrize("name,version", WORKLOADS)
     def test_trampoline_matches_recursive(self, name, version):
         module, entry, args = build(name, version)
-        rec = Machine(module, MachineConfig(engine="decoded"))
-        tram = Machine(module, MachineConfig(engine="decoded"))
+        rec = Machine(module, MachineConfig())
+        tram = Machine(module, MachineConfig())
         r1 = rec.run(entry, args)
         r2 = run_resumable(tram, entry, args)
         assert list(r1.output) == list(r2.output)
@@ -157,8 +157,8 @@ class TestResumableTrampoline:
     ])
     def test_trampoline_matches_across_configs(self, kwargs):
         module, entry, args = build("histogram", "elzar")
-        rec = Machine(module, MachineConfig(engine="decoded", **kwargs))
-        tram = Machine(module, MachineConfig(engine="decoded", **kwargs))
+        rec = Machine(module, MachineConfig(**kwargs))
+        tram = Machine(module, MachineConfig(**kwargs))
         r1 = rec.run(entry, args)
         r2 = run_resumable(tram, entry, args)
         assert list(r1.output) == list(r2.output)
@@ -168,11 +168,9 @@ class TestResumableTrampoline:
     @pytest.mark.parametrize("name,version", WORKLOADS)
     def test_trampoline_count_only_streams_match(self, name, version):
         module, entry, args = build(name, version)
-        rec = Machine(module, MachineConfig(engine="decoded",
-                                            collect_timing=False))
+        rec = Machine(module, MachineConfig(collect_timing=False))
         rec.count_only = True
-        tram = Machine(module, MachineConfig(engine="decoded",
-                                             collect_timing=False))
+        tram = Machine(module, MachineConfig(collect_timing=False))
         tram.count_only = True
         r1 = rec.run(entry, args)
         run_resumable(tram, entry, args)
@@ -182,9 +180,9 @@ class TestResumableTrampoline:
     def test_trampoline_faulted_run_matches_recursive(self):
         module, entry, args = build("histogram", "elzar")
         plan = FaultPlan(target_index=40, bit=62, lane=2)
-        rec = Machine(module, MachineConfig(engine="decoded"))
+        rec = Machine(module, MachineConfig())
         rec.arm_fault(plan)
-        tram = Machine(module, MachineConfig(engine="decoded"))
+        tram = Machine(module, MachineConfig())
         tram.arm_fault(plan)
         r1 = rec.run(entry, args)
         r2 = run_resumable(tram, entry, args)
@@ -197,12 +195,10 @@ class TestResumableTrampoline:
         # path), resume with no plans on a second machine: the tail must
         # complete to the golden output with golden counters.
         module, entry, args = build("histogram", "elzar")
-        golden = Machine(module, MachineConfig(engine="decoded",
-                                               collect_timing=False))
+        golden = Machine(module, MachineConfig(collect_timing=False))
         reference = golden.run(entry, args)
 
-        cap = Machine(module, MachineConfig(engine="decoded",
-                                            collect_timing=False))
+        cap = Machine(module, MachineConfig(collect_timing=False))
         cap.count_only = True
         policy = _TakeOnce(at)
         run_resumable(cap, entry, args, capture=policy)
@@ -210,8 +206,7 @@ class TestResumableTrampoline:
         state = policy.states[0]
         assert state.eligible >= at
 
-        resumed = Machine(module, MachineConfig(engine="decoded",
-                                                collect_timing=False))
+        resumed = Machine(module, MachineConfig(collect_timing=False))
         result = resume_run(resumed, state, ())
         assert list(result.output) == list(reference.output)
         assert result.counters.as_dict() == reference.counters.as_dict()
@@ -220,10 +215,10 @@ class TestResumableTrampoline:
         # A run with a capture hook produces the same result as one
         # without: take() only copies.
         module, entry, args = build("blackscholes", "elzar")
-        plain = Machine(module, MachineConfig(engine="decoded"))
+        plain = Machine(module, MachineConfig())
         plain.count_only = True
         r1 = run_resumable(plain, entry, args)
-        hooked = Machine(module, MachineConfig(engine="decoded"))
+        hooked = Machine(module, MachineConfig())
         hooked.count_only = True
         policy = _TakeOnce(100)
         r2 = run_resumable(hooked, entry, args, capture=policy)
@@ -235,14 +230,12 @@ class TestResumableTrampoline:
         # One state, resumed three times on the same machine (the
         # injection-session reuse pattern): identical every time.
         module, entry, args = build("histogram", "native")
-        cap = Machine(module, MachineConfig(engine="decoded",
-                                            collect_timing=False))
+        cap = Machine(module, MachineConfig(collect_timing=False))
         cap.count_only = True
         policy = _TakeOnce(200)
         run_resumable(cap, entry, args, capture=policy)
         state = policy.states[0]
-        machine = Machine(module, MachineConfig(engine="decoded",
-                                                collect_timing=False))
+        machine = Machine(module, MachineConfig(collect_timing=False))
         plan = FaultPlan(target_index=state.eligible + 50, bit=7, lane=0)
         runs = []
         for _ in range(3):

@@ -34,7 +34,7 @@ def cell():
     return module, entry, args, reference, profile, budget
 
 
-def scalar_baseline(cell, plans, engine="decoded"):
+def scalar_baseline(cell, plans, engine="compiled"):
     module, entry, args, reference, _, budget = cell
     return [inject_once(module, entry, args, plan, reference, budget,
                         engine=engine) for plan in plans]
@@ -64,7 +64,7 @@ class TestModelMatrix:
 
     def test_reference_engine_identity(self, cell):
         # The reference interpreter behind run_plans must match both its
-        # own scalar loop and the decoded engine's, in any batching.
+        # own scalar loop and the compiled engine's, in any batching.
         profile = cell[4]
         plans = get_model("register-bitflip").draw_plans(
             profile, _PlanConfig(seed=5, injections=6))

@@ -85,21 +85,44 @@ class TestManifestDurability:
         assert load_manifest(path) is None
 
 
+def _interrupt_after_two_shards(tmp_path):
+    """Incarnation 1: the service.event chaos seam drains (SIGTERM
+    semantics) at the second completed shard, so exactly 2 of the
+    campaign's 4 shards are banked when the manifest is written.
+    Returns the interrupted campaign's id."""
+    spec = ChaosSpec(scenario="svc-restart", seed=0, rules=[
+        ChaosRule(point="service.event", action="drain",
+                  match={"kind": "shard-completed"}, after=1),
+    ])
+    service, host, port = _start(tmp_path, max_running=1)
+    client = ServiceClient(host, port, tenant="alice")
+    with chaos_active(spec):
+        submitted = client.submit(_SPEC)["id"]
+        assert service.wait_drained(timeout=120.0)
+        service.stop()
+    return submitted
+
+
+def _wait_recovered(client, resumed_from):
+    """The row the restarted service resubmitted for ``resumed_from``,
+    once it succeeded (or whatever it reached by the deadline)."""
+    recovered = None
+    deadline = time.time() + 120.0
+    while time.time() < deadline:
+        rows = client.campaigns()["campaigns"]
+        recovered = next(
+            (r for r in rows if r.get("resumed_from") == resumed_from),
+            None)
+        if recovered and recovered["status"] == "succeeded":
+            break
+        time.sleep(0.1)
+    assert recovered is not None, "manifest row was never resubmitted"
+    return recovered
+
+
 class TestColdStartRecovery:
     def test_restart_resumes_interrupted_campaign_from_store(self, tmp_path):
-        # Incarnation 1: the service.event chaos seam drains (SIGTERM
-        # semantics) at the second completed shard, so exactly 2 of the
-        # campaign's 4 shards are banked when the manifest is written.
-        spec = ChaosSpec(scenario="svc-restart", seed=0, rules=[
-            ChaosRule(point="service.event", action="drain",
-                      match={"kind": "shard-completed"}, after=1),
-        ])
-        service, host, port = _start(tmp_path, max_running=1)
-        client = ServiceClient(host, port, tenant="alice")
-        with chaos_active(spec):
-            submitted = client.submit(_SPEC)["id"]
-            assert service.wait_drained(timeout=120.0)
-            service.stop()
+        submitted = _interrupt_after_two_shards(tmp_path)
 
         manifest = load_manifest(str(tmp_path / "store.sqlite.manifest.json"))
         assert manifest is not None
@@ -114,17 +137,7 @@ class TestColdStartRecovery:
         service2, host2, port2 = _start(tmp_path, max_running=1)
         try:
             client2 = ServiceClient(host2, port2, tenant="alice")
-            recovered = None
-            deadline = time.time() + 120.0
-            while time.time() < deadline:
-                rows = client2.campaigns()["campaigns"]
-                recovered = next(
-                    (r for r in rows if r.get("resumed_from") == submitted),
-                    None)
-                if recovered and recovered["status"] == "succeeded":
-                    break
-                time.sleep(0.1)
-            assert recovered is not None, "manifest row was never resubmitted"
+            recovered = _wait_recovered(client2, submitted)
             assert recovered["status"] == "succeeded"
             result = recovered["result"]
             assert result["shards_from_store"] == 2
@@ -132,6 +145,35 @@ class TestColdStartRecovery:
             assert result["injections_from_store"] == 20
         finally:
             service2.stop()
+
+    def test_manifest_with_retired_decoded_engine_resumes_from_store(
+            self, tmp_path):
+        # Manifests written while the record-only "decoded" engine
+        # existed may name it. Recovery runs the campaign as "compiled";
+        # the engine is in no spec or store key, so the banked shards
+        # still serve it. A live POST naming "decoded" still gets 400.
+        submitted = _interrupt_after_two_shards(tmp_path)
+        path = tmp_path / "store.sqlite.manifest.json"
+        payload = json.loads(path.read_text())
+        row = next(c for c in payload["campaigns"] if c["id"] == submitted)
+        row["spec"]["engine"] = "decoded"
+        payload["checksum"] = _manifest_checksum(payload)
+        path.write_text(json.dumps(payload))
+
+        service, host, port = _start(tmp_path, max_running=1)
+        try:
+            client = ServiceClient(host, port, tenant="alice")
+            with pytest.raises(ServiceError) as exc:
+                client.submit({**_SPEC, "engine": "decoded"})
+            assert exc.value.status == 400
+            assert "unknown engine" in json.dumps(exc.value.payload)
+            recovered = _wait_recovered(client, submitted)
+            assert recovered["status"] == "succeeded"
+            result = recovered["result"]
+            assert result["shards_from_store"] == 2
+            assert result["shards_executed"] == 2
+        finally:
+            service.stop()
 
     def test_manifest_with_retired_batch_key_is_resubmitted(self, tmp_path):
         # Manifests written before the batch knob was retired carry it
@@ -153,16 +195,7 @@ class TestColdStartRecovery:
                 client.submit({**_SPEC, "batch": 4})
             assert exc.value.status == 400
             assert "unknown field" in json.dumps(exc.value.payload)
-            recovered = None
-            deadline = time.time() + 120.0
-            while time.time() < deadline:
-                recovered = next(
-                    (r for r in client.campaigns()["campaigns"]
-                     if r.get("resumed_from") == "c0001-aaaaaaaa"), None)
-                if recovered and recovered["status"] == "succeeded":
-                    break
-                time.sleep(0.1)
-            assert recovered is not None, "manifest row was never resubmitted"
+            recovered = _wait_recovered(client, "c0001-aaaaaaaa")
             assert recovered["status"] == "succeeded"
         finally:
             service.stop()

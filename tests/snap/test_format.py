@@ -41,12 +41,10 @@ def _capture(module, entry, args, config, at=400):
 
 
 CONFIGS = [
-    MachineConfig(engine="decoded", collect_timing=False),
-    MachineConfig(engine="decoded", collect_timing=True),
-    MachineConfig(engine="decoded", cache_enabled=False,
-                  collect_timing=False),
-    MachineConfig(engine="decoded", collect_by_opcode=True,
-                  collect_timing=True),
+    MachineConfig(collect_timing=False),
+    MachineConfig(collect_timing=True),
+    MachineConfig(cache_enabled=False, collect_timing=False),
+    MachineConfig(collect_by_opcode=True, collect_timing=True),
 ]
 
 
@@ -74,7 +72,7 @@ class TestRoundTrip:
         built = default_toolchain().build("histogram", "test", "elzar")
         machine, state = _capture(
             built.module, built.entry, built.args,
-            MachineConfig(engine="decoded", collect_timing=False),
+            MachineConfig(collect_timing=False),
         )
         blob = serialize_state(state, machine)
         # serialize(deserialize(blob)) == blob pins both directions.
@@ -85,7 +83,7 @@ class TestRoundTrip:
         built = default_toolchain().build("histogram", "test", "native")
         machine, state = _capture(
             built.module, built.entry, built.args,
-            MachineConfig(engine="decoded", collect_timing=False),
+            MachineConfig(collect_timing=False),
         )
         blob = serialize_state(state, machine)
         # Truncations and a bad magic must all be detected up front.

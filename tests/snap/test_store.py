@@ -67,7 +67,7 @@ class TestCheckpointKey:
         built = _built()
         from repro.cpu.interpreter import MachineConfig
 
-        mkey = machine_key(MachineConfig(engine="decoded"))
+        mkey = machine_key(MachineConfig())
         base = checkpoint_key(built.module, built.entry, ("a",), (),
                               "register-bitflip", 1000, mkey,
                               PlacementConfig().cache_key())
@@ -84,8 +84,7 @@ class TestCheckpointKey:
             checkpoint_key(
                 built.module, built.entry, ("a",), (),
                 "register-bitflip", 1000,
-                machine_key(MachineConfig(engine="decoded",
-                                          cache_enabled=False)),
+                machine_key(MachineConfig(cache_enabled=False)),
                 PlacementConfig().cache_key()),
         ]
         assert len({base, *variants}) == len(variants) + 1
@@ -94,7 +93,7 @@ class TestCheckpointKey:
         built = _built()
         from repro.cpu.interpreter import MachineConfig
 
-        mkey = machine_key(MachineConfig(engine="decoded"))
+        mkey = machine_key(MachineConfig())
         k1 = checkpoint_key(built.module, built.entry, (), (), "m", 9,
                             mkey, PlacementConfig().cache_key())
         k2 = checkpoint_key(built.module, built.entry, (), (), "m", 9,
