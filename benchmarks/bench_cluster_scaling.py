@@ -1,18 +1,33 @@
 #!/usr/bin/env python
-"""Cluster fabric scaling: campaign throughput at 1/2/4 local worker
-agents against the forked-scheduler baseline.
+"""Campaign fabrics at equal width: forked lab workers against local
+cluster agents, at 1/2/4 workers.
 
-Not a paper figure — this measures the distribution machinery itself.
-Every configuration runs the identical campaign (same seed, same
-pre-drawn shard plans) against its own fresh store, so each one really
-executes all its injections; the outcome counts must be bit-identical
-across every fabric and worker count (that is the determinism
-invariant docs/CLUSTER.md is built on, asserted here).
+Not a paper figure — this measures the distribution machinery itself,
+to answer whether local agents over the cluster protocol come close
+enough to forked workers to replace them. Every configuration runs the
+identical campaign (same seed, same pre-drawn shard plans) against its
+own fresh store, so each one really executes all its injections; the
+outcome counts must be bit-identical across every fabric and width
+(the determinism invariant docs/CLUSTER.md is built on, asserted
+here).
 
-Writes ``BENCH_cluster.json`` with per-configuration wall times,
-injections/second, and the speedup of each cluster width over the
-1-worker cluster run (the fabric's own scaling) alongside the forked
-baseline.
+Columns per configuration:
+
+- ``ready_s`` — agent spawn until every agent has handshaken with the
+  coordinator (0 for forked workers, which fork per shard inside the
+  campaign);
+- ``campaign_s`` — the campaign call itself. Agents rebuild the cell
+  and run their own golden run on their first lease, so that
+  preparation is inside this column;
+- ``end_to_end_s`` — ``ready_s + campaign_s``, with injections/second
+  and the ratio to ``forked`` at the same width over it.
+
+``forked-1`` runs the shards in-process (the scheduler forks only for
+two or more workers). An untimed warm-up campaign first puts the
+golden run, checkpoint set and compiled code into this process, and
+into the on-disk caches the agents read.
+
+Writes ``BENCH_cluster.json``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_cluster_scaling.py
 Env:  REPRO_SCALE ("perf" default -> fi-scale inputs, "test" for smoke)
@@ -30,12 +45,10 @@ from repro.cluster.coordinator import (
     run_distributed_campaign,
 )
 from repro.cluster.lease import LeasePolicy
-from repro.faults.campaign import CampaignConfig
+from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.lab.durable import run_durable_campaign
 from repro.lab.store import ResultStore
-from repro.passes.elzar import elzar_transform
-from repro.passes.mem2reg import mem2reg
-from repro.workloads import get
+from repro.toolchain import default_toolchain
 
 _SCALES = {
     # build scale, injections, shard size
@@ -43,78 +56,103 @@ _SCALES = {
     "test": ("test", 40, 5),
 }
 
-_CLUSTER_WIDTHS = (1, 2, 4)
+_WIDTHS = (1, 2, 4)
+
+#: Seconds to wait for spawned agents to handshake.
+_READY_TIMEOUT = 120.0
+
+
+def _wait_ready(coordinator: ClusterCoordinator, width: int) -> None:
+    deadline = time.monotonic() + _READY_TIMEOUT
+    while coordinator.worker_count < width:
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"only {coordinator.worker_count} of {width} "
+                               "agents connected")
+        time.sleep(0.005)
 
 
 def main() -> int:
     scale = os.environ.get("REPRO_SCALE", "perf")
     build_scale, injections, shard_size = _SCALES[scale]
 
-    built = get("histogram").build_at(build_scale)
-    module = elzar_transform(mem2reg(built.module))
-    config = CampaignConfig(injections=injections, seed=2016)
+    # The toolchain build is the one the agents rebuild from the recipe.
+    built = default_toolchain().build("histogram", build_scale, "elzar")
+    cell = (built.module, built.entry, built.args, "histogram", "elzar")
+    run_campaign(*cell, CampaignConfig(injections=shard_size, seed=2016))
 
     runs = []
     reference_counts = None
 
-    def record(label, seconds, counts):
+    def record(fabric, width, ready, seconds, counts):
         nonlocal reference_counts
         wire = {o.value: int(n) for o, n in sorted(
             counts.items(), key=lambda kv: kv[0].value)}
         if reference_counts is None:
             reference_counts = wire
         assert wire == reference_counts, \
-            f"{label}: counts diverged from baseline — {wire}"
+            f"{fabric}-{width}: counts diverged from baseline — {wire}"
+        end_to_end = ready + seconds
         runs.append({
-            "fabric": label,
-            "seconds": round(seconds, 4),
-            "injections_per_second": round(injections / max(seconds, 1e-9),
-                                           1),
+            "fabric": fabric,
+            "width": width,
+            "ready_s": round(ready, 4),
+            "campaign_s": round(seconds, 4),
+            "end_to_end_s": round(end_to_end, 4),
+            "injections_per_second": round(
+                injections / max(end_to_end, 1e-9), 1),
         })
-        print(f"{label:>14}: {seconds:6.2f}s "
+        print(f"{fabric:>8}-{width}: ready {ready:6.2f}s  campaign "
+              f"{seconds:6.2f}s  end-to-end {end_to_end:6.2f}s "
               f"({runs[-1]['injections_per_second']} inj/s)")
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = ResultStore(os.path.join(tmp, "forked.sqlite"))
-        start = time.perf_counter()
-        forked = run_durable_campaign(
-            module, built.entry, built.args, "histogram", "elzar", config,
-            store=store, shard_size=shard_size,
-        )
-        record("forked-1", time.perf_counter() - start,
-               forked.result.counts)
-        store.close()
+        for width in _WIDTHS:
+            config = CampaignConfig(injections=injections, seed=2016,
+                                    workers=width)
+            store = ResultStore(os.path.join(tmp, f"forked{width}.sqlite"))
+            try:
+                start = time.perf_counter()
+                forked = run_durable_campaign(*cell, config, store=store,
+                                              shard_size=shard_size)
+                record("forked", width, 0.0, time.perf_counter() - start,
+                       forked.result.counts)
+            finally:
+                store.close()
 
-        for width in _CLUSTER_WIDTHS:
             store = ResultStore(os.path.join(tmp, f"cluster{width}.sqlite"))
             coordinator = ClusterCoordinator(
                 store_path=store.path, policy=LeasePolicy(),
                 host="127.0.0.1", port=0,
             )
             _, port = coordinator.start()
+            start = time.perf_counter()
             procs = spawn_local_workers("127.0.0.1", port, width)
             try:
+                _wait_ready(coordinator, width)
+                ready = time.perf_counter() - start
                 start = time.perf_counter()
                 outcome = run_distributed_campaign(
-                    module, built.entry, built.args, "histogram", "elzar",
-                    config, coordinator=coordinator, build_scale=build_scale,
-                    store=store, shard_size=shard_size,
+                    *cell, config, coordinator=coordinator,
+                    build_scale=build_scale, store=store,
+                    shard_size=shard_size,
                 )
-                record(f"cluster-{width}", time.perf_counter() - start,
+                record("cluster", width, ready, time.perf_counter() - start,
                        outcome.result.counts)
             finally:
                 coordinator.stop()
                 reap_workers(procs)
                 store.close()
 
-    base = next(r for r in runs if r["fabric"] == "cluster-1")["seconds"]
+    forked_s = {r["width"]: r["end_to_end_s"] for r in runs
+                if r["fabric"] == "forked"}
     for run in runs:
-        run["speedup_vs_cluster_1"] = round(base / max(run["seconds"], 1e-9),
-                                            2)
+        run["vs_forked_same_width"] = round(
+            run["end_to_end_s"] / max(forked_s[run["width"]], 1e-9), 2)
 
     report = {
         "benchmark": "cluster_scaling",
         "scale": scale,
+        "cpus": os.cpu_count(),
         "injections": injections,
         "shard_size": shard_size,
         "counts": reference_counts,

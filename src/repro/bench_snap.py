@@ -34,7 +34,12 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from .cpu.interpreter import FaultPlan
-from .faults.campaign import golden_profile, run_plans
+from .faults.campaign import (
+    CampaignConfig,
+    golden_profile,
+    hang_budget,
+    run_plans,
+)
 from .faults.models import DEFAULT_MODEL
 from .toolchain import default_toolchain
 from .workloads.registry import FI_BENCHMARKS
@@ -78,7 +83,7 @@ def bench_cell(name: str, version: str, scale: str = "fi",
     built = default_toolchain().build(name, scale, version)
     module, entry, args = built.module, built.entry, built.args
     reference, profile = golden_profile(module, entry, args)
-    budget = int(profile.executed * 4.0) + 10_000
+    budget = hang_budget(profile.executed, CampaignConfig.hang_factor)
     plans = draw_late_plans(profile, injections, seed)
 
     _reset_campaign_state(module)

@@ -45,8 +45,8 @@ from typing import Dict, List, Optional
 #: forked lab workers inherit the armed controller directly).
 CHAOS_ENV = "REPRO_CHAOS"
 
-#: Exit status of a chaos-crashed process, distinct from the sabotage
-#: hook's 17 so traces tell them apart.
+#: Exit status of a chaos-crashed process, so a worker-death reason
+#: names the injected crash.
 CRASH_STATUS = 23
 
 

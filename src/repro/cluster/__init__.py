@@ -12,13 +12,14 @@ networked system:
 - :mod:`repro.cluster.coordinator` — asyncio coordinator that leases
   :class:`~repro.lab.checkpoint.ShardPlan`s to workers and merges
   results into the content-addressed store through a backpressured
-  writer; :func:`run_distributed_campaign` is the cluster twin of
-  :func:`repro.lab.durable.run_durable_campaign`.
+  writer; :func:`run_distributed_campaign` is the lab's campaign
+  driver (:mod:`repro.lab.durable`) with the cluster as its executor.
 - :mod:`repro.cluster.worker` — the worker agent: handshake (protocol
   version, IR digest, fault-model ``cache_key``), its own golden-run
   cache, heartbeats between injections.
 - :mod:`repro.cluster.cells` — the cell recipe both ends rebuild
-  modules from (modules never cross the wire).
+  modules from (modules never cross the wire), and the handshake
+  values both ends compute from their builds.
 - :mod:`repro.cluster.cli` — ``python -m repro cluster
   coordinator|worker``; the one-command local mode is ``python -m
   repro campaign --cluster N``.

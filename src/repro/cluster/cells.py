@@ -14,9 +14,12 @@ different counts.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
+from ..faults.models import StreamProfile, get_model
 from ..ir.module import Module
+from ..lab.checkpoint import golden_digest, module_digest
+from ..lab.store import _canonical, digest_of
 from ..toolchain import default_toolchain, get_variant, variant_names
 
 #: Version vocabulary for recipes on the wire: every registry variant
@@ -33,6 +36,25 @@ def build_cell(workload: str, build_scale: str,
     for unknown versions."""
     built = default_toolchain().build(workload, build_scale, version)
     return built.module, built.entry, built.args
+
+
+def handshake(module: Module, reference: Sequence, profile: StreamProfile,
+              fault_model: str) -> Dict[str, object]:
+    """What both ends must agree on before any shard of a cell is
+    leased: the IR digest, the golden-run digest, the fault model's
+    target population, and the digest of its ``cache_key``. The
+    coordinator computes it from its build of the cell, each worker
+    from its own, and the ``prepared`` frame carries the worker's."""
+    model = get_model(fault_model)
+    return {
+        "module_digest": module_digest(module),
+        "golden_digest": golden_digest(
+            reference, profile.eligible, profile.executed,
+            profile.mem_accesses, profile.cond_branches,
+            profile.checker_sites),
+        "population": model.population(profile),
+        "model_key": digest_of(_canonical(model.cache_key)),
+    }
 
 
 class CellCache:

@@ -40,12 +40,12 @@ settle into one-each instead of thrashing prepares). A worker switches
 cells by re-preparing, which is cheap: builds come from the worker's
 cell cache and golden runs are memoized on the module.
 
-:func:`run_distributed_campaign` is the cluster twin of
-:func:`repro.lab.durable.run_durable_campaign`: same golden run, same
-pre-drawn prefix-stable plans, same store keys, same determinism
-contract — shard plans are the unit of distribution and are never
-re-drawn, so counts are bit-identical to any forked-worker or serial
-run of the same campaign, wherever each shard lands.
+:func:`run_distributed_campaign` is the lab's campaign driver
+(:mod:`repro.lab.durable`) with this fabric as its executor: same
+golden run, same pre-drawn prefix-stable plans, same store keys, same
+determinism contract — shard plans are the unit of distribution and
+are never re-drawn, so counts are bit-identical to any forked-worker
+or serial run of the same campaign, wherever each shard lands.
 """
 
 from __future__ import annotations
@@ -59,28 +59,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..chaos.hooks import chaos_point
-from ..faults.campaign import (
-    CampaignConfig,
-    draw_model_plans,
-    golden_profile,
-)
-from ..faults.models import get_model
-from ..faults.outcomes import CampaignResult
+from ..faults.campaign import CampaignConfig
 from ..ir.module import Module
-from ..lab.checkpoint import (
-    DEFAULT_SHARD_SIZE,
-    build_spec,
-    ensure_golden,
-    golden_digest,
-    load_completed,
-    module_digest,
-    partition,
-)
-from ..lab.durable import DurableCampaign, LabRunInfo, _prefix_status
+from ..lab.checkpoint import DEFAULT_SHARD_SIZE
+from ..lab.durable import CellRun, DurableCampaign, _drive, _prefix_status
 from ..lab.events import EventBus
 from ..lab.sampling import AdaptiveStop
-from ..lab.store import LAB_SCHEMA, ResultStore, _canonical, digest_of
+from ..lab.store import LAB_SCHEMA, ResultStore, digest_of
 from ..toolchain import toolchain_digest
+from .cells import handshake
 from .lease import LeasePolicy, LeaseTable, ShardExhausted
 from .proto import (
     PROTO_VERSION,
@@ -111,17 +98,17 @@ class CellJob:
     rtol: float
     engine: str
     fault_model: str
-    #: Expected handshake values, computed from the coordinator's own
-    #: build of the cell.
+    #: Expected handshake values (:func:`repro.cluster.cells.handshake`
+    #: of the coordinator's own build of the cell).
     expected: Dict[str, object]
     #: Store keys, or None for an ephemeral (store-less) cell.
     spec_key: Optional[str]
     cell_key: Optional[str]
     #: Wire form of every *missing* shard (store hits stay local).
     shards: List[Dict]
-    #: (index, plan count) of every shard of the campaign, in order —
-    #: the adaptive stopping rule is defined over this full sequence.
-    all_indices: List[Tuple[int, int]]
+    #: Shard count of the whole campaign (indices ``0..n-1``) — the
+    #: adaptive stopping rule is defined over this full sequence.
+    shards_total: int
     #: Already-loaded counts (store hits), wire-encoded, for prefix
     #: evaluation alongside freshly committed shards.
     loaded: Dict[int, Dict[str, int]]
@@ -133,14 +120,6 @@ class CellJob:
     #: event stream out to per-campaign feeds.
     priority: int = 0
     campaign: str = ""
-
-
-@dataclass
-class _Ix:
-    """Index-only stand-in for a ShardPlan (``_prefix_status`` reads
-    nothing else)."""
-
-    index: int
 
 
 @dataclass
@@ -559,9 +538,9 @@ class ClusterCoordinator:
                 session.fail(exc)
                 return
             if session.stopper is not None and not session.stopped:
-                shards = [_Ix(i) for i, _ in job.all_indices]
                 stop, _, _ = _prefix_status(
-                    shards, session.counts_for_prefix(), session.stopper)
+                    job.shards_total, session.counts_for_prefix(),
+                    session.stopper)
                 if stop is not None:
                     session.stopped = True
                     cancelled = session.table.cancel_pending()
@@ -755,20 +734,12 @@ class ClusterCoordinator:
     @staticmethod
     def _verify_prepared(job: CellJob, message: Dict) -> Optional[str]:
         """None when the worker's build matches ours; else a reason."""
-        for key in ("module_digest", "golden_digest", "population",
-                    "model_key"):
-            ours = job.expected[key]
+        for key, ours in job.expected.items():
             theirs = message.get(key)
             if theirs != ours:
                 return (f"{key} mismatch: coordinator {ours!r}, "
                         f"worker {theirs!r} — checkouts differ?")
         return None
-
-
-def model_cache_key_digest(fault_model: str) -> str:
-    """Digest of a fault model's ``cache_key`` — the handshake form of
-    "we agree what this model does"."""
-    return digest_of(_canonical(get_model(fault_model).cache_key))
 
 
 def run_distributed_campaign(
@@ -791,9 +762,9 @@ def run_distributed_campaign(
 ) -> DurableCampaign:
     """Run one campaign cell across the coordinator's worker pool.
 
-    Drop-in twin of :func:`repro.lab.durable.run_durable_campaign`
-    with the shard scheduler replaced by lease distribution. The store
-    handling differs in one mechanical way: the coordinator's loop
+    The lab's campaign driver (:mod:`repro.lab.durable`) with the
+    cluster executor: the cell's missing shards are leased to worker
+    agents. ``store=None`` means no store. The coordinator's loop
     thread writes shards through its own SQLite connection to
     ``coordinator.store_path``, so ``store`` (used here for golden
     bookkeeping and shard loading) must point at the same file.
@@ -810,56 +781,25 @@ def run_distributed_campaign(
     cell's leases and events.
     """
     config = config or CampaignConfig()
-    events = events or EventBus()
     if config.fault_eligible is not None:
         raise ValueError(
             "distributed campaigns cannot ship fault_eligible predicates "
             "to remote workers; filter by hardening the module instead"
         )
-
-    reference, profile = golden_profile(
-        module, entry, args, None, engine=config.engine
-    )
-    if profile.eligible == 0:
-        raise ValueError(f"no eligible instructions in @{entry}")
-    plans = draw_model_plans(profile, config)
-    population = get_model(config.fault_model).population(profile)
-    shards = partition(plans, shard_size)
-
-    spec = build_spec(module, entry, args, config, population, shard_size)
-    durable = spec is not None and store is not None
-    if durable and coordinator.store_path != store.path:
+    if store is not None and coordinator.store_path != store.path:
         raise ValueError(
             f"coordinator writes to {coordinator.store_path!r} but the "
             f"campaign store is {store.path!r}; point both at one file"
         )
 
-    loaded: Dict[int, Counter] = {}
-    if durable:
-        digest = golden_digest(reference, profile.eligible, profile.executed,
-                               profile.mem_accesses, profile.cond_branches,
-                               profile.checker_sites)
-        ensure_golden(store, spec, digest, profile.eligible, profile.executed,
-                      events)
-        loaded = load_completed(store, spec, shards)
-
-    events.emit(
-        "campaign-started", workload=workload, version=version,
-        shards=len(shards), injections=len(plans), from_store=len(loaded),
-        cluster=True,
-        spec_key=spec.spec_key if durable else None,
-    )
-    for index in sorted(loaded):
-        events.emit("shard-store-hit", index=index,
-                    n=sum(loaded[index].values()))
-
-    missing = [s for s in shards if s.index not in loaded]
-    executed: Dict[int, Counter] = {}
-    if missing:
-        base = (spec.spec_key if spec is not None
+    def execute(run: CellRun) -> Dict[int, Counter]:
+        if not run.missing:
+            return {}
+        durable = run.store is not None
+        base = (run.spec.spec_key if run.spec is not None
                 else digest_of(["ephemeral", workload, version,
-                                config.seed, len(plans)]))
-        job = CellJob(
+                                config.seed, config.injections]))
+        return coordinator.run_cell(CellJob(
             # Uniquified per session: two concurrent campaigns over
             # the same spec must not collide in the coordinator's
             # routing table (their store rows still coincide).
@@ -871,69 +811,19 @@ def run_distributed_campaign(
             rtol=config.rtol,
             engine=config.engine,
             fault_model=config.fault_model,
-            expected={
-                "module_digest": module_digest(module),
-                "golden_digest": golden_digest(
-                    reference, profile.eligible, profile.executed,
-                    profile.mem_accesses, profile.cond_branches,
-                    profile.checker_sites),
-                "population": population,
-                "model_key": model_cache_key_digest(config.fault_model),
-            },
-            spec_key=spec.spec_key if durable else None,
-            cell_key=spec.cell_key if durable else None,
-            shards=[shard_to_wire(s) for s in missing],
-            all_indices=[(s.index, len(s.plans)) for s in shards],
-            loaded={i: counts_to_wire(c) for i, c in loaded.items()},
+            expected=handshake(module, run.reference, run.profile,
+                               config.fault_model),
+            spec_key=run.spec.spec_key if durable else None,
+            cell_key=run.spec.cell_key if durable else None,
+            shards=[shard_to_wire(s) for s in run.missing],
+            shards_total=len(run.shards),
+            loaded={i: counts_to_wire(c) for i, c in run.loaded.items()},
             ci_target=ci_target,
             min_injections=min_injections,
             priority=priority,
             campaign=campaign,
-        )
-        executed = coordinator.run_cell(job)
+        ))
 
-    results: Dict[int, Counter] = dict(loaded)
-    results.update(executed)
-    stopper = (AdaptiveStop(ci_target=ci_target, min_injections=min_injections)
-               if ci_target is not None else None)
-    stop_position, prefix_len, cumulative = _prefix_status(
-        shards, results, stopper)
-    if stop_position is None:
-        # A drain left a gap; count the contiguous completed prefix
-        # only (the resume path re-executes the rest).
-        stop_position = prefix_len - 1
-    if stopper is not None and stop_position < len(shards) - 1:
-        events.emit(
-            "adaptive-stop",
-            injections=sum(cumulative.values()),
-            halfwidth=stopper.max_halfwidth(cumulative),
-            target=stopper.ci_target,
-        )
-
-    used = shards[:stop_position + 1]
-    result = CampaignResult(workload=workload, version=version,
-                            fault_model=config.fault_model)
-    for shard in used:
-        result.counts.update(results[shard.index])
-
-    used_indices = {s.index for s in used}
-    info = LabRunInfo(
-        shards_total=len(shards),
-        shards_from_store=len(loaded),
-        shards_executed=len(executed),
-        injections_from_store=sum(
-            sum(c.values()) for i, c in loaded.items() if i in used_indices
-        ),
-        injections_executed=sum(sum(c.values()) for c in executed.values()),
-        injections_used=result.total,
-        stopped_early=len(used) < len(shards),
-        ci_halfwidth=(stopper.max_halfwidth(result.counts)
-                      if stopper is not None else None),
-        durable=durable,
-    )
-    events.emit(
-        "campaign-finished", workload=workload, version=version,
-        injections=result.total, executed=info.injections_executed,
-        from_store=info.injections_from_store,
-    )
-    return DurableCampaign(result=result, info=info, spec=spec)
+    return _drive(module, entry, args, workload, version, config, store,
+                  events or EventBus(), shard_size, ci_target,
+                  min_injections, execute, cluster=True)

@@ -18,14 +18,12 @@ worker that dies mid-shard simply stops heartbeating (or drops the
 connection) and the coordinator re-leases the shard elsewhere.
 
 Failure injection goes through :mod:`repro.chaos`: the worker arms a
-chaos controller from ``$REPRO_CHAOS`` on startup, and the legacy
-``$REPRO_CLUSTER_SABOTAGE`` hook (``exit:INDEX`` hard-kills on lease
-of shard INDEX at attempt 0, ``stall:INDEX:SECONDS`` goes silent past
-the lease timeout) is kept as a shorthand that compiles to the same
-chaos rules. Hook points: ``cluster.worker.lease`` (start of shard
-execution), ``cluster.worker.pre-commit`` (between execute and result
-send — the agent-crash-before-commit seam), and every outgoing frame
-via :func:`repro.cluster.proto.send_message`.
+chaos controller from ``$REPRO_CHAOS`` on startup. Hook points:
+``cluster.worker.lease`` (start of shard execution; ``crash`` kills
+the agent, ``stall`` silences it past the lease timeout),
+``cluster.worker.pre-commit`` (between execute and result send — the
+agent-crash-before-commit seam), and every outgoing frame via
+:func:`repro.cluster.proto.send_message`.
 """
 
 from __future__ import annotations
@@ -36,18 +34,14 @@ import socket
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..chaos import hooks as chaos
-from ..chaos.hooks import ChaosRule
 from ..chaos.policy import RESULT_RESEND, WORKER_CONNECT, RetryPolicy
-from ..faults.campaign import golden_profile, run_plans
-from ..faults.models import get_model
-from ..lab.checkpoint import golden_digest, module_digest
+from ..faults.campaign import golden_profile, hang_budget, run_plans
 from ..lab.store import LAB_SCHEMA
 from ..toolchain import toolchain_digest
-from .cells import CellCache
-from .coordinator import model_cache_key_digest
+from .cells import CellCache, handshake
 from .proto import (
     PROTO_VERSION,
     counts_to_wire,
@@ -55,28 +49,6 @@ from .proto import (
     recv_message,
     send_message,
 )
-
-#: Exit status of a sabotage-killed worker (distinct from a chaos
-#: ``crash``'s 23, so traces tell the two hooks apart).
-SABOTAGE_STATUS = 17
-
-
-def _parse_sabotage(text: Optional[str]) -> List[ChaosRule]:
-    """Compile the legacy ``exit:IDX`` / ``stall:IDX:SECONDS`` hook
-    into chaos rules on the ``cluster.worker.lease`` point (attempt 0
-    only, fire once — the historical semantics)."""
-    if not text:
-        return []
-    parts = text.split(":")
-    if parts[0] == "exit" and len(parts) == 2:
-        return [ChaosRule(point="cluster.worker.lease", action="sabotage-exit",
-                          match={"index": int(parts[1]), "attempt": 0})]
-    if parts[0] == "stall" and len(parts) == 3:
-        return [ChaosRule(point="cluster.worker.lease", action="stall",
-                          match={"index": int(parts[1]), "attempt": 0},
-                          seconds=float(parts[2]))]
-    raise ValueError(f"bad REPRO_CLUSTER_SABOTAGE: {text!r}")
-
 
 @dataclass
 class _CellRuntime:
@@ -117,23 +89,7 @@ class ClusterWorker:
         #: Jitter source for connect/resend backoff (timing only —
         #: never outcome-affecting).
         self._rng = random.Random()
-        self._arm_chaos()
-
-    def _arm_chaos(self) -> None:
-        """Arm a chaos controller from ``$REPRO_CHAOS`` and fold the
-        legacy sabotage hook's rules into it."""
-        sabotage = _parse_sabotage(os.environ.get("REPRO_CLUSTER_SABOTAGE"))
-        controller = chaos.activate_from_env()
-        if not sabotage:
-            return
-        if controller is None:
-            controller = chaos.activate(chaos.ChaosController(
-                chaos.ChaosSpec(scenario="sabotage", seed=0)))
-            # Controllers size their bookkeeping at construction, so
-            # append rules by rebuilding rather than mutating.
-        spec = controller.spec
-        spec.rules = list(spec.rules) + sabotage
-        chaos.activate(chaos.ChaosController(spec))
+        chaos.activate_from_env()
 
     def _say(self, text: str) -> None:
         if not self.quiet:
@@ -229,16 +185,17 @@ class ClusterWorker:
                 str(message["workload"]), str(message["build_scale"]),
                 str(message["version"]))
             engine = str(message.get("engine", "compiled"))
+            fault_model = str(message["fault_model"])
             reference, profile = golden_profile(module, entry, args, None,
                                                 engine=engine)
-            model = get_model(str(message["fault_model"]))
+            ours = handshake(module, reference, profile, fault_model)
             runtime = _CellRuntime(
                 module=module, entry=entry, args=args, reference=reference,
-                budget=(int(profile.executed
-                            * float(message["hang_factor"])) + 10_000),
+                budget=hang_budget(profile.executed,
+                                   float(message["hang_factor"])),
                 rtol=float(message["rtol"]),
                 engine=engine,
-                fault_model=str(message["fault_model"]),
+                fault_model=fault_model,
             )
         except Exception as exc:
             self._say(f"cannot prepare cell: {exc!r}")
@@ -251,13 +208,7 @@ class ClusterWorker:
         send_message(self._sock, {
             "kind": "prepared",
             "cell": cell_id,
-            "module_digest": module_digest(module),
-            "golden_digest": golden_digest(
-                reference, profile.eligible, profile.executed,
-                profile.mem_accesses, profile.cond_branches,
-                profile.checker_sites),
-            "population": model.population(profile),
-            "model_key": model_cache_key_digest(str(message["fault_model"])),
+            **ours,
             "eligible": profile.eligible,
             "executed": profile.executed,
             "golden_seconds": time.perf_counter() - started,
@@ -271,8 +222,7 @@ class ClusterWorker:
         """Consult the armed chaos controller at ``point``. A firing is
         announced to the coordinator as a ``chaos-fired`` event frame
         *before* it is performed, so even a crash firing leaves a trace
-        in the driver's event log. ``sabotage-exit`` hard-kills with
-        :data:`SABOTAGE_STATUS`; ``stall`` goes silent past the lease
+        in the driver's event log. ``stall`` goes silent past the lease
         timeout (expiry, re-lease, and the late-commit discard);
         ``crash`` dies like a power loss (exit 23)."""
         controller = chaos.active()
@@ -288,8 +238,6 @@ class ClusterWorker:
             })
         except OSError:
             pass
-        if rule.action == "sabotage-exit":
-            os._exit(SABOTAGE_STATUS)
         chaos.perform(rule)
 
     def _execute(self, lease: Dict) -> None:

@@ -18,21 +18,24 @@ Two performance layers (the paper amortized this cost across a
 - **Golden-run cache**: fault-free runs are memoized on the module,
   keyed by ``(module.version, entry, args, eligibility)``, so figure
   scripts and ablations stop repeating identical golden executions.
-- **Parallel injections**: ``run_campaign(..., workers=N)`` shards the
-  injection loop across forked worker processes. All fault plans are
+- **Parallel injections**: ``run_campaign(..., workers=N)`` is the
+  store-less call of the lab's campaign driver
+  (:mod:`repro.lab.durable`): it cuts the plan list into N shards and
+  runs them on N supervised forked workers. All fault plans are
   pre-drawn from one seeded RNG in the serial draw order, so the
   outcome counts are bit-identical for every worker count (and to the
-  serial path); platforms without ``fork`` fall back to serial.
+  serial path); platforms without ``fork`` run the shards in-process.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import random
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 from ..cpu.errors import DetectedError, HangError, Trap
@@ -227,15 +230,11 @@ def draw_model_plans(profile: StreamProfile,
     return get_model(config.fault_model).draw_plans(profile, config)
 
 
-#: Backwards-compatible alias (pre-lab internal name).
-_draw_plans = draw_plans
-
-
-# Fork-inherited campaign context: (module, entry, args, reference,
-# budget, rtol, fault_eligible, engine, fault_model, snap). Set
-# in the parent right before the pool forks; never pickled, so modules
-# and predicates need not be picklable.
-_FORK_CONTEXT = None
+def hang_budget(executed: int, hang_factor: float) -> int:
+    """Instruction budget past which an injection run counts as a hang
+    (the paper's watchdog timeout): ``hang_factor`` times the golden
+    run's instruction count, plus slack for very short runs."""
+    return int(executed * hang_factor) + 10_000
 
 
 def warm_record_path(module: Module, entry: str,
@@ -252,18 +251,6 @@ def warm_record_path(module: Module, entry: str,
                                    engine=engine), entry)
 
 
-def _run_shard(plans: List[FaultPlan]) -> List[Outcome]:
-    (module, entry, args, reference, budget, rtol, fault_eligible,
-     engine, fault_model, snap) = _FORK_CONTEXT
-    return run_plans(module, entry, args, plans, reference, budget, rtol,
-                     fault_eligible, engine=engine,
-                     fault_model=fault_model, snap=snap)
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def run_campaign(
     module: Module,
     entry: str,
@@ -276,53 +263,22 @@ def run_campaign(
     """Inject ``config.injections`` single faults into fresh executions
     of ``entry`` and classify every outcome.
 
-    ``workers`` (or ``config.workers``) > 1 shards the injections over
-    forked processes; counts are bit-identical to the serial run.
+    ``workers`` (or ``config.workers``) > 1 cuts the plans into that
+    many shards, each run by a supervised forked worker; counts are
+    bit-identical to the serial run. This is
+    :func:`repro.lab.durable.run_durable_campaign` with ``store=False``.
     """
-    global _FORK_CONTEXT
+    # Imported here: the lab sits above this package.
+    from ..lab.durable import run_durable_campaign
+
     config = config or CampaignConfig()
-    if workers is None:
-        workers = config.workers
-    workers = resolve_workers(workers)
-    reference, profile = golden_profile(
-        module, entry, args, config.fault_eligible, engine=config.engine
-    )
-    if profile.eligible == 0:
-        raise ValueError(f"no eligible instructions in @{entry}")
-    budget = int(profile.executed * config.hang_factor) + 10_000
-    plans = draw_model_plans(profile, config)
-    result = CampaignResult(workload=workload, version=version,
-                            fault_model=config.fault_model)
-
-    workers = max(1, min(workers, len(plans) or 1))
-    if workers > 1 and _fork_available():
-        # Warm the cell's checkpoint set and record functions in the
-        # parent so every forked worker inherits them (copy-on-write)
-        # instead of each re-loading, re-capturing or re-emitting them.
-        _cell_checkpoints(module, entry, args, budget, config.fault_eligible,
-                          config.fault_model, config.engine, config.snap)
-        warm_record_path(module, entry, config.fault_eligible, config.engine)
-        shards = [plans[i::workers] for i in range(workers)]
-        _FORK_CONTEXT = (module, entry, args, reference, budget,
-                         config.rtol, config.fault_eligible, config.engine,
-                         config.fault_model, config.snap)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=workers) as pool:
-                for outcomes in pool.map(_run_shard, shards):
-                    for outcome in outcomes:
-                        result.counts[outcome] += 1
-        finally:
-            _FORK_CONTEXT = None
-        return result
-
-    for outcome in run_plans(module, entry, args, plans, reference, budget,
-                             config.rtol, config.fault_eligible,
-                             engine=config.engine,
-                             fault_model=config.fault_model,
-                             snap=config.snap):
-        result.counts[outcome] += 1
-    return result
+    if workers is not None:
+        config = replace(config, workers=workers)
+    shard_size = max(1, math.ceil(config.injections
+                                  / resolve_workers(config.workers)))
+    return run_durable_campaign(module, entry, args, workload, version,
+                                config, store=False,
+                                shard_size=shard_size).result
 
 
 def trap_outcome(trap: Trap) -> Outcome:
@@ -514,7 +470,7 @@ def run_plans(
 ) -> List[Outcome]:
     """Classify a list of fault plans, in plan order, on a reused
     :class:`InjectionSession`; the shard-level entry point every fabric
-    (inline, forked, durable, distributed) runs. ``tick``, when given,
+    (in-process, forked workers, cluster agents) runs. ``tick``, when given,
     is called after every injection (cluster workers heartbeat there).
 
     ``snap`` resumes each injection from the nearest mid-run checkpoint

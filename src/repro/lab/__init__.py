@@ -21,7 +21,9 @@ study is a resumable, observable batch job rather than a one-shot loop:
 - :mod:`repro.lab.events` — the telemetry stream consumed by
   ``python -m repro campaign`` (progress, shard latency, retries, ETA).
 
-:func:`run_durable_campaign` ties these together; it is what
+:mod:`repro.lab.durable` ties these together in the one campaign
+driver every fabric runs under; :func:`run_durable_campaign` (the
+driver with the local executor) is what
 ``harness.fault_experiments.fig13_fault_injection`` and
 ``harness.ablations`` schedule onto.
 """

@@ -17,7 +17,8 @@ programmatically (see :func:`interrupt_after`).
 Event kinds emitted today:
 
 ================== ====================================================
-``campaign-started``   workload, version, shards, injections, from_store
+``campaign-started``   workload, version, shards, injections, from_store,
+                       cluster (shards leased to cluster agents)
 ``shard-store-hit``    index, n
 ``shard-completed``    index, n, seconds, counts (by outcome value)
 ``shard-retry``        index, attempt, reason

@@ -56,12 +56,6 @@ class SchedulerPolicy:
     #: Base delay before a retry; grows by ``backoff_factor`` per attempt.
     backoff: float = 0.05
     backoff_factor: float = 2.0
-    #: Accepted for back-compat only. The supervisor blocks in
-    #: ``multiprocessing.connection.wait`` on the worker pipes (waking
-    #: on results, worker death, the next shard deadline, or the next
-    #: retry becoming eligible), so idle supervision costs no CPU and
-    #: this interval is no longer used as a sleep period.
-    poll_interval: float = 0.01
 
     @property
     def retry(self) -> RetryPolicy:
@@ -75,16 +69,10 @@ class SchedulerPolicy:
                            jitter=0.0, timeout=self.timeout)
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def _shard_child(conn, runner: ShardRunner, shard: ShardPlan,
-                 sabotage, attempt: int) -> None:
+                 attempt: int) -> None:
     """Worker body: run one shard, ship counts back over the pipe."""
     try:
-        if sabotage is not None:
-            sabotage(shard.index, attempt)
         # Fork inherits the driver's armed chaos controller, so seeded
         # worker kills/stalls/errors fire here, inside the child —
         # degradation to the supervisor stays chaos-free.
@@ -131,19 +119,23 @@ class ShardScheduler:
         self.policy = policy or SchedulerPolicy()
         self.events = events or EventBus()
 
+    def width(self, shards: int) -> int:
+        """Worker processes :meth:`run` forks for ``shards`` shards; 1
+        means it runs them in-process (one worker or shard, or no
+        ``fork`` start method)."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+        return max(1, min(resolve_workers(self.policy.workers), shards))
+
     def run(self, shards: List[ShardPlan], runner: ShardRunner,
-            on_result: ResultSink, _sabotage=None) -> None:
-        """Execute ``shards`` (any order, all supervised). ``_sabotage``
-        is a test-only hook run inside workers before the runner — it
-        never executes in the supervisor, so degradation stays safe."""
-        if not shards:
-            return
-        workers = max(1, min(resolve_workers(self.policy.workers), len(shards)))
-        if workers <= 1 or not _fork_available():
+            on_result: ResultSink) -> None:
+        """Execute ``shards`` (any order, all supervised)."""
+        workers = self.width(len(shards))
+        if workers <= 1:
             for shard in shards:
                 self._run_in_process(shard, runner, on_result)
             return
-        self._run_forked(shards, runner, on_result, workers, _sabotage)
+        self._run_forked(shards, runner, on_result, workers)
 
     # In-process path ---------------------------------------------------------
 
@@ -155,12 +147,12 @@ class ShardScheduler:
 
     # Forked path -------------------------------------------------------------
 
-    def _spawn(self, ctx, shard: ShardPlan, attempt: int, runner: ShardRunner,
-               sabotage) -> _InFlight:
+    def _spawn(self, ctx, shard: ShardPlan, attempt: int,
+               runner: ShardRunner) -> _InFlight:
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_shard_child,
-            args=(child_conn, runner, shard, sabotage, attempt),
+            args=(child_conn, runner, shard, attempt),
             daemon=True,
         )
         proc.start()
@@ -199,7 +191,7 @@ class ShardScheduler:
         self._run_in_process(flight.shard, runner, on_result)
 
     def _run_forked(self, shards: List[ShardPlan], runner: ShardRunner,
-                    on_result: ResultSink, workers: int, sabotage) -> None:
+                    on_result: ResultSink, workers: int) -> None:
         ctx = multiprocessing.get_context("fork")
         queue: List[_Queued] = [
             _Queued(shard=s, attempt=0, not_before=0.0) for s in shards
@@ -216,8 +208,7 @@ class ShardScheduler:
                         continue
                     queue.remove(entry)
                     running[entry.shard.index] = self._spawn(
-                        ctx, entry.shard, entry.attempt, runner, sabotage
-                    )
+                        ctx, entry.shard, entry.attempt, runner)
                 progressed = False
                 for index, flight in list(running.items()):
                     status = self._poll(flight)

@@ -1,19 +1,16 @@
-"""CampaignRunner: one embeddable executor for campaign cells.
+"""CampaignRunner: run campaign cells against one store, from the
+campaign CLI or from many service threads at once.
 
-Before the service existed there were two parallel cell-execution
-paths — ``repro.lab.cli`` inlined a closure around
-:func:`~repro.lab.durable.run_durable_campaign` (forked workers) and
-another around
-:func:`~repro.cluster.coordinator.run_distributed_campaign` (leased
-workers). The service needs the same pair, callable from many threads
-at once, so the pattern is promoted to a class both drivers share:
-
-- **fabric selection**: construct with ``coordinator=None`` for the
-  local forked/serial scheduler, or with a running
-  :class:`~repro.cluster.coordinator.ClusterCoordinator` to lease
-  shards over its worker pool. Outcome counts are bit-identical either
-  way (the cluster test suite enforces it), so callers choose purely
-  on deployment shape.
+- **fabric selection**: every cell goes through the lab's one campaign
+  driver (:mod:`repro.lab.durable`); construct with
+  ``coordinator=None`` for its local executor
+  (:func:`~repro.lab.durable.run_durable_campaign`: in-process or
+  forked workers), or with a running
+  :class:`~repro.cluster.coordinator.ClusterCoordinator` for its
+  cluster executor
+  (:func:`~repro.cluster.coordinator.run_distributed_campaign`).
+  Outcome counts are bit-identical either way (the cluster test suite
+  enforces it), so callers choose purely on deployment shape.
 - **thread safety**: each ``run_*`` call opens its own SQLite
   connection to ``store_path`` unless the caller passes a ``store``
   (the CLI does — it reuses one connection for a whole run). Builds

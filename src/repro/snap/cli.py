@@ -20,7 +20,7 @@ import argparse
 import json
 from typing import List, Optional
 
-from ..faults.campaign import CampaignConfig, golden_profile
+from ..faults.campaign import CampaignConfig, golden_profile, hang_budget
 from ..toolchain import default_toolchain
 from ..workloads.registry import FI_BENCHMARKS
 from .build import build_checkpoints
@@ -82,7 +82,7 @@ def _cmd_build(args) -> int:
             built = toolchain.build(name, args.scale, variant)
             _, profile = golden_profile(built.module, built.entry,
                                         built.args)
-            budget = int(profile.executed * config.hang_factor) + 10_000
+            budget = hang_budget(profile.executed, config.hang_factor)
             cset = build_checkpoints(
                 built.module, built.entry, built.args, budget=budget,
                 model=model, eligible=profile.eligible,

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.chaos.hooks import CHAOS_ENV, ChaosRule, ChaosSpec
 from repro.lab.store import _OPEN_STORES
 
 #: One small cell: 40 injections in 4 shards of 10 at --scale test.
@@ -87,7 +88,11 @@ class TestClusterCampaign:
         reference = _forked_reference(tmp_path)
         # Whichever worker first leases shard 1 hard-exits on attempt
         # 0; the shard must be re-leased and the campaign complete.
-        monkeypatch.setenv("REPRO_CLUSTER_SABOTAGE", "exit:1")
+        monkeypatch.setenv(CHAOS_ENV, ChaosSpec(
+            scenario="kill", seed=0,
+            rules=[ChaosRule(point="cluster.worker.lease", action="crash",
+                             match={"index": 1, "attempt": 0})],
+        ).to_env())
         kill_json = str(tmp_path / "kill.json")
         events_log = str(tmp_path / "events.jsonl")
         assert _campaign("--cluster", "2", "--json", kill_json,
@@ -124,6 +129,52 @@ class TestClusterCampaign:
         assert resumed["cells"][0]["counts"] == reference["cells"][0]["counts"]
         # At least the shard completed before the interrupt replays.
         assert resumed["store"]["shards_from_store"] >= 1
+
+
+class TestOneDriver:
+    def test_cluster_lifecycle_matches_local_and_bridges_compiles(self):
+        from repro.cluster.cli import reap_workers, spawn_local_workers
+        from repro.cluster.coordinator import (
+            ClusterCoordinator,
+            run_distributed_campaign,
+        )
+        from repro.faults.campaign import CampaignConfig
+        from repro.lab.durable import run_durable_campaign
+        from repro.lab.events import EventBus, EventLog
+        from repro.toolchain import Toolchain
+
+        # A fresh toolchain yields a fresh module, so the coordinator's
+        # golden run compiles in this process.
+        built = Toolchain().build("histogram", "test", "native")
+        cell = (built.module, built.entry, built.args, "histogram", "native",
+                CampaignConfig(injections=20, seed=3))
+        logs = {"cluster": EventLog(), "local": EventLog()}
+        buses = {name: EventBus() for name in logs}
+        for name, log in logs.items():
+            buses[name].subscribe(log)
+
+        coordinator = ClusterCoordinator(events=buses["cluster"])
+        coordinator.start()
+        procs = spawn_local_workers("127.0.0.1", coordinator.port, 1)
+        try:
+            clustered = run_distributed_campaign(
+                *cell, coordinator=coordinator, build_scale="test",
+                events=buses["cluster"], shard_size=10)
+        finally:
+            coordinator.stop()
+            reap_workers(procs)
+        local = run_durable_campaign(*cell, store=False,
+                                     events=buses["local"], shard_size=10)
+
+        assert clustered.result.counts == local.result.counts
+        assert logs["cluster"].count("engine-compile") > 0
+        lifecycle = {"store-disabled", "campaign-started", "shard-store-hit",
+                     "shard-completed", "adaptive-stop", "campaign-finished"}
+        kinds = {name: [k for k in log.kinds() if k in lifecycle]
+                 for name, log in logs.items()}
+        assert kinds["cluster"] == kinds["local"]
+        assert kinds["local"] == ["campaign-started", "shard-completed",
+                                  "shard-completed", "campaign-finished"]
 
 
 class TestEventsLog:

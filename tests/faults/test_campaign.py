@@ -201,15 +201,30 @@ class TestWorkerResolution:
                             CampaignConfig(injections=20, seed=7, workers=0))
         assert auto.counts == serial.counts
 
-    def test_forked_workers_match_serial_counts(self, hist):
+    def test_forked_workers_match_serial_counts(self, hist, monkeypatch):
+        import multiprocessing
+
+        from repro.lab.scheduler import ShardScheduler
+
         module, built = hist
         serial = run_campaign(module, built.entry, built.args, "h", "native",
                               CampaignConfig(injections=24, seed=2016,
                                              workers=1))
+        spawned = []
+        spawn = ShardScheduler._spawn
+
+        def spy(self, ctx, shard, *rest):
+            spawned.append(shard.index)
+            return spawn(self, ctx, shard, *rest)
+
+        monkeypatch.setattr(ShardScheduler, "_spawn", spy)
         forked = run_campaign(module, built.entry, built.args, "h", "native",
                               CampaignConfig(injections=24, seed=2016,
                                              workers=2))
         assert forked.counts == serial.counts
+        if "fork" in multiprocessing.get_all_start_methods():
+            # workers=2 runs two shards, each on its own forked worker.
+            assert sorted(spawned) == [0, 1]
 
 
 class _PlanConfig:

@@ -6,15 +6,18 @@ for both serial and parallel execution.
 """
 
 import multiprocessing
+import os
 from collections import Counter
 
 import pytest
 
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.faults.outcomes import Outcome
+from repro.lab import durable
 from repro.lab.durable import run_durable_campaign
 from repro.lab.events import CampaignInterrupted, EventBus, EventLog, \
     interrupt_after
+from repro.lab.scheduler import SchedulerPolicy, ShardScheduler
 from repro.lab.store import ResultStore
 from repro.passes.elzar import elzar_transform
 from repro.passes.mem2reg import mem2reg
@@ -151,3 +154,46 @@ class TestAdaptiveDeterminism:
         assert parallel.result.counts == serial.result.counts
         assert parallel.info.injections_used == serial.info.injections_used
         assert parallel.info.stopped_early == serial.info.stopped_early
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="requires the fork start method")
+class TestForkedWidth:
+    """The local executor takes its worker width from the scheduler,
+    and warms what forked workers inherit before forking."""
+
+    def test_forked_run_leaves_checkpoint_set_in_parent(self):
+        # A fresh module: nothing of this cell is cached in-process yet.
+        built = get("histogram").build_at("test")
+        module = elzar_transform(mem2reg(built.module))
+        run_durable_campaign(module, built.entry, built.args, "histogram",
+                             "elzar", CampaignConfig(workers=2, **CONFIG),
+                             store=False, shard_size=SHARD_SIZE)
+        assert any(isinstance(key, tuple) and key[0] == "snap-set"
+                   for key in module._golden_cache)
+
+    @pytest.mark.parametrize("policy_workers,ci_target",
+                             [(2, 0.25), (0, None)])
+    def test_width_comes_from_the_scheduler(self, cell, monkeypatch,
+                                            policy_workers, ci_target):
+        # config.workers says 1; the policy's width must win both for
+        # adaptive-stop waves and for the pre-fork warm-up.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = _durable(cell, False, ci_target=ci_target, min_injections=6)
+        spawned, warmed = [], []
+        spawn = ShardScheduler._spawn
+        warm = durable.warm_record_path
+
+        def spy_spawn(self, ctx, shard, *rest):
+            spawned.append(shard.index)
+            return spawn(self, ctx, shard, *rest)
+
+        def spy_warm(*args, **kwargs):
+            warmed.append(args)
+            return warm(*args, **kwargs)
+
+        monkeypatch.setattr(ShardScheduler, "_spawn", spy_spawn)
+        monkeypatch.setattr(durable, "warm_record_path", spy_warm)
+        forked = _durable(cell, False, ci_target=ci_target, min_injections=6,
+                          policy=SchedulerPolicy(workers=policy_workers))
+        assert forked.result.counts == serial.result.counts
+        assert spawned and warmed

@@ -2,18 +2,20 @@
 
 The runner used here is synthetic (no simulator) so the tests isolate
 the supervision behaviour: fork fan-out, crash retry, timeout kill,
-and graceful degradation to the supervisor process. The ``sabotage``
-hook runs only inside forked workers — never in the supervisor — which
-is exactly what makes degradation safe to test.
+and graceful degradation to the supervisor process. Worker faults are
+chaos rules on the ``lab.worker.shard`` point, which fires only inside
+forked workers (each inherits an unconsumed copy of the armed
+controller) — never in the supervisor, which is exactly what makes
+degradation safe to test.
 """
 
 import multiprocessing
-import os
 import time
 from collections import Counter
 
 import pytest
 
+from repro.chaos.hooks import ChaosRule, ChaosSpec, chaos_active
 from repro.cpu.interpreter import FaultPlan
 from repro.faults.outcomes import Outcome
 from repro.lab.checkpoint import partition
@@ -48,24 +50,11 @@ def _collect():
     return results, on_result
 
 
-def _crash_first_attempt(index, attempt):
-    if index == 1 and attempt == 0:
-        os._exit(13)
-
-
-def _crash_always(index, attempt):
-    if index == 1:
-        os._exit(13)
-
-
-def _hang_first_attempt(index, attempt):
-    if index == 0 and attempt == 0:
-        time.sleep(30)
-
-
-def _raise_in_worker(index, attempt):
-    if index == 2 and attempt == 0:
-        raise RuntimeError("synthetic worker error")
+def _in_worker(action, seconds=0.0, **match):
+    """Arm one chaos rule on the forked workers' shard point."""
+    return chaos_active(ChaosSpec(scenario="scheduler-test", seed=0, rules=[
+        ChaosRule(point="lab.worker.shard", action=action, match=match,
+                  seconds=seconds)]))
 
 
 class TestSerialPath:
@@ -103,9 +92,10 @@ class TestForkedPath:
         log = EventLog()
         events.subscribe(log)
         results, on_result = _collect()
-        ShardScheduler(
-            SchedulerPolicy(workers=2, backoff=0.01), events
-        ).run(shards, _runner, on_result, _sabotage=_crash_first_attempt)
+        with _in_worker("crash", index=1, attempt=0):
+            ShardScheduler(
+                SchedulerPolicy(workers=2, backoff=0.01), events
+            ).run(shards, _runner, on_result)
         assert sorted(results) == [s.index for s in shards]
         assert results[1] == _runner(shards[1])
         retries = log.of("shard-retry")
@@ -117,10 +107,13 @@ class TestForkedPath:
         log = EventLog()
         events.subscribe(log)
         results, on_result = _collect()
-        ShardScheduler(
-            SchedulerPolicy(workers=2, max_retries=1, backoff=0.01), events
-        ).run(shards, _runner, on_result, _sabotage=_crash_always)
-        # The shard still completes — in-process, past the sabotage.
+        with _in_worker("crash", index=1):
+            ShardScheduler(
+                SchedulerPolicy(workers=2, max_retries=1, backoff=0.01),
+                events,
+            ).run(shards, _runner, on_result)
+        # The shard still completes — in-process, where no chaos point
+        # fires.
         assert sorted(results) == [s.index for s in shards]
         assert results[1] == _runner(shards[1])
         assert log.count("shard-retry") == 1
@@ -133,9 +126,10 @@ class TestForkedPath:
         log = EventLog()
         events.subscribe(log)
         results, on_result = _collect()
-        ShardScheduler(
-            SchedulerPolicy(workers=2, timeout=0.5, backoff=0.01), events
-        ).run(shards, _runner, on_result, _sabotage=_hang_first_attempt)
+        with _in_worker("stall", seconds=30, index=0, attempt=0):
+            ShardScheduler(
+                SchedulerPolicy(workers=2, timeout=0.5, backoff=0.01), events
+            ).run(shards, _runner, on_result)
         assert sorted(results) == [0, 1]
         reasons = [e.data["reason"] for e in log.of("shard-retry")]
         assert any("timeout" in reason for reason in reasons)
@@ -146,12 +140,13 @@ class TestForkedPath:
         log = EventLog()
         events.subscribe(log)
         results, on_result = _collect()
-        ShardScheduler(
-            SchedulerPolicy(workers=2, backoff=0.01), events
-        ).run(shards, _runner, on_result, _sabotage=_raise_in_worker)
+        with _in_worker("error", index=2, attempt=0):
+            ShardScheduler(
+                SchedulerPolicy(workers=2, backoff=0.01), events
+            ).run(shards, _runner, on_result)
         assert sorted(results) == [s.index for s in shards]
         reasons = [e.data["reason"] for e in log.of("shard-retry")]
-        assert any("synthetic worker error" in reason for reason in reasons)
+        assert any("chaos: injected error" in reason for reason in reasons)
 
     def test_interrupting_sink_cleans_up_workers(self):
         shards = _shards(n_plans=40, shard_size=2)
@@ -171,12 +166,11 @@ class TestForkedPath:
 class TestEventDrivenWait:
     def test_huge_poll_interval_is_harmless(self):
         # The supervisor blocks on the worker pipes rather than
-        # sleeping poll_interval between scans; a pathological value
-        # must not slow the run down (it used to gate every scan).
+        # sleeping between scans, so completions are picked up at once.
         shards = _shards(n_plans=12, shard_size=4)
         results, on_result = _collect()
         started = time.monotonic()
-        ShardScheduler(SchedulerPolicy(workers=2, poll_interval=30.0)).run(
+        ShardScheduler(SchedulerPolicy(workers=2)).run(
             shards, _runner, on_result
         )
         assert time.monotonic() - started < 10.0
@@ -188,8 +182,9 @@ class TestEventDrivenWait:
         # instead of spinning (or hanging forever).
         shards = _shards(n_plans=8, shard_size=4)  # shards 0 and 1
         results, on_result = _collect()
-        ShardScheduler(SchedulerPolicy(workers=2, backoff=0.2)).run(
-            shards, _runner, on_result, _sabotage=_crash_first_attempt
-        )
+        with _in_worker("crash", index=1, attempt=0):
+            ShardScheduler(SchedulerPolicy(workers=2, backoff=0.2)).run(
+                shards, _runner, on_result
+            )
         assert sorted(results) == [0, 1]
         assert results[1] == _runner(shards[1])
