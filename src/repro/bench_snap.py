@@ -6,9 +6,11 @@ stream makes a from-scratch run replay >= 75% of the golden prefix
 before the fault even arms; a checkpointed run restores the nearest
 mid-run state at or before the site and executes only the tail —
 O(tail) instead of O(run). This benchmark draws all plans from the
-last quartile, times the sequential from-scratch session loop
-(``run_plans(..., snap=False)``) against the checkpointed path, and
-reports two checkpointed timings per cell:
+last quartile, times the sequential from-scratch loop (a fresh
+:class:`~repro.faults.campaign.InjectionSession` with no checkpoint set
+attached, built inside the timed region as ``run_plans`` builds it)
+against the checkpointed ``run_plans`` path, and reports two
+checkpointed timings per cell:
 
 * ``first`` — includes acquiring the checkpoint set (a capture run on
   the resumable trampoline, or a content-addressed store load when a
@@ -36,6 +38,7 @@ from typing import Dict, List, Optional, Sequence
 from .cpu.interpreter import FaultPlan
 from .faults.campaign import (
     CampaignConfig,
+    InjectionSession,
     golden_profile,
     hang_budget,
     run_plans,
@@ -88,16 +91,15 @@ def bench_cell(name: str, version: str, scale: str = "fi",
 
     _reset_campaign_state(module)
     start = time.perf_counter()
-    baseline = run_plans(module, entry, args, plans, reference, budget,
-                         snap=False)
+    session = InjectionSession(module, entry, args, reference, budget)
+    baseline = [session.inject(plan) for plan in plans]
     scalar_seconds = time.perf_counter() - start
 
     # First checkpointed run: pays for the set (capture run or store
     # load) plus the tails.
     _reset_campaign_state(module)
     start = time.perf_counter()
-    first = run_plans(module, entry, args, plans, reference, budget,
-                      snap=True)
+    first = run_plans(module, entry, args, plans, reference, budget)
     first_seconds = time.perf_counter() - start
     if first != baseline:
         raise AssertionError(
@@ -107,8 +109,7 @@ def bench_cell(name: str, version: str, scale: str = "fi",
     # Warm: the set is in the module cache — every later shard of the
     # campaign runs at this rate.
     start = time.perf_counter()
-    warm = run_plans(module, entry, args, plans, reference, budget,
-                     snap=True)
+    warm = run_plans(module, entry, args, plans, reference, budget)
     warm_seconds = time.perf_counter() - start
     if warm != baseline:
         raise AssertionError(

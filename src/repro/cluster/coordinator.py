@@ -96,7 +96,6 @@ class CellJob:
     version: str
     hang_factor: float
     rtol: float
-    engine: str
     fault_model: str
     #: Expected handshake values (:func:`repro.cluster.cells.handshake`
     #: of the coordinator's own build of the cell).
@@ -638,7 +637,6 @@ class ClusterCoordinator:
                 "version": job.version,
                 "hang_factor": job.hang_factor,
                 "rtol": job.rtol,
-                "engine": job.engine,
                 "fault_model": job.fault_model,
             })
         except (ConnectionError, OSError):
@@ -809,7 +807,6 @@ def run_distributed_campaign(
             version=version,
             hang_factor=config.hang_factor,
             rtol=config.rtol,
-            engine=config.engine,
             fault_model=config.fault_model,
             expected=handshake(module, run.reference, run.profile,
                                config.fault_model),

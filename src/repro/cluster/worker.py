@@ -61,7 +61,6 @@ class _CellRuntime:
     reference: list
     budget: int
     rtol: float
-    engine: str
     fault_model: str = "register-bitflip"
 
 
@@ -184,17 +183,14 @@ class ClusterWorker:
             module, entry, args = self._cells.get(
                 str(message["workload"]), str(message["build_scale"]),
                 str(message["version"]))
-            engine = str(message.get("engine", "compiled"))
             fault_model = str(message["fault_model"])
-            reference, profile = golden_profile(module, entry, args, None,
-                                                engine=engine)
+            reference, profile = golden_profile(module, entry, args)
             ours = handshake(module, reference, profile, fault_model)
             runtime = _CellRuntime(
                 module=module, entry=entry, args=args, reference=reference,
                 budget=hang_budget(profile.executed,
                                    float(message["hang_factor"])),
                 rtol=float(message["rtol"]),
-                engine=engine,
                 fault_model=fault_model,
             )
         except Exception as exc:
@@ -272,7 +268,6 @@ class ClusterWorker:
             counts = Counter(run_plans(
                 runtime.module, runtime.entry, runtime.args, plans,
                 runtime.reference, runtime.budget, runtime.rtol, None,
-                engine=runtime.engine,
                 fault_model=runtime.fault_model, tick=beat,
             ))
         except Exception as exc:

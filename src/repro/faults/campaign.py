@@ -25,6 +25,14 @@ Two performance layers (the paper amortized this cost across a
   pre-drawn from one seeded RNG in the serial draw order, so the
   outcome counts are bit-identical for every worker count (and to the
   serial path); platforms without ``fork`` run the shards in-process.
+
+Campaigns run one way: on the compiled engine, each injection resuming
+from the nearest mid-run checkpoint at or before its fault site
+(:mod:`repro.snap`) wherever the cell has a checkpoint set. The
+reference interpreter stays the oracle, reachable through exactly two
+entry points, ``MachineConfig(engine="reference")`` and
+``inject_once(..., engine="reference")``; the differential tests hold
+every campaign's per-plan outcomes to it.
 """
 
 from __future__ import annotations
@@ -63,20 +71,6 @@ class CampaignConfig:
     #: Registered fault-model name (see :mod:`repro.faults.models`).
     #: The default reproduces the paper's single register bit flip.
     fault_model: str = DEFAULT_MODEL
-    #: Execution engine for every run of the campaign ("compiled" or
-    #: "reference"). Outcome counts are bit-identical either way (the
-    #: differential tests enforce it); the knob exists so CI can prove
-    #: that end to end. Excluded from durable store keys.
-    engine: str = "compiled"
-    #: Mid-run checkpointing (see :mod:`repro.snap`): resolve each
-    #: plan's fault site to the nearest checkpoint at or before it and
-    #: execute only the tail. Per-plan outcomes are bit-identical with
-    #: and without it (the differential tests and CI pin that), so —
-    #: like ``engine`` and ``workers`` — a pure execution
-    #: knob, excluded from durable store keys. Decoded engine only;
-    #: cells with unkeyable eligibility predicates or golden runs
-    #: shorter than :data:`repro.snap.MIN_ELIGIBLE` skip it silently.
-    snap: bool = True
 
 
 def resolve_workers(workers: int) -> int:
@@ -154,16 +148,14 @@ def _args_key(args: Sequence):
 
 
 def golden_profile(module: Module, entry: str, args: Sequence,
-                   fault_eligible: Optional[Callable] = None,
-                   engine: str = "compiled"):
+                   fault_eligible: Optional[Callable] = None):
     """Fault-free execution; returns ``(output, StreamProfile)``.
 
     Runs the machine in ``count_only`` mode, which profiles *every*
     targeting stream in one pass — eligible results, dynamic memory
     accesses, conditional branches, and checker sites — so one golden
     run prices every fault model. Results are cached on the module,
-    invalidated by its version stamp. The cache key excludes ``engine``
-    (both engines are bit-identical, golden outputs included).
+    invalidated by its version stamp.
     """
     ekey = _eligibility_key(fault_eligible)
     key = None
@@ -173,8 +165,7 @@ def golden_profile(module: Module, entry: str, args: Sequence,
         if cached is not None:
             output, profile = cached
             return list(output), profile
-    machine = _fresh_machine(module, fault_eligible=fault_eligible,
-                             engine=engine)
+    machine = _fresh_machine(module, fault_eligible=fault_eligible)
     machine.count_only = True
     result = machine.run(entry, args)
     profile = StreamProfile(
@@ -238,17 +229,14 @@ def hang_budget(executed: int, hang_factor: float) -> int:
 
 
 def warm_record_path(module: Module, entry: str,
-                     fault_eligible: Optional[Callable] = None,
-                     engine: str = "compiled") -> None:
+                     fault_eligible: Optional[Callable] = None) -> None:
     """Compile, in this process, the record functions the cell's
     injections fire their faults on. Call it before forking injection
     workers: they inherit the code instead of each emitting it again."""
-    if engine != "compiled":
-        return
     from ..cpu.compiled import compile_records
 
-    compile_records(_fresh_machine(module, fault_eligible=fault_eligible,
-                                   engine=engine), entry)
+    compile_records(_fresh_machine(module, fault_eligible=fault_eligible),
+                    entry)
 
 
 def run_campaign(
@@ -336,26 +324,22 @@ class InjectionSession:
 
     def __init__(self, module: Module, entry: str, args: Sequence,
                  reference: Sequence, budget: int, rtol: float = 1e-9,
-                 fault_eligible: Optional[Callable] = None,
-                 engine: str = "compiled"):
+                 fault_eligible: Optional[Callable] = None):
+        from ..cpu.compiled import compile_records
+
         self.module = module
         self.entry = entry
         self.args = list(args)
         self.reference = list(reference)
         self.budget = budget
         self.rtol = rtol
-        self.engine = engine
         self.machine = _fresh_machine(module, max_instructions=budget,
-                                      fault_eligible=fault_eligible,
-                                      engine=engine)
-        if engine == "compiled":
-            # Decode and compile the record functions every injection
-            # fires on up front, so the first injection's timing is not
-            # an outlier (cached on the module either way). Segments
-            # are compiled by the first run that executes them.
-            from ..cpu.compiled import compile_records
-
-            compile_records(self.machine, entry)
+                                      fault_eligible=fault_eligible)
+        # Decode and compile the record functions every injection fires
+        # on up front, so the first injection's timing is not an outlier
+        # (cached on the module either way). Segments are compiled by
+        # the first run that executes them.
+        compile_records(self.machine, entry)
         self.snapshot = self.machine.snapshot()
         self._checkpoints = None  # CheckpointSet, attached per run_plans
 
@@ -416,20 +400,18 @@ _SESSION_TLS = threading.local()
 
 def _get_session(module: Module, entry: str, args: Sequence,
                  reference: Sequence, budget: int, rtol: float,
-                 fault_eligible: Optional[Callable],
-                 engine: str) -> InjectionSession:
+                 fault_eligible: Optional[Callable]) -> InjectionSession:
     """Fetch (or build) this thread's cached injection session for the
     cell."""
     ekey = _eligibility_key(fault_eligible)
     key = None
     if ekey is not None:
-        key = (module.version, entry, _args_key(args), budget, rtol, ekey,
-               engine)
+        key = (module.version, entry, _args_key(args), budget, rtol, ekey)
         slot = getattr(_SESSION_TLS, "slot", None)
         if slot is not None and slot[0] is module and slot[1] == key:
             return slot[2]
     session = InjectionSession(module, entry, args, reference, budget, rtol,
-                               fault_eligible, engine)
+                               fault_eligible)
     if key is not None:
         _SESSION_TLS.slot = (module, key, session)
     return session
@@ -437,18 +419,14 @@ def _get_session(module: Module, entry: str, args: Sequence,
 
 def _cell_checkpoints(module: Module, entry: str, args: Sequence,
                       budget: int, fault_eligible: Optional[Callable],
-                      fault_model: str, engine: str, snap: bool):
+                      fault_model: str):
     """The cell's :class:`repro.snap.CheckpointSet`, or None when
-    checkpointing is off (disabled, reference engine, unkeyable
-    predicate, or a golden run too short to profit). Cached through
-    the module's golden cache, so shards and forked workers share one
-    set per (cell, model)."""
-    if not snap or engine != "compiled":
-        return None
+    checkpoints cannot pay (unkeyable predicate, or a golden run too
+    short to profit). Cached through the module's golden cache, so
+    shards and forked workers share one set per (cell, model)."""
     from ..snap.build import build_checkpoints
 
-    _, profile = golden_profile(module, entry, args, fault_eligible,
-                                engine=engine)
+    _, profile = golden_profile(module, entry, args, fault_eligible)
     return build_checkpoints(module, entry, args, budget=budget,
                              fault_eligible=fault_eligible,
                              model=fault_model, eligible=profile.eligible)
@@ -463,26 +441,22 @@ def run_plans(
     budget: int,
     rtol: float = 1e-9,
     fault_eligible: Optional[Callable] = None,
-    engine: str = "compiled",
     fault_model: str = DEFAULT_MODEL,
     tick: Optional[Callable] = None,
-    snap: bool = True,
 ) -> List[Outcome]:
     """Classify a list of fault plans, in plan order, on a reused
     :class:`InjectionSession`; the shard-level entry point every fabric
     (in-process, forked workers, cluster agents) runs. ``tick``, when given,
     is called after every injection (cluster workers heartbeat there).
-
-    ``snap`` resumes each injection from the nearest mid-run checkpoint
-    at or before its fault site (:mod:`repro.snap`) — a pure
-    execution-speed knob, bit-identical outcomes either way."""
+    Each injection resumes from the nearest mid-run checkpoint at or
+    before its fault site (:mod:`repro.snap`) where the cell has one."""
     session = _get_session(module, entry, args, reference, budget, rtol,
-                           fault_eligible, engine)
+                           fault_eligible)
     plans = list(plans)
     cset = None
     if plans:
         cset = _cell_checkpoints(module, entry, args, budget,
-                                 fault_eligible, fault_model, engine, snap)
+                                 fault_eligible, fault_model)
     session.attach_checkpoints(cset)
     outcomes = []
     for plan in plans:

@@ -120,9 +120,9 @@ def build_spec(module: Module, entry: str, args: Sequence,
     is unkeyable (no ``cache_key`` — the campaign then runs without
     durable storage; :func:`repro.faults.campaign._eligibility_key`
     warns once). ``population`` is the size of ``config.fault_model``'s
-    target stream, as measured by the golden run. ``config.engine`` is
-    deliberately absent: every engine classifies bit-identical
-    outcomes, so their shards are interchangeable store rows."""
+    target stream, as measured by the golden run. No execution knob is
+    in the spec: ``workers`` and the fabric never change a count, so
+    their shards are interchangeable store rows."""
     ekey = _eligibility_key(config.fault_eligible)
     if ekey is None:
         return None

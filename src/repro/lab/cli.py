@@ -23,7 +23,6 @@ import argparse
 import json
 from typing import Dict, List, Optional
 
-from ..cpu.interpreter import ENGINES
 from ..faults.campaign import CampaignConfig
 from ..faults.models import DEFAULT_MODEL, model_names
 from ..faults.outcomes import Outcome
@@ -69,11 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=model_names(),
                         help="fault shape to inject (see docs/FAULTS.md); "
                              "each model keys its own store rows")
-    parser.add_argument("--engine", default="compiled",
-                        choices=ENGINES,
-                        help="execution engine; outcome counts are "
-                             "bit-identical on every engine (CI proves "
-                             "it), so the store is shared between engines")
     parser.add_argument("--seed", type=int, default=2016)
     parser.add_argument("--workers", type=int, default=1,
                         help="forked campaign workers (0 = all CPUs)")
@@ -132,7 +126,6 @@ def _spec_from_args(args: argparse.Namespace) -> Dict:
         "shard_size": args.shard_size if args.shard_size is not None
         else shard_size,
         "fault_model": args.fault_model,
-        "engine": args.engine,
         "cluster": args.cluster or 0,
     }
 
@@ -148,14 +141,10 @@ def _run_cells(spec: Dict, store: ResultStore, events: EventBus,
     local forked workers or leases shards to networked worker agents.
     Either way the cell's outcome counts are bit-identical."""
     build_scale = "fi" if spec["scale"] == "perf" else "test"
-    # Resume manifests written before the fault-model/engine flags
-    # existed lack these keys; default them like a fresh campaign. Keys
-    # of retired knobs (``batch``) are ignored, and the retired
-    # ``decoded`` engine resumes as ``compiled`` (same outcomes).
+    # Resume manifests written before the fault-model flag existed lack
+    # its key; default it like a fresh campaign. Keys of retired knobs
+    # (``batch``, ``engine``) are ignored.
     fault_model = spec.get("fault_model", DEFAULT_MODEL)
-    engine = spec.get("engine", "compiled")
-    if engine == "decoded":
-        engine = "compiled"
     rows: List[tuple] = []
     cells: List[Dict] = []
     totals = {"shards_total": 0, "shards_from_store": 0,
@@ -172,7 +161,6 @@ def _run_cells(spec: Dict, store: ResultStore, events: EventBus,
             config = CampaignConfig(
                 injections=spec["injections"], seed=spec["seed"],
                 workers=spec["workers"], fault_model=fault_model,
-                engine=engine,
             )
             try:
                 outcome = cell_runner(module, built, name, version, config,

@@ -157,9 +157,8 @@ def _drive(module: Module, entry: str, args: Sequence, workload: str,
     store does not hold; ``cluster`` marks the cluster executor in the
     ``campaign-started`` event."""
     with _engine_compile_events(events):
-        reference, profile = golden_profile(
-            module, entry, args, config.fault_eligible, engine=config.engine
-        )
+        reference, profile = golden_profile(module, entry, args,
+                                            config.fault_eligible)
         if profile.eligible == 0:
             raise ValueError(f"no eligible instructions in @{entry}")
         budget = hang_budget(profile.executed, config.hang_factor)
@@ -271,18 +270,16 @@ def _local_executor(module: Module, entry: str, args: Sequence,
             # Forked shard workers inherit the checkpoint set and the
             # record functions instead of each rebuilding them.
             _cell_checkpoints(module, entry, args, run.budget,
-                              config.fault_eligible, config.fault_model,
-                              config.engine, config.snap)
-            warm_record_path(module, entry, config.fault_eligible,
-                             config.engine)
+                              config.fault_eligible, config.fault_model)
+            warm_record_path(module, entry, config.fault_eligible)
         executed: Dict[int, Counter] = {}
         done: Dict[int, Counter] = dict(run.loaded)
 
         def runner(shard: ShardPlan) -> Counter:
             return Counter(run_plans(
                 module, entry, args, shard.plans, run.reference, run.budget,
-                config.rtol, config.fault_eligible, engine=config.engine,
-                fault_model=config.fault_model, snap=config.snap))
+                config.rtol, config.fault_eligible,
+                fault_model=config.fault_model))
 
         def on_result(shard: ShardPlan, counts: Counter,
                       seconds: float) -> None:

@@ -134,6 +134,8 @@ class ReproService:
         self._worker_procs: List = []
 
         self._draining = False
+        #: Manifest rows cold-start recovery could not resubmit.
+        self._recovery_skipped = 0
         #: Cross-thread drain signal: local-fabric interrupt guards
         #: (EventBus subscribers on runner threads) poll it per event.
         self._drain_flag = threading.Event()
@@ -342,21 +344,24 @@ class ReproService:
             if row.get("status") not in (INTERRUPTED, QUEUED):
                 continue
             spec = dict(row.get("spec") or {})
-            # Manifests written before the batched-lane knob was
-            # retired still carry it; drop it here only (a live POST
-            # that sends it is still rejected as an unknown field).
+            # Manifests written before the ``batch`` and ``engine``
+            # knobs were retired still carry them; drop them here only
+            # (a live POST that sends either is rejected as an unknown
+            # field). Neither is in a spec or store key, so the banked
+            # shards still serve the resume.
             spec.pop("batch", None)
-            # Likewise the retired record-only engine: it ran the same
-            # outcomes as "compiled", and the engine is in no spec or
-            # store key, so the banked shards still serve the resume.
-            if spec.get("engine") == "decoded":
-                spec["engine"] = "compiled"
+            spec.pop("engine", None)
             try:
                 request = parse_request(spec)
                 campaign = self._submit(
                     str(row.get("tenant") or "anonymous"), request)
-            except (SpecError, QuotaExceeded, HttpError):
-                continue  # stale/over-quota rows never block startup
+            except (SpecError, QuotaExceeded, HttpError) as exc:
+                # Stale/over-quota rows never block startup, but each
+                # skip is printed and counted in GET /status.
+                self._recovery_skipped += 1
+                print(f"-- recovery skipped {row.get('id')}: {exc}",
+                      flush=True)
+                continue
             campaign.resumed_from = str(row.get("id"))
             banked_shards = banked_injections = None
             spec_key = (row.get("progress") or {}).get("spec_key")
@@ -615,6 +620,7 @@ class ReproService:
             "draining": self._draining,
             "max_running": self.max_running,
             "campaigns": by_status,
+            "recovery_skipped": self._recovery_skipped,
             "admission": self.admission.snapshot(),
         }
         if self._coordinator is not None:

@@ -25,7 +25,6 @@ import json
 import sys
 from typing import List, Optional
 
-from ..cpu.interpreter import ENGINES
 from ..faults.models import DEFAULT_MODEL, model_names
 from ..lab.store import default_store_path
 from .admission import TenantQuotas
@@ -101,8 +100,6 @@ def _submit_parser() -> argparse.ArgumentParser:
                              "(see `python -m repro variants`)")
     parser.add_argument("--fault-model", default=DEFAULT_MODEL,
                         choices=model_names())
-    parser.add_argument("--engine", default="compiled",
-                        choices=ENGINES)
     parser.add_argument("--scale", default="test",
                         choices=("test", "perf"))
     parser.add_argument("--injections", type=int, default=None)
@@ -133,8 +130,7 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
     client = ServiceClient(host, int(port_text), tenant=args.tenant)
 
     spec = {"workload": args.workload, "version": args.version,
-            "fault_model": args.fault_model, "engine": args.engine,
-            "scale": args.scale}
+            "fault_model": args.fault_model, "scale": args.scale}
     for name in ("injections", "seed", "shard_size", "ci_target",
                  "workers", "priority"):
         value = getattr(args, name)

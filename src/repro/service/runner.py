@@ -116,8 +116,7 @@ class CampaignRunner:
             # Prime the per-module golden cache so the parallel phase
             # (and any concurrent campaign sharing this cell) replays
             # it instead of racing to recompute it.
-            golden_profile(built.module, built.entry, built.args, None,
-                           engine=config.engine)
+            golden_profile(built.module, built.entry, built.args)
         return self.run_cell(
             built.module, built.entry, built.args,
             request.workload, request.version, config,

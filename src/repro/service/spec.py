@@ -1,7 +1,7 @@
 """Campaign request specs: validation, normalization, content digest.
 
 A service campaign is one cell — ``(workload, variant, fault model,
-engine, budget, CI target)`` — expressed as a flat JSON object. This
+budget, CI target)`` — expressed as a flat JSON object. This
 module is the admission boundary's *shape* check: every field is
 validated against the same registries the CLI uses (the workload
 registry, the toolchain variant registry, the fault-model registry),
@@ -9,10 +9,13 @@ so a request the service accepts is exactly a request ``python -m
 repro campaign`` could run, and the two produce bit-identical counts.
 
 :func:`CampaignRequest.digest` is the request's content address over
-the *outcome-determining* fields only. Execution knobs — engine,
-workers, priority — are excluded for the same reason the lab
-store excludes them from its spec keys: counts are bit-identical
-across all of them by contract. Two requests with equal digests
+the *outcome-determining* fields only. The execution knobs — workers
+and priority — are excluded for the same reason the lab store excludes
+them from its spec keys: counts are bit-identical across them by
+contract. There is no engine field: every campaign runs on the compiled
+engine with checkpoint resume (see :mod:`repro.faults.campaign`), and a
+request naming ``engine`` is rejected as an unknown field. Two requests
+with equal digests
 therefore have equal results, which is what lets the service coalesce
 duplicate in-flight submissions and serve repeats from the store for
 ~0 compute.
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
-from ..cpu.interpreter import ENGINES
 from ..faults.campaign import CampaignConfig
 from ..faults.models import DEFAULT_MODEL, model_names
 from ..lab.store import digest_of
@@ -61,7 +63,6 @@ class CampaignRequest:
     workload: str
     version: str
     fault_model: str = DEFAULT_MODEL
-    engine: str = "compiled"
     scale: str = "test"
     injections: int = 0      # 0 -> scale default
     seed: int = 2016
@@ -80,7 +81,6 @@ class CampaignRequest:
         return CampaignConfig(
             injections=self.injections, seed=self.seed,
             workers=self.workers, fault_model=self.fault_model,
-            engine=self.engine,
         )
 
     def digest(self) -> str:
@@ -96,8 +96,8 @@ class CampaignRequest:
 
 
 _FIELDS = {f: True for f in (
-    "workload", "version", "fault_model", "engine", "scale", "injections",
-    "seed", "shard_size", "ci_target", "workers", "priority",
+    "workload", "version", "fault_model", "scale", "injections", "seed",
+    "shard_size", "ci_target", "workers", "priority",
 )}
 
 
@@ -152,12 +152,6 @@ def parse_request(payload: object) -> CampaignRequest:
                         f"unknown fault model {fault_model!r}; see "
                         f"{', '.join(model_names())}")
 
-    engine = payload.get("engine", "compiled")
-    if engine not in ENGINES:
-        raise SpecError("engine",
-                        f"unknown engine {engine!r}; engines: "
-                        f"{', '.join(ENGINES)}")
-
     ci_target = payload.get("ci_target")
     if ci_target is not None:
         if isinstance(ci_target, bool) or \
@@ -173,7 +167,6 @@ def parse_request(payload: object) -> CampaignRequest:
         workload=workload,
         version=version,
         fault_model=fault_model,
-        engine=engine,
         scale=scale,
         injections=_as_int(payload, "injections", default_injections,
                            1, MAX_INJECTIONS),

@@ -55,7 +55,7 @@ from repro.faults import (
     golden_profile,
     model_names,
 )
-from repro.faults.campaign import run_plans
+from repro.faults.campaign import inject_once, run_plans
 from repro.ir import Module
 from repro.ir import types as T
 from repro.ir.instructions import PhiInst
@@ -315,21 +315,29 @@ def _runs_on_records():
         compiled_mod.run_resumable = real
 
 
-def _run_plans_on(tier, module, *args, **kwargs):
-    campaign_mod._SESSION_TLS.__dict__.clear()
-    module._golden_cache.clear()
-    engine = "compiled" if tier == "records" else tier
+def _inject_each(tier, module, entry, args, plans, reference, budget):
+    """From-scratch outcome list on ``tier``: one fresh machine per
+    plan (``inject_once``)."""
+    engine = "reference" if tier == "reference" else "compiled"
     runs = _runs_on_records() if tier == "records" else contextlib.nullcontext()
     with runs:
-        return run_plans(module, *args, engine=engine, **kwargs)
+        return [inject_once(module, entry, args, plan, reference, budget,
+                            engine=engine) for plan in plans]
+
+
+def _run_plans_fresh(module, *args, **kwargs):
+    """``run_plans`` with no session or checkpoint set cached yet."""
+    campaign_mod._SESSION_TLS.__dict__.clear()
+    module._golden_cache.clear()
+    return run_plans(module, *args, **kwargs)
 
 
 @pytest.mark.parametrize("seed", [0, 4])
 @pytest.mark.parametrize("model", model_names())
 def test_fault_models_identical_per_plan(seed, model):
     """Every fault model, on hardened random code: the per-plan outcome
-    *list* — reference, record path and compiled — must be
-    bit-identical."""
+    *list* — reference, record path, compiled and the campaign's
+    ``run_plans`` — must be bit-identical."""
     module, entry, args = build_random_module(seed)
     module = elzar_transform(mem2reg(module))
     golden = Machine(module, MachineConfig(engine="compiled",
@@ -340,12 +348,15 @@ def test_fault_models_identical_per_plan(seed, model):
     cfg = CampaignConfig(injections=6, seed=seed + 17, fault_model=model)
     plans = draw_model_plans(profile, cfg)
 
-    outcomes = {tier: _run_plans_on(tier, module, entry, args, plans,
-                                    reference, budget, fault_model=model,
-                                    snap=False)
+    outcomes = {tier: _inject_each(tier, module, entry, args, plans,
+                                   reference, budget)
                 for tier in TIERS}
+    outcomes["campaign"] = _run_plans_fresh(module, entry, args, plans,
+                                            reference, budget,
+                                            fault_model=model)
     assert outcomes["compiled"] == outcomes["records"], model
     assert outcomes["compiled"] == outcomes["reference"], model
+    assert outcomes["campaign"] == outcomes["reference"], model
 
 
 def test_fault_plans_with_snap_resume_identical():
@@ -361,10 +372,10 @@ def test_fault_plans_with_snap_resume_identical():
     cfg = CampaignConfig(injections=10, seed=29)
     plans = draw_model_plans(profile, cfg)
 
-    scratch = _run_plans_on("records", module, entry, args, plans,
-                            reference, budget, snap=False)
-    resumed = _run_plans_on("compiled", module, entry, args, plans,
-                            reference, budget, snap=True)
+    scratch = _inject_each("records", module, entry, args, plans,
+                           reference, budget)
+    resumed = _run_plans_fresh(module, entry, args, plans, reference,
+                               budget)
     assert resumed == scratch
 
 
@@ -575,7 +586,7 @@ def test_durable_campaign_emits_engine_compile_event():
     bus = EventBus()
     seen = []
     bus.subscribe(seen.append)
-    cfg = CampaignConfig(injections=8, seed=3, engine="compiled")
+    cfg = CampaignConfig(injections=8, seed=3)
     run_durable_campaign(module, entry, args, "fuzz", "elzar", cfg,
                          store=False, events=bus)
     compiles = [e for e in seen if e.kind == "engine-compile"]

@@ -15,6 +15,7 @@ both and require exact equality.
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -26,9 +27,11 @@ from repro.faults import (
     draw_model_plans,
     golden_profile,
     golden_run,
+    inject_once,
     model_names,
     run_campaign,
 )
+from repro.faults.campaign import hang_budget
 from repro.passes import elzar_transform, mem2reg
 from repro.workloads import ALL
 from repro.workloads.registry import BENCHMARKS
@@ -170,18 +173,20 @@ def test_fault_models_identical_per_plan(model):
 @pytest.mark.parametrize("model", model_names())
 def test_fault_model_campaign_counts_identical(model):
     """End-to-end per model: full campaign outcome counts bit-identical
-    between engines (the CampaignConfig.engine knob CI exercises)."""
+    to the reference interpreter's per-plan outcomes over the same
+    plans (the comparison CI's fault-model smoke makes)."""
     built = ALL["histogram"].build_at("test")
     module = elzar_transform(mem2reg(built.module))
-    counts = {}
-    for engine in ("reference", "compiled"):
-        cfg = CampaignConfig(injections=12, seed=21, fault_model=model,
-                             engine=engine)
-        result = run_campaign(module, built.entry, built.args, "h", "elzar",
-                              cfg)
-        assert result.fault_model == model
-        counts[engine] = dict(result.counts)
-    assert counts["compiled"] == counts["reference"]
+    cfg = CampaignConfig(injections=12, seed=21, fault_model=model)
+    result = run_campaign(module, built.entry, built.args, "h", "elzar", cfg)
+    assert result.fault_model == model
+    golden, profile = golden_profile(module, built.entry, built.args)
+    budget = hang_budget(profile.executed, cfg.hang_factor)
+    reference = Counter(
+        inject_once(module, built.entry, built.args, plan, golden, budget,
+                    engine="reference")
+        for plan in draw_model_plans(profile, cfg))
+    assert result.counts == reference
 
 
 def test_count_only_mode_matches_engines():

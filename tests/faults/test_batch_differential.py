@@ -3,9 +3,9 @@
 A campaign hands its plans to ``run_plans`` in batches (shards), each
 run on a reused :class:`InjectionSession` with checkpoint resume. How
 the plans are cut into batches is a pure scheduling choice: for every
-fault model, every engine and every batch size, the concatenated
-per-plan Outcome list — not merely the counts — must equal a scalar
-fresh-machine ``inject_once`` loop. The matrix runs on the hardened
+fault model and every batch size, the concatenated per-plan Outcome
+list — not merely the counts — must equal a scalar fresh-machine
+``inject_once`` loop, and on the reference interpreter too. The matrix runs on the hardened
 histogram cell, the only version where every registered model has a
 non-empty target stream.
 """
@@ -63,13 +63,13 @@ class TestModelMatrix:
                 f"{model_name} batch={k}: outcome list diverged")
 
     def test_reference_engine_identity(self, cell):
-        # The reference interpreter behind run_plans must match both its
-        # own scalar loop and the compiled engine's, in any batching.
+        # The reference interpreter's scalar loop (the oracle) must
+        # match the compiled scalar loop and run_plans in any batching.
         profile = cell[4]
         plans = get_model("register-bitflip").draw_plans(
             profile, _PlanConfig(seed=5, injections=6))
         baseline = scalar_baseline(cell, plans, engine="reference")
         assert baseline == scalar_baseline(cell, plans)
         for k in (1, 16):
-            got = run_in_batches(cell, plans, k, engine="reference")
+            got = run_in_batches(cell, plans, k)
             assert got == baseline

@@ -127,18 +127,6 @@ class TestSpecKeys:
                        CampaignConfig(injections=10, seed=3), population=101)
         assert a.spec_key != b.spec_key
 
-    def test_engine_not_in_key(self, hist_module):
-        """Both engines classify bit-identical outcomes (the
-        differential suite enforces it), so their shards are
-        interchangeable store rows."""
-        a = build_spec(hist_module, "main", (),
-                       CampaignConfig(injections=10, seed=3,
-                                      engine="compiled"), population=100)
-        b = build_spec(hist_module, "main", (),
-                       CampaignConfig(injections=10, seed=3,
-                                      engine="reference"), population=100)
-        assert a.spec_key == b.spec_key
-
 
 class TestGoldenGuard:
     def test_golden_digest_is_exact(self):

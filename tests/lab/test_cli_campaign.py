@@ -87,8 +87,8 @@ class TestCampaignCommand:
 
     def test_resume_manifest_with_retired_batch_key(self, lab_store,
                                                     tmp_path, capsys):
-        # A run manifest written before --batch was retired (and before
-        # --engine existed) still resumes, with the same counts.
+        # A run manifest written before --batch and --engine were
+        # retired still resumes, with the same counts.
         ref_json = str(tmp_path / "ref.json")
         assert main(["campaign", "--scale", "test", "--quiet",
                      "--benchmarks", "histogram", "--versions", "native",
@@ -100,7 +100,8 @@ class TestCampaignCommand:
             "scale": "test", "benchmarks": ["histogram"],
             "versions": ["native"], "injections": 20, "seed": 2016,
             "workers": 1, "ci_target": None, "shard_size": 10,
-            "fault_model": "register-bitflip", "batch": 4, "cluster": 0,
+            "fault_model": "register-bitflip", "batch": 4,
+            "engine": "reference", "cluster": 0,
         })
         store.close()
         resumed_json = str(tmp_path / "resumed.json")
@@ -110,10 +111,12 @@ class TestCampaignCommand:
             _report(ref_json)["cells"][0]["counts"]
 
     def test_batch_option_is_rejected(self, lab_store, capsys):
-        with pytest.raises(SystemExit) as exc:
-            _campaign("--batch", "4")
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --batch" in capsys.readouterr().err
+        for option, value in (("--batch", "4"), ("--engine", "reference")):
+            with pytest.raises(SystemExit) as exc:
+                _campaign(option, value)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {option}" in \
+                capsys.readouterr().err
 
 
 class TestMainDispatch:

@@ -146,17 +146,19 @@ class TestColdStartRecovery:
         finally:
             service2.stop()
 
+    @pytest.mark.parametrize("engine", ["compiled", "reference", "decoded"])
     def test_manifest_with_retired_decoded_engine_resumes_from_store(
-            self, tmp_path):
-        # Manifests written while the record-only "decoded" engine
-        # existed may name it. Recovery runs the campaign as "compiled";
-        # the engine is in no spec or store key, so the banked shards
-        # still serve it. A live POST naming "decoded" still gets 400.
+            self, tmp_path, engine):
+        # Every manifest written while requests had an engine field
+        # names one (the retired record-only "decoded" engine included).
+        # Recovery drops it; the engine is in no spec or store key, so
+        # the banked shards still serve the resume. A live POST naming
+        # an engine gets 400.
         submitted = _interrupt_after_two_shards(tmp_path)
         path = tmp_path / "store.sqlite.manifest.json"
         payload = json.loads(path.read_text())
         row = next(c for c in payload["campaigns"] if c["id"] == submitted)
-        row["spec"]["engine"] = "decoded"
+        row["spec"]["engine"] = engine
         payload["checksum"] = _manifest_checksum(payload)
         path.write_text(json.dumps(payload))
 
@@ -164,9 +166,9 @@ class TestColdStartRecovery:
         try:
             client = ServiceClient(host, port, tenant="alice")
             with pytest.raises(ServiceError) as exc:
-                client.submit({**_SPEC, "engine": "decoded"})
+                client.submit({**_SPEC, "engine": engine})
             assert exc.value.status == 400
-            assert "unknown engine" in json.dumps(exc.value.payload)
+            assert "unknown field" in json.dumps(exc.value.payload)
             recovered = _wait_recovered(client, submitted)
             assert recovered["status"] == "succeeded"
             result = recovered["result"]
@@ -199,6 +201,33 @@ class TestColdStartRecovery:
             assert recovered["status"] == "succeeded"
         finally:
             service.stop()
+
+    def test_unrecoverable_row_is_skipped_counted_and_printed(
+            self, tmp_path, capsys):
+        from repro.service.spec import parse_request
+
+        path = tmp_path / "store.sqlite.manifest.json"
+        write_manifest(str(path), [_campaign(parse_request(_SPEC))],
+                       reason="drain")
+        payload = json.loads(path.read_text())
+        payload["campaigns"][0]["spec"]["workload"] = "no-such-workload"
+        payload["checksum"] = _manifest_checksum(payload)
+        path.write_text(json.dumps(payload))
+
+        service, host, port = _start(tmp_path)
+        try:
+            client = ServiceClient(host, port, tenant="alice")
+            deadline = time.time() + 30.0
+            while (client.status().get("recovery_skipped") != 1
+                   and time.time() < deadline):
+                time.sleep(0.05)
+            assert client.status()["recovery_skipped"] == 1
+            assert client.campaigns()["campaigns"] == []
+        finally:
+            service.stop()
+        out = capsys.readouterr().out
+        assert "-- recovery skipped c0001-aaaaaaaa: workload: unknown " \
+               "workload 'no-such-workload'" in out
 
     def test_torn_manifest_starts_fresh_without_crashing(self, tmp_path):
         manifest_path = tmp_path / "store.sqlite.manifest.json"

@@ -24,7 +24,8 @@ class TestValidation:
         assert request.shard_size == 10
         assert request.seed == 2016
         assert request.build_scale == "test"
-        assert request.engine == "compiled"   # same as CampaignConfig
+        # No engine field: manifests stop carrying one.
+        assert "engine" not in request.as_dict()
 
     def test_perf_scale_defaults(self):
         request = _parse(scale="perf")
@@ -80,18 +81,20 @@ class TestValidation:
             _parse(ci_target="tight")
 
     def test_bad_engine_rejected(self):
-        with pytest.raises(SpecError) as exc:
-            _parse(engine="quantum")
-        assert exc.value.field == "engine"
+        # The engine is not a request field: campaigns run one way.
+        for engine in ("compiled", "reference", "quantum"):
+            with pytest.raises(SpecError) as exc:
+                _parse(engine=engine)
+            assert exc.value.field == "engine"
+            assert exc.value.message == "unknown field"
 
 
 class TestDigest:
     def test_execution_knobs_do_not_change_digest(self):
-        # Counts are bit-identical across engine/workers/priority
-        # by the determinism contract, so the digest — which drives
+        # Counts are bit-identical across workers/priority by the
+        # determinism contract, so the digest — which drives
         # coalescing and cache hits — must ignore them.
         base = _parse().digest()
-        assert _parse(engine="reference").digest() == base
         assert _parse(workers=4).digest() == base
         assert _parse(priority=9).digest() == base
 
