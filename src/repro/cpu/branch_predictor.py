@@ -40,7 +40,7 @@ class GSharePredictor:
         return correct
 
     def copy(self) -> "GSharePredictor":
-        """Independent copy (checkpoints and machine snapshots)."""
+        """Independent copy (resume states)."""
         new = object.__new__(GSharePredictor)
         new.__dict__.update(self.__dict__)
         new.counters = bytearray(self.counters)

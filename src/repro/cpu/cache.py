@@ -215,7 +215,7 @@ class CacheHierarchy:
         return level, _LATENCY[level]
 
     def copy(self) -> "CacheHierarchy":
-        """Independent copy (checkpoints and machine snapshots)."""
+        """Independent copy (resume states)."""
         new = object.__new__(CacheHierarchy)
         new.__dict__.update(self.__dict__)
         new.l1 = self.l1.copy()

@@ -112,7 +112,6 @@ from .interpreter import (
     _ICMP,
     _MASK64,
     _cast_scalar,
-    _copied,
     _compute_static,
     _float_binop,
     _int_binop,
@@ -662,12 +661,9 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
             M._executed = executed
 
 
-def run_resumable(M, fn_name: str, args: Sequence = (),
-                  capture=None) -> RunResult:
-    """``Machine.run`` on the trampoline — bit-identical results, no
-    recursion-limit dance, and optional mid-run capture via
-    ``capture``. This is how the ``"compiled"`` engine runs (see
-    :func:`run_stack` for which frames run segments)."""
+def _root_stack(M, fn_name: str, args: Sequence) -> List[Frame]:
+    """A frame stack holding just ``fn_name``'s root frame, pushed with
+    ``args`` — the start of a run."""
     fn = M.module.get_function(fn_name)
     if fn.is_declaration:
         raise ValueError(f"cannot run declaration @{fn_name}")
@@ -680,17 +676,17 @@ def run_resumable(M, fn_name: str, args: Sequence = (),
     stack: List[Frame] = []
     push_frame(M, stack, dmod.function(fn), arg_values,
                [0.0] * len(arg_values))
-    value = run_stack(M, stack, M._executed, capture)
-    cycles = M.timing.cycles if M.timing is not None else 0.0
-    ilp = M.timing.ilp if M.timing is not None else 0.0
-    return RunResult(
-        value=value,
-        output=M.output,
-        counters=M.counters,
-        cycles=cycles,
-        ilp=ilp,
-        fault_injected=M.fault_injected,
-    )
+    return stack
+
+
+def run_resumable(M, fn_name: str, args: Sequence = (),
+                  capture=None) -> RunResult:
+    """``Machine.run`` on the trampoline — bit-identical results, no
+    recursion-limit dance, and optional mid-run capture via
+    ``capture``. This is how the ``"compiled"`` engine runs (see
+    :func:`run_stack` for which frames run segments)."""
+    stack = _root_stack(M, fn_name, args)
+    return M._run_result(run_stack(M, stack, M._executed, capture))
 
 
 class _RecordPath:
@@ -750,14 +746,13 @@ class FrameState:
 
 @dataclass
 class ResumeState:
-    """Complete mid-run machine state at a body-record boundary.
-
-    Everything :class:`MachineSnapshot` captures between runs, plus the
-    frame stack, the live dynamic-instruction count, and the four
-    stream counters — precisely what a golden-prefix checkpoint needs.
-    Fault plumbing (plans, hooks) is deliberately absent:
-    checkpoints are captured during ``count_only`` golden runs where
-    all of it is empty, and :func:`resume_run` arms the injected plan
+    """Complete machine state at a body-record boundary: memory,
+    output, counters, cache, predictor and timing state, branch-PC
+    numbering, the frame stack, the live dynamic-instruction count,
+    and the four stream counters. The one restorable state — a
+    golden-prefix checkpoint (:func:`capture_state`) and the start of
+    a run (:func:`start_state`) alike. Fault plumbing (plans, hooks)
+    is deliberately absent: :func:`resume_run` arms the injected plans
     itself.
     """
 
@@ -816,12 +811,30 @@ def capture_state(M, stack: List[Frame], executed: int) -> ResumeState:
     )
 
 
+def start_state(M, fn_name: str, args: Sequence = ()) -> ResumeState:
+    """The state a run of ``fn_name`` starts from: ``M`` as it stands,
+    with the root frame pushed and nothing executed. The push is
+    unwound again, so ``M`` is left as it was."""
+    depth, fn = M._depth, M._current_fn
+    mem_live, branch_live = M._mem_stream_live, M._branch_stream_live
+    state = capture_state(M, _root_stack(M, fn_name, args), M._executed)
+    M._depth, M._current_fn = depth, fn
+    M._mem_stream_live, M._branch_stream_live = mem_live, branch_live
+    return state
+
+
+def _copied(component):
+    """``component.copy()``, or None for a disabled one (the cache and
+    timing model are optional)."""
+    return component.copy() if component is not None else None
+
+
 def restore_payload(M, state: ResumeState) -> None:
     """Put the machine's architectural state back to the checkpoint.
     Non-destructive on ``state`` (copies), so one deserialized
     checkpoint serves any number of resumes. Leaves the machine with no
     plans armed, no hooks, ``count_only`` off — callers arm what they
-    need (:func:`arm_resume`) before :func:`rebuild_frames`."""
+    need (``Machine._arm_plans``) before :func:`rebuild_frames`."""
     M.memory.load_image(state.heap, state.heap_top,
                         state.stack_mem, state.stack_top)
     M.output = list(state.output)
@@ -836,60 +849,13 @@ def restore_payload(M, state: ResumeState) -> None:
     M.checker_sites_executed = state.checker_sites
     M.mem_accesses_eligible = state.mem_accesses
     M.cond_branches_eligible = state.cond_branches
-    M.fault_plans = []
-    M._next_plan = 0
-    M._checker_plans = []
-    M._next_checker_plan = 0
-    M._mem_plans = []
-    M._next_mem_plan = 0
-    M._branch_plans = []
-    M._next_branch_plan = 0
-    M.fault_injected = False
-    M.fault_target = None
     M._count_only = False
     M._trace_eligible = None
     M._current_fn = None
     M._depth = -1
     M._mem_stream_live = False
     M._branch_stream_live = False
-    M._refresh_fault_mode()
-
-
-def arm_resume(M, plans: Sequence) -> None:
-    """Arm plans mid-run, *preserving* the restored stream counters
-    (``Machine.arm_faults`` would zero them). Plans whose eligible-
-    stream target already passed are skipped, mirroring the cursor
-    position a from-scratch run would have at this point."""
-    reg: list = []
-    checker: list = []
-    mem: list = []
-    branch: list = []
-    for plan in plans:
-        kind = getattr(plan, "kind", "reg")
-        if kind == "checker":
-            checker.append(plan)
-        elif kind == "addr":
-            mem.append(plan)
-        elif kind == "branch":
-            branch.append(plan)
-        else:
-            reg.append(plan)
-    by_index = lambda p: p.target_index  # noqa: E731
-    M.fault_plans = sorted(reg, key=by_index)
-    M._next_plan = 0
-    while (M._next_plan < len(M.fault_plans)
-           and M.fault_plans[M._next_plan].target_index
-           < M.eligible_executed):
-        M._next_plan += 1
-    M._checker_plans = sorted(checker, key=by_index)
-    M._next_checker_plan = 0
-    M._mem_plans = sorted(mem, key=by_index)
-    M._next_mem_plan = 0
-    M._branch_plans = sorted(branch, key=by_index)
-    M._next_branch_plan = 0
-    M.fault_injected = False
-    M.fault_target = None
-    M._refresh_fault_mode()
+    M._arm_plans(())
 
 
 def rebuild_frames(M, state: ResumeState) -> List[Frame]:
@@ -939,23 +905,15 @@ def rebuild_frames(M, state: ResumeState) -> List[Frame]:
 
 
 def resume_run(M, state: ResumeState, plans: Sequence) -> RunResult:
-    """Restore a checkpoint, arm ``plans`` mid-run, and execute only
-    the tail. Bit-identical to arming the same plans on a fresh machine
-    and running from scratch, for every plan :func:`covers` admits."""
+    """Restore ``state``, arm ``plans`` against its stream marks, and
+    execute the rest of the run — the whole run from a
+    :func:`start_state`, only the tail from a checkpoint. Bit-identical
+    to arming the same plans on a fresh machine and running from
+    scratch, for every plan :func:`covers` admits."""
     restore_payload(M, state)
-    arm_resume(M, plans)
+    M._arm_plans(plans)
     stack = rebuild_frames(M, state)
-    value = run_stack(M, stack, state.executed)
-    cycles = M.timing.cycles if M.timing is not None else 0.0
-    ilp = M.timing.ilp if M.timing is not None else 0.0
-    return RunResult(
-        value=value,
-        output=M.output,
-        counters=M.counters,
-        cycles=cycles,
-        ilp=ilp,
-        fault_injected=M.fault_injected,
-    )
+    return M._run_result(run_stack(M, stack, state.executed))
 
 
 # --- Checkpoint validity -----------------------------------------------------

@@ -41,7 +41,7 @@ class PerfCounters:
     collect_by_opcode: bool = False
 
     def copy(self) -> "PerfCounters":
-        """Independent copy (checkpoints and machine snapshots)."""
+        """Independent copy (resume states)."""
         new = object.__new__(PerfCounters)
         new.__dict__.update(self.__dict__)
         new.by_opcode = dict(self.by_opcode)

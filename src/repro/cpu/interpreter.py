@@ -313,34 +313,6 @@ def _compute_static(inst: Instruction, costs: C.CostModel) -> tuple:
     return (is_avx, is_vec_alu, uops)
 
 
-@dataclass
-class MachineSnapshot:
-    """Between-runs machine state captured by :meth:`Machine.snapshot`.
-
-    Opaque to callers; its only contract is the
-    ``snapshot → run → restore → run`` bit-identity round trip. Memory
-    is stored as the *used* heap/stack prefixes, so a snapshot of a
-    freshly constructed machine costs the laid-out globals, not the
-    configured capacities — cheap enough to take one per injection
-    session and restore per injection."""
-
-    heap: bytes
-    stack: bytes
-    heap_top: int
-    stack_top: int
-    output: List
-    counters: PerfCounters
-    cache: Optional[CacheHierarchy]
-    predictor: GSharePredictor
-    timing: Optional[TimingModel]
-    branch_pcs: Dict[int, int]
-    next_pc: int
-    executed: int
-    fault_state: tuple
-    count_only: bool
-    trace_eligible: object
-
-
 class Machine:
     def __init__(self, module: Module, config: Optional[MachineConfig] = None):
         self.module = module
@@ -500,6 +472,17 @@ class Machine:
         hardening-inserted check/wrapper sites, and everything else
         (``reg``/``multi``/``skip``/``mem``) counts eligible
         value-producing instructions, exactly as before."""
+        self.eligible_executed = 0
+        self.checker_sites_executed = 0
+        self.mem_accesses_eligible = 0
+        self.cond_branches_eligible = 0
+        self._arm_plans(plans)
+
+    def _arm_plans(self, plans: Sequence[FaultPlan]) -> None:
+        """Arm ``plans`` against the four stream counters as they stand
+        — zero before a run, or a resumed state's marks. Eligible-stream
+        plans whose target the counter already passed are skipped,
+        mirroring the cursor a from-scratch run would have here."""
         reg: List[FaultPlan] = []
         checker: List[FaultPlan] = []
         mem: List[FaultPlan] = []
@@ -518,7 +501,8 @@ class Machine:
         self.fault_plans = sorted(reg, key=by_index)
         self._next_plan = 0
         while (self._next_plan < len(self.fault_plans)
-               and self.fault_plans[self._next_plan].target_index < 0):
+               and self.fault_plans[self._next_plan].target_index
+               < self.eligible_executed):
             self._next_plan += 1
         self._checker_plans = sorted(checker, key=by_index)
         self._next_checker_plan = 0
@@ -528,10 +512,6 @@ class Machine:
         self._next_branch_plan = 0
         self.fault_injected = False
         self.fault_target = None
-        self.eligible_executed = 0
-        self.checker_sites_executed = 0
-        self.mem_accesses_eligible = 0
-        self.cond_branches_eligible = 0
         self._refresh_fault_mode()
 
     def _fault_eligible_fn(self, fn: Function) -> bool:
@@ -664,16 +644,10 @@ class Machine:
 
     # Execution ------------------------------------------------------------------------
 
-    def run(self, fn_name: str, args: Sequence = (), reset_counters: bool = False) -> RunResult:
+    def run(self, fn_name: str, args: Sequence = ()) -> RunResult:
         fn = self.module.get_function(fn_name)
         if fn.is_declaration:
             raise ValueError(f"cannot run declaration @{fn_name}")
-        if reset_counters:
-            self.counters = PerfCounters()
-            self.counters.collect_by_opcode = self.config.collect_by_opcode
-            if self.timing is not None:
-                self.timing.reset()
-            self._executed = 0
         arg_values = list(args)
         if len(arg_values) != len(fn.args):
             raise TypeError(
@@ -694,98 +668,20 @@ class Machine:
         finally:
             if saved_limit < _RUN_RECURSION_LIMIT:
                 sys.setrecursionlimit(saved_limit)
-        cycles = self.timing.cycles if self.timing is not None else 0.0
-        ilp = self.timing.ilp if self.timing is not None else 0.0
+        return self._run_result(value)
+
+    def _run_result(self, value) -> RunResult:
+        """The finished run's result, read off the machine (both
+        engines, fresh or resumed runs)."""
+        timing = self.timing
         return RunResult(
             value=value,
             output=self.output,
             counters=self.counters,
-            cycles=cycles,
-            ilp=ilp,
+            cycles=timing.cycles if timing is not None else 0.0,
+            ilp=timing.ilp if timing is not None else 0.0,
             fault_injected=self.fault_injected,
         )
-
-    # Snapshot / restore -----------------------------------------------------------------
-
-    def snapshot(self) -> "MachineSnapshot":
-        """Capture the machine's *between-runs* architectural state.
-
-        Valid only while no ``run()`` is in progress (the live Python
-        call stack of a run cannot be captured). Everything a later
-        :meth:`restore` needs to make the next run bit-identical to a
-        run from this point is copied: the used prefixes of heap and
-        stack, the output list, counters, cache, predictor and timing
-        state, branch-PC numbering, the instruction budget cursor, and
-        the complete fault-plumbing state (plans, cursors, stream
-        counters, hooks). Pure caches that cannot affect results
-        (``_static_info``, ``_eligible_fn_cache``, the module's decoded
-        form) are deliberately *not* part of a snapshot.
-        """
-        heap, heap_top, stack, stack_top = self.memory.image()
-        return MachineSnapshot(
-            heap=heap,
-            stack=stack,
-            heap_top=heap_top,
-            stack_top=stack_top,
-            output=list(self.output),
-            counters=self.counters.copy(),
-            cache=_copied(self.cache),
-            predictor=self.predictor.copy(),
-            timing=_copied(self.timing),
-            branch_pcs=dict(self._branch_pcs),
-            next_pc=self._next_pc,
-            executed=self._executed,
-            fault_state=(
-                list(self.fault_plans), self._next_plan,
-                list(self._checker_plans), self._next_checker_plan,
-                list(self._mem_plans), self._next_mem_plan,
-                list(self._branch_plans), self._next_branch_plan,
-                self.fault_injected, self.fault_target,
-                self.eligible_executed, self.checker_sites_executed,
-                self.mem_accesses_eligible, self.cond_branches_eligible,
-            ),
-            count_only=self._count_only,
-            trace_eligible=self._trace_eligible,
-        )
-
-    def restore(self, snap: "MachineSnapshot") -> None:
-        """Return the machine to a state captured by :meth:`snapshot`;
-        the next ``run()`` is bit-identical to one started right after
-        the snapshot was taken (the round-trip property test pins
-        this). Memory the machine touched *after* the snapshot is
-        re-zeroed, so a restored machine is indistinguishable from a
-        fresh one with the snapshot replayed onto it."""
-        self.memory.load_image(snap.heap, snap.heap_top,
-                               snap.stack, snap.stack_top)
-        self.output = list(snap.output)
-        self.counters = snap.counters.copy()
-        self.cache = _copied(snap.cache)
-        self.predictor = snap.predictor.copy()
-        self.timing = _copied(snap.timing)
-        self._branch_pcs = dict(snap.branch_pcs)
-        self._next_pc = snap.next_pc
-        self._executed = snap.executed
-        (self.fault_plans, self._next_plan,
-         self._checker_plans, self._next_checker_plan,
-         self._mem_plans, self._next_mem_plan,
-         self._branch_plans, self._next_branch_plan,
-         self.fault_injected, self.fault_target,
-         self.eligible_executed, self.checker_sites_executed,
-         self.mem_accesses_eligible, self.cond_branches_eligible,
-         ) = snap.fault_state
-        self.fault_plans = list(self.fault_plans)
-        self._checker_plans = list(self._checker_plans)
-        self._mem_plans = list(self._mem_plans)
-        self._branch_plans = list(self._branch_plans)
-        self._count_only = snap.count_only
-        self._trace_eligible = snap.trace_eligible
-        # Between-runs invariants (restore targets a quiescent machine;
-        # an aborted run may have left these mid-frame).
-        self._current_fn = None
-        self._depth = -1
-        self._mem_stream_live = False
-        self._branch_stream_live = False
-        self._refresh_fault_mode()
 
     # The core loop ---------------------------------------------------------------------
 
@@ -1316,12 +1212,6 @@ def _is_checker_site(inst: Instruction) -> bool:
             _CHECKER_PREFIXES
         )
     return False
-
-
-def _copied(component):
-    """``component.copy()``, or None for a disabled one (the cache and
-    timing model are optional)."""
-    return component.copy() if component is not None else None
 
 
 def _zero_value(ty: T.Type):

@@ -3,10 +3,10 @@ surface, which lives in :mod:`repro.cpu.compiled`.
 
 The trampoline is the compiled engine's only executor: it runs compiled
 block segments and, wherever those cannot run, one emitted function per
-decoded record. This module keeps the checkpoint-facing names
-(capture, restore, resume, stream marks) importable from one stable
-place. The frame/cursor format is unchanged: checkpoints written by
-:mod:`repro.snap.format` still load and resume bit-identically.
+decoded record. This module keeps the checkpoint-facing names (start
+state, capture, restore, resume, stream marks) importable from one
+stable place. The frame/cursor format is unchanged: checkpoints written
+by :mod:`repro.snap.format` still load and resume bit-identically.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .compiled import (  # noqa: F401
     Frame,
     FrameState,
     ResumeState,
-    arm_resume,
     capture_state,
     covers,
     push_frame,
@@ -24,6 +23,7 @@ from .compiled import (  # noqa: F401
     resume_run,
     run_resumable,
     run_stack,
+    start_state,
     stream_mark,
 )
 
@@ -31,7 +31,6 @@ __all__ = [
     "Frame",
     "FrameState",
     "ResumeState",
-    "arm_resume",
     "capture_state",
     "covers",
     "push_frame",
@@ -40,5 +39,6 @@ __all__ = [
     "resume_run",
     "run_resumable",
     "run_stack",
+    "start_state",
     "stream_mark",
 ]

@@ -59,22 +59,13 @@ class TimingModel:
         self._retire_frontier = 0.0
 
     def copy(self) -> "TimingModel":
-        """Independent copy (checkpoints and machine snapshots); the
-        cost model is read-only and shared."""
+        """Independent copy (resume states); the cost model is
+        read-only and shared."""
         new = object.__new__(TimingModel)
         new.__dict__.update(self.__dict__)
         new._port_free = dict(self._port_free)
         new._rob = deque(self._rob)
         return new
-
-    def reset(self) -> None:
-        self.issue_time = 0.0
-        self.finish_time = 0.0
-        self.issued = 0
-        self.uops_issued = 0
-        self._port_free.clear()
-        self._rob.clear()
-        self._retire_frontier = 0.0
 
     # Core accounting ----------------------------------------------------------
 

@@ -46,8 +46,10 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
+from ..cpu.compiled import compile_records
 from ..cpu.errors import DetectedError, HangError, Trap
-from ..cpu.interpreter import FaultPlan, Machine, MachineConfig
+from ..cpu.interpreter import FaultPlan, Machine, MachineConfig, RunResult
+from ..cpu.resumable import resume_run, start_state
 from ..ir.module import Module
 from ..workloads.common import outputs_match
 from .models import DEFAULT_MODEL, StreamProfile, get_model
@@ -233,8 +235,6 @@ def warm_record_path(module: Module, entry: str,
     """Compile, in this process, the record functions the cell's
     injections fire their faults on. Call it before forking injection
     workers: they inherit the code instead of each emitting it again."""
-    from ..cpu.compiled import compile_records
-
     compile_records(_fresh_machine(module, fault_eligible=fault_eligible),
                     entry)
 
@@ -282,6 +282,23 @@ def trap_outcome(trap: Trap) -> Outcome:
     return Outcome.OS_DETECTED
 
 
+def _classify(run: Callable[[], RunResult], reference: Sequence,
+             rtol: float) -> Outcome:
+    """Execute ``run`` — one armed injection run — and classify it per
+    Table I: a trap by :func:`trap_outcome`, otherwise SDC when the
+    output differs from ``reference``, corrected when the hardening
+    repaired a value, masked when not."""
+    try:
+        result = run()
+    except Trap as exc:
+        return trap_outcome(exc)
+    if not outputs_match(result.output, reference, rtol):
+        return Outcome.SDC
+    if result.counters.corrections > 0:
+        return Outcome.CORRECTED
+    return Outcome.MASKED
+
+
 def inject_once(
     module: Module,
     entry: str,
@@ -297,16 +314,7 @@ def inject_once(
     machine = _fresh_machine(module, max_instructions=budget,
                              fault_eligible=fault_eligible, engine=engine)
     machine.arm_fault(plan)
-    try:
-        result = machine.run(entry, args)
-    except Trap as exc:
-        return trap_outcome(exc)
-
-    if not outputs_match(result.output, list(reference), rtol):
-        return Outcome.SDC
-    if machine.counters.corrections > 0:
-        return Outcome.CORRECTED
-    return Outcome.MASKED
+    return _classify(lambda: machine.run(entry, args), list(reference), rtol)
 
 
 class InjectionSession:
@@ -315,21 +323,17 @@ class InjectionSession:
     :func:`inject_once` rebuilds the whole machine for every injection —
     memory arenas, global layout, cache/predictor/timing state, and
     (first time through) the decoded module. A session builds the
-    machine once, warms the decode, snapshots the golden start state,
-    and turns each injection into restore → arm → run → classify.
-    Classification is the same code path as :func:`inject_once`, and
-    the differential tests pin per-plan outcome identity between the
-    two.
+    machine once, warms the decode, captures the run's start state
+    (:func:`repro.cpu.resumable.start_state`), and turns each injection
+    into resume → classify. Classification is :func:`_classify`, as in
+    :func:`inject_once`, and the differential tests pin per-plan
+    outcome identity between the two.
     """
 
     def __init__(self, module: Module, entry: str, args: Sequence,
                  reference: Sequence, budget: int, rtol: float = 1e-9,
                  fault_eligible: Optional[Callable] = None):
-        from ..cpu.compiled import compile_records
-
         self.module = module
-        self.entry = entry
-        self.args = list(args)
         self.reference = list(reference)
         self.budget = budget
         self.rtol = rtol
@@ -340,48 +344,36 @@ class InjectionSession:
         # (cached on the module either way). Segments are compiled by
         # the first run that executes them.
         compile_records(self.machine, entry)
-        self.snapshot = self.machine.snapshot()
+        self.start = start_state(self.machine, entry, args)
         self._checkpoints = None  # CheckpointSet, attached per run_plans
 
     def attach_checkpoints(self, cset) -> None:
         """Resume injections from ``cset``'s mid-run checkpoints (a
-        :class:`repro.snap.CheckpointSet`); None reverts to whole-run
-        restore. Attached per :func:`run_plans` call because the set is
-        per fault model while the session is shared across models."""
+        :class:`repro.snap.CheckpointSet`); None resumes every injection
+        from the start state. Attached per :func:`run_plans` call
+        because the set is per fault model while the session is shared
+        across models."""
         self._checkpoints = cset
 
     def inject(self, plan: FaultPlan) -> Outcome:
         """One injection on the reused machine, classified per Table I.
 
-        With checkpoints attached, restores the latest checkpoint at or
-        before the plan's fault site and executes only the tail; plans
-        whose site precedes every checkpoint run from scratch. Either
-        way the outcome is bit-identical (tests/snap pins it)."""
-        machine = self.machine
+        Resumes the latest checkpoint at or before the plan's fault
+        site and executes only the tail; a plan whose site precedes
+        every checkpoint (or a session with none attached) resumes the
+        start state. Either way the outcome is bit-identical to a run
+        from scratch (tests/snap pins it)."""
         state = (self._checkpoints.nearest(plan)
                  if self._checkpoints is not None else None)
-        try:
-            if state is not None:
-                from ..cpu.resumable import resume_run
-
-                result = resume_run(machine, state, (plan,))
-            else:
-                machine.restore(self.snapshot)
-                machine.arm_fault(plan)
-                result = machine.run(self.entry, self.args)
-        except Trap as exc:
-            return trap_outcome(exc)
-        if not outputs_match(result.output, list(self.reference), self.rtol):
-            return Outcome.SDC
-        if machine.counters.corrections > 0:
-            return Outcome.CORRECTED
-        return Outcome.MASKED
+        return _classify(
+            lambda: resume_run(self.machine, state or self.start, (plan,)),
+            self.reference, self.rtol)
 
 
 #: The one live injection session, as ``(module, key, session)``. A
 #: single slot across ALL modules, not one per module: every session
 #: pins a Machine — arenas as large as its program's footprint, cache
-#: and timing state, the golden snapshot — and a multi-cell campaign
+#: and timing state, the start state — and a multi-cell campaign
 #: (or benchmark sweep) that kept one per module would accumulate all
 #: of that for every cell ever run. Beyond parent RSS, that bloat
 #: taxes every ``os.fork()`` of a forked campaign — page-table size

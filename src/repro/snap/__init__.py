@@ -16,7 +16,8 @@ The subsystem in three layers (docs/CHECKPOINT.md has the full story):
 
 Campaigns pick checkpoints up transparently: ``run_plans`` /
 ``InjectionSession`` resolve each plan to the nearest checkpoint at or
-before its fault site and execute only the tail.
+before its fault site and execute only the tail; a plan before every
+checkpoint resumes the start state.
 """
 
 from .build import MIN_ELIGIBLE, CheckpointSet, build_checkpoints

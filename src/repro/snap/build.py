@@ -22,7 +22,7 @@ from .store import SnapStore, checkpoint_key, machine_key
 
 #: Below this many eligible instructions the golden prefix is too short
 #: for checkpoints to pay for their capture run and restore cost;
-#: campaigns fall back to plain between-runs snapshots.
+#: every injection then resumes the start state.
 MIN_ELIGIBLE = 2048
 
 

@@ -109,7 +109,8 @@ class CapturePolicy:
         self.base = intervals.get("", 256)
         self.limit = limit
         # Skip index 0: a checkpoint at the very start is just the
-        # between-runs MachineSnapshot the session already holds.
+        # start state (repro.cpu.resumable.start_state) the injection
+        # session already holds.
         self.next_index = min(intervals.values()) if intervals else 256
         self.states: List = []
 

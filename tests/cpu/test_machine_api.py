@@ -44,14 +44,6 @@ class TestRunResult:
         total = machine.run("main", [10]).counters.instructions
         assert total == 2 * first
 
-    def test_reset_counters(self):
-        machine = Machine(sum_module())
-        machine.run("main", [10])
-        result = machine.run("main", [10], reset_counters=True)
-        fresh = Machine(sum_module()).run("main", [10])
-        assert result.counters.instructions == fresh.counters.instructions
-        assert result.cycles == pytest.approx(fresh.cycles)
-
     def test_cost_model_changes_cycles(self):
         from repro.passes import elzar_transform
 

@@ -322,10 +322,8 @@ def _growing_module(nbytes):
     return module
 
 
-# (take, restore) pairs: between-runs snapshots and mid-run checkpoints.
+# (take, restore) pairs for the machine's memory image.
 IMAGE_APIS = {
-    "snapshot-restore": (lambda m: m.snapshot(),
-                         lambda m, state: m.restore(state)),
     "capture-restore_payload": (
         lambda m: capture_state(m, [], m._executed), restore_payload),
 }

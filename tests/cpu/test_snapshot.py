@@ -1,16 +1,18 @@
-"""Round-trip tests for the ``Machine.snapshot()/restore()`` micro-API
-and the resumable trampoline's mid-run capture/resume extension of it.
+"""Round-trip tests for the one restorable machine state,
+:class:`~repro.cpu.resumable.ResumeState`: the start of a run
+(``start_state``) and mid-run captures (``capture_state``), both
+resumed by ``resume_run``.
 
-The injection session leans on one property: restoring a snapshot puts
-the machine in a state from which a run is *bit-identical* to a run
-from the snapshot point — outputs, every architectural counter, and
-cycles. These tests pin that property across workloads, hardened
-builds, armed fault plans, and runs abandoned by traps.
+The injection session leans on one property: resuming a state puts
+the machine where a run is *bit-identical* to a run from that point —
+outputs, every architectural counter, and cycles. These tests pin that
+property across workloads, hardened builds, armed fault plans, and
+runs abandoned by traps.
 
-The trampoline (``repro.cpu.resumable``) extends the property to
-*mid-run* points: an explicit-frame run is bit-identical to the
-recursive engine, and a state captured at any eligible-instruction
-boundary resumes to the identical completion.
+The trampoline (``repro.cpu.resumable``) also runs from *mid-run*
+points: an explicit-frame run is bit-identical to the recursive
+engine, and a state captured at any eligible-instruction boundary
+resumes to the identical completion.
 """
 
 import pytest
@@ -25,6 +27,7 @@ from repro.cpu.resumable import (
     resume_run,
     run_resumable,
     run_stack,
+    start_state,
 )
 from repro.toolchain import default_toolchain
 
@@ -37,9 +40,9 @@ def build(name, version):
     return built.module, built.entry, built.args
 
 
-def observe(machine, entry, args):
+def observe(machine, run):
     try:
-        result = machine.run(entry, args)
+        result = run()
     except Trap as exc:
         return ("trap", type(exc).__name__, str(exc),
                 machine.counters.as_dict())
@@ -47,71 +50,60 @@ def observe(machine, entry, args):
             result.cycles)
 
 
+def resumed(machine, state, plans=()):
+    return observe(machine, lambda: resume_run(machine, state, plans))
+
+
+def fresh_run(module, entry, args, engine="compiled"):
+    machine = Machine(module, MachineConfig(engine=engine))
+    return observe(machine, lambda: machine.run(entry, args))
+
+
 class TestSnapshotRoundTrip:
     @pytest.mark.parametrize("name,version", WORKLOADS)
     def test_restore_then_run_is_bit_identical(self, name, version):
         module, entry, args = build(name, version)
         machine = Machine(module, MachineConfig())
-        snap = machine.snapshot()
-        first = observe(machine, entry, args)
-        # The first run dirtied heap, counters, caches; restore must
-        # erase every trace of it.
-        machine.restore(snap)
-        second = observe(machine, entry, args)
+        start = start_state(machine, entry, args)
+        first = resumed(machine, start)
+        # The first run dirtied heap, counters, caches; resuming the
+        # start state must erase every trace of it.
+        second = resumed(machine, start)
         assert first == second
+        assert first == fresh_run(module, entry, args)
+        assert first == fresh_run(module, entry, args, "reference")
 
     def test_restore_equals_fresh_machine(self):
+        # A start state taken on one machine resumes on another that
+        # already ran a faulted run.
         module, entry, args = build("histogram", "elzar")
+        start = start_state(Machine(module, MachineConfig()), entry, args)
         machine = Machine(module, MachineConfig())
-        snap = machine.snapshot()
-        observe(machine, entry, args)
-        machine.restore(snap)
-        fresh = Machine(module, MachineConfig())
-        assert observe(machine, entry, args) == observe(fresh, entry, args)
+        machine.arm_fault(FaultPlan(target_index=40, bit=62, lane=2))
+        observe(machine, lambda: machine.run(entry, args))
+        assert resumed(machine, start) == fresh_run(module, entry, args)
 
     def test_repeated_restores_stay_identical(self):
         module, entry, args = build("histogram", "native")
         machine = Machine(module, MachineConfig())
-        snap = machine.snapshot()
-        runs = []
-        for _ in range(3):
-            machine.restore(snap)
-            runs.append(observe(machine, entry, args))
+        start = start_state(machine, entry, args)
+        runs = [resumed(machine, start) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
-
-    @pytest.mark.parametrize("plan", [
-        FaultPlan(target_index=7, bit=3, lane=1),
-        FaultPlan(target_index=40, bit=62, lane=2),
-        FaultPlan(target_index=11, bit=5, kind="addr"),
-        FaultPlan(target_index=3, bit=0, kind="branch"),
-    ])
-    def test_armed_fault_state_round_trips(self, plan):
-        # snapshot() captures armed-but-unfired plans; a restored run
-        # must fire the same fault at the same dynamic site.
-        module, entry, args = build("histogram", "elzar")
-        machine = Machine(module, MachineConfig())
-        machine.arm_fault(plan)
-        snap = machine.snapshot()
-        first = observe(machine, entry, args)
-        machine.restore(snap)
-        assert observe(machine, entry, args) == first
 
     def test_restore_after_trap_recovers_golden_run(self):
         # An address flip into the high bits traps mid-run, abandoning
-        # the machine with live frames and a half-written heap; restore
-        # must still recover a clean golden run.
+        # the machine with live frames and a half-written heap; resuming
+        # the start state must still recover a clean golden run.
         module, entry, args = build("histogram", "native")
         machine = Machine(module, MachineConfig())
-        snap = machine.snapshot()
-        golden = observe(machine, entry, args)
+        start = start_state(machine, entry, args)
+        golden = resumed(machine, start)
         assert golden[0] == "ok"
 
-        machine.restore(snap)
-        machine.arm_fault(FaultPlan(target_index=2, bit=40, kind="addr"))
-        faulted = observe(machine, entry, args)
+        plan = FaultPlan(target_index=2, bit=40, kind="addr")
+        faulted = resumed(machine, start, (plan,))
 
-        machine.restore(snap)
-        assert observe(machine, entry, args) == golden
+        assert resumed(machine, start) == golden
         # The exercise is only meaningful if the fault actually
         # perturbed the first run.
         assert faulted != golden

@@ -115,8 +115,3 @@ class TestTiming:
             t.issue("add", 1.0, ())
         assert 3.0 < t.ilp <= 4.01
 
-    def test_reset(self):
-        t = TimingModel(HASWELL)
-        t.issue("add", 1.0, ())
-        t.reset()
-        assert t.cycles == 0.0 and t.issued == 0 and t.uops_issued == 0

@@ -8,12 +8,17 @@ only change how fast a campaign runs.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro.cpu.interpreter import FaultPlan
+from repro.cpu.resumable import stream_mark
+from repro.faults import campaign
 from repro.faults.campaign import (
     CampaignConfig,
     _SESSION_TLS,
+    _cell_checkpoints,
     draw_model_plans,
     golden_profile,
     hang_budget,
@@ -80,3 +85,49 @@ class TestModelMatrixIdentity:
         scratch = _per_plan(built, draw_model_plans(profile, config),
                             reference, budget)
         assert on.counts == Counter(scratch)
+
+
+class TestStartStateBoundary:
+    """Plans around the first checkpoint: stream index 0 and the first
+    checkpoint's mark - 1 resume the start state, the mark itself
+    resumes the checkpoint. Random plans rarely land before the first
+    checkpoint, so this pins that path per model."""
+
+    @pytest.mark.parametrize("model", model_names())
+    @pytest.mark.parametrize("version", ["native", "elzar"])
+    def test_boundary_plans_equal_reference(self, version, model):
+        built, reference, profile, budget = _cell(version=version)
+        drawn = _model_plans(profile, model, n=1)
+        if drawn is None:
+            pytest.skip(f"{model} has no targets in {version}")
+        cset = _cell_checkpoints(built.module, built.entry, built.args,
+                                 budget, None, model)
+        # A stream the first checkpoint has not reached yet (mark 0,
+        # e.g. native checker sites) has no index before it.
+        mark = stream_mark(cset.states[0], drawn[0])
+        plans = [replace(drawn[0], target_index=index)
+                 for index in sorted({0, max(mark - 1, 0), mark})]
+        snap = run_plans(built.module, built.entry, built.args, plans,
+                         reference, budget, fault_model=model)
+        assert snap == _per_plan(built, plans, reference, budget,
+                                 engine="reference")
+
+
+def test_every_injection_resumes_a_state(monkeypatch):
+    # One injection path: every plan, including one before the first
+    # checkpoint, runs through resume_run.
+    built, reference, profile, budget = _cell()
+    resumed = []
+    real = campaign.resume_run
+
+    def counting(machine, state, plans):
+        resumed.append(state)
+        return real(machine, state, plans)
+
+    monkeypatch.setattr(campaign, "resume_run", counting)
+    plans = [FaultPlan(target_index=0, bit=3)] + _model_plans(
+        profile, "register-bitflip")
+    run_plans(built.module, built.entry, built.args, plans, reference,
+              budget)
+    assert len(resumed) == len(plans)
+    assert resumed[0] is _SESSION_TLS.slot[2].start
