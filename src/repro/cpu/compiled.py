@@ -7,10 +7,11 @@ output runs in two shapes:
 
 - **Segments**: per basic block, the records between defined-call
   boundaries compile to one closure with operands resolved to register
-  slots, semantics and the timing model's ``issue()`` inlined,
-  cost-table entries baked in as literals, and branch targets resolved
-  to the successor's segment (threaded code: each segment returns the
-  next segment to run).
+  slots, semantics and the timing model's ``issue()`` inlined, and
+  cost-table entries baked in as literals; a function's call-free
+  blocks share one *region* closure that branches between them in
+  place. Each segment returns a control code that tells the trampoline
+  what to run next (see the segment protocol below).
 - **Record functions**: one function per body record, the unit of the
   trampoline's *record path*. It runs whatever segments cannot: blocks
   outside the compiled subset, budget exhaustion (the HangError at the
@@ -67,7 +68,7 @@ import importlib.util
 import marshal
 import time
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..avx import costs as C
@@ -84,7 +85,6 @@ from ..ir.instructions import (
     ICmpInst,
     InsertElementInst,
     LoadInst,
-    PhiInst,
     SelectInst,
     ShuffleVectorInst,
     StoreInst,
@@ -96,14 +96,10 @@ from .engine import (
     _T_RET,
     _T_RET_VOID,
     _T_UNREACHABLE,
-    _TERMINATOR_OPCODES,
     _Undecodable,
     _intrinsic_impl,
-    DecodedBlock,
     DecodedFunction,
     decoded_module,
-    operand_resolver,
-    slot_layout,
 )
 from .cache import _LATENCY as _CACHE_LATENCY
 from .errors import HangError, MemoryFault
@@ -143,9 +139,29 @@ class Frame:
         "phis_pending",  # phi stage of `block` not yet run
         "in_body",      # inside the counted region (exception flush applies)
         "budget_exc",   # the HangError this frame raised for budget, if any
-        "rv",           # return value handed from a compiled ret segment
-        "pending_call",  # (dfn, args, arg_times) handed from a call segment
+        "rv",           # return value of a frame return (control None)
+        "pending_call",  # (dfn, args, arg_times) parked for control 1
     )
+
+    def __init__(self, dfn, regs, times, mark, depth, inject, caller_fn,
+                 prev_mem, prev_branch, block, i=0, in_body=False):
+        self.dfn = dfn
+        self.regs = regs
+        self.times = times
+        self.mark = mark
+        self.depth = depth
+        self.inject = inject
+        self.caller_fn = caller_fn
+        self.prev_mem = prev_mem
+        self.prev_branch = prev_branch
+        self.block = block
+        self.prev = None
+        self.i = i
+        self.phis_pending = False
+        self.in_body = in_body
+        self.budget_exc = None
+        self.rv = None
+        self.pending_call = None
 
 
 def push_frame(M, stack: List[Frame], dfn: DecodedFunction, args: List,
@@ -163,56 +179,27 @@ def push_frame(M, stack: List[Frame], dfn: DecodedFunction, args: List,
     if nargs:
         regs[:nargs] = args
         times[:nargs] = arg_times
-    f = Frame()
-    f.dfn = dfn
-    f.regs = regs
-    f.times = times
-    f.mark = M.memory.stack_mark()
-    f.caller_fn = M._current_fn
+    inject = bool(M._fault_active and M._fault_eligible_fn(dfn.fn))
+    f = Frame(dfn, regs, times, M.memory.stack_mark(), depth, inject,
+              M._current_fn, M._mem_stream_live, M._branch_stream_live,
+              dfn.entry)
     M._current_fn = dfn.fn
-    f.prev_mem = M._mem_stream_live
-    f.prev_branch = M._branch_stream_live
-    f.depth = depth
-    if M._fault_active and M._fault_eligible_fn(dfn.fn):
-        M._mem_stream_live = M._mem_stream_needed
-        M._branch_stream_live = M._branch_stream_needed
-        f.inject = True
-    else:
-        M._mem_stream_live = False
-        M._branch_stream_live = False
-        f.inject = False
-    f.block = dfn.entry
-    f.prev = None
-    f.i = 0
-    f.phis_pending = False
-    f.in_body = False
-    f.budget_exc = None
-    f.rv = None
-    f.pending_call = None
+    M._mem_stream_live = inject and M._mem_stream_needed
+    M._branch_stream_live = inject and M._branch_stream_needed
     stack.append(f)
     return f
 
 
-def _call_result_step(M, f, regs, executed) -> bool:
-    """The caller loop's inject bookkeeping on the result of the defined
-    call at ``f.i`` (the callee has returned). No checker step: a
-    defined call is never a checker site. Returns True when a plan
-    fired (the armed segments' event limits are then stale)."""
-    meta = f.block.inject[f.i]
-    if meta is None:
-        return False
-    rdst, _ty, inst = meta
-    index = M.eligible_executed
-    M.eligible_executed = index + 1
-    if M._trace_eligible is not None:
-        M._executed = executed
-        M._trace_eligible(inst, M._current_fn)
-    plans = M.fault_plans
-    cursor = M._next_plan
-    if cursor < len(plans) and index == plans[cursor].target_index:
-        regs[rdst] = M._apply_reg_plans(regs[rdst], inst, index)
-        return True
-    return False
+def _pop_frame(M, stack: List[Frame]) -> None:
+    """Mirror of the reference ``Machine._exec_function`` epilogue: pop
+    the innermost frame, restore its caller's context and release its
+    stack allocations. Frame returns and the unwinder both use it."""
+    f = stack.pop()
+    M._current_fn = f.caller_fn
+    M._mem_stream_live = f.prev_mem
+    M._branch_stream_live = f.prev_branch
+    M.memory.stack_release(f.mark)
+    M._depth = f.depth - 1
 
 
 #: Event limit of a stream with nothing pending.
@@ -259,6 +246,13 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
     the loop invokes ``take`` at the first body-record boundary at or
     after each threshold. ``take`` must only *copy* state (see
     :func:`capture_state`) and advance ``next_index``.
+
+    Each step of the innermost frame runs one segment, or the record
+    path over one block, and ends in a control code (the segment
+    protocol, under "Segment compiler" below): ``None`` returns from
+    the frame (value in ``f.rv``), 1 pushes the call parked in
+    ``f.pending_call``, 2 continues on ``f.block`` at ``f.i``, and 3
+    runs the rest of ``f.block`` on the record path.
     """
     counters = M.counters
     cd = counters.__dict__
@@ -285,6 +279,7 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
             f = stack[-1]
             regs = f.regs
             times = f.times
+            inject = f.inject
 
             if returning:
                 # Complete the suspended defined call at f.i: the dst
@@ -303,14 +298,13 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                     if dst >= 0:
                         times[dst] = done
                 executed = M._executed
-                if f.inject:
-                    _call_result_step(M, f, regs, executed)
+                if inject and dst >= 0:
+                    regs[dst] = M._maybe_inject(block.inject[f.i][2],
+                                                regs[dst], True)
                 f.i += 1
 
-            inject = f.inject
             fast = armed_ok if inject else plain_ok
             sidx = vidx + 2 if inject else vidx
-            pushed = False
             while True:  # block chain within this frame
                 block = f.block
                 if f.phis_pending:
@@ -334,28 +328,17 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                             for dst, s, c in moves
                         ]
                         if inject:
-                            for (dst, v, t), (ty, phi) in zip(
+                            M._executed = executed
+                            for (dst, v, t), (_ty, phi) in zip(
                                     staged, block.phi_meta):
-                                index = M.eligible_executed
-                                M.eligible_executed = index + 1
-                                if M._trace_eligible is not None:
-                                    M._executed = executed
-                                    M._trace_eligible(phi, M._current_fn)
-                                if M._checker_needed:
-                                    v = M._checker_step(v, phi)
-                                plans = M.fault_plans
-                                cursor = M._next_plan
-                                if (cursor < len(plans)
-                                        and index ==
-                                        plans[cursor].target_index):
-                                    v = M._apply_reg_plans(v, phi, index)
-                                regs[dst] = v
+                                regs[dst] = M._maybe_inject(phi, v, True)
                                 times[dst] = t
                         else:
                             for dst, v, t in staged:
                                 regs[dst] = v
                                 times[dst] = t
 
+                ctrl = 3
                 if fast:
                     if not ready[sidx]:
                         ensure_compiled(f.dfn.dmod, sidx)
@@ -368,266 +351,155 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                         seg = (segmap.get(f.i)
                                if segmap is not None else None)
                         if seg is not None:
-                            # Threaded dispatch: each segment returns
-                            # the next segment (callable), None for a
-                            # frame return, 1 for a defined-call push,
-                            # 2 to re-enter this loop on a new block,
-                            # or 3 to run the current block's records
-                            # generically (budget within one block of
-                            # exhaustion — the record path raises the
-                            # HangError at the exact instruction — or,
-                            # armed, a pending event inside the block).
-                            # Defined-call pushes and frame returns
-                            # between frames of the same mode are
-                            # handled without leaving this loop: the
-                            # pop/epilogue below is the same code the
-                            # outer loop runs, it just skips the frame
-                            # re-derivation hop.
-                            while True:
-                                executed, ctrl = seg(
-                                    M, f, regs, times, executed,
-                                    timing, maxi, cd, byop)
-                                if ctrl.__class__ is int:
-                                    if ctrl == 1:
-                                        cdfn, cargs, cats = f.pending_call
-                                        f.pending_call = None
-                                        f2 = push_frame(M, stack, cdfn,
-                                                        cargs, cats)
-                                        if f2.inject != inject:
-                                            pushed = True
-                                            break
-                                        f = f2
-                                        regs = f.regs
-                                        times = f.times
-                                        maps = f.block.compiled
-                                        if maps is not None:
-                                            segmap = maps[sidx]
-                                            if segmap is not None:
-                                                seg = segmap.get(0)
-                                                if seg is not None:
-                                                    continue
-                                        ctrl = 2
-                                    break
-                                if ctrl is not None:
-                                    seg = ctrl
-                                    continue
-                                # Frame return: pop this frame, then —
-                                # when the caller runs in the same mode
-                                # — run the returning epilogue inline
-                                # and resume its compiled suspension
-                                # point.
-                                value = f.rv
-                                f.rv = None
-                                if executed > M._executed:
-                                    M._executed = executed
-                                stack.pop()
-                                M._current_fn = f.caller_fn
-                                M._mem_stream_live = f.prev_mem
-                                M._branch_stream_live = f.prev_branch
-                                M.memory.stack_release(f.mark)
-                                M._depth = f.depth - 1
-                                if not stack or stack[-1].inject != inject:
-                                    returning = True
-                                    break
-                                f = stack[-1]
-                                regs = f.regs
-                                times = f.times
-                                block = f.block
-                                (arg_rs, dst, _cdfn, lat, uops, isv,
-                                 port) = block.call_meta[f.i]
-                                if dst >= 0:
-                                    regs[dst] = value
-                                if timing is not None:
-                                    ats = [times[s] if s >= 0 else 0.0
-                                           for s, c in arg_rs]
-                                    done = timing.issue(
-                                        "call", lat, ats, 0.0, uops,
-                                        isv, port)
-                                    if dst >= 0:
-                                        times[dst] = done
-                                executed = M._executed
-                                if inject and _call_result_step(
-                                        M, f, regs, executed):
-                                    M._next_events = _event_limits(
-                                        M, capture)
-                                f.i += 1
-                                maps = block.compiled
-                                seg = None
-                                if maps is not None:
-                                    segmap = maps[sidx]
-                                    if segmap is not None:
-                                        seg = segmap.get(f.i)
-                                if seg is None:
-                                    ctrl = 2
-                                    break
-                            if ctrl is None or pushed:
-                                break
+                            executed, ctrl = seg(
+                                M, f, regs, times, executed, timing,
+                                maxi, cd, byop)
                             if ctrl == 2:
                                 continue
-                            # ctrl == 3: fall through to the record path.
-                            # The segment chain may have advanced through
-                            # several blocks (and across a call push)
-                            # before bailing, so the suspension point in
-                            # f.block can differ from the block this
-                            # dispatch entered — re-derive the local.
+                            # A region may have run on to another block
+                            # before handing back.
                             block = f.block
 
-                if not ready[ridx]:
-                    ensure_compiled(f.dfn.dmod, ridx)
-                    ready[ridx] = True
-                f.in_body = True
-                body = block.compiled[ridx]
-                inj = block.inject
-                call_meta = block.call_meta
-                n = block.n
-                i = f.i
-                try:
-                    while i < n:
-                        if (capture is not None
-                                and M.eligible_executed >=
-                                capture.next_index):
-                            f.i = i
-                            capture.take(M, stack, executed)
-                        executed += 1
-                        if executed > maxi:
-                            f.budget_exc = HangError(
-                                f"instruction budget exceeded ({maxi})"
-                            )
-                            raise f.budget_exc
-                        cm = call_meta[i]
-                        if cm is not None:
-                            # Defined call: evaluate the arguments, then
-                            # push a frame where the reference recurses.
-                            arg_rs, dst, cdfn, lat, uops, isv, port = cm
-                            cargs = [regs[s] if s >= 0 else c
-                                     for s, c in arg_rs]
-                            cats = [times[s] if s >= 0 else 0.0
-                                    for s, c in arg_rs]
-                            M._executed = executed
-                            f.i = i
-                            push_frame(M, stack, cdfn, cargs, cats)
-                            pushed = True
-                            break
-                        body[i](M, regs, times, timing)
-                        if inject:
-                            meta = inj[i]
-                            if meta is not None:
-                                rdst, _ty, inst = meta
-                                index = M.eligible_executed
-                                M.eligible_executed = index + 1
-                                if M._trace_eligible is not None:
+                if ctrl == 3:
+                    # Record path: the rest of the block, one record
+                    # function per body record.
+                    if not ready[ridx]:
+                        ensure_compiled(f.dfn.dmod, ridx)
+                        ready[ridx] = True
+                    f.in_body = True
+                    body = block.compiled[ridx]
+                    inj = block.inject
+                    call_meta = block.call_meta
+                    n = block.n
+                    i = f.i
+                    try:
+                        while i < n:
+                            if (capture is not None
+                                    and M.eligible_executed >=
+                                    capture.next_index):
+                                f.i = i
+                                capture.take(M, stack, executed)
+                            executed += 1
+                            if executed > maxi:
+                                f.budget_exc = HangError(
+                                    f"instruction budget exceeded ({maxi})"
+                                )
+                                raise f.budget_exc
+                            cm = call_meta[i]
+                            if cm is not None:
+                                # Defined call: evaluate the arguments
+                                # and park the call for the push.
+                                arg_rs, cdfn = cm[0], cm[2]
+                                f.pending_call = (
+                                    cdfn,
+                                    [regs[s] if s >= 0 else c
+                                     for s, c in arg_rs],
+                                    [times[s] if s >= 0 else 0.0
+                                     for s, c in arg_rs])
+                                M._executed = executed
+                                f.i = i
+                                ctrl = 1
+                                break
+                            body[i](M, regs, times, timing)
+                            if inject:
+                                meta = inj[i]
+                                if meta is not None:
+                                    rdst = meta[0]
                                     M._executed = executed
-                                    M._trace_eligible(inst, M._current_fn)
-                                if M._checker_needed:
-                                    regs[rdst] = M._checker_step(
-                                        regs[rdst], inst
+                                    regs[rdst] = M._maybe_inject(
+                                        meta[2], regs[rdst], True)
+                            i += 1
+                        else:
+                            f.i = i
+                            kind = block.term_kind
+                            if kind == _T_FALLOFF:
+                                raise MemoryFault(0, 0)
+                            executed += 1
+                            if executed > maxi:
+                                f.budget_exc = HangError(
+                                    f"instruction budget exceeded ({maxi})"
+                                )
+                                raise f.budget_exc
+                            if kind == _T_UNREACHABLE:
+                                raise MemoryFault(0, 0)
+                            for k, v in block.full_pairs:
+                                cd[k] += v
+                            if byop:
+                                bo = counters.by_opcode
+                                for op, cnt in block.opcode_items:
+                                    bo[op] = bo.get(op, 0) + cnt
+                            term = block.term
+                            if kind == _T_RET:
+                                s, c, lat, uops = term
+                                if timing is not None:
+                                    timing.issue(
+                                        "ret", lat,
+                                        (times[s] if s >= 0 else 0.0,),
+                                        0.0, uops, False, None,
                                     )
-                                plans = M.fault_plans
-                                cursor = M._next_plan
-                                if (cursor < len(plans)
-                                        and index ==
-                                        plans[cursor].target_index):
-                                    regs[rdst] = M._apply_reg_plans(
-                                        regs[rdst], inst, index
-                                    )
-                        i += 1
-                    if pushed:
-                        break
-                    f.i = i
-
-                    # Terminator --------------------------------------
-                    kind = block.term_kind
-                    if kind == _T_FALLOFF:
-                        raise MemoryFault(0, 0)
-                    executed += 1
-                    if executed > maxi:
-                        f.budget_exc = HangError(
-                            f"instruction budget exceeded ({maxi})"
-                        )
-                        raise f.budget_exc
-                    if kind == _T_UNREACHABLE:
-                        raise MemoryFault(0, 0)
-
-                    for k, v in block.full_pairs:
-                        cd[k] += v
-                    if byop:
-                        bo = counters.by_opcode
-                        for op, cnt in block.opcode_items:
-                            bo[op] = bo.get(op, 0) + cnt
-
-                    term = block.term
-                    if kind == _T_BR:
-                        if timing is not None:
-                            timing.issue("br", term[1], (), 0.0, 1,
-                                         False, None)
-                        f.prev = block
-                        f.block = term[0]
-                        f.phis_pending = True
-                        f.in_body = False
-                        f.i = 0
-                        continue
-                    if kind == _T_CONDBR:
-                        s, c, tb, eb, inst, lat = term
-                        taken = bool(regs[s] if s >= 0 else c)
-                        if M._branch_stream_live:
-                            taken = M._branch_step(taken, inst)
-                        pcs = M._branch_pcs
-                        key = id(inst)
-                        pc = pcs.get(key)
-                        if pc is None:
-                            pc = M._next_pc
-                            M._next_pc = pc + 1
-                            pcs[key] = pc
-                        correct = M.predictor.predict_and_update(pc, taken)
-                        if timing is not None:
-                            resolve = timing.issue(
-                                "br", lat,
-                                (times[s] if s >= 0 else 0.0,),
-                                0.0, 1, False, None,
-                            )
-                            if not correct:
-                                cd["branch_misses"] += 1
-                                timing.branch_mispredict(resolve)
-                        elif not correct:
-                            cd["branch_misses"] += 1
-                        f.prev = block
-                        f.block = tb if taken else eb
-                        f.phis_pending = True
-                        f.in_body = False
-                        f.i = 0
-                        continue
-                    if kind == _T_RET:
-                        s, c, lat, uops = term
-                        if timing is not None:
-                            timing.issue(
-                                "ret", lat,
-                                (times[s] if s >= 0 else 0.0,),
-                                0.0, uops, False, None,
-                            )
-                        value = regs[s] if s >= 0 else c
-                    else:  # _T_RET_VOID
-                        lat, uops = block.term
-                        if timing is not None:
-                            timing.issue("ret", lat, (), 0.0, uops,
-                                         False, None)
-                        value = None
-                except BaseException:
-                    f.i = i
-                    raise
-
-                # Frame return: publish the instruction count, then the
-                # reference ``_exec_function`` epilogue (pop, restore
-                # caller context, release stack).
-                if executed > M._executed:
-                    M._executed = executed
-                stack.pop()
-                M._current_fn = f.caller_fn
-                M._mem_stream_live = f.prev_mem
-                M._branch_stream_live = f.prev_branch
-                M.memory.stack_release(f.mark)
-                M._depth = f.depth - 1
-                returning = True
+                                f.rv = regs[s] if s >= 0 else c
+                                ctrl = None
+                            elif kind == _T_RET_VOID:
+                                lat, uops = term
+                                if timing is not None:
+                                    timing.issue("ret", lat, (), 0.0, uops,
+                                                 False, None)
+                                ctrl = None
+                            else:
+                                if kind == _T_BR:
+                                    succ, lat = term
+                                    if timing is not None:
+                                        timing.issue("br", lat, (), 0.0, 1,
+                                                     False, None)
+                                else:  # _T_CONDBR
+                                    s, c, tb, eb, inst, lat = term
+                                    taken = bool(regs[s] if s >= 0 else c)
+                                    if M._branch_stream_live:
+                                        taken = M._branch_step(taken, inst)
+                                    pcs = M._branch_pcs
+                                    key = id(inst)
+                                    pc = pcs.get(key)
+                                    if pc is None:
+                                        pc = M._next_pc
+                                        M._next_pc = pc + 1
+                                        pcs[key] = pc
+                                    correct = M.predictor.predict_and_update(
+                                        pc, taken)
+                                    if timing is not None:
+                                        resolve = timing.issue(
+                                            "br", lat,
+                                            (times[s] if s >= 0 else 0.0,),
+                                            0.0, 1, False, None,
+                                        )
+                                        if not correct:
+                                            cd["branch_misses"] += 1
+                                            timing.branch_mispredict(resolve)
+                                    elif not correct:
+                                        cd["branch_misses"] += 1
+                                    succ = tb if taken else eb
+                                f.prev = block
+                                f.block = succ
+                                f.phis_pending = True
+                                f.in_body = False
+                                f.i = 0
+                                continue
+                    except BaseException:
+                        f.i = i
+                        raise
                 break
+
+            if ctrl == 1:
+                cdfn, cargs, cats = f.pending_call
+                f.pending_call = None
+                push_frame(M, stack, cdfn, cargs, cats)
+                continue
+            # Frame return: publish the instruction count, then pop.
+            value = f.rv
+            f.rv = None
+            if executed > M._executed:
+                M._executed = executed
+            _pop_frame(M, stack)
+            returning = True
         return value
     except BaseException as exc:
         # Unwind: per-frame exact partial counter flush (the recursive
@@ -636,7 +508,7 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
         # record partially — exactly what its recursive `except` would
         # do when the callee's exception propagated through the call.
         while stack:
-            f = stack.pop()
+            f = stack[-1]
             if f.in_body:
                 block = f.block
                 i = f.i
@@ -650,11 +522,7 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                     end = i if exc is f.budget_exc else i + 1
                     for op in block.opcodes[:end]:
                         bo[op] = bo.get(op, 0) + 1
-            M._current_fn = f.caller_fn
-            M._mem_stream_live = f.prev_mem
-            M._branch_stream_live = f.prev_branch
-            M.memory.stack_release(f.mark)
-            M._depth = f.depth - 1
+            _pop_frame(M, stack)
         raise
     finally:
         if executed > M._executed:
@@ -815,11 +683,9 @@ def start_state(M, fn_name: str, args: Sequence = ()) -> ResumeState:
     """The state a run of ``fn_name`` starts from: ``M`` as it stands,
     with the root frame pushed and nothing executed. The push is
     unwound again, so ``M`` is left as it was."""
-    depth, fn = M._depth, M._current_fn
-    mem_live, branch_live = M._mem_stream_live, M._branch_stream_live
-    state = capture_state(M, _root_stack(M, fn_name, args), M._executed)
-    M._depth, M._current_fn = depth, fn
-    M._mem_stream_live, M._branch_stream_live = mem_live, branch_live
+    stack = _root_stack(M, fn_name, args)
+    state = capture_state(M, stack, M._executed)
+    _pop_frame(M, stack)
     return state
 
 
@@ -871,32 +737,14 @@ def rebuild_frames(M, state: ResumeState) -> List[Frame]:
     for depth, fs in enumerate(state.frames):
         fn = M.module.get_function(fs.fn)
         dfn = dmod.function(fn)
-        f = Frame()
-        f.dfn = dfn
-        f.regs = list(fs.regs)
-        f.times = list(fs.times)
-        f.mark = fs.mark
-        f.caller_fn = caller_fn
-        f.prev_mem = prev_mem
-        f.prev_branch = prev_branch
-        f.depth = depth
-        f.inject = bool(M._fault_active and M._fault_eligible_fn(fn))
-        f.block = dfn.blocks[fs.block]
-        f.prev = None
-        f.phis_pending = False
-        f.in_body = True
-        f.i = fs.i
-        f.budget_exc = None
-        f.rv = None
-        f.pending_call = None
+        f = Frame(dfn, list(fs.regs), list(fs.times), fs.mark, depth,
+                  bool(M._fault_active and M._fault_eligible_fn(fn)),
+                  caller_fn, prev_mem, prev_branch, dfn.blocks[fs.block],
+                  fs.i, True)
         stack.append(f)
         caller_fn = fn
-        if f.inject:
-            prev_mem = M._mem_stream_needed
-            prev_branch = M._branch_stream_needed
-        else:
-            prev_mem = False
-            prev_branch = False
+        prev_mem = f.inject and M._mem_stream_needed
+        prev_branch = f.inject and M._branch_stream_needed
     M._mem_stream_live = prev_mem
     M._branch_stream_live = prev_branch
     M._depth = len(stack) - 1
@@ -946,14 +794,22 @@ def covers(state: ResumeState, plan) -> bool:
 #   seg(M, f, regs, times, executed, timing, maxi, cd, byop)
 #       -> (executed, ctrl)
 #
-# ``ctrl`` is the next segment (threaded dispatch), ``None`` for a
-# frame return (value in ``f.rv``), ``1`` for a defined-call push
-# (payload in ``f.pending_call``), ``2`` to re-enter the trampoline's
-# block loop (successor without a segment, or a phi edge the decoder
-# could not pre-resolve — the generic stage reproduces the reference
-# KeyError), or ``3`` to run the current block's records generically
-# (the instruction budget would be exhausted inside this segment; the
-# record path raises the HangError at the exact instruction).
+# ``ctrl`` is a control code, never a segment:
+#
+# - ``None``: frame return (value in ``f.rv``);
+# - ``1``: defined-call push (callee and arguments parked in
+#   ``f.pending_call``);
+# - ``2``: continue on ``f.block`` at ``f.i`` — the successor's phi
+#   moves are done, or left pending (``f.phis_pending``) when the
+#   successor has no segment or the decoder could not pre-resolve the
+#   edge (the trampoline's phi stage reproduces the reference KeyError);
+# - ``3``: run the rest of ``f.block`` on the record path (the
+#   instruction budget would run out inside the segment, and the record
+#   path raises the HangError at the exact instruction; or, armed, an
+#   event is due inside the block).
+#
+# The record path ends each block in the same codes, so the trampoline
+# handles a push, a return and a block change in one place each.
 #
 # Bit-identity rules baked into the generated code:
 #
@@ -1167,24 +1023,6 @@ def _code_for(source: str, filename: str, root: Optional[str],
     return code
 
 
-def _block_records(bb):
-    """(records, terminator) exactly as ``_fill_block`` partitions the
-    block: leading phis skipped, records up to the first terminator
-    opcode."""
-    insts = bb.instructions
-    start = 0
-    while start < len(insts) and isinstance(insts[start], PhiInst):
-        start += 1
-    records = []
-    terminator = None
-    for inst in insts[start:]:
-        if inst.opcode in _TERMINATOR_OPCODES:
-            terminator = inst
-            break
-        records.append(inst)
-    return records, terminator
-
-
 class _Emitter:
     """Source accumulator for one segment: indented lines, constants
     bound as keyword-parameter defaults, and the deferred-timing
@@ -1225,7 +1063,6 @@ class _Emitter:
         self.edge_phis = 0
         self.need_mem = False
         self.need_cache = False
-        self.uses_sg = False
         self.uses_bmp = False
         self.uses_pred = False
         # Region mode (one closure covering every call-free block of a
@@ -2011,45 +1848,37 @@ _PURE_OPCODES = frozenset({
 })
 
 
-def _leaf_inline_info(cdfn, globals_addr, costs, rtp, with_timing):
-    """Inline plan for a defined callee, or None when it must stay a
-    real frame push: single supported block, RET/RET_VOID terminator,
-    no nested calls, and every record both pure (cannot raise — see
-    :data:`_PURE_OPCODES`) and emittable. Purity is what makes the
-    expansion safe: with no exception possible between the depth check
-    and the return, none of the frame-stack bookkeeping a real push
-    maintains for the unwinder is observable."""
+def _inlinable_leaf(cdfn, costs, rtp, with_timing) -> bool:
+    """True when a call to the defined callee ``cdfn`` can be inlined
+    instead of a real frame push: single supported block, RET/RET_VOID
+    terminator, no nested calls, and every record both pure (cannot
+    raise — see :data:`_PURE_OPCODES`) and emittable. Purity is what
+    makes the expansion safe: with no exception possible between the
+    depth check and the return, none of the frame-stack bookkeeping a
+    real push maintains for the unwinder is observable."""
+    if len(cdfn.blocks) != 1:
+        return False
+    cdb = cdfn.blocks[0]
+    if cdb.term_kind not in (_T_RET, _T_RET_VOID):
+        return False
+    if any(cm is not None for cm in cdb.call_meta):
+        return False
+    if any(r.opcode not in _PURE_OPCODES for r in cdb.records):
+        return False
+    # Probe-emit into a scratch emitter: a pure-but-unsupported record
+    # keeps the call on the real push path without dragging the
+    # caller's block off the compiled path.
+    scratch = _Emitter({}, {}, with_timing)
     try:
-        if len(cdfn.blocks) != 1:
-            return None
-        cdb = cdfn.blocks[0]
-        if cdb.term_kind not in (_T_RET, _T_RET_VOID):
-            return None
-        if any(cm is not None for cm in cdb.call_meta):
-            return None
-        crecords, cterm = _block_records(cdfn.fn.blocks[0])
-        if cterm is None or len(crecords) != cdb.n:
-            return None
-        for r in crecords:
-            if r.opcode not in _PURE_OPCODES:
-                return None
-        cslot_map, cnslots = slot_layout(cdfn.fn)
-        if cnslots != cdfn.nslots:
-            return None
-        crv = operand_resolver(cslot_map, globals_addr)
-        # Probe-emit into a scratch emitter: a pure-but-unsupported
-        # record keeps the call on the real push path without dragging
-        # the caller's block off the compiled path.
-        scratch = _Emitter({}, {}, with_timing)
-        for r in crecords:
-            _emit_record(scratch, 1, r, cslot_map.get(id(r), -1), crv,
-                         costs, rtp)
-        return (crecords, cslot_map, crv, cnslots, cdb)
+        for r in cdb.records:
+            _emit_record(scratch, 1, r, cdfn.slot_map.get(id(r), -1),
+                         cdfn.rv, costs, rtp)
     except (_Unsupported, _Undecodable):
-        return None
+        return False
+    return True
 
 
-def _emit_leaf_call(E, d, db, k, s, leaf, costs, rtp):
+def _emit_leaf_call(E, d, db, k, s, costs, rtp):
     """Inline the defined call at record ``k``. The guard falls back to
     the generic suspend (real frame push) whenever any of the inline's
     preconditions fail at runtime: a fault campaign is active (the
@@ -2061,7 +1890,7 @@ def _emit_leaf_call(E, d, db, k, s, leaf, costs, rtp):
     then the caller's call-record issue — same TimingModel and counter
     evolution, no Frame, no driver round trip."""
     arg_rs, dst, cdfn, lat, uops, isv, port = db.call_meta[k]
-    crecords, cslot_map, crv, cnslots, cdb = leaf
+    cdb = cdfn.blocks[0]
     t = E.with_timing
     span = (k - E.exec_base + 1) + (cdb.n + 1)
     E.w(d, "if (M._fault_active or M._depth >= M.config.max_call_depth"
@@ -2083,17 +1912,17 @@ def _emit_leaf_call(E, d, db, k, s, leaf, costs, rtp):
         if t:
             E.w(d, f"_t{j} = " + (f"times[{ss}]" if ss >= 0 else "0.0"))
     E.w(d, "_or = regs")
-    E.w(d, f"regs = [None] * {cnslots}")
+    E.w(d, f"regs = [None] * {cdfn.nslots}")
     if t:
         E.w(d, "_ot = times")
-        E.w(d, f"times = [0.0] * {cnslots}")
+        E.w(d, f"times = [0.0] * {cdfn.nslots}")
     for j in range(len(arg_rs)):
         E.w(d, f"regs[{j}] = _a{j}")
         if t:
             E.w(d, f"times[{j}] = _t{j}")
-    for ck in range(cdb.n):
-        _emit_record(E, d, crecords[ck],
-                     cslot_map.get(id(crecords[ck]), -1), crv, costs, rtp)
+    for r in cdb.records:
+        _emit_record(E, d, r, cdfn.slot_map.get(id(r), -1), cdfn.rv, costs,
+                     rtp)
     for key, val in cdb.full_pairs:
         if E.region_mode:
             E.w(d, f"{E.ctr(key)} += {val}")
@@ -2132,13 +1961,14 @@ def _emit_leaf_call(E, d, db, k, s, leaf, costs, rtp):
     E.inlined = True
 
 
-def _emit_span(E, d, db, records, start, seg_s, rv, slot_map, costs,
-               seg_lookup, bi_of, rtp, leaf_of):
+def _emit_span(E, d, db, start, seg_s, rv, slot_map, costs, seg_lookup,
+               bi_of, rtp, inlines):
     """Emit the block body from record ``start`` through the
     terminator: plain records, then at each defined call either the
     generic suspend (boundary for the next segment) or — for inlinable
     leaf callees — the guarded inline expansion, after which emission
     continues in place to the next boundary."""
+    records = db.records
     calls = [k for k, cm in enumerate(db.call_meta) if cm is not None]
     nxt = next((kk for kk in calls if kk >= start), None)
     end = nxt if nxt is not None else db.n
@@ -2153,20 +1983,19 @@ def _emit_span(E, d, db, records, start, seg_s, rv, slot_map, costs,
         _emit_terminator(E, d, db, seg_s, costs, seg_lookup, bi_of, rtp)
         return
     E.w(d, f"_i = {nxt}")
-    leaf = leaf_of(db.call_meta[nxt][2])
-    if leaf is None:
+    if not inlines(db.call_meta[nxt][2]):
         if E.region_mode:
             E.w(d, f"f.block = {E.KI(db)}")
             E.w(d, "f.in_body = True")
         _emit_call_exit(E, d, db, nxt, seg_s)
         return
-    _emit_leaf_call(E, d, db, nxt, seg_s, leaf, costs, rtp)
+    _emit_leaf_call(E, d, db, nxt, seg_s, costs, rtp)
     E.mark(nxt + 1)
-    _emit_span(E, d, db, records, nxt + 1, seg_s, rv, slot_map, costs,
-               seg_lookup, bi_of, rtp, leaf_of)
+    _emit_span(E, d, db, nxt + 1, seg_s, rv, slot_map, costs, seg_lookup,
+               bi_of, rtp, inlines)
 
 
-def _precheck_span(db, s, leaf_of):
+def _precheck_span(db, s, inlines):
     """Worst-case ``executed`` growth of the span starting at record
     ``s``: records through the next real suspend (or the terminator),
     plus the full body+ret of every leaf call inlined along the way.
@@ -2178,10 +2007,9 @@ def _precheck_span(db, s, leaf_of):
         cm = db.call_meta[k]
         if cm is None:
             continue
-        leaf = leaf_of(cm[2])
-        if leaf is None:
+        if not inlines(cm[2]):
             return extra + (k - s + 1)
-        extra += leaf[4].n + 1
+        extra += cm[2].blocks[0].n + 1
     return extra + (db.n - s + 1)
 
 
@@ -2286,12 +2114,13 @@ _CACHE_HOISTS = (
 
 
 def _emit_branch_arm(E, d, cur_db, succ_db, seg_lookup, bi_of):
-    """One branch arm: inline the successor's phi moves for this edge,
-    then jump within the region (region mode, successor in-region),
-    thread straight to the successor's first segment, or hand back to
-    the trampoline's generic stage (control 2) when the successor has
-    no segment or the edge has no pre-resolved move list (the generic
-    stage reproduces the reference KeyError)."""
+    """One branch arm, ending in control 2 unless it stays in the
+    region. When the successor has no segment or the edge has no
+    pre-resolved move list, leave the phis pending for the trampoline's
+    phi stage (which reproduces the reference KeyError). Otherwise
+    inline the successor's phi moves for this edge, then jump within
+    the region (region mode, successor in-region) or point the frame at
+    the successor's first record."""
     tbi = bi_of[id(succ_db)]
     tgt = seg_lookup(tbi, 0)
     moves = None
@@ -2348,9 +2177,10 @@ def _emit_branch_arm(E, d, cur_db, succ_db, seg_lookup, bi_of):
         E.w(d, f"_bk = {tbi}")
         E.w(d, "continue")
     else:
+        E.w(d, f"f.block = {E.KI(succ_db)}")
+        E.w(d, "f.i = 0")
         E.writeback(d)
-        E.uses_sg = True
-        E.w(d, f"return executed, _sg[{tgt}]")
+        E.w(d, "return executed, 2")
     E.pend_ev[0] -= phis
 
 
@@ -2445,8 +2275,8 @@ def _emit_terminator(E, d, db, s, costs, seg_lookup, bi_of, rtp):
     E.w(d, "return executed, None")
 
 
-def _emit_block_segments(db, records, rv, slot_map, costs, consts, seen,
-                         with_timing, seg_lookup, bi, bi_of, rtp, leaf_of,
+def _emit_block_segments(db, rv, slot_map, costs, consts, seen, with_timing,
+                         seg_lookup, bi, bi_of, rtp, inlines,
                          skip_entry=False, armed=False):
     """Emit every segment of one block. Returns (source lines,
     [(boundary, fname), ...]). Raises :class:`_Unsupported` /
@@ -2468,13 +2298,13 @@ def _emit_block_segments(db, records, rv, slot_map, costs, consts, seen,
         E.w(1, f"f.block = {blkc}")
         E.w(1, "f.in_body = True")
         E.w(1, f"f.i = {s}")
-        E.w(1, f"if executed + {_precheck_span(db, s, leaf_of)} > maxi:")
+        E.w(1, f"if executed + {_precheck_span(db, s, inlines)} > maxi:")
         E.w(2, "return executed, 3")
         E.w(1, f"_i = {s}")
         hoist_at = len(E.lines)
         E.w(1, "try:")
-        _emit_span(E, 2, db, records, s, s, rv, slot_map, costs,
-                   seg_lookup, bi_of, rtp, leaf_of)
+        _emit_span(E, 2, db, s, s, rv, slot_map, costs, seg_lookup, bi_of,
+                   rtp, inlines)
         E.w(1, "except BaseException:")
         E.w(2, "f.i = _i")
         if with_timing and E.pend_issued:
@@ -2518,17 +2348,16 @@ def _emit_block_segments(db, records, rv, slot_map, costs, consts, seen,
             hoists += _PRED_HOISTS
         E.lines[hoist_at:hoist_at] = ["    " + h for h in hoists]
         params = "".join(f", {n}={n}" for n in E.used)
-        sg = ", _sg=_sg" if E.uses_sg else ""
         out.append(f"def {fname}(M, f, regs, times, executed, timing, "
-                   f"maxi, cd, byop{sg}{params}):")
+                   f"maxi, cd, byop{params}):")
         out.extend(E.lines)
         out.append("")
         metas.append((s, fname))
     return out, metas
 
 
-def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
-                 seen, with_timing, seg_lookup, bi_of, rtp, rname, leaf_of,
+def _emit_region(dfn, region_bis, rv, slot_map, costs, consts, seen,
+                 with_timing, seg_lookup, bi_of, rtp, rname, inlines,
                  armed=False):
     """Emit the function's region closure: every supported block whose
     defined calls (if any) are all leaf-inlinable, compiled into one
@@ -2566,7 +2395,6 @@ def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
     first = True
     for bi in sorted(region_bis):
         db = dfn.blocks[bi]
-        records = supported[bi]
         bmap[bi] = db
         E.w(3, f"{'if' if first else 'elif'} _bk == {bi}:")
         first = False
@@ -2576,14 +2404,14 @@ def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
         E.reset_block(0)
         E.w(d, "_i = 0")
         guard_at = len(E.lines)
-        E.w(d, f"if executed + {_precheck_span(db, 0, leaf_of)} > maxi:")
+        E.w(d, f"if executed + {_precheck_span(db, 0, inlines)} > maxi:")
         E.w(d + 1, f"f.block = {E.KI(db)}")
         E.w(d + 1, "f.in_body = True")
         E.w(d + 1, "f.i = 0")
         E.writeback(d + 1)
         E.w(d + 1, "return executed, 3")
-        _emit_span(E, d, db, records, 0, 0, rv, slot_map, costs,
-                   seg_lookup, bi_of, rtp, leaf_of)
+        _emit_span(E, d, db, 0, 0, rv, slot_map, costs, seg_lookup, bi_of,
+                   rtp, inlines)
         cum_tables[bi] = tuple(E.cum_uops)
         iss_tables[bi] = tuple(E.cum_issued)
         adj_tables[bi] = tuple(E.rec_adj)
@@ -2650,47 +2478,32 @@ def _emit_region(dfn, region_bis, supported, rv, slot_map, costs, consts,
         else:
             lines.append(line)
     params = "".join(f", {n}={n}" for n in E.used)
-    sg = ", _sg=_sg" if E.uses_sg else ""
     return ([f"def {rname}(M, f, regs, times, executed, timing, "
-             f"maxi, cd, byop, _bk{sg}{params}):"]
+             f"maxi, cd, byop, _bk{params}):"]
             + lines + [""])
 
 
-def _emit_function(dfn, costs, globals_addr, with_timing, armed=False):
+def _emit_function(dfn, costs, with_timing, armed=False):
     """Compile-emit one decoded function. Returns (source, consts,
     [(block index, boundary, fname), ...]) or None if nothing in the
     function is compilable. The armed variant inlines no leaf calls:
     armed frames run only while faults are active, when the inline
     guard always takes the real push."""
     fn = dfn.fn
-    slot_map, nslots = slot_layout(fn)
-    if nslots != dfn.nslots:
-        return None
-    rv = operand_resolver(slot_map, globals_addr)
+    slot_map, rv = dfn.slot_map, dfn.rv
     bi_of = {id(db): i for i, db in enumerate(dfn.blocks)}
     rtp = costs.vector_alu_rtp
 
-    leaf_cache: Dict[int, object] = {}
+    leaf_cache: Dict[int, bool] = {}
 
-    def leaf_of(cdfn):
-        """Memoized inline plan per callee (None = real push)."""
+    def inlines(cdfn):
+        """Memoized: is a call to ``cdfn`` inlined (else a real push)?"""
         if armed:
-            return None
+            return False
         key = id(cdfn)
         if key not in leaf_cache:
-            leaf_cache[key] = _leaf_inline_info(
-                cdfn, globals_addr, costs, rtp, with_timing)
+            leaf_cache[key] = _inlinable_leaf(cdfn, costs, rtp, with_timing)
         return leaf_cache[key]
-
-    candidates = {}
-    for bi, bb in enumerate(fn.blocks):
-        db = dfn.blocks[bi]
-        if db.term_kind not in _SUPPORTED_TERMS:
-            continue
-        records, terminator = _block_records(bb)
-        if terminator is None or len(records) != db.n:
-            continue
-        candidates[bi] = records
 
     # Probe each record into a throwaway emitter: a block with any
     # record outside the compiled subset stays whole on the record path
@@ -2698,23 +2511,24 @@ def _emit_function(dfn, costs, globals_addr, with_timing, armed=False):
     # numbering is deterministic). Nothing else emitted for a block can
     # fail: defined calls, terminators and phi edges are pre-resolved by
     # decode, and leaf inlines probe their callee themselves.
-    supported = {}
-    for bi, records in sorted(candidates.items()):
-        call_meta = dfn.blocks[bi].call_meta
+    supported = []
+    for bi, db in enumerate(dfn.blocks):
+        if db.term_kind not in _SUPPORTED_TERMS:
+            continue
         scratch = _Emitter({}, {}, with_timing)
         try:
-            for k, r in enumerate(records):
-                if call_meta[k] is None:
+            for k, r in enumerate(db.records):
+                if db.call_meta[k] is None:
                     _emit_record(scratch, 1, r, slot_map.get(id(r), -1),
                                  rv, costs, rtp)
         except (_Unsupported, _Undecodable):
             continue
-        supported[bi] = records
+        supported.append(bi)
     if not supported:
         return None
 
     seg_index: Dict[Tuple[int, int], int] = {}
-    for bi in sorted(supported):
+    for bi in supported:
         db = dfn.blocks[bi]
         calls = [k for k, cm in enumerate(db.call_meta) if cm is not None]
         for s in [0] + [k + 1 for k in calls]:
@@ -2729,7 +2543,7 @@ def _emit_function(dfn, costs, globals_addr, with_timing, armed=False):
     # control, which the region loop cannot express in its fast path).
     region = frozenset(
         bi for bi in supported
-        if all(leaf_of(cm[2]) is not None
+        if all(inlines(cm[2])
                for cm in dfn.blocks[bi].call_meta if cm is not None)
     )
 
@@ -2744,11 +2558,10 @@ def _emit_function(dfn, costs, globals_addr, with_timing, armed=False):
     if region:
         # The region def must precede the trampolines: each trampoline
         # binds it as a keyword default at def time.
-        out.extend(_emit_region(dfn, region, supported, rv, slot_map,
-                                costs, consts, seen, with_timing,
-                                seg_lookup, bi_of, rtp, rname, leaf_of,
-                                armed))
-    for bi in sorted(supported):
+        out.extend(_emit_region(dfn, region, rv, slot_map, costs, consts,
+                                seen, with_timing, seg_lookup, bi_of, rtp,
+                                rname, inlines, armed))
+    for bi in supported:
         db = dfn.blocks[bi]
         if bi in region:
             fname = f"_s{seg_index[(bi, 0)]}"
@@ -2765,23 +2578,21 @@ def _emit_function(dfn, costs, globals_addr, with_timing, armed=False):
                 # segment (bi, k+1). Metas stay in seg_index order —
                 # the trampoline is (bi, 0), boundaries follow.
                 lines, ms = _emit_block_segments(
-                    db, supported[bi], rv, slot_map, costs, consts,
-                    seen, with_timing, seg_lookup, bi, bi_of, rtp,
-                    leaf_of, skip_entry=True)
+                    db, rv, slot_map, costs, consts, seen, with_timing,
+                    seg_lookup, bi, bi_of, rtp, inlines, skip_entry=True)
                 out.extend(lines)
                 metas.extend((bi, s, fn2) for s, fn2 in ms)
             continue
-        lines, ms = _emit_block_segments(db, supported[bi],
-                                         rv, slot_map, costs, consts,
+        lines, ms = _emit_block_segments(db, rv, slot_map, costs, consts,
                                          seen, with_timing, seg_lookup,
-                                         bi, bi_of, rtp, leaf_of,
+                                         bi, bi_of, rtp, inlines,
                                          armed=armed)
         out.extend(lines)
         metas.extend((bi, s, fname) for s, fname in ms)
     return "\n".join(out) + "\n", consts, metas
 
 
-def _emit_records(dfn, costs, globals_addr, with_timing):
+def _emit_records(dfn, costs, with_timing):
     """Emit the record functions of one decoded function: one
     ``rec(M, regs, times, timing)`` per body record, executing exactly
     that record; a raiser record raises its decoded exception. Defined
@@ -2789,8 +2600,6 @@ def _emit_records(dfn, costs, globals_addr, with_timing):
     (source, consts, [(block index, record index, fname), ...]).
     Unlike segments, every record must emit: a failure raises."""
     fn = dfn.fn
-    slot_map, _nslots = slot_layout(fn)
-    rv = operand_resolver(slot_map, globals_addr)
     rtp = costs.vector_alu_rtp
     consts: Dict[str, object] = {}
     seen: Dict[int, str] = {}
@@ -2798,8 +2607,7 @@ def _emit_records(dfn, costs, globals_addr, with_timing):
     out: List[str] = [f"# record functions of @{fn.name} ({variant})"]
     metas: List[Tuple[int, int, str]] = []
     for bi, db in enumerate(dfn.blocks):
-        records, _terminator = _block_records(fn.blocks[bi])
-        for k in range(db.n):
+        for k, inst in enumerate(db.records):
             if db.call_meta[k] is not None:
                 continue
             E = _Emitter(consts, seen, with_timing, records=True)
@@ -2808,9 +2616,8 @@ def _emit_records(dfn, costs, globals_addr, with_timing):
                 exc_type, message = raiser
                 E.w(1, f"raise {E.KI(exc_type)}({E.K(message)})")
             else:
-                inst = records[k]
-                _emit_record(E, 1, inst, slot_map.get(id(inst), -1), rv,
-                             costs, rtp)
+                _emit_record(E, 1, inst, dfn.slot_map.get(id(inst), -1),
+                             dfn.rv, costs, rtp)
             fname = f"_r{len(metas)}"
             params = "".join(f", {n}={n}" for n in E.used)
             out.append(f"def {fname}(M, regs, times, timing{params}):")
@@ -2835,12 +2642,11 @@ def _compile_dfn(dmod, dfn, vidx, root, stats):
     with_timing = vidx % 2 == 0
     records = vidx >= _RECORD_VARIANT
     if records:
-        emitted = _emit_records(dfn, dmod.costs, dmod.globals_addr,
-                                with_timing)
+        emitted = _emit_records(dfn, dmod.costs, with_timing)
     else:
         try:
-            emitted = _emit_function(dfn, dmod.costs, dmod.globals_addr,
-                                     with_timing, vidx >= 2)
+            emitted = _emit_function(dfn, dmod.costs, with_timing,
+                                     vidx >= 2)
         except Exception:
             if STRICT_COMPILE:
                 raise
@@ -2854,20 +2660,16 @@ def _compile_dfn(dmod, dfn, vidx, root, stats):
     code = _code_for(source, f"<repro.compiled:@{dfn.fn.name}>", root,
                      stats)
     ns = dict(consts)
+    exec(code, ns)  # noqa: S102 - our own generated code
     if records:
-        exec(code, ns)  # noqa: S102 - our own generated records
         bodies = [[None] * db.n for db in dfn.blocks]
         for bi, k, fname in metas:
             bodies[bi][k] = ns[fname]
         for db, body in zip(dfn.blocks, bodies):
             db.compiled[vidx] = tuple(body)
         return
-    seglist: List[object] = [None] * len(metas)
-    ns["_sg"] = seglist
-    exec(code, ns)  # noqa: S102 - our own generated segments
     per_block: Dict[int, Dict[int, object]] = {}
-    for idx, (bi, boundary, fname) in enumerate(metas):
-        seglist[idx] = ns[fname]
+    for bi, boundary, fname in metas:
         per_block.setdefault(bi, {})[boundary] = ns[fname]
     for bi, segmap in per_block.items():
         dfn.blocks[bi].compiled[vidx] = segmap

@@ -4,8 +4,10 @@ The reference interpreter (:mod:`repro.cpu.interpreter`) dispatches each
 dynamic instruction through a chain of ~22 ``isinstance`` checks and
 resolves every operand with per-step dict lookups keyed by ``Value``.
 This module removes that per-step work with a one-time *decode* of each
-function into the static facts execution needs. It holds no instruction
-semantics: :mod:`repro.cpu.compiled` emits those as Python source from
+function into the static facts execution needs. Its only instruction
+semantics are the intrinsic implementations (:func:`_intrinsic_impl`,
+the reference's ``Machine._call_intrinsic`` pre-dispatched by name);
+:mod:`repro.cpu.compiled` emits everything else as Python source from
 the decoded form — compiled segments and, for the trampoline's record
 path, one function per body record.
 
@@ -13,9 +15,10 @@ path, one function per body record.
   operands pre-resolve to slots or to baked-in constants — globals to
   their deterministic heap addresses (:func:`operand_resolver`);
 - each basic block becomes a :class:`DecodedBlock`: its body records
-  (leading phis become per-edge parallel moves), the defined-call
-  metadata the trampoline pushes frames from, the fault-injection
-  metadata of every value-producing record, and the terminator;
+  (leading phis become per-edge parallel moves; the compiler emits
+  from this one partition), the defined-call metadata the trampoline
+  pushes frames from, the fault-injection metadata of every
+  value-producing record, and the terminator;
 - per-block *static* counter deltas (instructions, uops, loads, ...)
   are pre-summed and flushed once per block instead of once per
   instruction, with exact prefix reconstruction when an exception
@@ -85,6 +88,7 @@ class DecodedBlock:
     __slots__ = (
         "name",
         "n",               # number of body records
+        "records",         # the body record instructions (len n)
         "raisers",         # parallel to the records: (exc type, msg) or None
         "inject",          # parallel to the records: (dst, type, inst) or None
         "cum_pairs",       # cum_pairs[i]: static deltas of records 0..i-1
@@ -108,13 +112,16 @@ class DecodedBlock:
 
 
 class DecodedFunction:
-    __slots__ = ("fn", "dmod", "nargs", "nslots", "entry", "blocks")
+    __slots__ = ("fn", "dmod", "nargs", "nslots", "slot_map", "rv", "entry",
+                 "blocks")
 
     def __init__(self, fn: Function, dmod: "DecodedModule"):
         self.fn = fn
         self.dmod = dmod  # owner: cpu.compiled compiles per module
         self.nargs = len(fn.args)
         self.nslots = 0
+        self.slot_map: Dict[int, int] = {}  # id(value) -> register slot
+        self.rv = None                      # operand resolver over slot_map
         self.entry: Optional[DecodedBlock] = None
         self.blocks: List[DecodedBlock] = []
 
@@ -385,6 +392,7 @@ def _fill_block(dmod, dblock, bb, bmap, rv, slot_map):
     while start < len(insts) and isinstance(insts[start], PhiInst):
         start += 1
 
+    records = []
     raisers = []
     call_meta = []
     injects = []
@@ -421,6 +429,7 @@ def _fill_block(dmod, dblock, bb, bmap, rv, slot_map):
                             dmod.function(callee),
                             costs.scalar_latency("call"),
                             static[2], static[1], costs.ports.get("call"))
+        records.append(inst)
         raisers.append(raiser)
         call_meta.append(meta)
         injects.append(None if inst.type.is_void
@@ -471,6 +480,7 @@ def _fill_block(dmod, dblock, bb, bmap, rv, slot_map):
         except _Undecodable as exc:
             # The reference counts the terminator, then Traps evaluating
             # its operand: a raiser record ends the block.
+            records.append(terminator)
             raisers.append((Trap, str(exc)))
             call_meta.append(None)
             injects.append(None)
@@ -494,6 +504,7 @@ def _fill_block(dmod, dblock, bb, bmap, rv, slot_map):
         cum[k] = cum.get(k, 0) + v
 
     dblock.n = n
+    dblock.records = tuple(records)
     dblock.raisers = tuple(raisers)
     dblock.inject = tuple(injects)
     dblock.call_meta = tuple(call_meta)
@@ -513,8 +524,8 @@ def slot_layout(fn):
     """Register-file layout of ``fn``: args first, then every
     value-producing instruction (phis included) in block order.
     Returns ``(slot_map, nslots)`` with ``slot_map`` keyed by
-    ``id(value)``. Deterministic per function — the decode pass and the
-    segment compiler (repro.cpu.compiled) must agree on it."""
+    ``id(value)``. Kept on the :class:`DecodedFunction`: the compiler
+    (repro.cpu.compiled) emits slot indices from the same map."""
     slot_map = {}
     slot = 0
     for arg in fn.args:
@@ -559,6 +570,8 @@ def _fill_function(dmod, dfn):
     fn = dfn.fn
     slot_map, dfn.nslots = slot_layout(fn)
     rv = operand_resolver(slot_map, dmod.globals_addr)
+    dfn.slot_map = slot_map
+    dfn.rv = rv
 
     bmap = {}
     for bb in fn.blocks:

@@ -525,6 +525,13 @@ class Machine:
         return cached
 
     def _maybe_inject(self, inst: Instruction, value, in_eligible_fn: bool):
+        """Eligible-event bookkeeping on one result: count it on the
+        eligible stream, call the trace hook, step the checker stream,
+        and apply every eligible-stream plan aimed at it. Returns the
+        (possibly corrupted) value. Both engines call it: the reference
+        interpreter on every phi and record, the compiled trampoline
+        wherever its record path meets an eligible event (armed
+        segments run only where no such event is due)."""
         if inst.type.is_void:
             return value
         if not in_eligible_fn:

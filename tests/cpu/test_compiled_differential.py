@@ -911,3 +911,78 @@ def test_armed_injection_runs_mostly_on_segments():
     machine.run(built.entry, built.args)
     assert machine.fault_injected
     assert calls[0] < 0.1 * machine.counters.instructions, calls[0]
+
+
+def test_record_path_uses_the_oracles_eligible_hook(monkeypatch):
+    """One routine for eligible events: every eligible, non-void event
+    the record path meets — body records, phis and defined-call results
+    — goes through ``Machine._maybe_inject``, in the reference's
+    order."""
+    module, entry, args = build_random_module(3)
+    module = elzar_transform(mem2reg(module))
+    log = []
+    real = Machine._maybe_inject
+
+    def logged(self, inst, value, in_eligible_fn):
+        if in_eligible_fn and not inst.type.is_void:
+            log.append(inst)
+        return real(self, inst, value, in_eligible_fn)
+
+    monkeypatch.setattr(Machine, "_maybe_inject", logged)
+    logs = {}
+    for tier in ("reference", "records"):
+        log.clear()
+        machine = Machine(module, tier_config(tier, collect_timing=False))
+        machine.count_only = True
+        run_tier(machine, tier, entry, args)
+        assert len(log) == machine.eligible_executed, tier
+        logs[tier] = list(log)
+    assert logs["records"] == logs["reference"]
+    assert any(isinstance(inst, PhiInst) for inst in logs["reference"])
+    assert any(getattr(inst, "callee", None) is module.get_function("helper")
+               for inst in logs["reference"])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 6])
+def test_segments_return_control_codes_only(seed):
+    """Segments hand the trampoline a control code, never a segment:
+    every compiled segment, in all four segment variants, returns None,
+    1, 2 or 3 — also where a block that calls ``helper`` branches to a
+    successor outside the region — and every run still equals the
+    reference."""
+    module, entry, args = build_random_module(seed)
+    module = elzar_transform(mem2reg(module))
+    machine = Machine(module, MachineConfig())
+    dmod = decoded_module(module, machine.config.cost_model,
+                          machine.globals_addr)
+    dmod.function(module.get_function(entry))
+    returned = []
+
+    def checked(vidx, seg):
+        def wrapper(*args):
+            executed, ctrl = seg(*args)
+            returned.append((vidx, ctrl))
+            return executed, ctrl
+        return wrapper
+
+    for vidx in range(_RECORD_VARIANT):
+        ensure_compiled(dmod, vidx)
+        for dfn in dmod._functions.values():
+            for db in dfn.blocks:
+                segmap = db.compiled[vidx]
+                if segmap:
+                    db.compiled[vidx] = {s: checked(vidx, seg)
+                                         for s, seg in segmap.items()}
+    for timing in (True, False):
+        for count_only in (False, True):
+            runs = {engine: _observe(module, entry, args, engine,
+                                     collect_timing=timing,
+                                     count_only=count_only)
+                    for engine in ("reference", "compiled")}
+            assert runs["compiled"] == runs["reference"], (timing,
+                                                           count_only)
+    assert {vidx for vidx, _ctrl in returned} == set(range(_RECORD_VARIANT))
+    bad = [ctrl for _vidx, ctrl in returned
+           if not (ctrl is None or (type(ctrl) is int and ctrl in (1, 2, 3)))]
+    assert not bad, bad[:3]
+    assert {1, 2} <= {ctrl for _vidx, ctrl in returned}
