@@ -5,13 +5,14 @@ This module holds the only instruction semantics besides the reference
 interpreter's, as a Python source emitter (:func:`_emit_record`). Its
 output runs in two shapes:
 
-- **Segments**: per basic block, the records between defined-call
-  boundaries compile to one closure with operands resolved to register
-  slots, semantics and the timing model's ``issue()`` inlined, and
-  cost-table entries baked in as literals; a function's call-free
-  blocks share one *region* closure that branches between them in
-  place. Each segment returns a control code that tells the trampoline
-  what to run next (see the segment protocol below).
+- **Regions**: every function compiles to one closure over all of its
+  supported blocks, with operands resolved to register slots,
+  semantics and the timing model's ``issue()`` inlined, and cost-table
+  entries baked in as literals; it branches between its blocks in
+  place. The trampoline enters it through *segments*: one per block
+  entry and one per *post-call entry*, where a block resumes after a
+  defined call. Each segment returns a control code that tells the
+  trampoline what to run next (see the segment protocol below).
 - **Record functions**: one function per body record, the unit of the
   trampoline's *record path*. It runs whatever segments cannot: blocks
   outside the compiled subset, budget exhaustion (the HangError at the
@@ -786,10 +787,13 @@ def covers(state: ResumeState, plan) -> bool:
 
 # --- Segment compiler ---------------------------------------------------------
 #
-# A *segment* is one compiled closure covering the records of a basic
-# block between defined-call boundaries (a call suspends the frame, so
-# it always ends a segment), plus the block terminator for the last
-# segment. Segment protocol:
+# Each function compiles to one *region* closure over its supported
+# blocks, dispatching on the arm key ``_bk``: a block's index for its
+# entry, a key past the block indices for each *post-call entry* (the
+# record after a defined call: a call that really pushes suspends the
+# frame, and its return resumes there). A *segment* is the trampoline
+# into one arm, held in the block's segmap under the arm's first
+# record. Segment protocol:
 #
 #   seg(M, f, regs, times, executed, timing, maxi, cd, byop)
 #       -> (executed, ctrl)
@@ -799,12 +803,12 @@ def covers(state: ResumeState, plan) -> bool:
 # - ``None``: frame return (value in ``f.rv``);
 # - ``1``: defined-call push (callee and arguments parked in
 #   ``f.pending_call``);
-# - ``2``: continue on ``f.block`` at ``f.i`` — the successor's phi
-#   moves are done, or left pending (``f.phis_pending``) when the
-#   successor has no segment or the decoder could not pre-resolve the
-#   edge (the trampoline's phi stage reproduces the reference KeyError);
+# - ``2``: continue on ``f.block`` at ``f.i`` with the successor's phis
+#   pending (``f.phis_pending``): the successor lies outside the region
+#   or the decoder could not pre-resolve the edge (the trampoline's phi
+#   stage reproduces the reference KeyError);
 # - ``3``: run the rest of ``f.block`` on the record path (the
-#   instruction budget would run out inside the segment, and the record
+#   instruction budget would run out inside the block, and the record
 #   path raises the HangError at the exact instruction; or, armed, an
 #   event is due inside the block).
 #
@@ -813,18 +817,18 @@ def covers(state: ResumeState, plan) -> bool:
 #
 # Bit-identity rules baked into the generated code:
 #
-# - Segments and record functions share one record emitter
+# - Regions and record functions share one record emitter
 #   (:func:`_emit_record`): same bounds checks, same masking, same
 #   helper calls for div/rem, f32 and the rare casts.
 # - ``TimingModel.issue`` is inlined with its scalar state (issue
 #   time, finish time, retire frontier) hoisted into locals; the
-#   ``issued``/``uops_issued`` totals are deferred to the segment
-#   exits (nothing reads them mid-segment), with exact prefix
-#   restoration when an exception escapes mid-segment.
-# - Static counter deltas flush once per block from literal
-#   increments; an escaping exception leaves the flush to the
-#   trampoline's unwind handler via ``f.i``, exactly like the record
-#   path.
+#   ``issued``/``uops_issued`` totals are deferred to the region
+#   exits (nothing reads them mid-region), with exact prefix
+#   restoration when an exception escapes mid-block.
+# - Static counter deltas of completed blocks accumulate in locals
+#   flushed at the region exits; an escaping exception leaves the
+#   current block's flush to the trampoline's unwind handler via
+#   ``f.i``, exactly like the record path.
 # - Unarmed segments are only entered for frames with no per-record
 #   bookkeeping (no fault injection, tracing, checker stepping or
 #   capture polling), so stream counting is statically absent, not
@@ -1024,7 +1028,8 @@ def _code_for(source: str, filename: str, root: Optional[str],
 
 
 class _Emitter:
-    """Source accumulator for one segment: indented lines, constants
+    """Source accumulator for one region or record function: indented
+    lines, constants
     bound as keyword-parameter defaults, and the deferred-timing
     bookkeeping the exits and the exception path must restore."""
 
@@ -1040,24 +1045,22 @@ class _Emitter:
         # cold path, so source size matters more than dispatch cost.
         self.records = records
         # Armed variant: the targeting-stream counts live in the _se/
-        # _sm/_sb/_sc locals as of the current block (segment) start;
+        # _sm/_sb/_sc locals as of the current arm's start;
         # pend_ev holds the per-stream deltas of the code emitted so far
         # in the block (added at exits), rec_ev each record's events
         # (the exception-flush tables).
         self.armed = armed
-        self.used: List[str] = []     # const names this segment binds
+        self.used: List[str] = []     # const names this closure binds
         self.uops_used = set()
         self.pend_issued = 0
         self.pend_uops = 0
-        # Exception-flush tables, indexed by (raising record - segment
+        # Exception-flush tables, indexed by (raising record - arm
         # start): pending uops / pending issues before that record, and
-        # the record count since the last inline `executed` bump. With
-        # no inlined calls the latter two are identities (_i - s).
+        # the record count since the last inline `executed` bump.
         self.cum_uops: List[int] = [0]
         self.cum_issued: List[int] = [0]
         self.rec_adj: List[int] = [0]
         self.exec_base = 0            # first record not yet in `executed`
-        self.inlined = False          # any leaf call inlined so far
         self.pend_ev = [0, 0, 0, 0]
         self.rec_ev: List[Tuple[int, int, int]] = []
         self.edge_phis = 0
@@ -1065,12 +1068,6 @@ class _Emitter:
         self.need_cache = False
         self.uses_bmp = False
         self.uses_pred = False
-        # Region mode (one closure covering every call-free block of a
-        # function): issued/uops totals are accumulated at runtime in
-        # _nis/_nuo locals because the path through the region is
-        # dynamic, unlike a straight-line segment's static count.
-        self.region_bis: frozenset = frozenset()
-        self.region_mode = False
         # Region-wide counter accumulators: block-completion counter
         # flushes become local integer adds; the dict writes happen
         # once per region exit. Keyed by counter name in first-use
@@ -1088,25 +1085,23 @@ class _Emitter:
         self.rec_adj.append(nxt - self.exec_base)
 
     def reset_block(self, start: int) -> None:
-        """Restart the per-block/per-segment static accounting."""
+        """Restart the per-arm static accounting at record ``start``."""
         self.pend_issued = 0
         self.pend_uops = 0
         self.cum_uops = [0]
         self.cum_issued = [0]
         self.rec_adj = [0]
         self.exec_base = start
-        self.inlined = False
         self.pend_ev = [0, 0, 0, 0]
         self.rec_ev = []
         self.edge_phis = 0
 
     def span_events(self) -> Tuple[int, int, int, int]:
-        """Armed: per-stream event totals of the block (segment) just
-        emitted, through its terminator and the phis of the successor
-        it branches to — every phi is an eligible event, and the
-        larger edge counts, so a plan aimed at a phi sends the
-        predecessor block to the record path, whose phi stage fires
-        it."""
+        """Armed: per-stream event totals of the arm just emitted,
+        through its terminator and the phis of the successor it
+        branches to — every phi is an eligible event, and the larger
+        edge counts, so a plan aimed at a phi sends the predecessor
+        block to the record path, whose phi stage fires it."""
         el, ma, cb, cs = self.pend_ev
         return el + self.edge_phis, ma, cb, cs
 
@@ -1223,32 +1218,22 @@ class _Emitter:
         self.pend_uops += uops
 
     def writeback(self, d) -> None:
-        """Flush the hoisted timing scalars, the deferred issued/uops
-        totals, (region mode) the counter accumulators and (armed) the
-        stream counts back to their homes (exit paths)."""
-        if self.region_mode:
-            self.w(d, "%CTRFLUSH%")
+        """Flush the counter accumulators, (armed) the stream counts,
+        the hoisted timing scalars and the deferred issued/uops totals
+        back to their homes (region exits)."""
+        self.w(d, "%CTRFLUSH%")
         if self.armed:
             self.stream_flush(d, *(f" + {n}" if n else ""
                                    for n in self.pend_ev))
         if not self.with_timing:
             return
-        if self.region_mode:
-            # Prior blocks' totals live in the _nis/_nuo runtime
-            # accumulators; the current block's are static.
-            self.w(d, "_tm.issue_time = _ti")
-            self.w(d, "_tm.finish_time = _tr")
-            self.w(d, "_tm._retire_frontier = _tr")
-            self.w(d, f"_tm.issued += _nis + {self.pend_issued}")
-            self.w(d, f"_tm.uops_issued += _nuo + {self.pend_uops}")
-            return
-        if self.pend_issued == 0:
-            return
+        # Prior blocks' totals live in the _nis/_nuo runtime
+        # accumulators; the current block's are static.
         self.w(d, "_tm.issue_time = _ti")
         self.w(d, "_tm.finish_time = _tr")
         self.w(d, "_tm._retire_frontier = _tr")
-        self.w(d, f"_tm.issued += {self.pend_issued}")
-        self.w(d, f"_tm.uops_issued += {self.pend_uops}")
+        self.w(d, f"_tm.issued += _nis + {self.pend_issued}")
+        self.w(d, f"_tm.uops_issued += _nuo + {self.pend_uops}")
 
 def _scalar_int_expr(E, opcode, a, b, width):
     """Expression for the reference's ``_int_binop(opcode, a, b,
@@ -1791,7 +1776,7 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
     if isinstance(inst, CallInst):
         callee = inst.callee
         if not callee.is_intrinsic:
-            # Defined calls end segments (handled by the caller);
+            # Defined calls are emitted by the caller (_emit_span);
             # declaration calls are raiser records.
             raise _Unsupported(f"call to @{callee.name}")
         arg_ps = [rv(a) for a in inst.args]
@@ -1814,13 +1799,18 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
 
     raise _Unsupported(f"record class {type(inst).__name__}")
 
-def _emit_call_exit(E, d, db, k, s):
+def _emit_call_exit(E, d, db, k):
     """Suspend at the defined-call record ``k``: publish the count,
-    park the callee + evaluated args on the
-    frame and return control 1 (the trampoline pushes the frame — its
-    depth-limit HangError then unwinds through ``f.i``/``f.in_body``
-    exactly like the record path's)."""
+    park the callee + evaluated args on the frame and return control 1
+    (the trampoline pushes the frame — its depth-limit HangError then
+    unwinds through ``f.i``/``f.in_body`` exactly like the record
+    path's). The return re-enters the region at the call's post-call
+    entry."""
     arg_rs, _dst, cdfn, _lat, _uops, _isv, _port = db.call_meta[k]
+    # The region sets f.block lazily (only exits need it); the
+    # trampoline's return epilogue reads call_meta through it.
+    E.w(d, f"f.block = {E.KI(db)}")
+    E.w(d, "f.in_body = True")
     E.w(d, f"_i = {k}")
     E.w(d, f"executed += {k - E.exec_base + 1}")
     args = ", ".join(f"regs[{ss}]" if ss >= 0 else E.K(cc)
@@ -1878,7 +1868,7 @@ def _inlinable_leaf(cdfn, costs, rtp, with_timing) -> bool:
     return True
 
 
-def _emit_leaf_call(E, d, db, k, s, costs, rtp):
+def _emit_leaf_call(E, d, db, k, costs, rtp):
     """Inline the defined call at record ``k``. The guard falls back to
     the generic suspend (real frame push) whenever any of the inline's
     preconditions fail at runtime: a fault campaign is active (the
@@ -1895,13 +1885,7 @@ def _emit_leaf_call(E, d, db, k, s, costs, rtp):
     span = (k - E.exec_base + 1) + (cdb.n + 1)
     E.w(d, "if (M._fault_active or M._depth >= M.config.max_call_depth"
            f" or executed + {span} > maxi):")
-    if E.region_mode:
-        # Region blocks set f.block lazily (only exits need it); a real
-        # suspend is such an exit — the driver's return epilogue reads
-        # call_meta through f.block and resumes at segment (bi, k+1).
-        E.w(d + 1, f"f.block = {E.KI(db)}")
-        E.w(d + 1, "f.in_body = True")
-    _emit_call_exit(E, d + 1, db, k, s)
+    _emit_call_exit(E, d + 1, db, k)
     # Fast arm (the suspend above returned): count the caller records,
     # the call record, and the whole callee up front — the real path
     # publishes the same total by the time anything can observe it.
@@ -1924,10 +1908,7 @@ def _emit_leaf_call(E, d, db, k, s, costs, rtp):
         _emit_record(E, d, r, cdfn.slot_map.get(id(r), -1), cdfn.rv, costs,
                      rtp)
     for key, val in cdb.full_pairs:
-        if E.region_mode:
-            E.w(d, f"{E.ctr(key)} += {val}")
-        else:
-            E.w(d, f"cd[{key!r}] += {val}")
+        E.w(d, f"{E.ctr(key)} += {val}")
     if cdb.opcode_items:
         E.w(d, "if byop:")
         E.w(d + 1, "_bo = M.counters.by_opcode")
@@ -1958,16 +1939,16 @@ def _emit_leaf_call(E, d, db, k, s, costs, rtp):
         if t:
             E.w(d, f"times[{dst}] = _d")
     E.exec_base = k + 1
-    E.inlined = True
 
 
-def _emit_span(E, d, db, start, seg_s, rv, slot_map, costs, seg_lookup,
-               bi_of, rtp, inlines):
+def _emit_span(E, d, db, start, rv, slot_map, costs, region, bi_of, rtp,
+               inlines):
     """Emit the block body from record ``start`` through the
     terminator: plain records, then at each defined call either the
-    generic suspend (boundary for the next segment) or — for inlinable
-    leaf callees — the guarded inline expansion, after which emission
-    continues in place to the next boundary."""
+    generic suspend (the return re-enters at the call's post-call
+    entry) or — for inlinable leaf callees — the guarded inline
+    expansion, after which emission continues in place to the next
+    call."""
     records = db.records
     calls = [k for k, cm in enumerate(db.call_meta) if cm is not None]
     nxt = next((kk for kk in calls if kk >= start), None)
@@ -1980,19 +1961,16 @@ def _emit_span(E, d, db, start, seg_s, rv, slot_map, costs, seg_lookup,
             E.count_record(db, k, records[k])
         E.mark(k + 1)
     if nxt is None:
-        _emit_terminator(E, d, db, seg_s, costs, seg_lookup, bi_of, rtp)
+        _emit_terminator(E, d, db, costs, region, bi_of, rtp)
         return
     E.w(d, f"_i = {nxt}")
     if not inlines(db.call_meta[nxt][2]):
-        if E.region_mode:
-            E.w(d, f"f.block = {E.KI(db)}")
-            E.w(d, "f.in_body = True")
-        _emit_call_exit(E, d, db, nxt, seg_s)
+        _emit_call_exit(E, d, db, nxt)
         return
-    _emit_leaf_call(E, d, db, nxt, seg_s, costs, rtp)
+    _emit_leaf_call(E, d, db, nxt, costs, rtp)
     E.mark(nxt + 1)
-    _emit_span(E, d, db, nxt + 1, seg_s, rv, slot_map, costs, seg_lookup,
-               bi_of, rtp, inlines)
+    _emit_span(E, d, db, nxt + 1, rv, slot_map, costs, region, bi_of, rtp,
+               inlines)
 
 
 def _precheck_span(db, s, inlines):
@@ -2088,7 +2066,7 @@ def _event_guard(events) -> str:
     return " or ".join(terms)
 
 
-#: Hoisted by any segment/region with a conditional branch (the inlined
+#: Hoisted by any region with a conditional branch (the inlined
 #: gshare update reads these every iteration).
 _PRED_HOISTS = (
     "_pcs = M._branch_pcs",
@@ -2097,7 +2075,7 @@ _PRED_HOISTS = (
     "_bpm = _bp.mask",
 )
 
-#: Hoisted by any segment/region with a load or store: the inlined
+#: Hoisted by any region with a load or store: the inlined
 #: cache probe's working set (see :func:`_emit_cache_probe`). The
 #: nested lines carry their own indentation on top of the splice depth.
 _CACHE_HOISTS = (
@@ -2113,23 +2091,21 @@ _CACHE_HOISTS = (
 )
 
 
-def _emit_branch_arm(E, d, cur_db, succ_db, seg_lookup, bi_of):
-    """One branch arm, ending in control 2 unless it stays in the
-    region. When the successor has no segment or the edge has no
-    pre-resolved move list, leave the phis pending for the trampoline's
-    phi stage (which reproduces the reference KeyError). Otherwise
-    inline the successor's phi moves for this edge, then jump within
-    the region (region mode, successor in-region) or point the frame at
-    the successor's first record."""
+def _emit_branch_arm(E, d, cur_db, succ_db, region, bi_of):
+    """One branch arm. When the successor lies outside the region (the
+    compiled subset) or the edge has no pre-resolved move list, leave
+    the phis pending for the trampoline's phi stage (which reproduces
+    the reference KeyError) and return control 2. Otherwise inline the
+    successor's phi moves for this edge and jump to it within the
+    region."""
     tbi = bi_of[id(succ_db)]
-    tgt = seg_lookup(tbi, 0)
     moves = None
     edge_ok = True
     if succ_db.phi_moves is not None:
         moves = succ_db.phi_moves.get(cur_db)
         if moves is None:
             edge_ok = False
-    if tgt is None or not edge_ok:
+    if tbi not in region or not edge_ok:
         E.w(d, f"f.prev = {E.KI(cur_db)}")
         E.w(d, f"f.block = {E.KI(succ_db)}")
         E.w(d, "f.phis_pending = True")
@@ -2164,38 +2140,29 @@ def _emit_branch_arm(E, d, cur_db, succ_db, seg_lookup, bi_of):
                                              else E.K(mc)))
                 E.w(d, f"times[{mdst}] = " + (f"times[{ms}]" if ms >= 0
                                               else "0.0"))
-    if E.region_mode and tbi in E.region_bis:
-        # Intra-region edge: accumulate this block's issue totals and
-        # jump through the dispatch loop — no trampoline round-trip.
-        if E.with_timing:
-            E.w(d, f"_nis += {E.pend_issued}")
-            E.w(d, f"_nuo += {E.pend_uops}")
-        if E.armed:
-            for local, n in zip(("_se", "_sm", "_sb", "_sc"), E.pend_ev):
-                if n:
-                    E.w(d, f"{local} += {n}")
-        E.w(d, f"_bk = {tbi}")
-        E.w(d, "continue")
-    else:
-        E.w(d, f"f.block = {E.KI(succ_db)}")
-        E.w(d, "f.i = 0")
-        E.writeback(d)
-        E.w(d, "return executed, 2")
+    # Accumulate this block's issue totals and jump through the dispatch
+    # loop — no trampoline round-trip.
+    if E.with_timing:
+        E.w(d, f"_nis += {E.pend_issued}")
+        E.w(d, f"_nuo += {E.pend_uops}")
+    if E.armed:
+        for local, n in zip(("_se", "_sm", "_sb", "_sc"), E.pend_ev):
+            if n:
+                E.w(d, f"{local} += {n}")
+    E.w(d, f"_bk = {tbi}")
+    E.w(d, "continue")
     E.pend_ev[0] -= phis
 
 
-def _emit_terminator(E, d, db, s, costs, seg_lookup, bi_of, rtp):
-    """Block completion: static-counter flush as literal increments,
-    then the decoded terminator — mirroring the trampoline's record
-    path (the budget precheck at segment entry already covered the
-    terminator's increment)."""
+def _emit_terminator(E, d, db, costs, region, bi_of, rtp):
+    """Block completion: static-counter flush into the region's
+    accumulators, then the decoded terminator — mirroring the
+    trampoline's record path (the budget precheck at the entry already
+    covered the terminator's increment)."""
     t = E.with_timing
     E.w(d, f"executed += {db.n - E.exec_base + 1}")
     for key, val in db.full_pairs:
-        if E.region_mode:
-            E.w(d, f"{E.ctr(key)} += {val}")
-        else:
-            E.w(d, f"cd[{key!r}] += {val}")
+        E.w(d, f"{E.ctr(key)} += {val}")
     if db.opcode_items:
         E.w(d, "if byop:")
         E.w(d + 1, "_bo = M.counters.by_opcode")
@@ -2206,7 +2173,7 @@ def _emit_terminator(E, d, db, s, costs, seg_lookup, bi_of, rtp):
         succ, lat = db.term
         if t:
             E.issue(d, E.K(lat), (), None, 1, False, None, rtp)
-        _emit_branch_arm(E, d, db, succ, seg_lookup, bi_of)
+        _emit_branch_arm(E, d, db, succ, region, bi_of)
         return
     if kind == _T_CONDBR:
         cs, cc, tb, eb, inst, lat = db.term
@@ -2253,8 +2220,8 @@ def _emit_terminator(E, d, db, s, costs, seg_lookup, bi_of, rtp):
         if E.armed:
             E.pend_ev[2] += 1
         E.w(d, "if _tk:")
-        _emit_branch_arm(E, d + 1, db, tb, seg_lookup, bi_of)
-        _emit_branch_arm(E, d, db, eb, seg_lookup, bi_of)
+        _emit_branch_arm(E, d + 1, db, tb, region, bi_of)
+        _emit_branch_arm(E, d, db, eb, region, bi_of)
         return
     if kind == _T_RET:
         rs, rc, lat, uops = db.term
@@ -2275,110 +2242,29 @@ def _emit_terminator(E, d, db, s, costs, seg_lookup, bi_of, rtp):
     E.w(d, "return executed, None")
 
 
-def _emit_block_segments(db, rv, slot_map, costs, consts, seen, with_timing,
-                         seg_lookup, bi, bi_of, rtp, inlines,
-                         skip_entry=False, armed=False):
-    """Emit every segment of one block. Returns (source lines,
-    [(boundary, fname), ...]). Raises :class:`_Unsupported` /
-    ``_Undecodable`` if any record falls outside the compiled subset.
-    ``skip_entry`` omits the boundary-0 segment (used for region blocks
-    whose entry is the region trampoline but whose inlined calls still
-    need post-call resume segments)."""
-    calls = [k for k, cm in enumerate(db.call_meta) if cm is not None]
-    out: List[str] = []
-    metas: List[Tuple[int, str]] = []
-    starts = [k + 1 for k in calls]
-    if not skip_entry:
-        starts = [0] + starts
-    for s in starts:
-        E = _Emitter(consts, seen, with_timing, armed)
-        E.reset_block(s)
-        fname = f"_s{seg_lookup(bi, s)}"
-        blkc = E.KI(db)
-        E.w(1, f"f.block = {blkc}")
-        E.w(1, "f.in_body = True")
-        E.w(1, f"f.i = {s}")
-        E.w(1, f"if executed + {_precheck_span(db, s, inlines)} > maxi:")
-        E.w(2, "return executed, 3")
-        E.w(1, f"_i = {s}")
-        hoist_at = len(E.lines)
-        E.w(1, "try:")
-        _emit_span(E, 2, db, s, s, rv, slot_map, costs, seg_lookup, bi_of,
-                   rtp, inlines)
-        E.w(1, "except BaseException:")
-        E.w(2, "f.i = _i")
-        if with_timing and E.pend_issued:
-            # Restore the exact timing state at the raising record: all
-            # prior records issued exactly once, the raiser did not.
-            # (Inlined leaf calls break the one-issue-per-record
-            # identity; the flush tables carry the true prefix sums.)
-            E.w(2, "_tm.issue_time = _ti")
-            E.w(2, "_tm.finish_time = _tr")
-            E.w(2, "_tm._retire_frontier = _tr")
-            if E.inlined:
-                E.w(2, f"_tm.issued += {tuple(E.cum_issued)!r}[_i - {s}]")
-            else:
-                E.w(2, f"_tm.issued += _i - {s}")
-            E.w(2, f"_tm.uops_issued += {tuple(E.cum_uops)!r}[_i - {s}]")
-        # The trampoline's local count is stale once we raise; publish
-        # the prior records + the raising one (counted-before-executed),
-        # like the record loop's running `executed` would be.
-        if E.inlined:
-            E.w(2, f"_ex = executed + {tuple(E.rec_adj)!r}[_i - {s}] + 1")
-        else:
-            E.w(2, f"_ex = executed + (_i - {s}) + 1")
-        E.w(2, "if _ex > M._executed:")
-        E.w(3, "M._executed = _ex")
-        if armed:
-            el, ma, cs = (f" + {t!r}[_i - {s}]" for t in _event_tables(E))
-            E.stream_flush(2, el, ma, "", cs)
-        E.w(2, "raise")
-        hoists = []
-        if armed:
-            hoists += _STREAM_HOISTS
-            hoists.append(f"if {_event_guard(E.span_events())}:")
-            hoists.append("    return executed, 3")
-        if with_timing and E.pend_issued:
-            hoists += _timing_hoists(E)
-        if E.need_mem:
-            hoists.append("_mem = M.memory")
-        if E.need_cache:
-            hoists += _CACHE_HOISTS
-        if E.uses_pred:
-            hoists += _PRED_HOISTS
-        E.lines[hoist_at:hoist_at] = ["    " + h for h in hoists]
-        params = "".join(f", {n}={n}" for n in E.used)
-        out.append(f"def {fname}(M, f, regs, times, executed, timing, "
-                   f"maxi, cd, byop{params}):")
-        out.extend(E.lines)
-        out.append("")
-        metas.append((s, fname))
-    return out, metas
+def _emit_region(dfn, entries, rv, slot_map, costs, consts, seen,
+                 with_timing, bi_of, rtp, rname, inlines, armed=False):
+    """Emit the function's region closure: every supported block,
+    compiled into one ``while True`` dispatch loop keyed on ``_bk``.
+    ``entries`` lists the arms in chain order as ``(key, block index,
+    first record)``: a block entry has key == block index and starts
+    at record 0; a *post-call entry* resumes a block after a defined
+    call, at the record after it, under a key past the block indices
+    (it only exists in functions with calls). Intra-region branches
+    become phi moves plus ``_bk = <target>; continue`` — no trampoline
+    round-trip and no per-block flush/rehoist of the timing scalars.
+    Issued and uop totals of completed blocks accumulate in the runtime
+    ``_nis`` / ``_nuo`` locals (the path through the region is
+    dynamic); the current block's totals stay static.
 
-
-def _emit_region(dfn, region_bis, rv, slot_map, costs, consts, seen,
-                 with_timing, seg_lookup, bi_of, rtp, rname, inlines,
-                 armed=False):
-    """Emit the function's region closure: every supported block whose
-    defined calls (if any) are all leaf-inlinable, compiled into one
-    ``while True`` dispatch loop keyed on the block index ``_bk``.
-    Intra-region branches become phi moves plus ``_bk = <target>;
-    continue`` — no trampoline round-trip and no per-block
-    flush/rehoist of the timing scalars, which is where the per-segment
-    scheme spent most of its time on loopy code. Issued and uop totals
-    of completed blocks accumulate in the runtime ``_nis`` / ``_nuo``
-    locals (the path through the region is dynamic); the current
-    block's totals stay static, exactly like a segment's.
-
-    Returns the region's source lines. Exits use the same control
-    protocol as segments; entry is via per-block trampolines the caller
-    emits (so the driver's segment dispatch stays unchanged). A leaf
-    call whose runtime guard fails suspends like a segment would; the
-    caller emits boundary segments for such blocks so the driver can
-    resume after the real call."""
+    Returns the region's source lines. Exits use the segment protocol's
+    control codes; entry is via the per-entry trampolines the caller
+    emits (so the driver's segment dispatch stays unchanged). A defined
+    call that really pushes — or a leaf inline whose runtime guard
+    fails — exits with control 1, and the return re-enters at that
+    call's post-call entry."""
     E = _Emitter(consts, seen, with_timing, armed)
-    E.region_bis = frozenset(region_bis)
-    E.region_mode = True
+    region = frozenset(bi for _key, bi, _s in entries)
     bmap: Dict[int, object] = {}
     cum_tables: Dict[int, tuple] = {}
     iss_tables: Dict[int, tuple] = {}
@@ -2393,42 +2279,47 @@ def _emit_region(dfn, region_bis, rv, slot_map, costs, consts, seen,
     E.w(1, "try:")
     E.w(2, "while True:")
     first = True
-    for bi in sorted(region_bis):
+    for key, bi, s in entries:
         db = dfn.blocks[bi]
-        bmap[bi] = db
-        E.w(3, f"{'if' if first else 'elif'} _bk == {bi}:")
+        bmap[key] = db
+        E.w(3, f"{'if' if first else 'elif'} _bk == {key}:")
         first = False
         d = 4
         # Per-block static accounting restarts here (the completed
         # blocks' totals were rolled into _nis/_nuo at the jump).
-        E.reset_block(0)
-        E.w(d, "_i = 0")
+        E.reset_block(s)
+        E.w(d, f"_i = {s}")
         guard_at = len(E.lines)
-        E.w(d, f"if executed + {_precheck_span(db, 0, inlines)} > maxi:")
+        E.w(d, f"if executed + {_precheck_span(db, s, inlines)} > maxi:")
         E.w(d + 1, f"f.block = {E.KI(db)}")
         E.w(d + 1, "f.in_body = True")
-        E.w(d + 1, "f.i = 0")
+        E.w(d + 1, f"f.i = {s}")
         E.writeback(d + 1)
         E.w(d + 1, "return executed, 3")
-        _emit_span(E, d, db, 0, 0, rv, slot_map, costs, seg_lookup, bi_of,
-                   rtp, inlines)
-        cum_tables[bi] = tuple(E.cum_uops)
-        iss_tables[bi] = tuple(E.cum_issued)
-        adj_tables[bi] = tuple(E.rec_adj)
+        _emit_span(E, d, db, s, rv, slot_map, costs, region, bi_of, rtp,
+                   inlines)
+        # Flush tables are indexed by the raising record's index in the
+        # block: a post-call entry's are padded over the records before
+        # its start.
+        pad = (0,) * s
+        cum_tables[key] = pad + tuple(E.cum_uops)
+        iss_tables[key] = pad + tuple(E.cum_issued)
+        adj_tables[key] = pad + tuple(E.rec_adj)
         if armed:
-            # The entry guard needs the block's event totals, known
-            # only now.
+            # The entry guard needs the arm's event totals, known only
+            # now.
             E.lines[guard_at] = (E.lines[guard_at][:-1] + " or "
                                  + _event_guard(E.span_events()) + ":")
-            ev_tables[bi] = _event_tables(E)
+            ev_tables[key] = tuple(pad + t for t in _event_tables(E))
     E.w(3, "else:")
     E.w(4, "raise RuntimeError('bad region block %r' % _bk)")
     # Only records raise (phi moves are pure reg/const reads, inlined
     # leaf bodies are exception-free by construction, and the
     # terminators cannot raise: budget is prechecked and the inlined
     # predictor/timing updates are exception-free), so _bk/_i pinpoint
-    # the raising record and the frame/timing flush mirrors the
-    # segment except path with the completed blocks' totals added.
+    # the raising record; the frame/timing flush leaves the trampoline's
+    # unwinder the record path's state at that record, with the
+    # completed blocks' totals added.
     E.w(1, "except BaseException:")
     E.w(2, f"f.block = {E.K(bmap)}[_bk]")
     E.w(2, "f.in_body = True")
@@ -2444,7 +2335,7 @@ def _emit_region(dfn, region_bis, rv, slot_map, costs, consts, seen,
     E.w(2, "if _ex > M._executed:")
     E.w(3, "M._executed = _ex")
     if armed:
-        el, ma, cs = (f" + {E.K({bi: t[j] for bi, t in ev_tables.items()})}"
+        el, ma, cs = (f" + {E.K({k: t[j] for k, t in ev_tables.items()})}"
                       f"[_bk][_i]" for j in range(3))
         E.stream_flush(2, el, ma, "", cs)
     E.w(2, "raise")
@@ -2484,11 +2375,12 @@ def _emit_region(dfn, region_bis, rv, slot_map, costs, consts, seen,
 
 
 def _emit_function(dfn, costs, with_timing, armed=False):
-    """Compile-emit one decoded function. Returns (source, consts,
-    [(block index, boundary, fname), ...]) or None if nothing in the
-    function is compilable. The armed variant inlines no leaf calls:
-    armed frames run only while faults are active, when the inline
-    guard always takes the real push."""
+    """Compile-emit one decoded function: its region closure plus one
+    trampoline segment per block entry and post-call entry. Returns
+    (source, consts, [(block index, boundary, fname), ...]) or None if
+    nothing in the function is compilable. The armed variant inlines
+    no leaf calls: armed frames run only while faults are active, when
+    the inline guard always takes the real push."""
     fn = dfn.fn
     slot_map, rv = dfn.slot_map, dfn.rv
     bi_of = {id(db): i for i, db in enumerate(dfn.blocks)}
@@ -2527,25 +2419,17 @@ def _emit_function(dfn, costs, with_timing, armed=False):
     if not supported:
         return None
 
-    seg_index: Dict[Tuple[int, int], int] = {}
+    # One segment per (block, boundary): boundary 0 is the block entry,
+    # k + 1 the post-call entry after the defined call at record k.
+    # Each enters the region under its arm's key.
+    entries: List[Tuple[int, int, int]] = []
+    post_key = len(dfn.blocks)
     for bi in supported:
-        db = dfn.blocks[bi]
-        calls = [k for k, cm in enumerate(db.call_meta) if cm is not None]
-        for s in [0] + [k + 1 for k in calls]:
-            seg_index[(bi, s)] = len(seg_index)
-
-    def seg_lookup(bi, s):
-        return seg_index.get((bi, s))
-
-    # Supported blocks whose defined calls (if any) are all inlinable
-    # leaves merge into one region closure; blocks with a call that
-    # must really push keep per-boundary segments (the call suspends
-    # control, which the region loop cannot express in its fast path).
-    region = frozenset(
-        bi for bi in supported
-        if all(inlines(cm[2])
-               for cm in dfn.blocks[bi].call_meta if cm is not None)
-    )
+        entries.append((bi, bi, 0))
+        for k, cm in enumerate(dfn.blocks[bi].call_meta):
+            if cm is not None:
+                entries.append((post_key, bi, k + 1))
+                post_key += 1
 
     consts: Dict[str, object] = {}
     seen: Dict[int, str] = {}
@@ -2553,42 +2437,23 @@ def _emit_function(dfn, costs, with_timing, armed=False):
     if armed:
         variant += ", armed"
     out: List[str] = [f"# compiled segments of @{fn.name} ({variant})"]
-    metas: List[Tuple[int, int, str]] = []
     rname = "_rg0"
-    if region:
-        # The region def must precede the trampolines: each trampoline
-        # binds it as a keyword default at def time.
-        out.extend(_emit_region(dfn, region, rv, slot_map, costs, consts,
-                                seen, with_timing, seg_lookup, bi_of, rtp,
-                                rname, inlines, armed))
-    for bi in supported:
-        db = dfn.blocks[bi]
-        if bi in region:
-            fname = f"_s{seg_index[(bi, 0)]}"
-            out.append(f"def {fname}(M, f, regs, times, executed, "
-                       f"timing, maxi, cd, byop, _rg={rname}):")
-            out.append(f"    return _rg(M, f, regs, times, executed, "
-                       f"timing, maxi, cd, byop, {bi})")
-            out.append("")
-            metas.append((bi, 0, fname))
-            if any(cm is not None for cm in db.call_meta):
-                # A region block with (inlinable) calls still needs its
-                # post-call boundary segments: a guard-failed inline
-                # suspends for a real push, and the driver resumes at
-                # segment (bi, k+1). Metas stay in seg_index order —
-                # the trampoline is (bi, 0), boundaries follow.
-                lines, ms = _emit_block_segments(
-                    db, rv, slot_map, costs, consts, seen, with_timing,
-                    seg_lookup, bi, bi_of, rtp, inlines, skip_entry=True)
-                out.extend(lines)
-                metas.extend((bi, s, fn2) for s, fn2 in ms)
-            continue
-        lines, ms = _emit_block_segments(db, rv, slot_map, costs, consts,
-                                         seen, with_timing, seg_lookup,
-                                         bi, bi_of, rtp, inlines,
-                                         armed=armed)
-        out.extend(lines)
-        metas.extend((bi, s, fname) for s, fname in ms)
+    # The region def must precede the trampolines: each trampoline binds
+    # it as a keyword default at def time. Post-call entries head the
+    # dispatch chain: every return from a callee re-enters through one.
+    chain = ([e for e in entries if e[2]]
+             + [e for e in entries if not e[2]])
+    out.extend(_emit_region(dfn, chain, rv, slot_map, costs, consts, seen,
+                            with_timing, bi_of, rtp, rname, inlines, armed))
+    metas: List[Tuple[int, int, str]] = []
+    for n, (key, bi, s) in enumerate(entries):
+        fname = f"_s{n}"
+        out.append(f"def {fname}(M, f, regs, times, executed, "
+                   f"timing, maxi, cd, byop, _rg={rname}):")
+        out.append(f"    return _rg(M, f, regs, times, executed, "
+                   f"timing, maxi, cd, byop, {key})")
+        out.append("")
+        metas.append((bi, s, fname))
     return "\n".join(out) + "\n", consts, metas
 
 
@@ -2677,12 +2542,14 @@ def _compile_dfn(dmod, dfn, vidx, root, stats):
     stats.blocks += len(per_block)
 
 
-#: Compiled variants, indexed like ``DecodedBlock.compiled``: segments
+#: Compiled variants, indexed like ``DecodedBlock.compiled``: regions
 #: with or without the inlined timing model, unarmed or armed (stream
 #: counting behind the next-event guard), then the record functions
 #: with or without timing. A segment variant holds a segmap
-#: ``{boundary: segment}`` per block, a record variant a tuple of
-#: record functions (None at defined calls).
+#: ``{boundary: segment}`` per block — boundary 0 the block entry, the
+#: others its post-call entries, each a trampoline into the function's
+#: one region — a record variant a tuple of record functions (None at
+#: defined calls).
 _VARIANTS = ("timing", "plain", "timing-armed", "plain-armed",
              "timing-records", "plain-records")
 _RECORD_VARIANT = 4

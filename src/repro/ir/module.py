@@ -25,7 +25,8 @@ class Module:
         #: (version, cost-model id) -> decoded module (see repro.cpu.engine).
         self._decoded_cache: Dict = {}
         #: (version, entry, args digest, eligibility key) -> golden-run
-        #: triple (see repro.faults.campaign.golden_run).
+        #: triple (see repro.faults.campaign.golden_run); also the
+        #: checkpoint sets and branch coordinates of repro.snap.
         self._golden_cache: Dict = {}
 
     def bump_version(self) -> int:

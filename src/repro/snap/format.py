@@ -30,7 +30,6 @@ from ..avx.costs import CostModel
 from ..cpu.branch_predictor import GSharePredictor
 from ..cpu.cache import Cache, CacheHierarchy, StreamPrefetcher
 from ..cpu.counters import PerfCounters
-from ..cpu.engine import _T_CONDBR, decoded_module
 from ..cpu.resumable import FrameState, ResumeState
 from ..cpu.timing import TimingModel
 
@@ -253,22 +252,28 @@ class _Reader:
 
 def _condbr_coords(machine):
     """Stable coordinates for every conditional-branch terminator:
-    ``id(inst) <-> (function name, block index)``. Both directions are
-    deterministic functions of the module build, so PCs written by one
-    process land on the same branches in another."""
-    dmod = decoded_module(
-        machine.module, machine.config.cost_model, machine.globals_addr
-    )
+    ``id(inst) <-> (function name, block index)``. A block's branch is
+    its first terminator (where decode ends the block), read off the
+    IR, so no function is decoded for it, and memoized on the module
+    like its golden runs (a checkpoint set reads many states). Both
+    directions are deterministic functions of the module build, so PCs
+    written by one process land on the same branches in another."""
+    memo = machine.module._golden_cache
+    coords = memo.get("condbr-coords")
+    if coords is not None:
+        return coords
     id2coord: Dict[int, Tuple[str, int]] = {}
     coord2id: Dict[Tuple[str, int], int] = {}
     for fn in machine.module.defined_functions():
-        dfn = dmod.function(fn)
-        for bi, block in enumerate(dfn.blocks):
-            if block.term_kind == _T_CONDBR:
-                inst = block.term[4]
+        for bi, block in enumerate(fn.blocks):
+            inst = next((i for i in block.instructions if i.is_terminator),
+                        None)
+            if (inst is not None and inst.opcode == "br"
+                    and inst.is_conditional):
                 id2coord[id(inst)] = (fn.name, bi)
                 coord2id[(fn.name, bi)] = id(inst)
-    return id2coord, coord2id
+    coords = memo["condbr-coords"] = (id2coord, coord2id)
+    return coords
 
 
 def serialize_state(state: ResumeState, machine) -> bytes:

@@ -160,10 +160,13 @@ def build_random_module(seed, trap=False):
 
 
 def _observe(module, entry, args, engine, collect_timing=True, plan=None,
-             max_instructions=None, count_only=False, fault_eligible=None):
+             max_instructions=None, count_only=False, fault_eligible=None,
+             max_call_depth=None):
     config = tier_config(engine, collect_timing=collect_timing)
     if max_instructions is not None:
         config.max_instructions = max_instructions
+    if max_call_depth is not None:
+        config.max_call_depth = max_call_depth
     if fault_eligible is not None:
         config.fault_eligible = fault_eligible
     machine = Machine(module, config)
@@ -658,8 +661,11 @@ def _raiser_module(shape):
     return module, "main", [5]
 
 
-@pytest.mark.parametrize("shape", ["undefined-callee", "undefined-value",
-                                   "interior-phi", "ret-undefined"])
+_RAISER_SHAPES = ("undefined-callee", "undefined-value", "interior-phi",
+                  "ret-undefined")
+
+
+@pytest.mark.parametrize("shape", _RAISER_SHAPES)
 def test_raiser_records_identical_across_tiers(shape):
     """Records the reference fails on before doing any work raise the
     same exception, with the same message and exact partial counters,
@@ -943,36 +949,24 @@ def test_record_path_uses_the_oracles_eligible_hook(monkeypatch):
                for inst in logs["reference"])
 
 
-@pytest.mark.parametrize("seed", [0, 3, 6])
-def test_segments_return_control_codes_only(seed):
-    """Segments hand the trampoline a control code, never a segment:
-    every compiled segment, in all four segment variants, returns None,
-    1, 2 or 3 — also where a block that calls ``helper`` branches to a
-    successor outside the region — and every run still equals the
-    reference."""
-    module, entry, args = build_random_module(seed)
-    module = elzar_transform(mem2reg(module))
+def _wrap_segments(module, entry, wrap):
+    """Compile every segment variant of ``module`` and replace each
+    segment with ``wrap(vidx, dfn, boundary, segment)``."""
     machine = Machine(module, MachineConfig())
     dmod = decoded_module(module, machine.config.cost_model,
                           machine.globals_addr)
     dmod.function(module.get_function(entry))
-    returned = []
-
-    def checked(vidx, seg):
-        def wrapper(*args):
-            executed, ctrl = seg(*args)
-            returned.append((vidx, ctrl))
-            return executed, ctrl
-        return wrapper
-
     for vidx in range(_RECORD_VARIANT):
         ensure_compiled(dmod, vidx)
         for dfn in dmod._functions.values():
             for db in dfn.blocks:
                 segmap = db.compiled[vidx]
                 if segmap:
-                    db.compiled[vidx] = {s: checked(vidx, seg)
+                    db.compiled[vidx] = {s: wrap(vidx, dfn, s, seg)
                                          for s, seg in segmap.items()}
+
+
+def _assert_runs_equal_reference(module, entry, args):
     for timing in (True, False):
         for count_only in (False, True):
             runs = {engine: _observe(module, entry, args, engine,
@@ -981,8 +975,99 @@ def test_segments_return_control_codes_only(seed):
                     for engine in ("reference", "compiled")}
             assert runs["compiled"] == runs["reference"], (timing,
                                                            count_only)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 6])
+def test_segments_return_control_codes_only(seed):
+    """Segments hand the trampoline a control code, never a segment:
+    every compiled segment, in all four segment variants, returns None,
+    1, 2 or 3, and every run still equals the reference. The random
+    module's ``helper`` calls produce code 1; its blocks branch inside
+    their function's region, so code 2 comes from the raiser modules,
+    whose loops branch to blocks outside the compiled subset."""
+    module, entry, args = build_random_module(seed)
+    modules = [(elzar_transform(mem2reg(module)), entry, args)]
+    modules += [_raiser_module(shape) for shape in _RAISER_SHAPES]
+    returned = []
+
+    def checked(vidx, _dfn, _boundary, seg):
+        def wrapper(*args):
+            executed, ctrl = seg(*args)
+            returned.append((vidx, ctrl))
+            return executed, ctrl
+        return wrapper
+
+    for module, entry, args in modules:
+        _wrap_segments(module, entry, checked)
+        _assert_runs_equal_reference(module, entry, args)
     assert {vidx for vidx, _ctrl in returned} == set(range(_RECORD_VARIANT))
     bad = [ctrl for _vidx, ctrl in returned
            if not (ctrl is None or (type(ctrl) is int and ctrl in (1, 2, 3)))]
     assert not bad, bad[:3]
     assert {1, 2} <= {ctrl for _vidx, ctrl in returned}
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_one_region_per_function(seed):
+    """Every function compiles to one region closure: in all four
+    segment variants, each segment of a function — block entries, and
+    the post-call entries of the blocks that call ``helper`` — is a
+    trampoline into that function's single region. The returns from
+    ``helper`` re-enter ``main``'s region, and every run still equals
+    the reference."""
+    module, entry, args = build_random_module(seed)
+    modules = [(elzar_transform(mem2reg(module)), entry, args),
+               _raiser_module("undefined-value")]
+    regions = {}
+    entered = set()
+
+    def tracked(vidx, dfn, boundary, seg):
+        defaults = seg.__defaults__ or ()
+        regions.setdefault((id(dfn), vidx), []).append(
+            defaults[0] if len(defaults) == 1 else seg)
+
+        def wrapper(*args):
+            entered.add((dfn.fn.name, vidx, boundary))
+            return seg(*args)
+        return wrapper
+
+    for module, entry, args in modules:
+        _wrap_segments(module, entry, tracked)
+        _assert_runs_equal_reference(module, entry, args)
+    assert regions
+    for key, targets in regions.items():
+        assert len({id(t) for t in targets}) == 1, key
+        assert targets[0].__name__ == "_rg0", key
+    assert {vidx for name, vidx, boundary in entered
+            if name == "main" and boundary > 0} == set(range(_RECORD_VARIANT))
+
+
+@pytest.mark.parametrize("max_call_depth", [0, 1, 2])
+def test_call_depth_limit_identical_across_tiers(max_call_depth):
+    """``max_call_depth`` stops main -> helper -> leaf identically on
+    every tier: the reference's "call depth exceeded" HangError (same
+    message, partial counters and output) raised by ``push_frame``,
+    also where a leaf call the compiled region would inline exits it
+    for the real push because the depth guard fails."""
+    module, entry, args = build_random_module(5)
+    messages = set()
+    for timing in (True, False):
+        for count_only in (False, True):
+            runs = {tier: _observe(module, entry, args, tier,
+                                   collect_timing=timing,
+                                   count_only=count_only,
+                                   max_call_depth=max_call_depth)
+                    for tier in TIERS}
+            assert runs["records"] == runs["reference"], (timing, count_only)
+            assert runs["compiled"] == runs["reference"], (timing,
+                                                           count_only)
+            messages.add(runs["reference"]["exc"])
+    expected = {0: ("HangError", "call depth exceeded in @leaf"),
+                1: ("HangError", "call depth exceeded in @leaf"),
+                2: None}[max_call_depth]
+    assert len(messages) == 1
+    (exc,) = messages
+    if expected is None:
+        assert exc is None
+    else:
+        assert exc[0] == expected[0] and exc[1].startswith(expected[1]), exc
