@@ -12,14 +12,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..cpu.intrinsics import is_checker_intrinsic
 from ..ir.function import Function
 from ..ir.instructions import CallInst
 from ..ir.module import Module
 
-#: Intrinsic name prefixes considered hardening machinery.
-_CHECK_PREFIXES = (
-    "elzar.check", "elzar.branch_cond", "tmr.vote", "swift.check",
-)
 _WRAPPER_OPS = ("extractelement", "insertelement", "broadcast")
 
 
@@ -102,8 +99,7 @@ def inspect_function(fn: Function) -> FunctionReport:
         elif opcode == "br":
             report.branches += 1
         elif isinstance(inst, CallInst):
-            name = inst.callee.name
-            if name.startswith(_CHECK_PREFIXES):
+            if is_checker_intrinsic(inst.callee.name):
                 report.check_calls += 1
             else:
                 report.calls += 1

@@ -8,7 +8,7 @@ with a fake clock) that guarantees:
 - **Requeue with exponential backoff.** A lease whose worker dies, or
   whose heartbeat lapses past ``lease_timeout``, returns to the queue
   with ``attempt + 1`` and becomes grantable only after
-  ``backoff * backoff_factor ** attempt`` seconds — a crashing shard
+  ``backoff * 2 ** attempt`` seconds — a crashing shard
   cannot hot-loop through the worker pool.
 - **At-most-once commit.** The first result committed for a shard
   wins; any later result for the same shard (a worker presumed dead
@@ -44,9 +44,8 @@ class LeasePolicy:
     heartbeat_interval: float = 1.0
     #: Total executions of one shard before the campaign fails.
     max_attempts: int = 5
-    #: Base requeue delay; grows by ``backoff_factor`` per attempt.
+    #: Base requeue delay; doubles per attempt.
     backoff: float = 0.05
-    backoff_factor: float = 2.0
     #: Bounded jitter on every requeue delay: the actual delay is
     #: uniform in ``[d, d * (1 + backoff_jitter)]``. Without it the
     #: backoff schedule is *deterministic*, so the leases of many
@@ -65,8 +64,7 @@ class LeasePolicy:
         :class:`~repro.chaos.policy.RetryPolicy` shape (one backoff
         vocabulary for leases, shard retries, and worker connects)."""
         return RetryPolicy(max_attempts=self.max_attempts,
-                           backoff=self.backoff,
-                           backoff_factor=self.backoff_factor,
+                           backoff=self.backoff, backoff_factor=2.0,
                            jitter=self.backoff_jitter,
                            timeout=self.lease_timeout)
 

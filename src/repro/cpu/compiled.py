@@ -2,8 +2,10 @@
 decoded blocks (:mod:`repro.cpu.engine`) on code emitted from them.
 
 This module holds the only instruction semantics besides the reference
-interpreter's, as a Python source emitter (:func:`_emit_record`). Its
-output runs in two shapes:
+interpreter's, as a Python source emitter (:func:`_emit_record`);
+intrinsic calls are the exception, the emitted code calls the
+reference's own ``interpreter.intrinsic_impl``. Its output runs in two
+shapes:
 
 - **Regions**: every function compiles to one closure over all of its
   supported blocks, with operands resolved to register slots,
@@ -98,7 +100,6 @@ from .engine import (
     _T_RET_VOID,
     _T_UNREACHABLE,
     _Undecodable,
-    _intrinsic_impl,
     DecodedFunction,
     decoded_module,
 )
@@ -115,6 +116,7 @@ from .interpreter import (
     _is_checker_site,
     _to_signed,
     RunResult,
+    intrinsic_impl,
 )
 from .memory import HEAP_BASE, STACK_BASE, _FLOAT_FMT
 
@@ -1780,7 +1782,7 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
             # declaration calls are raiser records.
             raise _Unsupported(f"call to @{callee.name}")
         arg_ps = [rv(a) for a in inst.args]
-        impl = E.K(_intrinsic_impl(callee.name, inst))
+        impl = E.K(intrinsic_impl(callee.name, inst.type))
         lat = costs.intrinsic_latency(callee.name)
         port = costs.ports.get("call")
         if len(arg_ps) == 1:

@@ -4,12 +4,11 @@ The reference interpreter (:mod:`repro.cpu.interpreter`) dispatches each
 dynamic instruction through a chain of ~22 ``isinstance`` checks and
 resolves every operand with per-step dict lookups keyed by ``Value``.
 This module removes that per-step work with a one-time *decode* of each
-function into the static facts execution needs. Its only instruction
-semantics are the intrinsic implementations (:func:`_intrinsic_impl`,
-the reference's ``Machine._call_intrinsic`` pre-dispatched by name);
-:mod:`repro.cpu.compiled` emits everything else as Python source from
+function into the static facts execution needs. It holds no instruction
+semantics: :mod:`repro.cpu.compiled` emits them as Python source from
 the decoded form — compiled segments and, for the trampoline's record
-path, one function per body record.
+path, one function per body record — and binds the reference's
+intrinsic implementations (``interpreter.intrinsic_impl``) into it.
 
 - every value gets a **register-file slot** (one flat list per frame);
   operands pre-resolve to slots or to baked-in constants — globals to
@@ -37,10 +36,8 @@ execute thousands of times.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
-from ..avx import ops as avxops
 from ..ir.function import Function
 from ..ir.instructions import (
     AllocaInst,
@@ -62,15 +59,8 @@ from ..ir.instructions import (
 )
 from ..ir.module import Module
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue
-from .errors import AbortError, DetectedError, Trap
-from .interpreter import (
-    _HOST_UNARY,
-    _compute_static,
-    _key_to_value,
-    _lane_keys,
-    _scalar_key,
-    _to_signed,
-)
+from .errors import Trap
+from .interpreter import _compute_static
 
 # Terminator kinds.
 _T_BR = 0          # unconditional branch
@@ -181,162 +171,6 @@ def _deltas(inst, static):
         full["fp_instructions"] = 1
         partial["fp_instructions"] = 1
     return full, partial
-
-
-# --- Decode: intrinsic call implementations ----------------------------------
-#
-# Pre-dispatched versions of ``Machine._call_intrinsic`` — the name
-# prefix chain runs once at decode; each impl receives the evaluated
-# argument list and the machine (for counters / memory / output).
-
-
-def _intrinsic_impl(name, inst):
-    if name.startswith("elzar.check_dmr."):
-        elem = inst.type.elem
-
-        def impl(M, args, elem=elem):
-            lanes = args[0]
-            keyed = _lane_keys(lanes, elem)
-            if avxops.lanes_all_equal(keyed):
-                return lanes
-            M.counters.detections += 1
-            raise DetectedError("ELZAR-DMR check: lanes diverged")
-
-        return impl
-    if name.startswith("elzar.branch_cond_dmr."):
-
-        def impl(M, args):
-            kind = avxops.ptest_classify(args[0])
-            if kind == 2:
-                M.counters.detections += 1
-                raise DetectedError("ELZAR-DMR branch: true/false mix")
-            return kind
-
-        return impl
-    if name.startswith("elzar.check."):
-        elem = inst.type.elem
-
-        def impl(M, args, elem=elem):
-            lanes = args[0]
-            keyed = _lane_keys(lanes, elem)
-            if avxops.lanes_all_equal(keyed):
-                return lanes
-            counters = M.counters
-            counters.corrections += 1
-            try:
-                majority = avxops.majority_value(keyed)
-            except avxops.NoMajorityError as exc:
-                counters.recoveries_failed += 1
-                raise DetectedError(str(exc)) from exc
-            value = _key_to_value(majority, elem)
-            return (value,) * len(lanes)
-
-        return impl
-    if name.startswith("elzar.branch_cond_nocheck."):
-
-        def impl(M, args):
-            return 1 if all(args[0]) else 0
-
-        return impl
-    if name.startswith("elzar.branch_cond."):
-
-        def impl(M, args):
-            lanes = args[0]
-            kind = avxops.ptest_classify(lanes)
-            if kind == 2:
-                counters = M.counters
-                counters.corrections += 1
-                try:
-                    majority = avxops.majority_value(tuple(lanes))
-                except avxops.NoMajorityError as exc:
-                    counters.recoveries_failed += 1
-                    raise DetectedError(str(exc)) from exc
-                return 1 if majority else 0
-            return kind
-
-        return impl
-    if name.startswith("tmr.vote."):
-        ty = inst.type
-
-        def impl(M, args, ty=ty):
-            a, b, c = args
-            ka, kb, kc = (_scalar_key(v, ty) for v in (a, b, c))
-            if ka == kb and kb == kc:
-                return a
-            counters = M.counters
-            counters.corrections += 1
-            if ka == kb or ka == kc:
-                return a
-            if kb == kc:
-                return b
-            counters.recoveries_failed += 1
-            raise DetectedError("TMR vote: all three copies differ")
-
-        return impl
-    if name.startswith("swift.check."):
-        ty = inst.type
-
-        def impl(M, args, ty=ty):
-            a, b = args
-            if _scalar_key(a, ty) != _scalar_key(b, ty):
-                M.counters.detections += 1
-                raise DetectedError("DMR check: copies diverged")
-            return a
-
-        return impl
-    if name == "rt.alloc":
-        return lambda M, args: M.memory.alloc(args[0])
-    if name == "rt.print_i64":
-
-        def impl(M, args):
-            M.output.append(_to_signed(args[0], 64))
-            return None
-
-        return impl
-    if name == "rt.print_f64":
-
-        def impl(M, args):
-            M.output.append(float(args[0]))
-            return None
-
-        return impl
-    if name == "rt.abort":
-
-        def impl(M, args):
-            raise AbortError("rt.abort called")
-
-        return impl
-    if name.startswith("host."):
-        op = name[5:]
-        if op == "pow":
-
-            def impl(M, args):
-                try:
-                    return float(args[0] ** args[1])
-                except (OverflowError, ZeroDivisionError, ValueError):
-                    return math.nan
-
-            return impl
-        fun = _HOST_UNARY.get(op)
-        if fun is None:
-
-            def impl(M, args, name=name):
-                raise Trap(f"unknown host intrinsic {name}")
-
-            return impl
-
-        def impl(M, args, fun=fun):
-            try:
-                return float(fun(args[0]))
-            except (OverflowError, ValueError):
-                return math.nan
-
-        return impl
-
-    def impl(M, args, name=name):
-        raise Trap(f"unknown intrinsic {name}")
-
-    return impl
 
 
 # --- Decode ------------------------------------------------------------------

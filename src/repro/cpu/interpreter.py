@@ -16,6 +16,7 @@ injection rule — is flipped.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import sys
@@ -59,6 +60,7 @@ from .errors import (
     MemoryFault,
     Trap,
 )
+from .intrinsics import is_checker_intrinsic
 from .memory import HEAP_BASE, Memory, pack_array
 from .timing import TimingModel
 
@@ -1016,104 +1018,13 @@ class Machine:
         arg_values = [self._eval(a, frame) for a in inst.args]
         self.counters.calls += 1
         if callee.is_intrinsic:
-            value = self._call_intrinsic(callee.name, arg_values, inst)
+            value = intrinsic_impl(callee.name, inst.type)(self, arg_values)
             return value, costs.intrinsic_latency(callee.name), 0.0
         if callee.is_declaration:
             raise Trap(f"call to undefined function @{callee.name}")
         arg_times = [times.get(a, 0.0) for a in inst.args]
         value = self._exec_function(callee, arg_values, arg_times, depth + 1)
         return value, costs.scalar_latency("call"), 0.0
-
-    def _call_intrinsic(self, name: str, args: List, inst: CallInst):
-        counters = self.counters
-        if name.startswith("elzar.check_dmr."):
-            lanes = args[0]
-            keyed = _lane_keys(lanes, inst.type.elem)
-            if avxops.lanes_all_equal(keyed):
-                return lanes
-            counters.detections += 1
-            raise DetectedError("ELZAR-DMR check: lanes diverged")
-        if name.startswith("elzar.branch_cond_dmr."):
-            lanes = args[0]
-            kind = avxops.ptest_classify(lanes)
-            if kind == 2:
-                counters.detections += 1
-                raise DetectedError("ELZAR-DMR branch: true/false mix")
-            return kind
-        if name.startswith("elzar.check."):
-            lanes = args[0]
-            keyed = _lane_keys(lanes, inst.type.elem)
-            if avxops.lanes_all_equal(keyed):
-                return lanes
-            counters.corrections += 1
-            try:
-                majority = avxops.majority_value(keyed)
-            except avxops.NoMajorityError as exc:
-                counters.recoveries_failed += 1
-                raise DetectedError(str(exc)) from exc
-            value = _key_to_value(majority, inst.type.elem)
-            return (value,) * len(lanes)
-        if name.startswith("elzar.branch_cond_nocheck."):
-            # Unchecked AVX branch: ptest + je — "all lanes true" wins.
-            lanes = args[0]
-            return 1 if all(lanes) else 0
-        if name.startswith("elzar.branch_cond."):
-            lanes = args[0]
-            kind = avxops.ptest_classify(lanes)
-            if kind == 2:
-                counters.corrections += 1
-                try:
-                    majority = avxops.majority_value(tuple(lanes))
-                except avxops.NoMajorityError as exc:
-                    counters.recoveries_failed += 1
-                    raise DetectedError(str(exc)) from exc
-                return 1 if majority else 0
-            return kind
-        if name.startswith("tmr.vote."):
-            a, b, c = args
-            ty = inst.type
-            ka, kb, kc = (_scalar_key(v, ty) for v in (a, b, c))
-            if ka == kb and kb == kc:
-                return a
-            counters.corrections += 1
-            if ka == kb or ka == kc:
-                return a
-            if kb == kc:
-                return b
-            counters.recoveries_failed += 1
-            raise DetectedError("TMR vote: all three copies differ")
-        if name.startswith("swift.check."):
-            a, b = args
-            ty = inst.type
-            if _scalar_key(a, ty) != _scalar_key(b, ty):
-                counters.detections += 1
-                raise DetectedError("DMR check: copies diverged")
-            return a
-        if name == "rt.alloc":
-            return self.memory.alloc(args[0])
-        if name == "rt.print_i64":
-            self.output.append(_to_signed(args[0], 64))
-            return None
-        if name == "rt.print_f64":
-            self.output.append(float(args[0]))
-            return None
-        if name == "rt.abort":
-            raise AbortError("rt.abort called")
-        if name.startswith("host."):
-            op = name[5:]
-            if op == "pow":
-                try:
-                    return float(args[0] ** args[1])
-                except (OverflowError, ZeroDivisionError, ValueError):
-                    return math.nan
-            fun = _HOST_UNARY.get(op)
-            if fun is None:
-                raise Trap(f"unknown host intrinsic {name}")
-            try:
-                return float(fun(args[0]))
-            except (OverflowError, ValueError):
-                return math.nan
-        raise Trap(f"unknown intrinsic {name}")
 
     # Operand evaluation -----------------------------------------------------------------
 
@@ -1199,8 +1110,138 @@ def _key_to_value(key, elem: T.Type):
     return key
 
 
-#: Intrinsic-name prefixes of hardening-inserted check/vote/sync calls.
-_CHECKER_PREFIXES = ("elzar.", "tmr.vote.", "swift.check.")
+@functools.lru_cache(maxsize=None)
+def intrinsic_impl(name: str, ret_type: T.Type):
+    """The semantics of intrinsic ``name`` returning ``ret_type``, as
+    ``impl(M, args)`` over the machine and the evaluated arguments.
+
+    The one implementation of every intrinsic family: the reference
+    interpreter calls it per call and the compiled engine binds it into
+    emitted code. The name-prefix dispatch runs once per (name, type).
+    """
+    if name.startswith("elzar.check_dmr."):
+        elem = ret_type.elem
+
+        def impl(M, args):
+            lanes = args[0]
+            if avxops.lanes_all_equal(_lane_keys(lanes, elem)):
+                return lanes
+            M.counters.detections += 1
+            raise DetectedError("ELZAR-DMR check: lanes diverged")
+
+        return impl
+    if name.startswith("elzar.branch_cond_dmr."):
+
+        def impl(M, args):
+            kind = avxops.ptest_classify(args[0])
+            if kind == 2:
+                M.counters.detections += 1
+                raise DetectedError("ELZAR-DMR branch: true/false mix")
+            return kind
+
+        return impl
+    if name.startswith("elzar.check."):
+        elem = ret_type.elem
+
+        def impl(M, args):
+            lanes = args[0]
+            keyed = _lane_keys(lanes, elem)
+            if avxops.lanes_all_equal(keyed):
+                return lanes
+            counters = M.counters
+            counters.corrections += 1
+            try:
+                majority = avxops.majority_value(keyed)
+            except avxops.NoMajorityError as exc:
+                counters.recoveries_failed += 1
+                raise DetectedError(str(exc)) from exc
+            return (_key_to_value(majority, elem),) * len(lanes)
+
+        return impl
+    if name.startswith("elzar.branch_cond_nocheck."):
+        # Unchecked AVX branch: ptest + je — "all lanes true" wins.
+        return lambda M, args: 1 if all(args[0]) else 0
+    if name.startswith("elzar.branch_cond."):
+
+        def impl(M, args):
+            lanes = args[0]
+            kind = avxops.ptest_classify(lanes)
+            if kind == 2:
+                counters = M.counters
+                counters.corrections += 1
+                try:
+                    majority = avxops.majority_value(tuple(lanes))
+                except avxops.NoMajorityError as exc:
+                    counters.recoveries_failed += 1
+                    raise DetectedError(str(exc)) from exc
+                return 1 if majority else 0
+            return kind
+
+        return impl
+    if name.startswith("tmr.vote."):
+
+        def impl(M, args):
+            a, b, c = args
+            ka, kb, kc = (_scalar_key(v, ret_type) for v in (a, b, c))
+            if ka == kb and kb == kc:
+                return a
+            counters = M.counters
+            counters.corrections += 1
+            if ka == kb or ka == kc:
+                return a
+            if kb == kc:
+                return b
+            counters.recoveries_failed += 1
+            raise DetectedError("TMR vote: all three copies differ")
+
+        return impl
+    if name.startswith("swift.check."):
+
+        def impl(M, args):
+            a, b = args
+            if _scalar_key(a, ret_type) != _scalar_key(b, ret_type):
+                M.counters.detections += 1
+                raise DetectedError("DMR check: copies diverged")
+            return a
+
+        return impl
+    if name == "rt.alloc":
+        return lambda M, args: M.memory.alloc(args[0])
+    if name == "rt.print_i64":
+        return lambda M, args: M.output.append(_to_signed(args[0], 64))
+    if name == "rt.print_f64":
+        return lambda M, args: M.output.append(float(args[0]))
+    if name == "rt.abort":
+
+        def impl(M, args):
+            raise AbortError("rt.abort called")
+
+        return impl
+    if name == "host.pow":
+
+        def impl(M, args):
+            try:
+                return float(args[0] ** args[1])
+            except (OverflowError, ZeroDivisionError, ValueError):
+                return math.nan
+
+        return impl
+    fun = _HOST_UNARY.get(name[5:]) if name.startswith("host.") else None
+    if fun is not None:
+
+        def impl(M, args):
+            try:
+                return float(fun(args[0]))
+            except (OverflowError, ValueError):
+                return math.nan
+
+        return impl
+    kind = "host intrinsic" if name.startswith("host.") else "intrinsic"
+
+    def impl(M, args):
+        raise Trap(f"unknown {kind} {name}")
+
+    return impl
 
 
 def _is_checker_site(inst: Instruction) -> bool:
@@ -1214,10 +1255,7 @@ def _is_checker_site(inst: Instruction) -> bool:
     if opcode in ("extractelement", "broadcast"):
         return True
     if opcode == "call":
-        callee = inst.callee
-        return callee.is_intrinsic and callee.name.startswith(
-            _CHECKER_PREFIXES
-        )
+        return is_checker_intrinsic(inst.callee.name)
     return False
 
 

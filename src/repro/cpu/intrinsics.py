@@ -1,6 +1,7 @@
 """Intrinsic declarations shared by passes, workloads, and the machine.
 
-Intrinsic families (dispatched by name prefix in the interpreter):
+Intrinsic families (their semantics: ``repro.cpu.interpreter.intrinsic_impl``,
+which both execution engines run):
 
 - ``rt.*``    — runtime services: heap allocation, output, abort.
 - ``host.*``  — host-math helpers (used by *unhardened* reference code
@@ -18,6 +19,20 @@ from __future__ import annotations
 from ..ir import types as T
 from ..ir.function import Function
 from ..ir.module import Module
+
+
+#: Name prefixes of the hardening-inserted check/vote/branch-sync
+#: intrinsics: every ``elzar.*`` family, ``tmr.vote.*`` and
+#: ``swift.check.*``.
+_CHECKER_PREFIXES = ("elzar.", "tmr.vote.", "swift.check.")
+
+
+def is_checker_intrinsic(name: str) -> bool:
+    """True for the hardening machinery's check/vote/sync intrinsics:
+    the call sites of the CheckerFault stream, the ``checker-exposed``
+    sites of the vulnerability analysis and the check calls counted by
+    module inspection. ``rt.*`` and ``host.*`` are not."""
+    return name.startswith(_CHECKER_PREFIXES)
 
 
 def type_tag(ty: T.Type) -> str:

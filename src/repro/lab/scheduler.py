@@ -53,9 +53,8 @@ class SchedulerPolicy:
     timeout: Optional[float] = None
     #: Re-executions of a failed shard before degrading to in-process.
     max_retries: int = 2
-    #: Base delay before a retry; grows by ``backoff_factor`` per attempt.
+    #: Base delay before a retry; doubles per attempt.
     backoff: float = 0.05
-    backoff_factor: float = 2.0
 
     @property
     def retry(self) -> RetryPolicy:
@@ -64,8 +63,7 @@ class SchedulerPolicy:
         shard retries are per-campaign, not fleet-wide, so there is no
         herd to spread."""
         return RetryPolicy(max_attempts=self.max_retries + 1,
-                           backoff=self.backoff,
-                           backoff_factor=self.backoff_factor,
+                           backoff=self.backoff, backoff_factor=2.0,
                            jitter=0.0, timeout=self.timeout)
 
 

@@ -50,11 +50,11 @@ class TestDelay:
 class TestUnification:
     def test_lease_policy_retry_matches_its_own_fields(self):
         lease = LeasePolicy(lease_timeout=7.0, max_attempts=4, backoff=0.5,
-                            backoff_factor=3.0, backoff_jitter=0.1)
+                            backoff_jitter=0.1)
         retry = lease.retry
         assert retry.max_attempts == 4
         assert retry.backoff == 0.5
-        assert retry.backoff_factor == 3.0
+        assert retry.backoff_factor == 2.0
         assert retry.jitter == 0.1
         assert retry.timeout == 7.0
 
@@ -64,7 +64,7 @@ class TestUnification:
         from repro.cluster.lease import LeaseTable
 
         policy = LeasePolicy(lease_timeout=10.0, backoff=1.0,
-                             backoff_factor=2.0, backoff_jitter=0.0)
+                             backoff_jitter=0.0)
         table = LeaseTable([0], policy)
         table.grant("a", now=0.0)
         table.expire(now=10.0)
@@ -77,6 +77,7 @@ class TestUnification:
         retry = sched.retry
         assert retry.max_attempts == 3  # retries + the first attempt
         assert retry.backoff == 0.25
+        assert retry.backoff_factor == 2.0
         assert retry.timeout == 3.0
         assert retry.jitter == 0.0  # scheduler keeps exact instants
 

@@ -10,8 +10,8 @@ from repro.cluster.lease import LeasePolicy, LeaseTable, ShardExhausted
 def _table(indices=(0, 1, 2, 3), **overrides):
     # Jitter off by default: these tests assert exact backoff instants.
     overrides.setdefault("backoff_jitter", 0.0)
-    policy = LeasePolicy(lease_timeout=10.0, backoff=1.0,
-                         backoff_factor=2.0, max_attempts=3, **overrides)
+    policy = LeasePolicy(lease_timeout=10.0, backoff=1.0, max_attempts=3,
+                         **overrides)
     return LeaseTable(list(indices), policy)
 
 
@@ -87,7 +87,7 @@ class TestBackoffJitter:
         import random
 
         policy = LeasePolicy(lease_timeout=10.0, backoff=1.0,
-                             backoff_factor=2.0, backoff_jitter=0.25)
+                             backoff_jitter=0.25)
         table = LeaseTable([0], policy, rng=random.Random(rng_seed))
         table.grant("a", now=0.0)
         table.expire(now=10.0)

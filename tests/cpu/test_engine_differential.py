@@ -32,13 +32,33 @@ from repro.faults import (
     run_campaign,
 )
 from repro.faults.campaign import hang_budget
-from repro.passes import elzar_transform, mem2reg
+from repro.passes import (
+    ElzarOptions,
+    elzar_transform,
+    mem2reg,
+    swift_transform,
+    swiftr_transform,
+)
 from repro.workloads import ALL
 from repro.workloads.registry import BENCHMARKS
 
-from ..conftest import run_tier, tier_config
+from ..conftest import TIERS, run_tier, tier_config
 
 KERNELS = [w.name for w in BENCHMARKS]
+
+#: Every hardening scheme, so each intrinsic family meets the oracle:
+#: ELZAR (``elzar.check``/``branch_cond``), its 2-lane fail-stop
+#: ablation (``check_dmr``/``branch_cond_dmr``), ELZAR with all checks
+#: off (``branch_cond_nocheck``), SWIFT-R (``tmr.vote``) and SWIFT
+#: (``swift.check``).
+SCHEMES = {
+    "elzar": elzar_transform,
+    "elzar-dmr": lambda m: elzar_transform(
+        m, ElzarOptions(fail_stop=True, lanes=2)),
+    "elzar-nochecks": lambda m: elzar_transform(m, ElzarOptions.no_checks()),
+    "swiftr": swiftr_transform,
+    "swift": swift_transform,
+}
 
 
 def run_engine(module, entry, args, engine, collect_timing=True, plan=None,
@@ -58,21 +78,22 @@ def run_engine(module, entry, args, engine, collect_timing=True, plan=None,
     return machine, result, outcome
 
 
-def assert_identical(module, entry, args, collect_timing=True):
+def assert_identical(module, entry, args, collect_timing=True,
+                     tiers=("records",)):
     _, ref, ref_exc = run_engine(module, entry, args, "reference",
                                  collect_timing)
-    _, rec, rec_exc = run_engine(module, entry, args, "records",
-                                 collect_timing)
-    assert rec_exc == ref_exc
-    if ref is None:
-        return None, None
-    assert rec.value == ref.value
-    assert rec.output == ref.output
-    assert rec.counters.as_dict() == ref.counters.as_dict()
-    if collect_timing:
-        assert rec.cycles == ref.cycles
-        assert rec.ilp == ref.ilp
-    return rec, ref
+    for tier in tiers:
+        _, rec, rec_exc = run_engine(module, entry, args, tier,
+                                     collect_timing)
+        assert rec_exc == ref_exc, tier
+        if ref is None:
+            continue
+        assert rec.value == ref.value, tier
+        assert rec.output == ref.output, tier
+        assert rec.counters.as_dict() == ref.counters.as_dict(), tier
+        if collect_timing:
+            assert rec.cycles == ref.cycles, tier
+            assert rec.ilp == ref.ilp, tier
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -81,12 +102,13 @@ def test_kernel_native_identical(name):
     assert_identical(built.module, built.entry, built.args)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("name", ["histogram", "blackscholes", "kmeans"])
-def test_kernel_hardened_identical(name):
+def test_kernel_hardened_identical(name, scheme):
     built = ALL[name].build_at("test")
-    module = mem2reg(built.module)
-    hardened = elzar_transform(module)
-    assert_identical(hardened, built.entry, built.args)
+    hardened = SCHEMES[scheme](mem2reg(built.module))
+    assert_identical(hardened, built.entry, built.args,
+                     tiers=("records", "compiled"))
 
 
 @pytest.mark.parametrize("builder", [
@@ -135,15 +157,20 @@ def test_armed_runs_identical(name):
         assert runs["records"] == runs["reference"], plan
 
 
-@pytest.mark.parametrize("model", model_names())
-def test_fault_models_identical_per_plan(model):
-    """For every registered fault model, the interpreter and the
-    record path must classify the identical per-plan observables:
-    same streams counted, same injection site, same output or trap.
-    This is the contract that lets the durable store share shard rows
-    between engines."""
+@pytest.mark.parametrize("scheme,model", [
+    *(("elzar", model) for model in model_names()),
+    *((scheme, model) for scheme in ("swiftr", "elzar-dmr")
+      for model in ("register-bitflip", "checker-fault")),
+])
+def test_fault_models_identical_per_plan(scheme, model):
+    """For every registered fault model (and, for the register and
+    checker models, the SWIFT-R votes and ELZAR-DMR fail-stop checks
+    too), the interpreter and the record path must classify the
+    identical per-plan observables: same streams counted, same
+    injection site, same output or trap. This is the contract that
+    lets the durable store share shard rows between engines."""
     built = ALL["histogram"].build_at("test")
-    module = elzar_transform(mem2reg(built.module))
+    module = SCHEMES[scheme](mem2reg(built.module))
     entry, args = built.entry, built.args
     _, profile = golden_profile(module, entry, args)
     cfg = CampaignConfig(injections=10, seed=13, fault_model=model)
@@ -151,7 +178,7 @@ def test_fault_models_identical_per_plan(model):
     budget = profile.executed * 4 + 10_000
     for plan in plans:
         runs = {}
-        for engine in ("reference", "records"):
+        for engine in TIERS:
             machine, result, exc = run_engine(
                 module, entry, args, engine, collect_timing=False,
                 plan=plan, max_instructions=budget,
@@ -166,8 +193,10 @@ def test_fault_models_identical_per_plan(model):
                 machine.fault_target.ref() if machine.fault_target else None,
                 tuple(result.output) if result else None,
                 machine.counters.corrections,
+                machine.counters.detections,
             )
         assert runs["records"] == runs["reference"], (model, plan)
+        assert runs["compiled"] == runs["reference"], (model, plan)
 
 
 @pytest.mark.parametrize("model", model_names())

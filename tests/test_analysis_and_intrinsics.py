@@ -4,10 +4,40 @@ Experiment container."""
 import pytest
 
 from repro.analysis import arithmetic_mean, fmt, geometric_mean, render_table
+from repro.analysis.inspect import inspect_function
+from repro.analysis.vulnerability import CHECKER_EXPOSED, classify_site
 from repro.cpu import intrinsics as intr
+from repro.cpu.interpreter import _is_checker_site
 from repro.harness.base import Experiment
-from repro.ir import Module
+from repro.ir import IRBuilder, Module
 from repro.ir import types as T
+from repro.ir.values import UndefValue
+
+V4I64 = T.vector(T.I64, 4)
+
+#: Every intrinsic family ``repro.cpu.intrinsics`` declares, and whether
+#: it is hardening machinery (a checker site).
+CHECKER_RULE = {
+    "elzar.check": (lambda m: intr.elzar_check(m, V4I64), True),
+    "elzar.check.f64": (
+        lambda m: intr.elzar_check(m, T.vector(T.F64, 4)), True),
+    "elzar.check_dmr": (
+        lambda m: intr.elzar_check_dmr(m, T.vector(T.I64, 2)), True),
+    "elzar.branch_cond": (lambda m: intr.elzar_branch_cond(m, 4), True),
+    "elzar.branch_cond_dmr": (
+        lambda m: intr.elzar_branch_cond_dmr(m, 2), True),
+    "elzar.branch_cond_nocheck": (
+        lambda m: intr.elzar_branch_cond(m, 4, checked=False), True),
+    "tmr.vote": (lambda m: intr.tmr_vote(m, T.I64), True),
+    "tmr.vote.f64": (lambda m: intr.tmr_vote(m, T.F64), True),
+    "swift.check": (lambda m: intr.swift_check(m, T.I64), True),
+    "rt.alloc": (intr.rt_alloc, False),
+    "rt.print_i64": (intr.rt_print_i64, False),
+    "rt.print_f64": (intr.rt_print_f64, False),
+    "rt.abort": (intr.rt_abort, False),
+    "host.sqrt": (lambda m: intr.host_unary(m, "sqrt"), False),
+    "host.pow": (intr.host_pow, False),
+}
 
 
 class TestReport:
@@ -85,6 +115,28 @@ class TestIntrinsics:
         nocheck = intr.elzar_branch_cond(module, 4, checked=False)
         assert checked.name != nocheck.name
         assert checked.ftype.ret == T.I1
+
+    @pytest.mark.parametrize("family", CHECKER_RULE)
+    def test_checker_rule_agrees_across_sites(self, family):
+        """The one checker-site rule decides the CheckerFault stream
+        (``_is_checker_site``), the vulnerability analysis's
+        checker-exposed sites and inspection's check-call count."""
+        declare, is_checker = CHECKER_RULE[family]
+        module = Module("m")
+        callee = declare(module)
+        fn = module.add_function("f", T.FunctionType(T.VOID, ()))
+        b = IRBuilder()
+        b.position_at_end(fn.append_block("entry"))
+        call = b.call(callee, [UndefValue(p) for p in callee.ftype.params])
+        b.ret_void()
+        assert intr.is_checker_intrinsic(callee.name) is is_checker
+        assert _is_checker_site(call) is is_checker
+        assert inspect_function(fn).check_calls == int(is_checker)
+        site = classify_site(call, "elzar")
+        if call.type == T.VOID:
+            assert site is None and not is_checker
+        else:
+            assert (site.category == CHECKER_EXPOSED) is is_checker
 
     def test_conflicting_redeclaration_rejected(self):
         module = Module("m")
