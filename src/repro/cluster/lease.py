@@ -29,8 +29,8 @@ resume path are defined over.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..chaos.policy import RetryPolicy
 

@@ -2,10 +2,12 @@
 decoded blocks (:mod:`repro.cpu.engine`) on code emitted from them.
 
 This module holds the only instruction semantics besides the reference
-interpreter's, as a Python source emitter (:func:`_emit_record`);
-intrinsic calls are the exception, the emitted code calls the
-reference's own ``interpreter.intrinsic_impl``. Its output runs in two
-shapes:
+interpreter's, as a Python source emitter (:func:`_emit_record`).
+Intrinsics are the exception: the emitted code tests the agreement of
+the hardening checks, branch syncs and votes inline, and calls the
+reference's own ``interpreter.intrinsic_impl`` on a disagreement and
+for every other intrinsic (:func:`_emit_intrinsic`). Its output runs in
+two shapes:
 
 - **Regions**: every function compiles to one closure over all of its
   supported blocks, with operands resolved to register slots,
@@ -106,15 +108,12 @@ from .engine import (
 from .cache import _LATENCY as _CACHE_LATENCY
 from .errors import HangError, MemoryFault
 from .interpreter import (
-    _FCMP,
-    _ICMP,
     _MASK64,
     _cast_scalar,
     _compute_static,
     _float_binop,
     _int_binop,
     _is_checker_site,
-    _to_signed,
     RunResult,
     intrinsic_impl,
 )
@@ -867,6 +866,14 @@ _FCMP_ORDERED = {"oeq": "==", "olt": "<", "ole": "<=", "ogt": ">",
 # attribute access creates a fresh bound object every time).
 _FROM_BYTES = int.from_bytes
 
+# Pre-bound pack/unpack pairs of the inline same-size float<->int
+# bitcasts, keyed by bit width: the struct round trips of
+# ``avxops.float_to_bits`` / ``avxops.bits_to_float``.
+_FLOAT_PACK = {b: _Struct(f).pack for b, f in _FLOAT_FMT.items()}
+_FLOAT_UNPACK = {b: _Struct(f).unpack for b, f in _FLOAT_FMT.items()}
+_BITS_PACK = {32: _Struct("<I").pack, 64: _Struct("<Q").pack}
+_BITS_UNPACK = {32: _Struct("<I").unpack, 64: _Struct("<Q").unpack}
+
 
 class _Unsupported(Exception):
     """Record/block outside the compilable subset (it stays on the
@@ -1240,7 +1247,7 @@ class _Emitter:
 def _scalar_int_expr(E, opcode, a, b, width):
     """Expression for the reference's ``_int_binop(opcode, a, b,
     width)`` over the operand expressions ``a``/``b`` (pure reads, safe
-    to repeat), inlined except for div/rem."""
+    to repeat), inlined except for signed div/rem and zero divisors."""
     mask = (1 << width) - 1
     if opcode == "add":
         return f"(({a} + {b}) & {mask})"
@@ -1265,26 +1272,41 @@ def _scalar_int_expr(E, opcode, a, b, width):
         sb = 1 << (width - 1)
         return (f"((({a} - {1 << width} if {a} >= {sb} else {a})"
                 f" >> ({b} % {width})) & {mask})")
-    # div/rem keep the reference helper (ArithmeticFault on zero).
     ib = E.KI(_int_binop)
-    return f"{ib}({opcode!r}, {a}, {b}, {width})"
+    call = f"{ib}({opcode!r}, {a}, {b}, {width})"
+    if opcode in ("udiv", "urem"):
+        # A zero divisor takes the helper, which raises ArithmeticFault.
+        op = "//" if opcode == "udiv" else "%"
+        return f"((({a} {op} {b}) & {mask}) if {b} else {call})"
+    # Signed div/rem keep the helper (C truncation toward zero).
+    return call
 
 
 def _scalar_float_expr(E, opcode, a, b, bits):
     """Expression for the reference's ``_float_binop(opcode, a, b,
-    bits)``: f64 add/sub/mul inlined, the rest through the helper."""
-    fb = None
-    if bits == 32:
-        fb = E.KI(_float_binop)
-        return f"{fb}({opcode!r}, {a}, {b}, 32)"
-    if opcode == "fadd":
-        return f"({a} + {b})"
-    if opcode == "fsub":
-        return f"({a} - {b})"
-    if opcode == "fmul":
-        return f"({a} * {b})"
+    bits)``: f64 add/sub/mul and f64 division by a non-zero divisor
+    inlined, the rest through the helper."""
+    if bits == 64:
+        if opcode == "fadd":
+            return f"({a} + {b})"
+        if opcode == "fsub":
+            return f"({a} - {b})"
+        if opcode == "fmul":
+            return f"({a} * {b})"
     fb = E.KI(_float_binop)
-    return f"{fb}({opcode!r}, {a}, {b}, 64)"
+    call = f"{fb}({opcode!r}, {a}, {b}, {bits})"
+    if bits == 64 and opcode == "fdiv":
+        # A zero divisor (either sign) takes the helper's IEEE
+        # inf/NaN rules; Python's `/` would raise instead.
+        return f"(({a} / {b}) if {b} != 0.0 else {call})"
+    return call
+
+
+def _sext_expr(x, width):
+    """Expression for the reference's ``_to_signed(x, width)``: mask,
+    then the conditional-xor sign extension (no helper call)."""
+    sb = 1 << (width - 1)
+    return f"((({x} & {(1 << width) - 1}) ^ {sb}) - {sb})"
 
 
 def _icmp_scalar_expr(E, pred, a, b, width):
@@ -1538,9 +1560,25 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
             if opcode == "fpext":
                 return f"float({x})"
             if opcode == "sext":
-                ts = E.KI(_to_signed)
-                return (f"{ts}(int({x}), {se.width}) & "
-                        f"{(1 << te.width) - 1}")
+                return f"{_sext_expr(f'int({x})', se.width)} & " \
+                       f"{(1 << te.width) - 1}"
+            if opcode == "sitofp" and te.bits == 64:
+                return f"float({_sext_expr(f'int({x})', se.width)})"
+            if opcode in ("fptosi", "fptoui"):
+                # x - x is 0.0 exactly for finite x; NaN/inf give 0.
+                return (f"((int({x}) & {(1 << te.width) - 1}) "
+                        f"if {x} - {x} == 0.0 else 0)")
+            if opcode == "bitcast" and T.sizeof(se) == T.sizeof(te):
+                if se.is_float and te.is_int:
+                    return (f"{E.KI(_BITS_UNPACK[se.bits])}("
+                            f"{E.KI(_FLOAT_PACK[se.bits])}({x}))[0]")
+                if se.is_int and te.is_float:
+                    return (f"{E.KI(_FLOAT_UNPACK[te.bits])}("
+                            f"{E.KI(_BITS_PACK[te.bits])}"
+                            f"({x} & {(1 << te.bits) - 1}))[0]")
+                return x
+            # fptrunc, uitofp, sitofp to f32 and different-size
+            # bitcasts (the Trap) keep the helper.
             cs = E.KI(_cast_scalar)
             return f"{cs}({opcode!r}, {x}, {E.KI(se)}, {E.KI(te)})"
 
@@ -1674,14 +1712,13 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
             vec_idx = ity.is_vector
             vec_ptr = inst.ptr.type.is_vector
             lat = costs.vector_latency("gep")
-            ts = E.KI(_to_signed)
             w(d, f"_b = {E.oexpr(pp)}")
             w(d, f"_x = {E.oexpr(pi)}")
             lanes = []
             for j in range(ty.count):
                 be = f"_b[{j}]" if vec_ptr else "_b"
                 ie = f"_x[{j}]" if vec_idx else "_x"
-                lanes.append(f"(({be} + {ts}({ie}, {iw}) * {esize}) "
+                lanes.append(f"(({be} + {_sext_expr(ie, iw)} * {esize}) "
                              f"& {_MASK64})")
             w(d, f"regs[{dst}] = ({', '.join(lanes)},)")
         else:
@@ -1782,14 +1819,9 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
             # declaration calls are raiser records.
             raise _Unsupported(f"call to @{callee.name}")
         arg_ps = [rv(a) for a in inst.args]
-        impl = E.K(intrinsic_impl(callee.name, inst.type))
         lat = costs.intrinsic_latency(callee.name)
         port = costs.ports.get("call")
-        if len(arg_ps) == 1:
-            w(d, f"_v = {impl}(M, ({E.oexpr(arg_ps[0])},))")
-        else:
-            argl = ", ".join(E.oexpr(p) for p in arg_ps)
-            w(d, f"_v = {impl}(M, [{argl}])")
+        _emit_intrinsic(E, d, inst, [E.oexpr(p) for p in arg_ps])
         if dst >= 0:
             w(d, f"regs[{dst}] = _v")
         if t:
@@ -1800,6 +1832,65 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
         return
 
     raise _Unsupported(f"record class {type(inst).__name__}")
+
+
+def _emit_intrinsic(E, d, inst, args):
+    """Intrinsic call ``inst`` over the operand expressions ``args``
+    (pure reads, safe to repeat), result in ``_v``.
+
+    The hardening checks, branch syncs and votes test lane/copy
+    agreement inline — the shuffle-xor-ptest fast path of the paper's
+    Figs. 8/9 — and call ``intrinsic_impl`` only on a disagreement,
+    where it corrects, detects or raises exactly as the reference does.
+    On agreement the result is what ``impl`` returns: the checked
+    argument itself, or the ptest kind. Float lanes and copies take
+    the fast path only when equal and non-zero: equal non-zero binary32/
+    binary64 values share one bit pattern, so that is exactly the
+    reference's bit-key equality, while ±0.0 and NaN (equal bits that
+    compare unequal or unequal bits that compare equal) go through
+    ``impl``. Every other intrinsic is a plain ``impl`` call."""
+    w = E.w
+    name = inst.callee.name
+    if name.startswith("elzar.branch_cond_nocheck."):
+        lanes = [f"_v[{j}]" for j in range(inst.args[0].type.count)]
+        w(d, f"_v = {args[0]}")
+        w(d, f"_v = 1 if {' and '.join(lanes)} else 0")
+        return
+    impl = E.K(intrinsic_impl(name, inst.type))
+    if name.startswith(("elzar.check.", "elzar.check_dmr.")):
+        # Vector types have at least two lanes, so this is a chain.
+        eq = " == ".join(f"_v[{j}]" for j in range(inst.type.count))
+        if inst.type.elem.is_float:
+            eq = f"_v[0] != 0.0 and {eq}"
+        w(d, f"_v = {args[0]}")
+        w(d, f"if not ({eq}):")
+        w(d + 1, f"_v = {impl}(M, (_v,))")
+        return
+    if name.startswith(("elzar.branch_cond.", "elzar.branch_cond_dmr.")):
+        # i1 lanes are 0/1, so all-true and none-true are one constant
+        # tuple compare each; any other tuple (a mix) takes impl.
+        n = inst.args[0].type.count
+        w(d, f"_v = {args[0]}")
+        w(d, f"if _v == {(1,) * n}:")
+        w(d + 1, "_v = 1")
+        w(d, f"elif _v == {(0,) * n}:")
+        w(d + 1, "_v = 0")
+        w(d, "else:")
+        w(d + 1, f"_v = {impl}(M, (_v,))")
+        return
+    if name.startswith(("tmr.vote.", "swift.check.")):
+        # Scalar copies; a vector type's key is the tuple itself, so
+        # only float scalars need the non-zero guard.
+        eq = " == ".join(args)
+        if inst.type.is_float:
+            eq = f"{args[0]} != 0.0 and {eq}"
+        w(d, f"_v = {args[0]} if {eq} else {impl}(M, [{', '.join(args)}])")
+        return
+    if len(args) == 1:
+        w(d, f"_v = {impl}(M, ({args[0]},))")
+    else:
+        w(d, f"_v = {impl}(M, [{', '.join(args)}])")
+
 
 def _emit_call_exit(E, d, db, k):
     """Suspend at the defined-call record ``k``: publish the count,

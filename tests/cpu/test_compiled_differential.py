@@ -919,6 +919,41 @@ def test_armed_injection_runs_mostly_on_segments():
     assert calls[0] < 0.1 * machine.counters.instructions, calls[0]
 
 
+@pytest.mark.parametrize("timing", [True, False], ids=["timing", "plain"])
+@pytest.mark.parametrize("name", ["histogram", "blackscholes"])
+def test_agreeing_checks_call_no_intrinsic(code_dir, monkeypatch, name,
+                                           timing):
+    """Guard on the inline agreement paths: a fault-free compiled run of
+    an fi-scale ELZAR workload never calls the ``elzar.check.*`` or
+    ``elzar.branch_cond.*`` implementation (every check agrees inline),
+    and its output and counters equal the reference run's."""
+    bound, calls = [], []
+    real = compiled_mod.intrinsic_impl
+
+    def intrinsic_impl(callee, ret_type):
+        impl = real(callee, ret_type)
+        if not callee.startswith(("elzar.check.", "elzar.branch_cond.")):
+            return impl
+        bound.append(callee)
+
+        def counted(M, args):
+            calls.append(callee)
+            return impl(M, args)
+        return counted
+
+    monkeypatch.setattr(compiled_mod, "intrinsic_impl", intrinsic_impl)
+    built = ALL[name].build_at("fi")
+    module = elzar_transform(mem2reg(built.module))
+    compiled = _observe(module, built.entry, built.args, "compiled",
+                        collect_timing=timing)
+    reference = _observe(module, built.entry, built.args, "reference",
+                         collect_timing=timing)
+    assert any(c.startswith("elzar.branch_cond.") for c in bound)
+    assert any(c.startswith("elzar.check.") for c in bound)
+    assert calls == []
+    assert compiled == reference
+
+
 def test_record_path_uses_the_oracles_eligible_hook(monkeypatch):
     """One routine for eligible events: every eligible, non-void event
     the record path meets — body records, phis and defined-call results

@@ -5,15 +5,20 @@ classification), ``tmr.vote``, ``swift.check``, and the runtime
 services.
 
 Both engines run the one implementation
-(``repro.cpu.interpreter.intrinsic_impl``); every test runs on every
-differential tier (reference, records, compiled), with and without the
-timing model."""
+(``repro.cpu.interpreter.intrinsic_impl``); the compiled engine emits
+the agreement test of the checks, branch syncs and votes inline and
+calls it on a disagreement. The mismatch-path and inlined-scalar-op
+classes pin each inline fast path (and the casts, sign extensions and
+divisions emitted inline beside them) to the reference's outcome.
+Every test runs on every differential tier (reference, records,
+compiled), with and without the timing model."""
 
 import math
+import struct
 
 import pytest
 
-from repro.cpu import AbortError, DetectedError, Machine, Trap
+from repro.cpu import AbortError, ArithmeticFault, DetectedError, Machine, Trap
 from repro.cpu import intrinsics as intr
 from repro.ir import Module
 from repro.ir import types as T
@@ -37,11 +42,44 @@ class Tier:
     def run(self, machine, args=()):
         return run_tier(machine, self.tier, "main", args)
 
+    def outcome(self, module, args=()):
+        """(trap type, result bits, counters) of one run of main()."""
+        machine = self.machine(module)
+        try:
+            exc, value = None, bits(self.run(machine, args).value)
+        except Trap as err:
+            exc, value = type(err), None
+        return exc, value, machine.counters.as_dict()
+
+    def matches_reference(self, module, args=()):
+        """This tier's outcome, asserted equal to the reference's."""
+        got = self.outcome(module, args)
+        assert got == Tier("reference", self.timing).outcome(module, args)
+        return got
+
 
 @pytest.fixture(params=[(t, timing) for t in TIERS for timing in (True, False)],
                 ids=lambda p: f"{p[0]}-{'timing' if p[1] else 'plain'}")
 def tier(request):
     return Tier(*request.param)
+
+
+def bits(value):
+    """Result bits: floats by their binary64 pattern (so -0.0 and NaN
+    payloads count), vectors lane by lane."""
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, float):
+        return struct.unpack("<Q", struct.pack("<d", value))[0]
+    return value
+
+
+def f64_nan(payload):
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8 << 48 | payload))[0]
+
+
+def f32_nan(payload):
+    return struct.unpack("<f", struct.pack("<I", 0x7FC00000 | payload))[0]
 
 
 def call_intrinsic(declare, vec_ty, lanes, ret_lane=0):
@@ -223,6 +261,213 @@ class TestTmrVoteAndSwiftCheck:
         with pytest.raises(DetectedError):
             tier.run(machine, [4, 5])
         assert machine.counters.detections == 1
+
+
+def returning(ret_ty, params, body):
+    """main(params) { ret body(builder, args) }."""
+    module = Module("m")
+    fn, b = make_function(module, "main", ret_ty, params)
+    b.ret(body(b, *fn.args))
+    return module
+
+
+#: Two distinct lane values per element type, the first with the sign
+#: bit set where the type has one.
+LANE_VALUES = {
+    "i1": (T.I1, 1, 0),
+    "i8": (T.I8, 0x80, 7),
+    "i32": (T.I32, 0xFFFFFFFF, 3),
+    "i64": (T.I64, 1 << 63, 5),
+    "ptr": (T.PTR, 4096, 4104),
+    "f32": (T.F32, 1.5, -2.25),
+    "f64": (T.F64, 1.5, -2.25),
+}
+
+
+class TestMismatchPaths:
+    """Every agreement and disagreement path of the checks, branch
+    syncs and votes, for each lane count and element type, with -0.0
+    and NaN float lanes: the outcome (trap, result bits, every
+    counter) equals the reference's on each tier."""
+
+    def check(self, tier, lanes, elem, dmr=False):
+        vec_ty = T.vector(elem, len(lanes))
+        declare = intr.elzar_check_dmr if dmr else intr.elzar_check
+        return tier.matches_reference(returning(
+            vec_ty, [], lambda b: b.call(declare(b.function.parent, vec_ty),
+                                         [Constant(vec_ty, lanes)])))
+
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("kind", sorted(LANE_VALUES))
+    def test_check_lanes(self, tier, kind, count):
+        elem, x, y = LANE_VALUES[kind]
+        exc, value, ctr = self.check(tier, (x,) * count, elem)
+        assert exc is None and ctr["corrections"] == 0
+        one_off = (x,) * (count - 1) + (y,)
+        exc, value, ctr = self.check(tier, one_off, elem)
+        if count == 2:  # 1-1: no majority
+            assert exc is DetectedError and ctr["recoveries_failed"] == 1
+        else:
+            assert exc is None and value == bits((x,) * count)
+        assert ctr["corrections"] == 1
+        if count == 4:
+            exc, value, ctr = self.check(tier, (x, x, y, y), elem)
+            assert exc is DetectedError and ctr["recoveries_failed"] == 1
+        exc, value, ctr = self.check(tier, one_off, elem, dmr=True)
+        assert exc is DetectedError and ctr["detections"] == 1
+        assert ctr["corrections"] == 0
+
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("elem,nan", [(T.F32, f32_nan), (T.F64, f64_nan)],
+                             ids=["f32", "f64"])
+    def test_check_zero_and_nan_lanes(self, tier, elem, nan, count):
+        for same in (0.0, -0.0, nan(1)):
+            exc, value, ctr = self.check(tier, (same,) * count, elem)
+            assert exc is None and ctr["corrections"] == 0
+            assert value == bits((same,) * count)
+        for x, y in ((0.0, -0.0), (nan(1), nan(2))):
+            lanes = (x,) * (count - 1) + (y,)
+            exc, value, ctr = self.check(tier, lanes, elem)
+            assert ctr["corrections"] == 1
+            if count == 4:
+                assert exc is None and value == bits((x,) * count)
+            exc, value, ctr = self.check(tier, lanes, elem, dmr=True)
+            assert exc is DetectedError and ctr["detections"] == 1
+
+    @pytest.mark.parametrize("copies,corrections,winner", [
+        ((0.0, 0.0, 0.0), 0, 0.0),
+        ((-0.0, -0.0, -0.0), 0, -0.0),
+        ((0.0, -0.0, 0.0), 1, 0.0),
+        ((-0.0, 0.0, 0.0), 1, 0.0),
+        ((f64_nan(1),) * 3, 0, f64_nan(1)),
+        ((f64_nan(1), f64_nan(2), f64_nan(2)), 1, f64_nan(2)),
+        ((0.0, -0.0, f64_nan(1)), 1, None),
+    ])
+    def test_tmr_vote_zero_and_nan_copies(self, tier, copies, corrections,
+                                          winner):
+        exc, value, ctr = tier.matches_reference(returning(
+            T.F64, [], lambda b: b.call(
+                intr.tmr_vote(b.function.parent, T.F64),
+                [Constant(T.F64, c) for c in copies])))
+        assert ctr["corrections"] == corrections
+        if winner is None:
+            assert exc is DetectedError and ctr["recoveries_failed"] == 1
+        else:
+            assert exc is None and value == bits(winner)
+
+    @pytest.mark.parametrize("copies,agree", [
+        ((0.0, 0.0), True),
+        ((-0.0, -0.0), True),
+        ((0.0, -0.0), False),
+        ((f64_nan(1), f64_nan(1)), True),
+        ((f64_nan(1), f64_nan(2)), False),
+    ])
+    def test_swift_check_zero_and_nan_copies(self, tier, copies, agree):
+        exc, value, ctr = tier.matches_reference(returning(
+            T.F64, [], lambda b: b.call(
+                intr.swift_check(b.function.parent, T.F64),
+                [Constant(T.F64, c) for c in copies])))
+        if agree:
+            assert exc is None and value == bits(copies[0])
+        else:
+            assert exc is DetectedError and ctr["detections"] == 1
+
+    @pytest.mark.parametrize("lanes", [(1, 1), (0, 0), (1, 0), (0, 1)])
+    def test_branch_cond_v2(self, tier, lanes):
+        v2 = T.vector(T.I1, 2)
+        outcomes = {}
+        for variant, declare in (
+                ("checked", lambda m: intr.elzar_branch_cond(m, 2)),
+                ("nocheck", lambda m: intr.elzar_branch_cond(
+                    m, 2, checked=False)),
+                ("dmr", lambda m: intr.elzar_branch_cond_dmr(m, 2))):
+            outcomes[variant] = tier.matches_reference(returning(
+                T.I1, [], lambda b: b.call(declare(b.function.parent),
+                                           [Constant(v2, lanes)])))
+        if lanes[0] == lanes[1]:
+            for exc, value, ctr in outcomes.values():
+                assert exc is None and value == lanes[0]
+            return
+        exc, value, ctr = outcomes["checked"]  # 1-1: no majority
+        assert exc is DetectedError and ctr["recoveries_failed"] == 1
+        assert outcomes["nocheck"][:2] == (None, 0)
+        exc, value, ctr = outcomes["dmr"]
+        assert exc is DetectedError and ctr["detections"] == 1
+
+
+class TestInlinedScalarOps:
+    """Casts, sign extensions and divisions the compiled engine emits
+    inline, at the edges where the inline form and the reference helper
+    could part: signs, NaN/inf, NaN payloads, -0.0 and zero divisors.
+    Each outcome equals the reference's on every tier."""
+
+    @pytest.mark.parametrize("src,arg", [
+        (T.I1, 1), (T.I1, 0), (T.I8, 0x80), (T.I8, 0x7F),
+        (T.I32, 0xFFFFFFF6), (T.I32, 5)])
+    def test_sext(self, tier, src, arg):
+        tier.matches_reference(returning(
+            T.I64, [src], lambda b, x: b.sext(x, T.I64)), [arg])
+        tier.matches_reference(returning(
+            T.I32, [src], lambda b, x: b.sext(x, T.I32)), [arg])
+
+    def test_sext_vector(self, tier):
+        v4 = T.vector(T.I8, 4)
+        tier.matches_reference(returning(
+            T.vector(T.I64, 4), [], lambda b: b.sext(
+                Constant(v4, (0x80, 1, 0xFF, 0x7F)), T.vector(T.I64, 4))))
+
+    @pytest.mark.parametrize("src,arg", [
+        (T.I32, -7 & 0xFFFFFFFF), (T.I64, -(1 << 62) & (1 << 64) - 1)])
+    def test_sitofp_negative(self, tier, src, arg):
+        exc, value, _ = tier.matches_reference(returning(
+            T.F64, [src], lambda b, x: b.sitofp(x, T.F64)), [arg])
+        assert value == bits(float(arg - (1 << src.width)))
+
+    @pytest.mark.parametrize("opcode", ["fptosi", "fptoui"])
+    @pytest.mark.parametrize("arg", [math.nan, math.inf, -math.inf, -2.5,
+                                     1e30])
+    @pytest.mark.parametrize("dst", [T.I64, T.I32], ids=["i64", "i32"])
+    def test_fp_to_int(self, tier, opcode, arg, dst):
+        tier.matches_reference(returning(
+            dst, [T.F64], lambda b, x: b.cast(opcode, x, dst)), [arg])
+
+    @pytest.mark.parametrize("src,dst,arg", [
+        (T.F64, T.I64, f64_nan(5)), (T.F64, T.I64, -0.0),
+        (T.I64, T.F64, 0x7FF8000000000005), (T.I64, T.F64, 1 << 63),
+        (T.F32, T.I32, f32_nan(5)), (T.F32, T.I32, -0.0),
+        (T.I32, T.F32, 0x7FC00005), (T.I32, T.F32, 0x80000000),
+        (T.I64, T.F64, 1 << 64 | 1 << 63)],
+        ids=["f64-nan", "f64-neg0", "i64-nan", "i64-neg0",
+             "f32-nan", "f32-neg0", "i32-nan", "i32-neg0",
+             "i64-masked-to-width"])
+    def test_bitcast(self, tier, src, dst, arg):
+        exc, value, _ = tier.matches_reference(returning(
+            dst, [src], lambda b, x: b.bitcast(x, dst)), [arg])
+        assert exc is None
+
+    def test_vector_gep_negative_index(self, tier):
+        v4 = T.vector(T.I32, 4)
+        exc, value, _ = tier.matches_reference(returning(
+            T.vector(T.PTR, 4), [T.PTR], lambda b, p: b.gep(
+                T.I64, b.broadcast(p, 4), Constant(v4, (-1, 0, 3, -8)))),
+            [4096])
+        assert value == (4088, 4096, 4120, 4032)
+
+    @pytest.mark.parametrize("opcode", ["udiv", "urem", "sdiv", "srem"])
+    def test_int_division_by_zero(self, tier, opcode):
+        """The trap leaves the reference's partial counters: the adds
+        before the division count, the one after does not."""
+        exc, value, ctr = tier.matches_reference(returning(
+            T.I64, [T.I64, T.I64], lambda b, x, y: b.add(
+                b.binop(opcode, b.add(x, b.i64(1)), y), b.i64(1))),
+            [41, 0])
+        assert exc is ArithmeticFault
+
+    @pytest.mark.parametrize("x,y", [(1.0, 0.0), (1.0, -0.0), (-1.0, 0.0),
+                                     (0.0, 0.0), (0.0, -0.0), (1.0, 4.0)])
+    def test_fdiv_by_zero(self, tier, x, y):
+        tier.matches_reference(returning(
+            T.F64, [T.F64, T.F64], lambda b, p, q: b.fdiv(p, q)), [x, y])
 
 
 class TestRuntimeServices:
