@@ -1083,6 +1083,10 @@ class _Emitter:
         # order; exits emitted mid-block use the %CTRFLUSH% marker
         # (patched once the full key set is known).
         self.ctr_local: Dict[str, str] = {}
+        # Region-wide port clocks (timing variant): one local per port
+        # name, hoisted from TimingModel._port_free at entry and stored
+        # back at every exit with the counter flushes.
+        self.port_local: Dict[str, str] = {}
 
     def w(self, depth: int, text: str) -> None:
         self.lines.append("    " * depth + text)
@@ -1174,9 +1178,11 @@ class _Emitter:
 
     def issue(self, d, lat_expr, tops, extra, uops, isv, port, rtp) -> None:
         """Inline ``TimingModel.issue`` (timing variant only): exact
-        statement order — ROB, operand maxes, port, vector-ALU group,
-        completion, retire frontier, frontend advance. Leaves the
-        completion time in ``_d``. Record functions call ``issue()``
+        statement order — ROB ring slot, operand maxes, port clock,
+        vector-ALU clock, completion, retire frontier into the ring
+        slot, ring and frontend advance. The ring index and the port
+        clocks are region locals (see :func:`_timing_hoists`). Leaves
+        the completion time in ``_d``. Record functions call ``issue()``
         itself (a constant operand's 0.0 ready time never wins the
         max, so it is left out either way)."""
         w = self.w
@@ -1187,25 +1193,23 @@ class _Emitter:
                  f"{extra or 0.0}, {uops}, {isv}, {pk})")
             return
         w(d, "_s = _ti")
-        w(d, "if len(_rob) >= _robsz:")
-        w(d + 1, "_o = _rpop()")
-        w(d + 1, "if _o > _s:")
-        w(d + 2, "_s = _o")
+        w(d, "_o = _rob[_ri]")
+        w(d, "if _o > _s:")
+        w(d + 1, "_s = _o")
         for t in tops:
             if t is None:
                 continue
             w(d, f"if {t} > _s:")
             w(d + 1, f"_s = {t}")
-        if port is not None:
-            w(d, f"_p = _pfg({port[0]!r}, 0.0)")
-            w(d, "if _p > _s:")
-            w(d + 1, "_s = _p")
-            w(d, f"_pf[{port[0]!r}] = _p + {self.K(port[1])}")
+        clocks = [] if port is None else [port]
         if isv:
-            w(d, "_p = _pfg('vecalu', 0.0)")
-            w(d, "if _p > _s:")
-            w(d + 1, "_s = _p")
-            w(d, f"_pf['vecalu'] = _p + {self.K(rtp * uops)}")
+            clocks.append(("vecalu", rtp * uops))
+        for name, busy in clocks:
+            u = self.port_local.setdefault(name,
+                                           f"_pt{len(self.port_local)}")
+            w(d, f"if {u} > _s:")
+            w(d + 1, f"_s = {u}")
+            w(d, f"{u} += {self.K(busy)}")
         if extra is None:
             w(d, f"_d = _s + {lat_expr}")
         else:
@@ -1216,7 +1220,8 @@ class _Emitter:
         # it back to both fields.
         w(d, "if _d > _tr:")
         w(d + 1, "_tr = _d")
-        w(d, "_rapp(_tr)")
+        w(d, "_rob[_ri] = _tr")
+        w(d, "_ri = _rnx[_ri]")
         if uops:
             # uops == 0 would add 0/width == +0.0 to issue_time, a
             # no-op (issue_time is never -0.0: it starts at 0.0 and
@@ -1241,6 +1246,7 @@ class _Emitter:
         self.w(d, "_tm.issue_time = _ti")
         self.w(d, "_tm.finish_time = _tr")
         self.w(d, "_tm._retire_frontier = _tr")
+        self.w(d, "_tm._ri = _ri")
         self.w(d, f"_tm.issued += _nis + {self.pend_issued}")
         self.w(d, f"_tm.uops_issued += _nuo + {self.pend_uops}")
 
@@ -2090,13 +2096,14 @@ def _timing_hoists(E) -> List[str]:
         "_ti = _tm.issue_time",
         "_tr = _tm._retire_frontier",
         "_rob = _tm._rob",
-        "_rpop = _rob.popleft",
-        "_rapp = _rob.append",
-        "_pf = _tm._port_free",
-        "_pfg = _pf.get",
-        "_robsz = _tm.rob_size",
+        "_ri = _tm._ri",
+        "_rnx = _tm._rob_next",
         "_iw = _tm.issue_width",
     ]
+    if E.port_local:
+        hoists.append("_pf = _tm._port_free")
+        hoists += [f"{u} = _pf[{name!r}]"
+                   for name, u in E.port_local.items()]
     if E.uses_bmp:
         hoists.append("_bmp = _tm.branch_miss_penalty")
     for u in sorted(E.uops_used):
@@ -2422,6 +2429,7 @@ def _emit_region(dfn, entries, rv, slot_map, costs, consts, seen,
         E.w(2, "_tm.issue_time = _ti")
         E.w(2, "_tm.finish_time = _tr")
         E.w(2, "_tm._retire_frontier = _tr")
+        E.w(2, "_tm._ri = _ri")
         E.w(2, f"_tm.issued += _nis + {E.K(iss_tables)}[_bk][_i]")
         E.w(2, f"_tm.uops_issued += _nuo + {E.K(cum_tables)}[_bk][_i]")
     E.w(2, f"_ex = executed + {E.K(adj_tables)}[_bk][_i] + 1")
@@ -2445,11 +2453,13 @@ def _emit_region(dfn, entries, rv, slot_map, costs, consts, seen,
         hoists += _PRED_HOISTS
     E.lines[hoist_at:hoist_at] = ["    " + h for h in hoists]
     # Patch the counter-accumulator markers now that the full key set
-    # is known: inits at entry, dict flushes at every exit. A marker
-    # with no keys vanishes (every marked suite also holds a return
-    # or raise, so no suite can become empty).
+    # is known: inits at entry, dict flushes (counters, then the port
+    # clocks) at every exit. A marker with no keys vanishes (every
+    # marked suite also holds a return or raise, so no suite can become
+    # empty).
     init = [f"{n} = 0" for n in E.ctr_local.values()]
     flush = [f"cd[{k!r}] += {n}" for k, n in E.ctr_local.items()]
+    flush += [f"_pf[{name!r}] = {u}" for name, u in E.port_local.items()]
     lines = []
     for line in E.lines:
         text = line.lstrip()

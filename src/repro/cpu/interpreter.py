@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -48,7 +47,14 @@ from ..ir.instructions import (
     StoreInst,
 )
 from ..ir.module import Module
-from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
+from ..ir.values import (
+    Argument,
+    Constant,
+    GlobalVariable,
+    UndefValue,
+    Value,
+    round_f32,
+)
 from .branch_predictor import GSharePredictor
 from .cache import CacheHierarchy
 from .counters import PerfCounters
@@ -198,13 +204,6 @@ def _to_signed(value: int, width: int) -> int:
     return value
 
 
-def _round_f32(value: float) -> float:
-    try:
-        return struct.unpack("<f", struct.pack("<f", value))[0]
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _int_binop(opcode: str, a: int, b: int, width: int) -> int:
     mask = (1 << width) - 1
     if opcode == "add":
@@ -256,7 +255,7 @@ def _float_binop(opcode: str, a: float, b: float, bits: int) -> float:
         r = math.fmod(a, b) if b != 0.0 else math.nan
     else:
         raise ValueError(f"unknown float binop {opcode}")
-    return _round_f32(r) if bits == 32 else r
+    return round_f32(r) if bits == 32 else r
 
 
 _ICMP = {
@@ -1058,7 +1057,7 @@ def _cast_scalar(opcode: str, value, src: T.Type, dst: T.Type):
     if opcode == "sext":
         return _to_signed(int(value), src.width) & ((1 << dst.width) - 1)
     if opcode == "fptrunc":
-        return _round_f32(value)
+        return round_f32(value)
     if opcode == "fpext":
         return float(value)
     if opcode in ("fptosi", "fptoui"):
@@ -1067,10 +1066,10 @@ def _cast_scalar(opcode: str, value, src: T.Type, dst: T.Type):
         return int(value) & ((1 << dst.width) - 1)
     if opcode == "sitofp":
         result = float(_to_signed(int(value), src.width))
-        return _round_f32(result) if dst.is_float and dst.bits == 32 else result
+        return round_f32(result) if dst.is_float and dst.bits == 32 else result
     if opcode == "uitofp":
         result = float(int(value))
-        return _round_f32(result) if dst.is_float and dst.bits == 32 else result
+        return round_f32(result) if dst.is_float and dst.bits == 32 else result
     if opcode == "bitcast":
         return _bitcast_scalar(value, src, dst)
     if opcode == "ptrtoint":

@@ -10,7 +10,11 @@ constrained by:
   (§VII-A, Table III's instruction-increase column);
 - the **reorder buffer** (192 entries): an instruction cannot issue
   until the instruction ROB_SIZE places earlier has retired, bounding
-  how much latency (cache misses, divides) can be overlapped;
+  how much latency (cache misses, divides) can be overlapped. The ROB
+  is a fixed ring of retire frontiers (``_rob``, pre-filled with 0.0)
+  and the index of its oldest slot (``_ri``); the pre-fill stands in
+  for the entries before the first ROB_SIZE instructions, and never
+  delays one, because ``issue_time`` is never negative;
 - **operand readiness**: an instruction starts no earlier than its
   latest operand's completion;
 - **structural hazards**: two load ports, one store-data port, the
@@ -20,14 +24,19 @@ constrained by:
 - **branch mispredictions**: the issue pointer stalls until the branch
   resolves plus a refill penalty.
 
+Port clocks live in ``_port_free``, pre-filled at 0.0 with every port
+name of the cost model plus ``vecalu``, so the dict's key set never
+changes. The compiled engine holds the ring index and each clock a
+region uses in locals and stores them back at its exits; this layout
+is the one both engines read and write.
+
 Total cycles = the latest completion time observed; ILP = executed
 instructions / cycles.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 from ..avx.costs import BRANCH_MISS_PENALTY, ISSUE_WIDTH, ROB_SIZE, CostModel
 
@@ -54,8 +63,12 @@ class TimingModel:
         self.finish_time = 0.0
         self.issued = 0
         self.uops_issued = 0
-        self._port_free: Dict[str, float] = {}
-        self._rob: deque = deque()
+        ports = [p[0] for p in cost_model.ports.values()] + ["vecalu"]
+        self._port_free: Dict[str, float] = dict.fromkeys(ports, 0.0)
+        self._rob: List[float] = [0.0] * rob_size
+        self._ri = 0
+        #: Ring successor of each ROB index: one subscript advances it.
+        self._rob_next = tuple(range(1, rob_size)) + (0,)
         self._retire_frontier = 0.0
 
     def copy(self) -> "TimingModel":
@@ -64,7 +77,7 @@ class TimingModel:
         new = object.__new__(TimingModel)
         new.__dict__.update(self.__dict__)
         new._port_free = dict(self._port_free)
-        new._rob = deque(self._rob)
+        new._rob = list(self._rob)
         return new
 
     # Core accounting ----------------------------------------------------------
@@ -81,20 +94,28 @@ class TimingModel:
     ) -> float:
         """Issue one instruction; returns its completion time.
 
-        Hot path: called once per dynamic instruction, so the port
-        reservation (:meth:`_reserve_port`) is inlined and attribute
-        traffic minimised. The arithmetic is unchanged — the compiled
-        and reference engines must produce bit-identical cycle counts.
+        Ports are bandwidth clocks: a unit serves work at a bounded
+        sustained rate but out of order. Its clock advances only by the
+        work enqueued (never to a late op's start time), so one
+        late-arriving operand cannot serialize independent iterations
+        behind it; the unit's total busy time is the binding constraint,
+        exactly like a throughput model.
+
+        Hot path: called once per dynamic instruction, so attribute
+        traffic is minimised. The compiled engine inlines this sequence
+        statement for statement, and the engines must produce
+        bit-identical cycle counts.
         """
         self.issued += 1
         self.uops_issued += uops
         start = self.issue_time
-        # ROB: wait for the oldest in-flight instruction to retire.
+        # ROB: wait for the instruction rob_size places earlier to
+        # retire.
         rob = self._rob
-        if len(rob) >= self.rob_size:
-            oldest = rob.popleft()
-            if oldest > start:
-                start = oldest
+        ri = self._ri
+        oldest = rob[ri]
+        if oldest > start:
+            start = oldest
         for t in operand_times:
             if t > start:
                 start = t
@@ -103,13 +124,13 @@ class TimingModel:
         if port is not None:
             port_free = self._port_free
             name = port[0]
-            clock = port_free.get(name, 0.0)
+            clock = port_free[name]
             if clock > start:
                 start = clock
             port_free[name] = clock + port[1]
         if is_vector:
             port_free = self._port_free
-            clock = port_free.get("vecalu", 0.0)
+            clock = port_free["vecalu"]
             if clock > start:
                 start = clock
             port_free["vecalu"] = clock + self.costs.vector_alu_rtp * uops
@@ -120,22 +141,10 @@ class TimingModel:
         frontier = self._retire_frontier
         if done > frontier:
             self._retire_frontier = frontier = done
-        rob.append(frontier)
+        rob[ri] = frontier
+        self._ri = self._rob_next[ri]
         self.issue_time += uops / self.issue_width
         return done
-
-    def _reserve_port(self, name: str, busy: float, start: float) -> float:
-        """Bandwidth-clock structural hazard: the unit serves work at a
-        bounded sustained rate but out-of-order. The clock advances only
-        by the work enqueued (never to a late op's start time), so one
-        late-arriving operand cannot serialize independent iterations
-        behind it — the unit's total busy time is the binding constraint,
-        exactly like a throughput model."""
-        clock = self._port_free.get(name, 0.0)
-        if clock > start:
-            start = clock
-        self._port_free[name] = clock + busy
-        return start
 
     def branch_mispredict(self, resolve_time: float) -> None:
         """Frontend refill stall after a mispredicted branch."""

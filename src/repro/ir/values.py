@@ -7,6 +7,8 @@ Every IR node that can appear as an operand is a :class:`Value` with a
 
 from __future__ import annotations
 
+import math
+import struct
 from typing import Tuple, Union
 
 from . import types as T
@@ -68,11 +70,20 @@ class Constant(Value):
         return hash((self.type, self.value))
 
 
+def round_f32(value: float) -> float:
+    """``value`` rounded to the nearest binary32, as a Python float;
+    values beyond binary32's range become +/-inf."""
+    try:
+        return struct.unpack("<f", struct.pack("<f", value))[0]
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _normalize_scalar(ty: T.Type, value: Union[int, float]) -> Union[int, float]:
     if ty.is_int:
         return int(value) & ((1 << ty.width) - 1)
     if ty.is_float:
-        return float(value)
+        return round_f32(value) if ty.bits == 32 else float(value)
     if ty.is_pointer:
         return int(value) & ((1 << 64) - 1)
     raise TypeError(f"cannot build constant of type {ty}")

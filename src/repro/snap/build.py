@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..cpu.resumable import ResumeState, covers, run_resumable, stream_mark
-from .format import SnapFormatError, deserialize_state, serialize_state
+from .format import deserialize_state, serialize_state
 from .placement import PlacementConfig, make_policy
 from .store import SnapStore, checkpoint_key, machine_key
 
@@ -86,20 +86,14 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
         return cached
 
     store = store if store is not None else SnapStore()
-    loaded = store.load(key) if store.enabled else None
+    loaded = store.load(key, decode=lambda blobs: tuple(
+        deserialize_state(blob, machine) for blob in blobs))
     if loaded is not None:
-        blobs, _meta = loaded
-        try:
-            states = tuple(
-                deserialize_state(blob, machine) for blob in blobs
-            )
-        except SnapFormatError:
-            states = None
-        if states is not None:
-            cset = CheckpointSet(key=key, model=model, states=states,
-                                 from_cache=True)
-            module._golden_cache[cache_slot] = cset
-            return cset
+        states, _meta = loaded
+        cset = CheckpointSet(key=key, model=model, states=states,
+                             from_cache=True)
+        module._golden_cache[cache_slot] = cset
+        return cset
 
     # Cold: one count_only golden run on the trampoline, capturing at
     # the placement policy's points.

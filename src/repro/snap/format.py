@@ -23,7 +23,6 @@ header); readers reject unknown versions and truncated payloads with
 from __future__ import annotations
 
 import struct
-from collections import deque
 from typing import Dict, List, Tuple
 
 from ..avx.costs import CostModel
@@ -71,7 +70,8 @@ _T_BYTEARRAY = 7
 _T_TUPLE = 8
 _T_LIST = 9
 _T_DICT = 10
-_T_DEQUE = 11
+# Tag 11 held a deque: the timing model's ROB before it became a ring.
+# Sets that still carry one fail to read (unknown tag) and rebuild.
 _T_OBJECT = 12
 
 
@@ -142,11 +142,6 @@ class _Writer:
             self.varint(len(v))
             for k, item in v.items():
                 self.value(k)
-                self.value(item)
-        elif t is deque:
-            self.u8(_T_DEQUE)
-            self.varint(len(v))
-            for item in v:
                 self.value(item)
         else:
             name = _CLASS_NAMES.get(t)
@@ -233,8 +228,6 @@ class _Reader:
         if tag == _T_DICT:
             return {self.value(): self.value()
                     for _ in range(self.varint())}
-        if tag == _T_DEQUE:
-            return deque(self.value() for _ in range(self.varint()))
         if tag == _T_OBJECT:
             name = self.raw().decode("ascii")
             cls = _CLASSES.get(name)

@@ -22,9 +22,10 @@ The key digests everything that could change the bytes of the set:
 
 A set file is ``RSST`` + version + meta JSON + length-prefixed state
 blobs + a blake2b trailer over everything before it; a bad trailer (or
-any parse error) counts as invalid, removes the file, and reads as a
-miss. Loads touch mtime, so :meth:`ArtifactCache.gc` LRU-evicts cold
-sets exactly like cold build artifacts.
+any parse error, the loader's own decode of the blobs included) counts
+as invalid, removes the file, and reads as a miss. Loads touch mtime,
+so :meth:`ArtifactCache.gc` LRU-evicts cold sets exactly like cold
+build artifacts.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..toolchain.cache import CacheStats, _quietly_remove, _touch, \
     atomic_write, cache_disabled, default_cache_path, entry_path, seal, \
     unseal
 from ..toolchain.digest import digest_of
-from .format import SNAP_VERSION
+from .format import SNAP_VERSION, SnapFormatError
 
 SNAPSET_MAGIC = b"RSST"
 SNAPSET_SUFFIX = ".snapset"
@@ -110,19 +111,27 @@ class SnapStore:
 
     # Lookup ------------------------------------------------------------------
 
-    def load(self, key: str) -> Optional[Tuple[List[bytes], Dict]]:
-        """The (state blobs, meta) stored under ``key``, or None.
-        Validates the digest trailer; corrupt sets are discarded."""
+    def load(self, key: str, decode: Callable[[List[bytes]], object]
+             ) -> Optional[Tuple[object, Dict]]:
+        """``(decode(state blobs), meta)`` for the set stored under
+        ``key``, or None. Validates the digest trailer; corrupt sets are
+        discarded, and so is a set whose ``decode`` raises
+        :class:`SnapFormatError` (one written in a layout this build no
+        longer reads)."""
         if not self.enabled:
             return None
         path = self._path(key)
         try:
             with open(path, "rb") as fh:
-                data = fh.read()
-            parsed = _parse_set(data)
+                parsed = _parse_set(fh.read())
         except OSError:
             self.stats.misses += 1
             return None
+        if parsed is not None:
+            try:
+                parsed = (decode(parsed[0]), parsed[1])
+            except SnapFormatError:
+                parsed = None
         if parsed is None:
             self.stats.misses += 1
             self.stats.invalid += 1

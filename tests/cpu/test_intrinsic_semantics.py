@@ -334,6 +334,17 @@ class TestMismatchPaths:
             exc, value, ctr = self.check(tier, lanes, elem, dmr=True)
             assert exc is DetectedError and ctr["detections"] == 1
 
+    def test_check_out_of_range_f32_constant(self, tier):
+        """An f32 constant beyond binary32's range is stored as inf, so
+        the check sees four agreeing inf lanes on every tier."""
+        v4 = T.vector(T.F32, 4)
+        exc, value, ctr = tier.matches_reference(returning(
+            v4, [], lambda b: b.call(
+                intr.elzar_check(b.function.parent, v4),
+                [b.broadcast(Constant(T.F32, 1e39), 4)])))
+        assert exc is None and ctr["corrections"] == 0
+        assert value == bits((math.inf,) * 4)
+
     @pytest.mark.parametrize("copies,corrections,winner", [
         ((0.0, 0.0, 0.0), 0, 0.0),
         ((-0.0, -0.0, -0.0), 0, -0.0),

@@ -1,5 +1,8 @@
 """Tests for constants, arguments, and globals."""
 
+import math
+import struct
+
 import pytest
 
 from repro.ir import types as T
@@ -30,6 +33,18 @@ class TestConstants:
         c = const_float(1.5)
         assert c.type == T.F64
         assert c.value == 1.5
+
+    def test_f32_constants_are_binary32(self):
+        binary32 = struct.unpack("<f", struct.pack("<f", 0.1))[0]
+        assert binary32 != 0.1
+        assert Constant(T.F32, 0.1).value == binary32
+        assert Constant(T.vector(T.F32, 2), (0.1, 0.1)).value == (binary32,) * 2
+        assert Constant(T.F64, 0.1).value == 0.1
+
+    def test_f32_constants_out_of_range_become_inf(self):
+        assert Constant(T.F32, 1e39).value == math.inf
+        assert Constant(T.F32, -1e39).value == -math.inf
+        assert Constant(T.F64, 1e39).value == 1e39
 
     def test_vector_constant_arity_checked(self):
         Constant(T.vector(T.I64, 4), (1, 2, 3, 4))

@@ -6,8 +6,12 @@ machine configs (cache, predictor, timing) — and any corruption is a
 :class:`SnapFormatError`, never a silently wrong state.
 """
 
+import dataclasses
+from collections import deque
+
 import pytest
 
+import repro.snap.format as snap_format
 from repro.cpu import Machine, MachineConfig
 from repro.cpu.interpreter import FaultPlan
 from repro.cpu.resumable import resume_run, run_resumable
@@ -38,6 +42,33 @@ def _capture(module, entry, args, config, at=400):
     run_resumable(machine, entry, args, capture=policy)
     assert policy.states
     return machine, policy.states[0]
+
+
+class _DequeWriter(snap_format._Writer):
+    """The writer as it was while the timing model's ROB was a deque:
+    value tag 11, a length, then the items."""
+
+    def value(self, v):
+        if type(v) is deque:
+            self.u8(11)
+            self.varint(len(v))
+            for item in v:
+                self.value(item)
+        else:
+            super().value(v)
+
+
+def old_layout_blob(state, machine, monkeypatch):
+    """``state`` serialized the way a timed checkpoint was before the
+    ROB became a ring: a deque of retire frontiers, no ring index."""
+    timing = state.timing.copy()
+    ring = timing._rob
+    timing._rob = deque(ring[timing._ri:] + ring[:timing._ri])
+    del timing._ri, timing._rob_next
+    with monkeypatch.context() as m:
+        m.setattr(snap_format, "_Writer", _DequeWriter)
+        return serialize_state(dataclasses.replace(state, timing=timing),
+                               machine)
 
 
 CONFIGS = [
@@ -78,6 +109,14 @@ class TestRoundTrip:
         # serialize(deserialize(blob)) == blob pins both directions.
         assert serialize_state(deserialize_state(blob, machine),
                                machine) == blob
+
+    def test_old_deque_layout_is_rejected(self, monkeypatch):
+        built = default_toolchain().build("histogram", "test", "native")
+        machine, state = _capture(built.module, built.entry, built.args,
+                                  MachineConfig(collect_timing=True))
+        with pytest.raises(SnapFormatError):
+            deserialize_state(old_layout_blob(state, machine, monkeypatch),
+                              machine)
 
     def test_corruption_raises_not_misresumes(self):
         built = default_toolchain().build("histogram", "test", "native")

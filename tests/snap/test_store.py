@@ -6,11 +6,14 @@ satellite).
 import os
 import time
 
+from repro.cpu.resumable import start_state
 from repro.snap.build import build_checkpoints
 from repro.snap.placement import PlacementConfig
 from repro.snap.store import SnapStore, checkpoint_key, machine_key
 from repro.toolchain import default_toolchain
 from repro.toolchain.cache import ArtifactCache
+
+from .test_format import old_layout_blob
 
 
 def _built():
@@ -23,7 +26,7 @@ class TestSnapStore:
         blobs = [b"alpha", b"beta" * 100, b""]
         meta = {"module": "m", "marks": [1, 2, 3]}
         assert store.store("ab" + "0" * 30, blobs, meta)
-        got = store.load("ab" + "0" * 30)
+        got = store.load("ab" + "0" * 30, list)
         assert got is not None
         assert got[0] == blobs
         assert got[1] == meta
@@ -31,7 +34,7 @@ class TestSnapStore:
 
     def test_missing_key_is_a_miss(self, tmp_path):
         store = SnapStore(root=str(tmp_path))
-        assert store.load("cd" + "1" * 30) is None
+        assert store.load("cd" + "1" * 30, list) is None
         assert store.stats.misses == 1
 
     def test_corrupt_set_is_discarded(self, tmp_path):
@@ -42,7 +45,7 @@ class TestSnapStore:
         with open(path, "r+b") as fh:
             fh.seek(8)
             fh.write(b"\xff")
-        assert store.load(key) is None
+        assert store.load(key, list) is None
         assert store.stats.invalid == 1
         assert not os.path.exists(path)
 
@@ -50,7 +53,7 @@ class TestSnapStore:
         store = SnapStore.disabled()
         assert not store.enabled
         assert not store.store("k", [b"x"], {})
-        assert store.load("k") is None
+        assert store.load("k", list) is None
         assert store.entries() == []
 
     def test_entries_reports_meta(self, tmp_path):
@@ -130,6 +133,42 @@ class TestBuilderStoreSharing:
         assert warm.key == cset.key
         assert warm.marks == cset.marks
         assert store.stats.hits == 1
+
+    def test_old_timed_set_is_an_invalid_miss_that_rebuilds(
+            self, tmp_path, monkeypatch):
+        """A set whose states still carry the deque ROB of the timing
+        model's old layout never resumes: it counts as invalid, is
+        removed, and the set is rebuilt and stored anew."""
+        built = _built()
+        from repro.cpu import Machine, MachineConfig
+        from repro.faults.campaign import golden_profile
+
+        for slot in [k for k in built.module._golden_cache
+                     if isinstance(k, tuple) and k and k[0] == "snap-set"]:
+            built.module._golden_cache.pop(slot)
+        _, profile = golden_profile(built.module, built.entry, built.args)
+        budget = int(profile.executed * 4.0) + 10_000
+        timed = Machine(built.module, MachineConfig())
+        start = start_state(timed, built.entry, built.args)
+        old = old_layout_blob(start, timed, monkeypatch)
+
+        def build(store):
+            return build_checkpoints(
+                built.module, built.entry, built.args, budget=budget,
+                model="register-bitflip", eligible=profile.eligible,
+                store=store)
+
+        cset = build(SnapStore(root=str(tmp_path)))
+        built.module._golden_cache.pop(("snap-set", cset.key))
+        SnapStore(root=str(tmp_path)).store(cset.key, [old], {})
+        store = SnapStore(root=str(tmp_path))
+        rebuilt = build(store)
+        assert not rebuilt.from_cache
+        assert rebuilt.marks == cset.marks
+        assert store.stats.as_dict() == {"hits": 0, "misses": 1,
+                                         "stores": 1, "invalid": 1}
+        built.module._golden_cache.pop(("snap-set", cset.key))
+        assert build(store).from_cache
 
     def test_short_runs_and_unkeyable_predicates_skip(self, tmp_path):
         built = _built()
