@@ -843,14 +843,6 @@ def covers(state: ResumeState, plan) -> bool:
 #   memory event before its access.
 
 import math  # noqa: E402
-import os  # noqa: E402
-
-#: Re-raise segment-compiler errors instead of falling back to the
-#: record path (the fallback is bit-identical and counted in
-#: ``CompileStats.fallbacks``, so a compiler bug would otherwise only
-#: show up as a missing speedup). Tests set REPRO_COMPILED_STRICT=1.
-#: Record functions have no fallback: an emission error always raises.
-STRICT_COMPILE = os.environ.get("REPRO_COMPILED_STRICT", "") not in ("", "0")
 
 _MEM_L1 = float(C.MEM_LATENCY[1])
 
@@ -896,9 +888,6 @@ class CompileStats:
     code_disk_hits: int = 0
     #: Disk entries that failed validation, were removed and recompiled.
     code_invalid: int = 0
-    #: Functions whose segment emission failed: they run on the record
-    #: path (raises instead under ``REPRO_COMPILED_STRICT``).
-    fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -910,7 +899,6 @@ class CompileStats:
             "code_misses": self.code_misses,
             "code_disk_hits": self.code_disk_hits,
             "code_invalid": self.code_invalid,
-            "fallbacks": self.fallbacks,
         }
 
     def add(self, other: "CompileStats") -> None:
@@ -922,15 +910,17 @@ COMPILE_STATS = CompileStats()
 
 #: Subscribers called with one payload dict per :func:`ensure_compiled`
 #: invocation that did work: module digest, variant, function/block/
-#: segment counts, compile wall time, code-cache hit/miss split and
-#: segment fallbacks. The lab bridges these onto its EventBus as
-#: ``engine-compile`` events.
+#: segment counts, compile wall time and code-cache hit/miss split.
+#: The lab bridges these onto its EventBus as ``engine-compile``
+#: events.
 _COMPILE_HOOKS: List[Callable[[Dict[str, object]], None]] = []
 
 #: In-process code-object cache: content key (:func:`_code_key`) ->
 #: code. Two machines whose emitted source is byte-identical re-exec
 #: the cached code object with fresh instance constants instead of
-#: re-compiling. The disk tier under it uses the same key.
+#: re-compiling. The disk tier under it (``.code`` entries of the
+#: toolchain :class:`~repro.toolchain.cache.ArtifactCache`) uses the
+#: same key.
 _CODE_CACHE: Dict[str, types.CodeType] = {}
 
 _CODE_SUFFIX = ".code"
@@ -952,17 +942,10 @@ def code_cache_clear() -> None:
 
 
 def _module_digest(dmod) -> str:
-    """Content digest of the module (the toolchain's artifact key), or
-    "" when the digest pipeline is unavailable (raises under
-    ``REPRO_COMPILED_STRICT``). Telemetry only: code is keyed by its
-    source, so caching does not depend on it."""
-    try:
-        from ..toolchain.build import module_digest
-        return module_digest(dmod.module)
-    except Exception:
-        if STRICT_COMPILE:
-            raise
-        return ""
+    """Content digest of the module (the toolchain's artifact key).
+    Telemetry only: code is keyed by its source."""
+    from ..toolchain.build import module_digest
+    return module_digest(dmod.module)
 
 
 def _code_key(filename: str, source: str) -> str:
@@ -977,61 +960,27 @@ def _code_key(filename: str, source: str) -> str:
     return h.hexdigest()
 
 
-def _code_root() -> Optional[str]:
-    """The disk tier's directory: the toolchain artifact cache root, or
-    None when ``REPRO_TOOLCHAIN_CACHE`` turns the cache off."""
-    from ..toolchain.cache import cache_disabled, default_cache_path
-    return None if cache_disabled() else default_cache_path()
-
-
-def _load_code(path: str, stats: CompileStats):
-    """The code object stored at ``path``, or None. A damaged entry
-    (bad trailer, unloadable marshal data, not a code object) counts
-    as ``code_invalid`` and is removed; it never yields code."""
-    from ..toolchain.cache import _quietly_remove, _touch, unseal
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError:
-        return None
-    body = unseal(data)
-    code = None
-    if body is not None:
-        try:
-            code = marshal.loads(body)
-        except (EOFError, ValueError, TypeError):
-            code = None
+def _decode_code(body: bytes) -> types.CodeType:
+    code = marshal.loads(body)
     if not isinstance(code, types.CodeType):
-        stats.code_invalid += 1
-        _quietly_remove(path)
-        return None
-    _touch(path)
+        raise ValueError("not a code object")
     return code
 
 
-def _code_for(source: str, filename: str, root: Optional[str],
-              stats: CompileStats):
-    """The code object for ``source``: in-process tier, then the disk
-    tier under ``root``, then ``compile()`` (written back to both)."""
+def _code_for(source: str, filename: str, cache, stats: CompileStats):
+    """The code object for ``source``: in-process tier, then the
+    ``.code`` entries of ``cache``, then ``compile()`` (written back to
+    both)."""
     key = _code_key(filename, source)
     code = _CODE_CACHE.get(key)
-    if code is not None:
-        stats.code_hits += 1
-        return code
-    path = None
-    if root is not None:
-        from ..toolchain.cache import entry_path
-        path = entry_path(root, key, _CODE_SUFFIX)
-        code = _load_code(path, stats)
-    if code is not None:
-        stats.code_hits += 1
-        stats.code_disk_hits += 1
-    else:
+    if code is None:
+        code = cache.get(key, _CODE_SUFFIX, _decode_code)
+    if code is None:
         code = compile(source, filename, "exec")
         stats.code_misses += 1
-        if path is not None:
-            from ..toolchain.cache import atomic_write, seal
-            atomic_write(path, seal(marshal.dumps(code)))
+        cache.put(key, _CODE_SUFFIX, marshal.dumps(code))
+    else:
+        stats.code_hits += 1
     _CODE_CACHE[key] = code
     return code
 
@@ -2597,13 +2546,12 @@ def _emit_records(dfn, costs, with_timing):
     return "\n".join(out) + "\n", consts, metas
 
 
-def _compile_dfn(dmod, dfn, vidx, root, stats):
+def _compile_dfn(dmod, dfn, vidx, cache, stats):
     """Emit + exec one variant of one function, reusing a cached code
     object when its source was compiled before (:func:`_code_for`).
     Segment variants add the segments and blocks they compiled to
-    ``stats``; a function whose segment emission fails runs on the
-    record path (``stats.fallbacks``). Record variants store one tuple
-    of record functions per block and never fall back."""
+    ``stats``; record variants store one tuple of record functions per
+    block. An emission error raises."""
     for db in dfn.blocks:
         if db.compiled is None:
             db.compiled = [None] * len(_VARIANTS)
@@ -2612,20 +2560,13 @@ def _compile_dfn(dmod, dfn, vidx, root, stats):
     if records:
         emitted = _emit_records(dfn, dmod.costs, with_timing)
     else:
-        try:
-            emitted = _emit_function(dfn, dmod.costs, with_timing,
-                                     vidx >= 2)
-        except Exception:
-            if STRICT_COMPILE:
-                raise
-            stats.fallbacks += 1
-            return
+        emitted = _emit_function(dfn, dmod.costs, with_timing, vidx >= 2)
         if emitted is None:
             return
     # Emission re-runs per instance (the consts are per-decode
     # objects); only compile() is shared.
     source, consts, metas = emitted
-    code = _code_for(source, f"<repro.compiled:@{dfn.fn.name}>", root,
+    code = _code_for(source, f"<repro.compiled:@{dfn.fn.name}>", cache,
                      stats)
     ns = dict(consts)
     exec(code, ns)  # noqa: S102 - our own generated code
@@ -2670,18 +2611,22 @@ def ensure_compiled(dmod, vidx) -> Optional[Dict[str, object]]:
             if fid not in done[vidx]]
     if not todo:
         return None
+    from ..toolchain.cache import ArtifactCache
+
     digest = _module_digest(dmod)
-    root = _code_root()
+    cache = ArtifactCache()
     t0 = time.perf_counter()
     stats = CompileStats(functions=len(todo))
     for fid, dfn in todo:
-        _compile_dfn(dmod, dfn, vidx, root, stats)
+        _compile_dfn(dmod, dfn, vidx, cache, stats)
         done[vidx].add(fid)
     stats.compile_ms = (time.perf_counter() - t0) * 1000.0
+    disk = cache.stats_for(_CODE_SUFFIX)
+    stats.code_disk_hits = disk.hits
+    stats.code_invalid = disk.invalid
     COMPILE_STATS.add(stats)
     payload = {
         "digest": digest,
-        "digest_unavailable": 0 if digest else 1,
         "variant": _VARIANTS[vidx],
         **stats.as_dict(),
     }

@@ -41,7 +41,12 @@ def promote_function(fn: Function) -> int:
     frontiers = domtree.frontiers()
     preds = fn.compute_predecessors()
 
-    # Phase 1: phi placement at iterated dominance frontiers.
+    # Phase 1: phi placement at iterated dominance frontiers. Blocks
+    # are visited in function order, never in set order (sets of
+    # blocks hash by identity, so set order follows memory addresses):
+    # phi names, and with them the IR digest, must not vary between
+    # processes.
+    order = {block: i for i, block in enumerate(fn.blocks)}
     phis: Dict[PhiInst, AllocaInst] = {}
     for alloca in allocas:
         def_blocks: Set[BasicBlock] = {
@@ -50,10 +55,11 @@ def promote_function(fn: Function) -> int:
             if isinstance(inst, StoreInst)
         }
         placed: Set[BasicBlock] = set()
-        worklist = list(def_blocks)
+        worklist = sorted(def_blocks, key=order.__getitem__)
         while worklist:
             block = worklist.pop()
-            for frontier_block in frontiers.get(block, ()):
+            for frontier_block in sorted(frontiers.get(block, ()),
+                                         key=order.__getitem__):
                 if frontier_block in placed:
                     continue
                 placed.add(frontier_block)

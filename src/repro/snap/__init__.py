@@ -8,8 +8,8 @@ The subsystem in three layers (docs/CHECKPOINT.md has the full story):
   mid-run capture into :class:`~repro.cpu.resumable.ResumeState`, and
   bit-identical resume with mid-run fault arming;
 * :mod:`repro.snap.format` / :mod:`repro.snap.store` — version-tagged
-  binary serialization and the content-addressed on-disk store shared
-  with the toolchain artifact cache;
+  binary serialization, the checkpoint-set key and framing of the
+  ``.snapset`` entries the toolchain cache stores;
 * :mod:`repro.snap.placement` / :mod:`repro.snap.build` — the
   vulnerability-density placement policy and the builder that turns
   one golden capture run into a shared :class:`CheckpointSet`.
@@ -28,7 +28,7 @@ from .format import (
     serialize_state,
 )
 from .placement import CapturePolicy, PlacementConfig, make_policy
-from .store import SnapStore, checkpoint_key, machine_key
+from .store import checkpoint_key, machine_key
 
 __all__ = [
     "MIN_ELIGIBLE",
@@ -41,7 +41,6 @@ __all__ = [
     "CapturePolicy",
     "PlacementConfig",
     "make_policy",
-    "SnapStore",
     "checkpoint_key",
     "machine_key",
 ]

@@ -3,8 +3,8 @@ every fabric through the content-addressed store.
 
 ``build_checkpoints`` is the single entry point: it resolves the
 content key, serves the set from the in-process cache or the on-disk
-:class:`~repro.snap.store.SnapStore`, and only on a true cold start
-pays one ``count_only`` golden run on the resumable trampoline with
+:class:`~repro.toolchain.cache.ArtifactCache`, and only on a true cold
+start pays one ``count_only`` golden run on the resumable trampoline with
 the placement policy's capture hook attached. The resulting
 :class:`CheckpointSet` resolves fault plans to the nearest checkpoint
 at or before their dynamic site (:meth:`CheckpointSet.nearest`).
@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..cpu.resumable import ResumeState, covers, run_resumable, stream_mark
+from ..toolchain.cache import ArtifactCache
 from .format import deserialize_state, serialize_state
 from .placement import PlacementConfig, make_policy
-from .store import SnapStore, checkpoint_key, machine_key
+from .store import SNAPSET_SUFFIX, checkpoint_key, machine_key, parse_set, \
+    render_set
 
 #: Below this many eligible instructions the golden prefix is too short
 #: for checkpoints to pay for their capture run and restore cost;
@@ -59,10 +61,11 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
                       model: str,
                       eligible: int,
                       placement: Optional[PlacementConfig] = None,
-                      store: Optional[SnapStore] = None,
+                      cache: Optional[ArtifactCache] = None,
                       ) -> Optional[CheckpointSet]:
     """The cell's checkpoint set, from (in order) the module's golden
-    cache, the content-addressed store, or a fresh capture run.
+    cache, the content-addressed cache (``.snapset`` entries), or a
+    fresh capture run.
 
     Returns None when checkpointing is off for this cell: unkeyable
     eligibility predicate (no safe content address), or a golden run
@@ -85,11 +88,13 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
     if cached is not None:
         return cached
 
-    store = store if store is not None else SnapStore()
-    loaded = store.load(key, decode=lambda blobs: tuple(
-        deserialize_state(blob, machine) for blob in blobs))
-    if loaded is not None:
-        states, _meta = loaded
+    def decode(body: bytes) -> Tuple[ResumeState, ...]:
+        blobs, _meta = parse_set(body)
+        return tuple(deserialize_state(blob, machine) for blob in blobs)
+
+    cache = cache if cache is not None else ArtifactCache()
+    states = cache.get(key, SNAPSET_SUFFIX, decode)
+    if states is not None:
         cset = CheckpointSet(key=key, model=model, states=states,
                              from_cache=True)
         module._golden_cache[cache_slot] = cset
@@ -104,13 +109,13 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
     cset = CheckpointSet(key=key, model=model, states=states,
                          from_cache=False)
     module._golden_cache[cache_slot] = cset
-    if store.enabled and states:
+    if cache.enabled and states:
         blobs = [serialize_state(s, machine) for s in states]
-        store.store(key, blobs, meta={
+        cache.put(key, SNAPSET_SUFFIX, render_set(blobs, meta={
             "module": module.name,
             "entry": entry,
             "model": model,
             "budget": budget,
             "marks": cset.marks,
-        })
+        }))
     return cset

@@ -22,10 +22,11 @@ from typing import List, Optional
 
 from ..faults.campaign import CampaignConfig, golden_profile, hang_budget
 from ..toolchain import default_toolchain
+from ..toolchain.cache import ArtifactCache
 from ..workloads.registry import FI_BENCHMARKS
 from .build import build_checkpoints
 from .placement import PlacementConfig
-from .store import SnapStore
+from .store import SNAPSET_SUFFIX, parse_set
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,7 +75,7 @@ def _cmd_build(args) -> int:
     model = args.model or DEFAULT_MODEL
     placement = PlacementConfig(budget=args.budget)
     toolchain = default_toolchain()
-    store = SnapStore()
+    cache = ArtifactCache()
     config = CampaignConfig()
     rows = []
     for name in names:
@@ -86,7 +87,7 @@ def _cmd_build(args) -> int:
             cset = build_checkpoints(
                 built.module, built.entry, built.args, budget=budget,
                 model=model, eligible=profile.eligible,
-                placement=placement, store=store,
+                placement=placement, cache=cache,
             )
             if cset is None:
                 rows.append({"workload": name, "variant": variant,
@@ -104,7 +105,7 @@ def _cmd_build(args) -> int:
             source = "cache" if cset.from_cache else "built"
             print(f"  {name:<18} {variant:<12} {len(cset.states):>3} "
                   f"checkpoints  {source}  key {cset.key[:12]}")
-    s = store.stats
+    s = cache.stats_for(SNAPSET_SUFFIX)
     print(f"  snap store: {s.hits} hits, {s.misses} misses, "
           f"{s.stores} stores")
     report = {"model": model, "scale": args.scale, "cells": rows,
@@ -117,12 +118,29 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def _stored_sets(cache: ArtifactCache) -> List[dict]:
+    """Meta + size of every stored set. A set that fails to read is
+    listed as invalid (and, like any invalid entry, dropped)."""
+    rows = []
+    for key, size in cache.entries(SNAPSET_SUFFIX):
+        row = {"key": key, "bytes": size}
+        parsed = cache.get(key, SNAPSET_SUFFIX, parse_set)
+        if parsed is None:
+            row["invalid"] = True
+        else:
+            blobs, meta = parsed
+            row.update(meta)
+            row["states"] = len(blobs)
+        rows.append(row)
+    return rows
+
+
 def _cmd_ls(args) -> int:
-    store = SnapStore()
-    entries = store.entries()
+    cache = ArtifactCache()
+    entries = _stored_sets(cache)
     if not entries:
         print("no checkpoint sets stored"
-              + ("" if store.enabled else " (store disabled)"))
+              + ("" if cache.enabled else " (store disabled)"))
     for row in entries:
         if row.get("invalid"):
             print(f"  {row['key'][:16]}  INVALID  {row['bytes']} bytes")
@@ -142,17 +160,17 @@ def _cmd_ls(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    store = SnapStore()
-    entries = store.entries()
+    cache = ArtifactCache()
+    entries = _stored_sets(cache)
     total_bytes = sum(r["bytes"] for r in entries)
     total_states = sum(r.get("states", 0) for r in entries)
     invalid = sum(1 for r in entries if r.get("invalid"))
-    print(f"checkpoint store: {store.root or '(disabled)'}")
+    print(f"checkpoint store: {cache.root or '(disabled)'}")
     print(f"  {len(entries)} sets, {total_states} states, "
           f"{total_bytes / 1e6:.1f} MB, {invalid} invalid")
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump({"root": store.root, "sets": len(entries),
+            json.dump({"root": cache.root, "sets": len(entries),
                        "states": total_states, "bytes": total_bytes,
                        "invalid": invalid}, fh, indent=2)
             fh.write("\n")

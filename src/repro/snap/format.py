@@ -17,7 +17,7 @@ string that any process holding the same module build can restore:
 
 The format is versioned (:data:`SNAP_VERSION` inside :data:`MAGIC`'d
 header); readers reject unknown versions and truncated payloads with
-:class:`SnapFormatError`, which stores treat as a cache miss.
+:class:`SnapFormatError`, which the cache treats as an invalid miss.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Content-addressed checkpoint store.
+"""Checkpoint-set keys and framing.
 
-Serialized checkpoint sets land *in the toolchain artifact cache
-directory* (same root, same two-level fanout, a ``.snapset`` suffix
-instead of ``.json``), so one ``--gc`` budget governs build artifacts
-and checkpoints together and every fabric — lab shards, cluster
+Serialized checkpoint sets are ``.snapset`` entries of the toolchain
+:class:`~repro.toolchain.cache.ArtifactCache` (same root, same
+sealed get/put as build artifacts and compiled code), so one ``--gc``
+budget governs them all and every fabric — lab shards, cluster
 workers, the campaign service — shares a single set per cell instead
 of each re-executing golden prefixes.
 
@@ -20,24 +20,19 @@ The key digests everything that could change the bytes of the set:
   points;
 * the checkpoint serialization format version.
 
-A set file is ``RSST`` + version + meta JSON + length-prefixed state
-blobs + a blake2b trailer over everything before it; a bad trailer (or
-any parse error, the loader's own decode of the blobs included) counts
-as invalid, removes the file, and reads as a miss. Loads touch mtime,
-so :meth:`ArtifactCache.gc` LRU-evicts cold sets exactly like cold
-build artifacts.
+A set body is ``RSST`` + version + meta JSON + length-prefixed state
+blobs (:func:`render_set`); the cache seals it. :func:`parse_set`
+raises :class:`SnapFormatError` on any framing error, so the cache
+counts such a set (like one whose blobs the builder cannot decode) as
+invalid, removes it, and reads it as a miss.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..toolchain.cache import CacheStats, _quietly_remove, _touch, \
-    atomic_write, cache_disabled, default_cache_path, entry_path, seal, \
-    unseal
 from ..toolchain.digest import digest_of
 from .format import SNAP_VERSION, SnapFormatError
 
@@ -82,109 +77,8 @@ def machine_key(config) -> tuple:
     )
 
 
-class SnapStore:
-    """Persistent checkpoint-set store beside the artifact cache."""
-
-    def __init__(self, root: Optional[str] = None):
-        if root is None:
-            self._root = None if cache_disabled() else default_cache_path()
-        else:
-            self._root = root
-        self.stats = CacheStats()
-
-    @classmethod
-    def disabled(cls) -> "SnapStore":
-        store = cls(root="")
-        store._root = None
-        return store
-
-    @property
-    def root(self) -> Optional[str]:
-        return self._root
-
-    @property
-    def enabled(self) -> bool:
-        return self._root is not None
-
-    def _path(self, key: str) -> str:
-        return entry_path(self._root, key, SNAPSET_SUFFIX)
-
-    # Lookup ------------------------------------------------------------------
-
-    def load(self, key: str, decode: Callable[[List[bytes]], object]
-             ) -> Optional[Tuple[object, Dict]]:
-        """``(decode(state blobs), meta)`` for the set stored under
-        ``key``, or None. Validates the digest trailer; corrupt sets are
-        discarded, and so is a set whose ``decode`` raises
-        :class:`SnapFormatError` (one written in a layout this build no
-        longer reads)."""
-        if not self.enabled:
-            return None
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                parsed = _parse_set(fh.read())
-        except OSError:
-            self.stats.misses += 1
-            return None
-        if parsed is not None:
-            try:
-                parsed = (decode(parsed[0]), parsed[1])
-            except SnapFormatError:
-                parsed = None
-        if parsed is None:
-            self.stats.misses += 1
-            self.stats.invalid += 1
-            _quietly_remove(path)
-            return None
-        self.stats.hits += 1
-        _touch(path)
-        return parsed
-
-    # Store -------------------------------------------------------------------
-
-    def store(self, key: str, blobs: Sequence[bytes], meta: Dict) -> bool:
-        """Persist a checkpoint set atomically; False when disabled or
-        unwritable (the campaign simply stays cold)."""
-        if not self.enabled:
-            return False
-        if not atomic_write(self._path(key), _render_set(blobs, meta)):
-            return False
-        self.stats.stores += 1
-        return True
-
-    # Introspection -----------------------------------------------------------
-
-    def entries(self) -> List[Dict]:
-        """Meta + size for every stored set (``python -m repro snap
-        ls``). Unreadable sets are listed as invalid, not raised."""
-        out: List[Dict] = []
-        if not self.enabled or not os.path.isdir(self._root):
-            return out
-        for dirpath, _dirnames, filenames in os.walk(self._root):
-            for name in sorted(filenames):
-                if not name.endswith(SNAPSET_SUFFIX):
-                    continue
-                path = os.path.join(dirpath, name)
-                key = name[:-len(SNAPSET_SUFFIX)]
-                try:
-                    with open(path, "rb") as fh:
-                        data = fh.read()
-                    parsed = _parse_set(data)
-                except OSError:
-                    continue
-                row = {"key": key, "bytes": len(data)}
-                if parsed is None:
-                    row["invalid"] = True
-                else:
-                    blobs, meta = parsed
-                    row.update(meta)
-                    row["states"] = len(blobs)
-                out.append(row)
-        return out
-
-
-def _render_set(blobs: Sequence[bytes], meta: Dict) -> bytes:
+def render_set(blobs: Sequence[bytes], meta: Dict) -> bytes:
+    """The body of one ``.snapset`` entry."""
     meta_json = json.dumps(meta, sort_keys=True).encode("utf-8")
     parts = [SNAPSET_MAGIC, _U32.pack(SNAP_VERSION),
              _U32.pack(len(meta_json)), meta_json,
@@ -192,18 +86,20 @@ def _render_set(blobs: Sequence[bytes], meta: Dict) -> bytes:
     for blob in blobs:
         parts.append(_U64.pack(len(blob)))
         parts.append(blob)
-    return seal(b"".join(parts))
+    return b"".join(parts)
 
 
-def _parse_set(data: bytes) -> Optional[Tuple[List[bytes], Dict]]:
-    body = unseal(data)
-    if body is None or len(body) < 12 or body[:4] != SNAPSET_MAGIC:
-        return None
+def parse_set(body: bytes) -> Tuple[List[bytes], Dict]:
+    """``(state blobs, meta)`` of a :func:`render_set` body; raises
+    :class:`SnapFormatError` when the body is not one of this format
+    version."""
+    if len(body) < 12 or body[:4] != SNAPSET_MAGIC:
+        raise SnapFormatError("not a checkpoint set")
+    (version,) = _U32.unpack_from(body, 4)
+    (meta_len,) = _U32.unpack_from(body, 8)
+    if version != SNAP_VERSION:
+        raise SnapFormatError(f"checkpoint set version {version}")
     try:
-        (version,) = _U32.unpack_from(body, 4)
-        if version != SNAP_VERSION:
-            return None
-        (meta_len,) = _U32.unpack_from(body, 8)
         pos = 12
         meta = json.loads(body[pos:pos + meta_len].decode("utf-8"))
         pos += meta_len
@@ -215,8 +111,8 @@ def _parse_set(data: bytes) -> Optional[Tuple[List[bytes], Dict]]:
             pos += 8
             blobs.append(body[pos:pos + n])
             pos += n
-        if pos != len(body):
-            return None
-    except (struct.error, ValueError):
-        return None
+    except (struct.error, ValueError) as exc:
+        raise SnapFormatError(f"malformed checkpoint set: {exc}") from exc
+    if pos != len(body):
+        raise SnapFormatError("trailing bytes after checkpoint set")
     return blobs, meta

@@ -17,11 +17,13 @@ single importable layer:
   variant) names the same IR everywhere — the property the cluster
   handshake checks across machines, now enforced across subsystems.
 - :mod:`repro.toolchain.cache` — the persistent content-addressed
-  artifact cache. Built variants are stored as printed IR keyed on
-  (workload, scale, variant digest, pipeline digest) and rehydrated
-  through the round-trippable parser, so a second scorecard, bench
-  run or cluster worker on the same checkout skips build+harden
-  entirely. See docs/TOOLCHAIN.md for keys and invalidation rules.
+  cache, the one on-disk store of built variants, checkpoint sets and
+  compiled code. Built variants are stored as sealed printed IR keyed
+  on (workload, scale, variant digest, pipeline digest, IR-format
+  digest) and rehydrated through the round-trippable parser, so a
+  second scorecard, bench run or cluster worker on the same checkout
+  skips build+harden entirely. See docs/TOOLCHAIN.md for keys and
+  invalidation rules.
 """
 
 from .build import (

@@ -13,21 +13,24 @@ module is needed (harness sessions, campaign cells, cluster workers):
 4. ``verify_module`` — structural verification of the result.
 
 Steps 1–3 are skipped entirely when the artifact cache holds the
-variant (content-addressed on workload, scale, variant digest and
-:func:`pipeline_digest`): the printed IR is rehydrated through the
-round-trippable parser, re-digested, and verified. A rehydrated module
-is *digest-identical* to a freshly built one — the fixed-point
-property pinned by ``tests/toolchain/test_roundtrip.py`` — so golden
-runs, campaign store keys and cluster handshakes cannot tell the two
-apart.
+variant (content-addressed on workload, scale, variant digest,
+:func:`pipeline_digest` and :func:`ir_format_digest`): the printed IR
+is parsed back and verified, and its recorded digest is trusted
+without printing it again. A rehydrated module is *digest-identical*
+to a freshly built one — the fixed-point property pinned by
+``tests/toolchain/test_roundtrip.py`` — so golden runs, campaign store
+keys and cluster handshakes cannot tell the two apart.
 """
 
 from __future__ import annotations
 
+import hashlib
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
+from ..ir import printer as _ir_printer
 from ..ir.module import Module
 from ..ir.parser import parse_module
 from ..ir.printer import format_module
@@ -63,6 +66,34 @@ def pipeline_digest() -> str:
     return _PIPELINE_DIGEST
 
 
+_IR_FORMAT_DIGEST: Optional[str] = None
+
+
+def ir_format_digest() -> str:
+    """Digest of the sources of the IR package (:mod:`repro.ir`): the
+    printer and parser, and the types and values whose text they print
+    and read. It salts artifact keys only: an artifact is printed text,
+    so an edit to how IR is printed or parsed must turn old artifacts
+    into misses, but it must not orphan lab store shards, whose keys
+    digest the module's IR itself."""
+    global _IR_FORMAT_DIGEST
+    if _IR_FORMAT_DIGEST is None:
+        _IR_FORMAT_DIGEST = _sources_digest(
+            os.path.dirname(_ir_printer.__file__))
+    return _IR_FORMAT_DIGEST
+
+
+def _sources_digest(directory: str) -> str:
+    """Digest of every ``.py`` file in ``directory``, by name and
+    content."""
+    sources = []
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), "rb") as fh:
+                sources.append([name, hashlib.sha256(fh.read()).hexdigest()])
+    return digest_of(["ir-format", sources])
+
+
 def toolchain_digest() -> str:
     """The digest that salts lab store keys (LAB_SCHEMA 3) and the
     cluster handshake: two checkouts agreeing on it agree on how
@@ -76,8 +107,8 @@ def module_digest(module: Module) -> str:
     determines execution). Memoized against the module's version stamp.
 
     This is *the* module identity everywhere: lab store cell keys,
-    cluster handshakes, artifact-cache validation, and ``python -m
-    repro variants`` all print/compare this digest.
+    cluster handshakes, checkpoint keys, and ``python -m repro
+    variants`` all print/compare this digest.
     """
     cached = getattr(module, "_lab_digest", None)
     if cached is not None and cached[0] == module.version:
@@ -85,10 +116,6 @@ def module_digest(module: Module) -> str:
     digest = digest_of(["module-ir", format_module(module)])
     module._lab_digest = (module.version, digest)
     return digest
-
-
-def _ir_text_digest(text: str) -> str:
-    return digest_of(["module-ir", text])
 
 
 @dataclass
@@ -162,7 +189,8 @@ class Toolchain:
     @staticmethod
     def artifact_key(workload: str, scale: str, spec: VariantSpec) -> str:
         return digest_of(["artifact", workload, scale,
-                          digest_of(spec.cache_key()), pipeline_digest()])
+                          digest_of(spec.cache_key()), pipeline_digest(),
+                          ir_format_digest()])
 
     # Base (the "O3" module) --------------------------------------------------
 
@@ -276,12 +304,12 @@ class Toolchain:
     # Artifact plumbing -------------------------------------------------------
 
     def _load_artifact(self, workload: str, scale: str, spec: VariantSpec):
-        art = self.cache.load(self.artifact_key(workload, scale, spec),
-                              _ir_text_digest)
+        art = self.cache.load(self.artifact_key(workload, scale, spec))
         if art is not None:
-            # load() matched the module's printed form against this
-            # digest; memoize it so module_digest() need not print the
-            # module again.
+            # The recorded digest is that of the sealed text, and the
+            # text is a print/parse fixed point under the printer and
+            # parser the key names: memoize it so module_digest() need
+            # not print the module again.
             art.module._lab_digest = (art.module.version,
                                       art.meta["ir_digest"])
         return art

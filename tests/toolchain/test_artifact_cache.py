@@ -5,8 +5,8 @@ import importlib
 import json
 import os
 
-from repro.toolchain import ArtifactCache, Toolchain
-from repro.toolchain.build import _ir_text_digest
+from repro.toolchain import ArtifactCache, Toolchain, get_variant
+from repro.toolchain.digest import digest_of
 
 
 def _one_artifact(root):
@@ -15,6 +15,11 @@ def _one_artifact(root):
         files += [os.path.join(dirpath, n) for n in names
                   if n.endswith(".json")]
     return files
+
+
+def _payload(cache, key):
+    """The JSON payload of the artifact at ``key`` (a sealed entry)."""
+    return cache.get(key, ".json", json.loads)
 
 
 class TestWarmRebuild:
@@ -53,7 +58,7 @@ class TestWarmRebuild:
         for cell in cells:
             cold.build(*cell)
         warm = [Toolchain().build(*cell) for cell in cells]
-        fresh = [_ir_text_digest(build_mod.format_module(b.module))
+        fresh = [digest_of(["module-ir", build_mod.format_module(b.module)])
                  for b in warm]
 
         def no_print(module):
@@ -73,36 +78,53 @@ class TestWarmRebuild:
 
 
 class TestValidation:
+    def test_load_parses_without_printing(self, tmp_path, monkeypatch):
+        """Rehydration never prints the module: the seal and the key
+        (which digests the IR package's sources) vouch for the
+        stored text."""
+        cache_mod = importlib.import_module("repro.toolchain.cache")
+        cache = ArtifactCache(str(tmp_path))
+        Toolchain(cache=cache).build("histogram", "test", "noavx")
+        key = Toolchain.artifact_key("histogram", "test",
+                                     get_variant("noavx"))
+
+        def no_print(module):
+            raise AssertionError("module printed again")
+
+        monkeypatch.setattr(cache_mod, "format_module", no_print)
+        assert ArtifactCache(str(tmp_path)).load(key) is not None
+
     def test_corrupt_artifact_degrades_to_miss(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TOOLCHAIN_CACHE", str(tmp_path))
         cold = Toolchain()
         expect = cold.build("histogram", "test", "elzar").ir_digest
-        [path] = [p for p in _one_artifact(tmp_path)
-                  if json.load(open(p))["meta"]["variant"] == "elzar"]
-        with open(path, "w") as fh:
-            fh.write('{"meta": {}, "ir": "; module broken\\n"}')
+        key = Toolchain.artifact_key("histogram", "test",
+                                     get_variant("elzar"))
+        # A well-sealed entry whose payload is not an artifact.
+        assert cold.cache.put(key, ".json",
+                              b'{"meta": {}, "ir": "; module broken\\n"}')
 
         warm = Toolchain()
         built = warm.build("histogram", "test", "elzar")
         assert not built.from_cache  # rebuilt cold
         assert built.ir_digest == expect
         assert warm.cache.stats.invalid >= 1
-        # The bad file was discarded and replaced by the rebuild.
-        payload = json.load(open(path))
+        # The bad entry was discarded and replaced by the rebuild.
+        payload = _payload(ArtifactCache(str(tmp_path)), key)
         assert payload["meta"]["ir_digest"] == expect
 
-    def test_tampered_ir_fails_digest_check(self, tmp_path):
+    def test_tampered_ir_fails_trailer_check(self, tmp_path):
         cache = ArtifactCache(str(tmp_path))
         tc = Toolchain(cache=cache)
         built = tc.build("histogram", "test", "noavx")
         [path] = _one_artifact(tmp_path)
-        payload = json.load(open(path))
-        payload["ir"] = payload["ir"].replace("add", "mul", 1)
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data.replace(b"add", b"mul", 1))
         fresh = ArtifactCache(str(tmp_path))
         key = Toolchain.artifact_key("histogram", "test", built.spec)
-        assert fresh.load(key, _ir_text_digest) is None
+        assert fresh.load(key) is None
         assert fresh.stats.invalid == 1
         assert not os.path.exists(path)  # discarded
 
@@ -119,13 +141,12 @@ class TestDisabling:
     def test_disabled_cache_never_touches_disk(self):
         cache = ArtifactCache.disabled()
         assert not cache.enabled
-        assert cache.load("00" * 32, _ir_text_digest) is None
+        assert cache.load("00" * 32) is None
         assert cache.store("00" * 32, None, {}) is False
 
 
 class TestKeying:
     def test_key_varies_by_every_component(self):
-        from repro.toolchain import get_variant
         base = Toolchain.artifact_key("histogram", "test",
                                       get_variant("elzar"))
         assert Toolchain.artifact_key("kmeans", "test",

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cluster.cells import CellCache, build_cell
 from repro.harness import Session
+from repro.ir.printer import format_module
 from repro.toolchain import Toolchain, VARIANTS
 from repro.toolchain.build import module_digest
 
@@ -54,11 +55,19 @@ class TestWarmPathParity:
             variant: cold.ir_digest("histogram", "test", variant)
             for variant in VARIANTS
         }
+        texts = {
+            variant: format_module(cold.module("histogram", "test", variant))
+            for variant in VARIANTS
+        }
         warm = Toolchain()
         for variant in VARIANTS:
             built = warm.build("histogram", "test", variant)
             assert built.from_cache, variant
             assert built.ir_digest == digests[variant], variant
+            # The digest of a rehydrated module is the one recorded at
+            # store time; print the module itself to check rehydration
+            # against the cold text, not against that record.
+            assert format_module(built.module) == texts[variant], variant
 
     def test_harden_from_rehydrated_base_matches_cold(
             self, tmp_path, monkeypatch):

@@ -6,7 +6,8 @@ module is its printed text, so the text must determine the module and
 the reprint must be byte-identical (otherwise digests — cell keys,
 cluster handshakes — would depend on whether a module was rehydrated).
 The sweep covers every registry workload × every registry variant at
-smoke scale, which also exercises the printer's collision-safe naming
+smoke scale, plus the cells the end-to-end benchmark builds at fi and
+perf scale, which also exercises the printer's collision-safe naming
 (the micro_branches builders reuse value names; hardened parsed
 modules restart the %tN counter)."""
 
@@ -15,23 +16,52 @@ import pytest
 from repro.ir.parser import parse_module
 from repro.ir.printer import format_module
 from repro.ir.verifier import verify_module
-from repro.toolchain import Toolchain, VARIANTS
+from repro.toolchain import ArtifactCache, Toolchain, VARIANTS
 from repro.workloads.registry import ALL
 
 
 @pytest.fixture(scope="module")
 def toolchain():
-    return Toolchain()
+    # No artifact cache: every cell is built fresh, so the check is
+    # print(parse(T)) == T for the printed form of the pipeline's own
+    # output, never of a module that was itself parsed from a cache.
+    return Toolchain(cache=ArtifactCache.disabled())
+
+
+def _assert_fixed_point(module, cell):
+    text = format_module(module)
+    reparsed = parse_module(text)
+    verify_module(reparsed)
+    assert format_module(reparsed) == text, cell
 
 
 @pytest.mark.parametrize("workload", sorted(ALL))
 def test_print_parse_print_fixed_point(toolchain, workload):
     for variant in VARIANTS:
-        module = toolchain.module(workload, "test", variant)
-        text = format_module(module)
-        reparsed = parse_module(text)
-        verify_module(reparsed)
-        assert format_module(reparsed) == text, (workload, variant)
+        _assert_fixed_point(toolchain.module(workload, "test", variant),
+                            (workload, variant))
+
+
+#: The cells the end-to-end benchmark builds above test scale: the
+#: Figure-13 campaign grid (fi) and the performance-figure runs (perf).
+#: Artifacts are trusted without a re-print, so the fixed point must
+#: hold at these scales too.
+BENCHMARK_CELLS = (
+    [("fi", b, v) for b in ("histogram", "dedup", "blackscholes")
+     for v in ("native", "elzar")]
+    + [("perf", b, v) for b in ("histogram", "linear_regression",
+                                "blackscholes", "dedup")
+       for v in ("native", "elzar")]
+    + [("perf", "blackscholes", v)
+       for v in ("swiftr", "elzar_proposed", "elzar_nochecks")]
+)
+
+
+@pytest.mark.parametrize("scale,workload,variant", BENCHMARK_CELLS)
+def test_fixed_point_at_benchmark_scales(toolchain, scale, workload,
+                                         variant):
+    _assert_fixed_point(toolchain.module(workload, scale, variant),
+                        (workload, scale, variant))
 
 
 def test_duplicate_value_names_print_unambiguously():
