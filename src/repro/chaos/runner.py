@@ -22,12 +22,12 @@ from __future__ import annotations
 import os
 from typing import Dict, List
 
-from ..faults.campaign import CampaignConfig
+from ..faults.campaign import CampaignConfig, golden_profile
 from ..lab.durable import run_durable_campaign
 from ..lab.events import CampaignInterrupted, EventBus
 from ..lab.scheduler import SchedulerPolicy
 from ..lab.store import ResultStore
-from ..toolchain import default_toolchain
+from ..toolchain import Toolchain, default_toolchain
 from .hooks import CHAOS_ENV, ChaosCrash, ChaosSpec, chaos_active
 from .scenarios import Scenario
 
@@ -94,6 +94,13 @@ def run_chaotic(scenario: Scenario, seed: int, store_path: str) -> Dict:
     spec = scenario.spec(seed, SHARD_COUNT)
     built = _build_cell()
     config = _config()
+    if scenario.fresh_module:
+        # Make sure the cache holds the cell's golden profile (a clean
+        # fresh module reads it, or runs and stores it), then run on
+        # another fresh module, which must read it back.
+        warm = Toolchain().build(WORKLOAD, SCALE, VERSION)
+        golden_profile(warm.module, warm.entry, warm.args)
+        built = Toolchain().build(WORKLOAD, SCALE, VERSION)
 
     events: List[Dict] = []
     phase = [0]

@@ -51,6 +51,11 @@ class Scenario:
     #: Lease timeout override for cluster scenarios (stall scenarios
     #: need expiry faster than the stall).
     lease_timeout: Optional[float] = None
+    #: Build the chaotic run's cell with a fresh toolchain: new module
+    #: objects whose golden profile and checkpoint set come from the
+    #: artifact cache, as in a newly started driver process (faults in
+    #: what that cache serves).
+    fresh_module: bool = False
 
     def spec(self, seed: int, shard_count: int) -> ChaosSpec:
         """The reproducible fault schedule for this (scenario, seed)."""
@@ -93,6 +98,12 @@ def _crash_after_write(rng: random.Random, shards: int) -> List[ChaosRule]:
 
 def _golden_corrupt(rng: random.Random, shards: int) -> List[ChaosRule]:
     return [ChaosRule(point="lab.checkpoint.golden", action="corrupt")]
+
+
+def _golden_entry_corrupt(rng: random.Random,
+                          shards: int) -> List[ChaosRule]:
+    return [ChaosRule(point="toolchain.cache.read", action="corrupt",
+                      match={"suffix": ".golden"})]
 
 
 # Cluster-fabric scenarios ----------------------------------------------------
@@ -178,6 +189,14 @@ SCENARIOS: Dict[str, Scenario] = {
                         "cell's banked shards must purge, never replay",
             build=_golden_corrupt, warm_store=True,
             evidence=("store-stale",),
+        ),
+        Scenario(
+            name="golden-entry-corrupt", fabric="forked",
+            description="the cell's cached golden profile reads back "
+                        "damaged in a fresh driver; it is a counted "
+                        "invalid miss and the golden run executes again",
+            build=_golden_entry_corrupt, fresh_module=True,
+            evidence=("cache-invalid",),
         ),
         Scenario(
             name="agent-crash", fabric="cluster",

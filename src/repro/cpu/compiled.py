@@ -63,7 +63,7 @@ to their checkpoint values and the plan fires when its stream counter
 reaches ``target_index`` — the same dynamic event a from-scratch run
 hits. A checkpoint captured during a ``count_only`` golden run is a
 superset state, valid for every plan whose per-stream mark has not yet
-passed (:func:`covers`).
+passed (:func:`stream_mark`).
 """
 
 from __future__ import annotations
@@ -578,14 +578,16 @@ class _RecordPath:
 
 
 def compile_records(M, fn_name: str) -> None:
-    """Compile the record functions ``M``'s runs of ``fn_name`` use —
-    what a run otherwise does on its first record-path block. Fault
-    campaigns call it before forking injection workers: every injection
-    fires its fault on the record path, and the workers inherit the
-    compiled code instead of each emitting it again."""
+    """Compile the code ``M``'s fault-armed runs of ``fn_name`` use: the
+    armed segments its fault-eligible frames run and the record
+    functions every fault fires on — what a run otherwise does on
+    first use. Fault campaigns call it before forking injection
+    workers, and the workers inherit the compiled code instead of each
+    loading it again."""
     dmod = decoded_module(M.module, M.config.cost_model, M.globals_addr)
     dmod.function(M.module.get_function(fn_name))
     timing_mode = 0 if M.timing is not None else 1
+    ensure_compiled(dmod, timing_mode + 2)  # the armed segments
     ensure_compiled(dmod, _RECORD_VARIANT + timing_mode)
 
 
@@ -759,7 +761,8 @@ def resume_run(M, state: ResumeState, plans: Sequence) -> RunResult:
     execute the rest of the run — the whole run from a
     :func:`start_state`, only the tail from a checkpoint. Bit-identical
     to arming the same plans on a fresh machine and running from
-    scratch, for every plan :func:`covers` admits."""
+    scratch, for every plan whose site ``state`` has not passed
+    (:func:`stream_mark`)."""
     restore_payload(M, state)
     M._arm_plans(plans)
     stack = rebuild_frames(M, state)
@@ -770,7 +773,9 @@ def resume_run(M, state: ResumeState, plans: Sequence) -> RunResult:
 
 
 def stream_mark(state: ResumeState, plan) -> int:
-    """The checkpoint's counter on ``plan``'s targeting stream."""
+    """The checkpoint's counter on ``plan``'s targeting stream. Resuming
+    ``state`` still reaches ``plan``'s dynamic fault site when this is
+    at most ``plan.target_index`` (the counter has not passed it)."""
     kind = getattr(plan, "kind", "reg")
     if kind == "checker":
         return state.checker_sites
@@ -779,11 +784,6 @@ def stream_mark(state: ResumeState, plan) -> int:
     if kind == "branch":
         return state.cond_branches
     return state.eligible
-
-def covers(state: ResumeState, plan) -> bool:
-    """True when resuming from ``state`` still reaches ``plan``'s
-    dynamic fault site (the stream counter has not passed it)."""
-    return stream_mark(state, plan) <= plan.target_index
 
 
 # --- Segment compiler ---------------------------------------------------------

@@ -16,7 +16,6 @@ from .compiled import (  # noqa: F401
     FrameState,
     ResumeState,
     capture_state,
-    covers,
     push_frame,
     rebuild_frames,
     restore_payload,
@@ -32,7 +31,6 @@ __all__ = [
     "FrameState",
     "ResumeState",
     "capture_state",
-    "covers",
     "push_frame",
     "rebuild_frames",
     "restore_payload",

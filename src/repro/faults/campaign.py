@@ -16,8 +16,10 @@ Two performance layers (the paper amortized this cost across a
 25-machine cluster, §IV-B):
 
 - **Golden-run cache**: fault-free runs are memoized on the module,
-  keyed by ``(module.version, entry, args, eligibility)``, so figure
-  scripts and ablations stop repeating identical golden executions.
+  keyed by ``(module.version, entry, args, eligibility)``, and
+  persisted as ``.golden`` entries of the artifact cache, so figure
+  scripts, ablations and warm processes stop repeating identical
+  golden executions.
 - **Parallel injections**: ``run_campaign(..., workers=N)`` is the
   store-less call of the lab's campaign driver
   (:mod:`repro.lab.durable`): it cuts the plan list into N shards and
@@ -43,7 +45,7 @@ import os
 import random
 import threading
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 from ..cpu.compiled import compile_records
@@ -82,15 +84,22 @@ def resolve_workers(workers: int) -> int:
     return workers
 
 
-def _fresh_machine(module: Module, max_instructions: Optional[int] = None,
-                   fault_eligible: Optional[Callable] = None,
-                   engine: str = "compiled") -> Machine:
+def _fresh_config(max_instructions: Optional[int] = None,
+                  fault_eligible: Optional[Callable] = None,
+                  engine: str = "compiled") -> MachineConfig:
     config = MachineConfig(collect_timing=False, engine=engine)
     if max_instructions is not None:
         config.max_instructions = max_instructions
     if fault_eligible is not None:
         config.fault_eligible = fault_eligible
-    return Machine(module, config)
+    return config
+
+
+def _fresh_machine(module: Module, max_instructions: Optional[int] = None,
+                   fault_eligible: Optional[Callable] = None,
+                   engine: str = "compiled") -> Machine:
+    return Machine(module, _fresh_config(max_instructions, fault_eligible,
+                                         engine))
 
 
 #: Predicate identities (``id()``) already warned about. Per-identity —
@@ -149,27 +158,56 @@ def _args_key(args: Sequence):
         return repr(tuple(args))
 
 
+#: Golden executions this process ran (profiles not served by a cache).
+GOLDEN_RUNS = 0
+
+
 def golden_profile(module: Module, entry: str, args: Sequence,
-                   fault_eligible: Optional[Callable] = None):
+                   fault_eligible: Optional[Callable] = None,
+                   cache=None):
     """Fault-free execution; returns ``(output, StreamProfile)``.
 
     Runs the machine in ``count_only`` mode, which profiles *every*
     targeting stream in one pass — eligible results, dynamic memory
     accesses, conditional branches, and checker sites — so one golden
-    run prices every fault model. Results are cached on the module,
-    invalidated by its version stamp.
+    run prices every fault model. Results are cached on the module
+    (invalidated by its version stamp) and, beneath that, as a
+    ``.golden`` entry of the artifact cache (``cache``, default
+    :class:`~repro.toolchain.cache.ArtifactCache`), so a warm process
+    runs no golden execution at all. An unkeyable eligibility
+    predicate caches nowhere.
     """
+    global GOLDEN_RUNS
+    from ..snap.store import GOLDEN_SUFFIX, golden_key, machine_key, \
+        parse_golden, render_golden
+    from ..toolchain.cache import ArtifactCache
+
     ekey = _eligibility_key(fault_eligible)
-    key = None
+    slot = key = None
     if ekey is not None:
-        key = (module.version, entry, _args_key(args), ekey)
-        cached = module._golden_cache.get(key)
+        args_key = _args_key(args)
+        slot = (module.version, entry, args_key, ekey)
+        cached = module._golden_cache.get(slot)
         if cached is not None:
             output, profile = cached
             return list(output), profile
+        cache = cache if cache is not None else ArtifactCache()
+        key = golden_key(module, entry, args_key, ekey,
+                         machine_key(_fresh_config(
+                             fault_eligible=fault_eligible)))
+
+        def decode(body: bytes):
+            output, totals = parse_golden(body)
+            return output, StreamProfile(*totals)
+
+        stored = cache.get(key, GOLDEN_SUFFIX, decode)
+        if stored is not None:
+            module._golden_cache[slot] = stored
+            return list(stored[0]), stored[1]
     machine = _fresh_machine(module, fault_eligible=fault_eligible)
     machine.count_only = True
     result = machine.run(entry, args)
+    GOLDEN_RUNS += 1
     profile = StreamProfile(
         eligible=machine.eligible_executed,
         executed=result.counters.instructions,
@@ -177,8 +215,10 @@ def golden_profile(module: Module, entry: str, args: Sequence,
         cond_branches=machine.cond_branches_eligible,
         checker_sites=machine.checker_sites_executed,
     )
-    if key is not None:
-        module._golden_cache[key] = (tuple(result.output), profile)
+    if slot is not None:
+        module._golden_cache[slot] = (tuple(result.output), profile)
+        cache.put(key, GOLDEN_SUFFIX, render_golden(
+            result.output, astuple(profile)))
     return list(result.output), profile
 
 

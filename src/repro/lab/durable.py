@@ -43,6 +43,8 @@ from ..faults.campaign import (
 from ..faults.models import StreamProfile, get_model
 from ..faults.outcomes import CampaignResult
 from ..ir.module import Module
+from ..snap.store import GOLDEN_SUFFIX
+from ..toolchain.cache import ArtifactCache
 from .checkpoint import (
     DEFAULT_SHARD_SIZE,
     CampaignSpec,
@@ -157,8 +159,13 @@ def _drive(module: Module, entry: str, args: Sequence, workload: str,
     store does not hold; ``cluster`` marks the cluster executor in the
     ``campaign-started`` event."""
     with _engine_compile_events(events):
+        cache = ArtifactCache()
         reference, profile = golden_profile(module, entry, args,
-                                            config.fault_eligible)
+                                            config.fault_eligible, cache)
+        invalid = cache.stats_for(GOLDEN_SUFFIX).invalid
+        if invalid:
+            events.emit("cache-invalid", suffix=GOLDEN_SUFFIX,
+                        invalid=invalid)
         if profile.eligible == 0:
             raise ValueError(f"no eligible instructions in @{entry}")
         budget = hang_budget(profile.executed, config.hang_factor)
@@ -267,10 +274,15 @@ def _local_executor(module: Module, entry: str, args: Sequence,
         scheduler = ShardScheduler(policy, run.events)
         width = scheduler.width(len(run.missing))
         if width > 1:
-            # Forked shard workers inherit the checkpoint set and the
-            # record functions instead of each rebuilding them.
-            _cell_checkpoints(module, entry, args, run.budget,
-                              config.fault_eligible, config.fault_model)
+            # Forked shard workers inherit the checkpoint set, the
+            # states their plans resume from and the record functions
+            # instead of each decoding and compiling them again.
+            cset = _cell_checkpoints(module, entry, args, run.budget,
+                                     config.fault_eligible,
+                                     config.fault_model)
+            if cset is not None:
+                cset.prefetch(plan for shard in run.missing
+                              for plan in shard.plans)
             warm_record_path(module, entry, config.fault_eligible)
         executed: Dict[int, Counter] = {}
         done: Dict[int, Counter] = dict(run.loaded)

@@ -30,6 +30,9 @@ Event kinds emitted today:
                        (the compiled engine translated this campaign's
                        module; cache-warm campaigns emit none)
 ``store-stale``        purged (stale shard rows dropped for this cell)
+``cache-invalid``      suffix, invalid (the cell's golden profile entry
+                       was damaged: counted, removed, and the golden
+                       run executed again)
 ``store-disabled``     reason (unkeyable eligibility predicate)
 ``adaptive-stop``      injections, halfwidth, target
 ``campaign-finished``  workload, version, injections, executed, from_store

@@ -7,11 +7,12 @@
     python -m repro snap ls                    # stored sets + meta
     python -m repro snap stats                 # store totals
 
-``build`` warms the content-addressed store with one checkpoint set
-per (workload, variant, fault model) cell — exactly what a campaign
-would build lazily on first injection — so lab shards, cluster workers
-and the service all start warm. A second ``build`` is a pure cache
-pass (100% hits, zero capture runs); CI asserts that.
+``build`` warms the content-addressed store with one golden profile
+and one checkpoint set per (workload, variant, fault model) cell —
+exactly what a campaign would build lazily on first injection — so lab
+shards, cluster workers and the service all start warm. A second
+``build`` is a pure cache pass (100% hits, zero golden and capture
+runs, zero states decoded); CI asserts that.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import argparse
 import json
 from typing import List, Optional
 
-from ..faults.campaign import CampaignConfig, golden_profile, hang_budget
+from ..faults import campaign as fc
 from ..toolchain import default_toolchain
 from ..toolchain.cache import ArtifactCache
 from ..workloads.registry import FI_BENCHMARKS
 from .build import build_checkpoints
 from .placement import PlacementConfig
-from .store import SNAPSET_SUFFIX, parse_set
+from .store import GOLDEN_SUFFIX, SNAPSET_SUFFIX, parse_set
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,14 +77,16 @@ def _cmd_build(args) -> int:
     placement = PlacementConfig(budget=args.budget)
     toolchain = default_toolchain()
     cache = ArtifactCache()
-    config = CampaignConfig()
+    config = fc.CampaignConfig()
+    golden_runs = fc.GOLDEN_RUNS
+    decoded = 0
     rows = []
     for name in names:
         for variant in variants:
             built = toolchain.build(name, args.scale, variant)
-            _, profile = golden_profile(built.module, built.entry,
-                                        built.args)
-            budget = hang_budget(profile.executed, config.hang_factor)
+            _, profile = fc.golden_profile(built.module, built.entry,
+                                           built.args, cache=cache)
+            budget = fc.hang_budget(profile.executed, config.hang_factor)
             cset = build_checkpoints(
                 built.module, built.entry, built.args, budget=budget,
                 model=model, eligible=profile.eligible,
@@ -96,6 +99,7 @@ def _cmd_build(args) -> int:
                 print(f"  {name:<18} {variant:<12} skipped "
                       f"(eligible={profile.eligible})")
                 continue
+            decoded += cset.decoded
             rows.append({
                 "workload": name, "variant": variant, "model": model,
                 "key": cset.key, "states": len(cset.states),
@@ -106,10 +110,15 @@ def _cmd_build(args) -> int:
             print(f"  {name:<18} {variant:<12} {len(cset.states):>3} "
                   f"checkpoints  {source}  key {cset.key[:12]}")
     s = cache.stats_for(SNAPSET_SUFFIX)
+    g = cache.stats_for(GOLDEN_SUFFIX)
+    golden_runs = fc.GOLDEN_RUNS - golden_runs
     print(f"  snap store: {s.hits} hits, {s.misses} misses, "
-          f"{s.stores} stores")
+          f"{s.stores} stores; golden profiles: {g.hits} hits, "
+          f"{g.misses} misses, {golden_runs} runs; {decoded} states "
+          "decoded")
     report = {"model": model, "scale": args.scale, "cells": rows,
-              "store": s.as_dict()}
+              "store": s.as_dict(), "golden": g.as_dict(),
+              "golden_runs": golden_runs, "decoded_states": decoded}
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -145,7 +154,7 @@ def _cmd_ls(args) -> int:
         if row.get("invalid"):
             print(f"  {row['key'][:16]}  INVALID  {row['bytes']} bytes")
             continue
-        marks = row.get("marks", [])
+        marks = row.get("streams", {}).get("eligible", [])
         span = f"{marks[0]}..{marks[-1]}" if marks else "-"
         print(f"  {row['key'][:16]}  {row.get('module', '?'):<24} "
               f"@{row.get('entry', '?'):<16} {row.get('model', '?'):<18} "

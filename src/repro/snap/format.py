@@ -243,6 +243,24 @@ class _Reader:
         raise SnapFormatError(f"unknown value tag {tag}")
 
 
+def encode_value(value) -> bytes:
+    """``value`` (from the closed domain) in the checkpoint value
+    encoding, floats as raw IEEE-754 bits."""
+    w = _Writer()
+    w.value(value)
+    return w.getvalue()
+
+
+def decode_value(data: bytes):
+    """Inverse of :func:`encode_value`; raises :class:`SnapFormatError`
+    on a truncated payload or trailing bytes."""
+    r = _Reader(data)
+    value = r.value()
+    if r.pos != len(data):
+        raise SnapFormatError("trailing bytes after encoded value")
+    return value
+
+
 def _condbr_coords(machine):
     """Stable coordinates for every conditional-branch terminator:
     ``id(inst) <-> (function name, block index)``. A block's branch is

@@ -83,15 +83,48 @@ def ir_format_digest() -> str:
     return _IR_FORMAT_DIGEST
 
 
-def _sources_digest(directory: str) -> str:
+def _sources_digest(directory: str, tag: str = "ir-format") -> str:
     """Digest of every ``.py`` file in ``directory``, by name and
     content."""
-    sources = []
-    for name in sorted(os.listdir(directory)):
-        if name.endswith(".py"):
-            with open(os.path.join(directory, name), "rb") as fh:
-                sources.append([name, hashlib.sha256(fh.read()).hexdigest()])
-    return digest_of(["ir-format", sources])
+    sources = [[name, _file_digest(os.path.join(directory, name))]
+               for name in sorted(os.listdir(directory))
+               if name.endswith(".py")]
+    return digest_of([tag, sources])
+
+
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+_SEMANTICS_DIGEST: Optional[str] = None
+
+
+def semantics_digest() -> str:
+    """Digest of the sources of machine semantics: the :mod:`repro.cpu`
+    and :mod:`repro.avx` packages and the checkpoint format
+    (``snap/format.py``). It salts the keys of what a run produces
+    rather than what a build produces — checkpoint sets and golden
+    profiles — so an edit to instruction semantics, the timing model or
+    the state layout turns them into misses instead of resuming a
+    stale state. Lab cell and spec keys and the cluster handshake do
+    not carry it (a semantics drift under the same IR is what the
+    lab's golden-row cross-check catches)."""
+    global _SEMANTICS_DIGEST
+    if _SEMANTICS_DIGEST is None:
+        _SEMANTICS_DIGEST = _semantics_digest(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    return _SEMANTICS_DIGEST
+
+
+def _semantics_digest(root: str) -> str:
+    """:func:`semantics_digest` of the ``repro`` package at ``root``."""
+    return digest_of([
+        "machine-semantics",
+        _sources_digest(os.path.join(root, "cpu"), "cpu"),
+        _sources_digest(os.path.join(root, "avx"), "avx"),
+        _file_digest(os.path.join(root, "snap", "format.py")),
+    ])
 
 
 def toolchain_digest() -> str:

@@ -1,12 +1,14 @@
 """Persistent content-addressed cache: the one on-disk store of every
 build product.
 
-Three kinds of entry share one directory, told apart by suffix:
+Four kinds of entry share one directory, told apart by suffix:
 
 * ``.json`` — a built variant's printed IR plus run metadata, written
   by :class:`~repro.toolchain.build.Toolchain` (:meth:`ArtifactCache.load`
   / :meth:`ArtifactCache.store`);
 * ``.snapset`` — a cell's checkpoint set (:mod:`repro.snap.build`);
+* ``.golden`` — a cell's golden output and stream totals
+  (:func:`repro.faults.campaign.golden_profile`);
 * ``.code`` — one function's marshalled code (:mod:`repro.cpu.compiled`).
 
 Every entry goes through one pair: :meth:`ArtifactCache.put` seals the
@@ -32,6 +34,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
+from ..chaos.hooks import chaos_point
 from ..ir.module import Module
 from ..ir.parser import ParseError, parse_module
 from ..ir.printer import format_module
@@ -190,6 +193,9 @@ class ArtifactCache:
         except OSError:
             stats.misses += 1
             return None
+        rule = chaos_point("toolchain.cache.read", suffix=suffix)
+        if rule is not None and rule.action == "corrupt" and data:
+            data = data[:-1] + bytes([data[-1] ^ 0x01])  # a flipped bit
         body = _unseal(data)
         if body is not None:
             try:
@@ -215,6 +221,16 @@ class ArtifactCache:
             return False
         self.stats_for(suffix).stores += 1
         return True
+
+    def invalidate(self, key: str, suffix: str) -> None:
+        """Count the entry at ``key`` invalid and remove it: for damage
+        :meth:`get` cannot see because its caller decodes the body in
+        parts, after the get (checkpoint sets decode a state on first
+        use)."""
+        if not self.enabled:
+            return
+        self.stats_for(suffix).invalid += 1
+        _quietly_remove(self._path(key, suffix))
 
     def entries(self, suffix: str) -> List[Tuple[str, int]]:
         """``(key, size in bytes)`` of every stored entry of one kind,

@@ -49,6 +49,21 @@ class TestScenarios:
         assert "store-stale" in {e["kind"] for e in report["events"]}
 
 
+    def test_golden_entry_corrupt_reruns_the_golden_run(self, tmp_path,
+                                                        reference):
+        """A damaged ``.golden`` entry read by a fresh driver is one
+        counted invalid miss; the golden run executes again and the
+        campaign ends bit-identical."""
+        report, verdict = _run("golden-entry-corrupt", 1, tmp_path,
+                               reference)
+        assert verdict.ok, verdict.problems
+        [event] = [e for e in report["events"]
+                   if e["kind"] == "cache-invalid"]
+        assert (event["suffix"], event["invalid"]) == (".golden", 1)
+        assert [t["point"] for t in report["trace"]] == [
+            "toolchain.cache.read"]
+
+
 class TestDeterminism:
     def test_same_seed_same_rule_schedule(self):
         for name, scenario in SCENARIOS.items():

@@ -132,7 +132,8 @@ class TestClusterCampaign:
 
 
 class TestOneDriver:
-    def test_cluster_lifecycle_matches_local_and_bridges_compiles(self):
+    def test_cluster_lifecycle_matches_local_and_bridges_compiles(
+            self, tmp_path, monkeypatch):
         from repro.cluster.cli import reap_workers, spawn_local_workers
         from repro.cluster.coordinator import (
             ClusterCoordinator,
@@ -143,8 +144,10 @@ class TestOneDriver:
         from repro.lab.events import EventBus, EventLog
         from repro.toolchain import Toolchain
 
-        # A fresh toolchain yields a fresh module, so the coordinator's
-        # golden run compiles in this process.
+        # A fresh toolchain over an empty cache yields a fresh module
+        # and no stored golden profile, so the coordinator's golden run
+        # compiles in this process.
+        monkeypatch.setenv("REPRO_TOOLCHAIN_CACHE", str(tmp_path))
         built = Toolchain().build("histogram", "test", "native")
         cell = (built.module, built.entry, built.args, "histogram", "native",
                 CampaignConfig(injections=20, seed=3))

@@ -1,24 +1,29 @@
 """One sealed store for every cache kind: build artifacts (``.json``),
-checkpoint sets (``.snapset``) and compiled code (``.code``).
+checkpoint sets (``.snapset``), golden profiles (``.golden``) and
+compiled code (``.code``).
 
 For each kind, a truncated entry and a bit-flipped entry must each be
 a counted invalid miss that removes the file, and the rebuild must
 write the very same bytes again. Artifact keys must follow the
-sources of the IR package (printer, parser, types, values), while the digests that salt lab store keys
-must not.
+sources of the IR package (printer, parser, types, values), checkpoint
+and golden keys the sources of machine semantics, while the digests
+that salt lab store keys must follow neither.
 """
 
 import importlib
+import warnings
 from pathlib import Path
 
 import pytest
 
 from repro.cpu import Machine, MachineConfig
 from repro.cpu.compiled import _decode_code, code_cache_clear
+from repro.faults import campaign as fc
 from repro.faults.campaign import CampaignConfig, golden_profile
 from repro.lab.checkpoint import build_spec
 from repro.snap.build import build_checkpoints
-from repro.snap.store import SNAPSET_SUFFIX, parse_set
+from repro.snap.store import GOLDEN_SUFFIX, SNAPSET_SUFFIX, checkpoint_key, \
+    golden_key, machine_key, parse_golden, parse_set
 from repro.toolchain import ArtifactCache, Toolchain, get_variant, \
     toolchain_digest
 
@@ -43,6 +48,17 @@ def _checkpoints(root):
     return cset.key, (cset.marks, cset.from_cache)
 
 
+def _golden(root):
+    """A fresh module's golden profile through the cache at ``root``;
+    the observation includes how many golden runs it took."""
+    built = Toolchain(cache=ArtifactCache.disabled()).build(*CELL)
+    runs = fc.GOLDEN_RUNS
+    output, profile = golden_profile(built.module, built.entry, built.args,
+                                     cache=ArtifactCache(str(root)))
+    [(key, _size)] = ArtifactCache(str(root)).entries(GOLDEN_SUFFIX)
+    return key, (output, profile, fc.GOLDEN_RUNS - runs)
+
+
 def _code(root):
     built = Toolchain(cache=ArtifactCache.disabled()).build(*CELL)
     code_cache_clear()
@@ -58,6 +74,9 @@ KINDS = {
     SNAPSET_SUFFIX: (_checkpoints,
                      lambda cache, key: cache.get(key, SNAPSET_SUFFIX,
                                                   parse_set)),
+    GOLDEN_SUFFIX: (_golden,
+                    lambda cache, key: cache.get(key, GOLDEN_SUFFIX,
+                                                 parse_golden)),
     ".code": (_code, lambda cache, key: cache.get(key, ".code",
                                                   _decode_code)),
 }
@@ -92,6 +111,35 @@ def test_damaged_entry_is_an_invalid_miss_and_rebuilds_identically(
     again, got = build(tmp_path)
     assert (again, got) == (key, want)
     assert path.read_bytes() == original
+
+
+def test_warm_golden_profile_runs_nothing(tmp_path):
+    """A fresh module reads its golden profile back from the cache —
+    no golden run — and gets the cold run's output and totals."""
+    key, (output, profile, runs) = _golden(tmp_path)
+    assert runs == 1
+    built = Toolchain(cache=ArtifactCache.disabled()).build(*CELL)
+    cache = ArtifactCache(str(tmp_path))
+    before = fc.GOLDEN_RUNS
+    assert golden_profile(built.module, built.entry, built.args,
+                          cache=cache) == (output, profile)
+    assert fc.GOLDEN_RUNS == before
+    assert cache.stats_for(GOLDEN_SUFFIX).as_dict() == {
+        "hits": 1, "misses": 0, "stores": 0, "invalid": 0}
+
+
+def test_unkeyable_predicate_and_disabled_cache_store_no_golden(tmp_path):
+    built = Toolchain(cache=ArtifactCache.disabled()).build(*CELL)
+    cache = ArtifactCache(str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        golden_profile(built.module, built.entry, built.args,
+                       fault_eligible=lambda fn: True, cache=cache)
+    golden_profile(built.module, built.entry, built.args,
+                   cache=ArtifactCache.disabled())
+    assert cache.entries(GOLDEN_SUFFIX) == []
+    assert cache.stats_for(GOLDEN_SUFFIX).as_dict() == {
+        "hits": 0, "misses": 0, "stores": 0, "invalid": 0}
 
 
 def test_statistics_stay_per_kind(tmp_path, monkeypatch):
@@ -145,6 +193,62 @@ def test_ir_format_digest_follows_every_ir_source(tmp_path):
             fh.write("\n# edited\n")
         seen.add(build_mod._sources_digest(str(copy)))
     assert len(seen) == 5
+
+
+def test_semantics_digest_salts_checkpoint_and_golden_keys_only(
+        monkeypatch):
+    """An edit to instruction semantics turns stored checkpoint sets
+    and golden profiles into misses, but leaves artifact keys, the
+    toolchain digest and lab keys alone."""
+    build_mod = importlib.import_module("repro.toolchain.build")
+    spec = get_variant("elzar")
+    built = Toolchain(cache=ArtifactCache.disabled()).build(*CELL)
+    _, profile = golden_profile(built.module, built.entry, built.args)
+    mkey = machine_key(MachineConfig(collect_timing=False))
+
+    def keys():
+        lab = build_spec(built.module, built.entry, built.args,
+                         CampaignConfig(seed=1), profile.eligible)
+        return (checkpoint_key(built.module, built.entry, (), (), "m", 9,
+                               mkey, ()),
+                golden_key(built.module, built.entry, (), (), mkey),
+                Toolchain.artifact_key("histogram", "test", spec),
+                toolchain_digest(), lab.cell_key, lab.spec_key)
+
+    before = keys()
+    monkeypatch.setattr(build_mod, "_SEMANTICS_DIGEST", "0" * 64)
+    after = keys()
+    assert after[0] != before[0]
+    assert after[1] != before[1]
+    assert after[2:] == before[2:]
+
+
+def test_semantics_digest_follows_every_semantics_source(tmp_path):
+    """Every source of ``repro.cpu`` and ``repro.avx`` and the
+    checkpoint format moves the digest: a stale checkpoint or golden
+    profile must never outlive the semantics that produced it."""
+    build_mod = importlib.import_module("repro.toolchain.build")
+    root = Path(importlib.import_module("repro").__file__).parent
+    assert build_mod._semantics_digest(str(root)) == \
+        build_mod.semantics_digest()
+    copy = tmp_path / "repro"
+    sources = []
+    for package in ("cpu", "avx"):
+        (copy / package).mkdir(parents=True)
+        for source in (root / package).glob("*.py"):
+            (copy / package / source.name).write_bytes(source.read_bytes())
+            sources.append(copy / package / source.name)
+    (copy / "snap").mkdir()
+    (copy / "snap" / "format.py").write_bytes(
+        (root / "snap" / "format.py").read_bytes())
+    sources.append(copy / "snap" / "format.py")
+    seen = {build_mod._semantics_digest(str(copy))}
+    for source in sources:
+        with open(source, "a") as fh:
+            fh.write("\n# edited\n")
+        seen.add(build_mod._semantics_digest(str(copy)))
+    assert len(seen) == len(sources) + 1
+    assert len(sources) >= 15
 
 
 def test_format_errors_are_invalid_misses_and_bugs_propagate(tmp_path):
