@@ -61,7 +61,6 @@ class _CellRuntime:
     reference: list
     budget: int
     rtol: float
-    fault_model: str = "register-bitflip"
 
 
 class ClusterWorker:
@@ -191,7 +190,6 @@ class ClusterWorker:
                 budget=hang_budget(profile.executed,
                                    float(message["hang_factor"])),
                 rtol=float(message["rtol"]),
-                fault_model=fault_model,
             )
         except Exception as exc:
             self._say(f"cannot prepare cell: {exc!r}")
@@ -268,7 +266,7 @@ class ClusterWorker:
             counts = Counter(run_plans(
                 runtime.module, runtime.entry, runtime.args, plans,
                 runtime.reference, runtime.budget, runtime.rtol, None,
-                fault_model=runtime.fault_model, tick=beat,
+                tick=beat,
             ))
         except Exception as exc:
             send_message(self._sock, {

@@ -7,7 +7,6 @@ from .campaign import (
     draw_model_plans,
     draw_plans,
     golden_profile,
-    golden_run,
     inject_once,
     resolve_workers,
     run_campaign,
@@ -39,7 +38,6 @@ __all__ = [
     "functions_only",
     "get_model",
     "golden_profile",
-    "golden_run",
     "hardened_only",
     "inject_once",
     "InjectionSession",

@@ -222,15 +222,6 @@ def golden_profile(module: Module, entry: str, args: Sequence,
     return list(result.output), profile
 
 
-def golden_run(module: Module, entry: str, args: Sequence,
-               fault_eligible: Optional[Callable] = None):
-    """Fault-free execution; returns (output, eligible_instructions,
-    total_instructions). Compatibility wrapper over
-    :func:`golden_profile` (same cache)."""
-    output, profile = golden_profile(module, entry, args, fault_eligible)
-    return output, profile.eligible, profile.executed
-
-
 def draw_plans(eligible: int, config: CampaignConfig) -> List[FaultPlan]:
     """All fault plans for the *default* (register bit flip) model, in
     the serial draw order — the plan list (hence the outcome multiset)
@@ -450,18 +441,18 @@ def _get_session(module: Module, entry: str, args: Sequence,
 
 
 def _cell_checkpoints(module: Module, entry: str, args: Sequence,
-                      budget: int, fault_eligible: Optional[Callable],
-                      fault_model: str):
+                      budget: int, fault_eligible: Optional[Callable]):
     """The cell's :class:`repro.snap.CheckpointSet`, or None when
     checkpoints cannot pay (unkeyable predicate, or a golden run too
     short to profit). Cached through the module's golden cache, so
-    shards and forked workers share one set per (cell, model)."""
+    shards, forked workers and every fault model share one set per
+    cell."""
     from ..snap.build import build_checkpoints
 
     _, profile = golden_profile(module, entry, args, fault_eligible)
     return build_checkpoints(module, entry, args, budget=budget,
                              fault_eligible=fault_eligible,
-                             model=fault_model, eligible=profile.eligible)
+                             eligible=profile.eligible)
 
 
 def run_plans(
@@ -481,14 +472,16 @@ def run_plans(
     (in-process, forked workers, cluster agents) runs. ``tick``, when given,
     is called after every injection (cluster workers heartbeat there).
     Each injection resumes from the nearest mid-run checkpoint at or
-    before its fault site (:mod:`repro.snap`) where the cell has one."""
+    before its fault site (:mod:`repro.snap`) where the cell has one.
+    ``fault_model`` is ignored (one checkpoint set serves every model);
+    the e2ebench harness still passes it."""
     session = _get_session(module, entry, args, reference, budget, rtol,
                            fault_eligible)
     plans = list(plans)
     cset = None
     if plans:
         cset = _cell_checkpoints(module, entry, args, budget,
-                                 fault_eligible, fault_model)
+                                 fault_eligible)
     session.attach_checkpoints(cset)
     outcomes = []
     for plan in plans:

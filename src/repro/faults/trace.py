@@ -12,7 +12,7 @@ campaigns.
 The predicates are small classes rather than lambdas so they (a)
 survive ``fork``/pickle into campaign worker processes and (b) carry a
 ``cache_key`` the golden-run cache can key on (see
-:func:`repro.faults.campaign.golden_run`).
+:func:`repro.faults.campaign.golden_profile`).
 """
 
 from __future__ import annotations

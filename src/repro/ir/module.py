@@ -24,8 +24,8 @@ class Module:
         self.version: int = 0
         #: (version, cost-model id) -> decoded module (see repro.cpu.engine).
         self._decoded_cache: Dict = {}
-        #: (version, entry, args digest, eligibility key) -> golden-run
-        #: triple (see repro.faults.campaign.golden_run); also the
+        #: (version, entry, args digest, eligibility key) -> golden
+        #: profile (see repro.faults.campaign.golden_profile); also the
         #: checkpoint sets and branch coordinates of repro.snap.
         self._golden_cache: Dict = {}
 

@@ -196,11 +196,14 @@ class Parser:
         for raw in self.lines:
             line = raw.split(";", 1)[0].strip()
             if line.startswith("define") or line.startswith("declare"):
-                name, ftype, arg_names = self._parse_header(line)
+                name, ftype, arg_names, hardened = self._parse_header(line)
                 if name not in self.module.functions:
-                    self.module.add_function(name, ftype, arg_names)
+                    fn = self.module.add_function(name, ftype, arg_names)
+                    fn.hardened = hardened
 
-    def _parse_header(self, line: str) -> Tuple[str, T.FunctionType, List[str]]:
+    def _parse_header(
+        self, line: str,
+    ) -> Tuple[str, T.FunctionType, List[str], Optional[str]]:
         cur = _Cursor(_tokenize(line), line)
         kw = cur.next()
         if kw not in ("define", "declare"):
@@ -221,7 +224,19 @@ class Parser:
                 arg_names.append(cur.next()[1:])
             else:
                 arg_names.append(f"arg{len(params) - 1}")
-        return name_tok[1:], T.FunctionType(ret, tuple(params)), arg_names
+        # The hardening scheme that produced a function (Function.hardened)
+        # picks the fault-injection scope, so it round-trips too.
+        hardened = None
+        if cur.accept("hardened"):
+            cur.expect("(")
+            hardened = cur.next()
+            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.-]*", hardened):
+                raise ParseError(f"bad hardening scheme in {line!r}")
+            cur.expect(")")
+        if not (cur.done if kw == "declare" else cur.peek() == "{"):
+            raise ParseError(f"unexpected tokens after header: {line!r}")
+        return (name_tok[1:], T.FunctionType(ret, tuple(params)), arg_names,
+                hardened)
 
     def _parse_global(self, line: str) -> None:
         if self._parse_global_fast(line):
@@ -293,7 +308,7 @@ class Parser:
     # Function body -----------------------------------------------------------
 
     def _parse_function_body(self, header_line: str) -> None:
-        name, _, _ = self._parse_header(header_line)
+        name = self._parse_header(header_line)[0]
         fn = self.module.get_function(name)
         self.values = {f"%{a.name}": a for a in fn.args}
         self.forwards = {}

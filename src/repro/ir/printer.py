@@ -205,7 +205,8 @@ def format_function(fn: Function) -> str:
         return f"declare {fn.return_type} @{fn.name}({params})"
     namer = _Namer(fn)
     params = ", ".join(f"{a.type} {namer.ref(a)}" for a in fn.args)
-    lines = [f"define {fn.return_type} @{fn.name}({params}) {{"]
+    scheme = f" hardened({fn.hardened})" if fn.hardened else ""
+    lines = [f"define {fn.return_type} @{fn.name}({params}){scheme} {{"]
     for block in fn.blocks:
         lines.append(format_block(block, namer))
     lines.append("}")

@@ -278,8 +278,7 @@ def _local_executor(module: Module, entry: str, args: Sequence,
             # states their plans resume from and the record functions
             # instead of each decoding and compiling them again.
             cset = _cell_checkpoints(module, entry, args, run.budget,
-                                     config.fault_eligible,
-                                     config.fault_model)
+                                     config.fault_eligible)
             if cset is not None:
                 cset.prefetch(plan for shard in run.missing
                               for plan in shard.plans)
@@ -290,8 +289,7 @@ def _local_executor(module: Module, entry: str, args: Sequence,
         def runner(shard: ShardPlan) -> Counter:
             return Counter(run_plans(
                 module, entry, args, shard.plans, run.reference, run.budget,
-                config.rtol, config.fault_eligible,
-                fault_model=config.fault_model))
+                config.rtol, config.fault_eligible))
 
         def on_result(shard: ShardPlan, counts: Counter,
                       seconds: float) -> None:

@@ -10,9 +10,9 @@ The subsystem in three layers (docs/CHECKPOINT.md has the full story):
 * :mod:`repro.snap.format` / :mod:`repro.snap.store` — version-tagged
   binary serialization, the checkpoint-set key and framing of the
   ``.snapset`` entries the toolchain cache stores;
-* :mod:`repro.snap.placement` / :mod:`repro.snap.build` — the
-  vulnerability-density placement policy and the builder that turns
-  one golden capture run into a shared :class:`CheckpointSet`.
+* :mod:`repro.snap.build` — the builder that turns one golden capture
+  run, with checkpoints spaced uniformly along the eligible stream,
+  into the :class:`CheckpointSet` every fault model of a cell shares.
 
 Campaigns pick checkpoints up transparently: ``run_plans`` /
 ``InjectionSession`` resolve each plan to the nearest checkpoint at or
@@ -20,14 +20,14 @@ before its fault site and execute only the tail; a plan before every
 checkpoint resumes the start state.
 """
 
-from .build import MIN_ELIGIBLE, CheckpointSet, build_checkpoints
+from .build import MIN_ELIGIBLE, CapturePolicy, CheckpointSet, \
+    build_checkpoints
 from .format import (
     SNAP_VERSION,
     SnapFormatError,
     deserialize_state,
     serialize_state,
 )
-from .placement import CapturePolicy, PlacementConfig, make_policy
 from .store import checkpoint_key, machine_key
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "serialize_state",
     "deserialize_state",
     "CapturePolicy",
-    "PlacementConfig",
-    "make_policy",
     "checkpoint_key",
     "machine_key",
 ]

@@ -5,7 +5,7 @@ every fabric through the content-addressed store.
 content key, serves the set from the in-process cache or the on-disk
 :class:`~repro.toolchain.cache.ArtifactCache`, and only on a true cold
 start pays one ``count_only`` golden run on the resumable trampoline with
-the placement policy's capture hook attached. The resulting
+a :class:`CapturePolicy` attached. The resulting
 :class:`CheckpointSet` resolves fault plans to the nearest checkpoint
 at or before their dynamic site (:meth:`CheckpointSet.nearest`).
 
@@ -22,10 +22,10 @@ import threading
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Sequence, Tuple
 
-from ..cpu.resumable import ResumeState, run_resumable, stream_mark
+from ..cpu.resumable import ResumeState, capture_state, run_resumable, \
+    stream_mark
 from ..toolchain.cache import DECODE_ERRORS, ArtifactCache
 from .format import SnapFormatError, deserialize_state, serialize_state
-from .placement import PlacementConfig, make_policy
 from .store import SNAPSET_SUFFIX, StreamMarks, checkpoint_key, \
     machine_key, marks_meta, parse_set, render_set, set_marks
 
@@ -33,6 +33,14 @@ from .store import SNAPSET_SUFFIX, StreamMarks, checkpoint_key, \
 #: for checkpoints to pay for their capture run and restore cost;
 #: every injection then resumes the start state.
 MIN_ELIGIBLE = 2048
+
+#: Captures are spaced uniformly along the eligible stream, one every
+#: ``max(MIN_INTERVAL, eligible // CAPTURES)`` eligible instructions,
+#: because the injector picks a plan's site uniformly along the stream
+#: (protected or exposed code alike). That caps a set at CAPTURES
+#: states.
+CAPTURES = 24
+MIN_INTERVAL = 256
 
 #: The stream names in the shape of marks: ``stream_mark(_STREAMS,
 #: plan)`` names the stream ``plan``'s fault site is counted on.
@@ -49,11 +57,10 @@ class CheckpointSet:
     that one state.
     """
 
-    def __init__(self, key: str, model: str, marks: Sequence[StreamMarks],
+    def __init__(self, key: str, marks: Sequence[StreamMarks],
                  slots: list, from_cache: bool, machine=None,
                  cache: Optional[ArtifactCache] = None):
         self.key = key
-        self.model = model
         self.from_cache = from_cache
         self._marks = tuple(marks)
         self._columns = {name: [getattr(m, name) for m in self._marks]
@@ -68,10 +75,10 @@ class CheckpointSet:
         self.decoded = 0
 
     @classmethod
-    def captured(cls, key: str, model: str,
+    def captured(cls, key: str,
                  states: Sequence[ResumeState]) -> "CheckpointSet":
         """A set of states in memory (a capture run's)."""
-        return cls(key, model, marks=[_marks_of(s) for s in states],
+        return cls(key, marks=[_marks_of(s) for s in states],
                    slots=list(states), from_cache=False)
 
     @property
@@ -154,17 +161,40 @@ class _States(collections.abc.Sequence):
         return self._cset.state(i)
 
 
+class CapturePolicy:
+    """The live capture hook :func:`repro.cpu.resumable.run_stack`
+    drives: ``next_index`` is the eligible index at which to take the
+    next checkpoint, ``take`` copies the state and re-arms one
+    ``interval`` later."""
+
+    __slots__ = ("interval", "next_index", "states")
+
+    def __init__(self, interval: int):
+        self.interval = interval
+        # Skip index 0: a checkpoint at the very start is just the
+        # start state (repro.cpu.resumable.start_state) the injection
+        # session already holds.
+        self.next_index = interval
+        self.states: List[ResumeState] = []
+
+    def take(self, M, stack, executed) -> None:
+        self.states.append(capture_state(M, stack, executed))
+        self.next_index = M.eligible_executed + self.interval
+
+
 def build_checkpoints(module, entry: str, args: Sequence, *,
                       budget: int,
                       fault_eligible=None,
-                      model: str,
+                      model: Optional[str] = None,
                       eligible: int,
-                      placement: Optional[PlacementConfig] = None,
                       cache: Optional[ArtifactCache] = None,
                       ) -> Optional[CheckpointSet]:
     """The cell's checkpoint set, from (in order) the module's golden
     cache, the content-addressed cache (``.snapset`` entries), or a
-    fresh capture run.
+    fresh capture run. One set serves every fault model: each state
+    records all four stream marks, and :meth:`CheckpointSet.nearest`
+    bisects the one a plan counts on. ``model`` is ignored; the
+    e2ebench harness still passes it.
 
     Returns None when checkpointing is off for this cell: unkeyable
     eligibility predicate (no safe content address), or a golden run
@@ -177,13 +207,10 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
     ekey = _eligibility_key(fault_eligible)
     if ekey is None or eligible < MIN_ELIGIBLE:
         return None
-    placement = placement or PlacementConfig()
     machine = _fresh_machine(module, max_instructions=budget,
                              fault_eligible=fault_eligible)
-    key = checkpoint_key(
-        module, entry, _args_key(args), ekey, model, budget,
-        machine_key(machine.config), placement.cache_key(),
-    )
+    key = checkpoint_key(module, entry, _args_key(args), ekey,
+                         machine_key(machine.config))
     cache_slot = ("snap-set", key)
     cached = module._golden_cache.get(cache_slot)
     if cached is not None:
@@ -193,25 +220,24 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
     stored = cache.get(key, SNAPSET_SUFFIX, read_set)
     if stored is not None:
         blobs, marks = stored
-        cset = CheckpointSet(key, model, marks, slots=blobs, from_cache=True,
+        cset = CheckpointSet(key, marks, slots=blobs, from_cache=True,
                              machine=machine, cache=cache)
         module._golden_cache[cache_slot] = cset
         return cset
 
     # Cold: one count_only golden run on the trampoline, capturing at
-    # the placement policy's points.
+    # uniformly spaced points.
     machine.count_only = True
-    policy = make_policy(module, eligible, model, placement)
+    policy = CapturePolicy(max(MIN_INTERVAL, eligible // CAPTURES))
     run_resumable(machine, entry, args, capture=policy)
-    states = sorted(policy.states, key=lambda s: s.eligible)
-    cset = CheckpointSet.captured(key, model, states)
+    states = policy.states
+    cset = CheckpointSet.captured(key, states)
     module._golden_cache[cache_slot] = cset
     if cache.enabled and states:
         blobs = [serialize_state(s, machine) for s in states]
         cache.put(key, SNAPSET_SUFFIX, render_set(blobs, meta={
             "module": module.name,
             "entry": entry,
-            "model": model,
             "budget": budget,
             "streams": marks_meta(states),
         }))

@@ -8,9 +8,10 @@
     python -m repro snap stats                 # store totals
 
 ``build`` warms the content-addressed store with one golden profile
-and one checkpoint set per (workload, variant, fault model) cell —
-exactly what a campaign would build lazily on first injection — so lab
-shards, cluster workers and the service all start warm. A second
+and one checkpoint set per (workload, variant) cell — the set every
+fault model's campaign on that cell resumes from, exactly what it
+would build lazily on first injection — so lab shards, cluster
+workers and the service all start warm. A second
 ``build`` is a pure cache pass (100% hits, zero golden and capture
 runs, zero states decoded); CI asserts that.
 """
@@ -26,7 +27,6 @@ from ..toolchain import default_toolchain
 from ..toolchain.cache import ArtifactCache
 from ..workloads.registry import FI_BENCHMARKS
 from .build import build_checkpoints
-from .placement import PlacementConfig
 from .store import GOLDEN_SUFFIX, SNAPSET_SUFFIX, parse_set
 
 
@@ -47,11 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                              "(default: native,elzar)")
     build.add_argument("--scale", default="test",
                        choices=("test", "fi", "perf"))
-    build.add_argument("--model", default=None, metavar="NAME",
-                       help="fault model for placement density (default: "
-                            "the registry default model)")
-    build.add_argument("--budget", type=int, default=24,
-                       help="checkpoints per run (default: 24)")
     build.add_argument("--json", metavar="PATH", default=None)
 
     ls = sub.add_parser("ls", help="list stored checkpoint sets")
@@ -63,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
-    from ..faults.models import DEFAULT_MODEL
-
     if args.workloads is None:
         names = [w.name for w in FI_BENCHMARKS]
     elif args.workloads.strip() == "all":
@@ -73,8 +66,6 @@ def _cmd_build(args) -> int:
     else:
         names = [w.strip() for w in args.workloads.split(",") if w.strip()]
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    model = args.model or DEFAULT_MODEL
-    placement = PlacementConfig(budget=args.budget)
     toolchain = default_toolchain()
     cache = ArtifactCache()
     config = fc.CampaignConfig()
@@ -89,8 +80,7 @@ def _cmd_build(args) -> int:
             budget = fc.hang_budget(profile.executed, config.hang_factor)
             cset = build_checkpoints(
                 built.module, built.entry, built.args, budget=budget,
-                model=model, eligible=profile.eligible,
-                placement=placement, cache=cache,
+                eligible=profile.eligible, cache=cache,
             )
             if cset is None:
                 rows.append({"workload": name, "variant": variant,
@@ -101,7 +91,7 @@ def _cmd_build(args) -> int:
                 continue
             decoded += cset.decoded
             rows.append({
-                "workload": name, "variant": variant, "model": model,
+                "workload": name, "variant": variant,
                 "key": cset.key, "states": len(cset.states),
                 "marks": cset.marks, "from_cache": cset.from_cache,
                 "eligible": profile.eligible,
@@ -116,7 +106,7 @@ def _cmd_build(args) -> int:
           f"{s.stores} stores; golden profiles: {g.hits} hits, "
           f"{g.misses} misses, {golden_runs} runs; {decoded} states "
           "decoded")
-    report = {"model": model, "scale": args.scale, "cells": rows,
+    report = {"scale": args.scale, "cells": rows,
               "store": s.as_dict(), "golden": g.as_dict(),
               "golden_runs": golden_runs, "decoded_states": decoded}
     if args.json:
@@ -157,7 +147,7 @@ def _cmd_ls(args) -> int:
         marks = row.get("streams", {}).get("eligible", [])
         span = f"{marks[0]}..{marks[-1]}" if marks else "-"
         print(f"  {row['key'][:16]}  {row.get('module', '?'):<24} "
-              f"@{row.get('entry', '?'):<16} {row.get('model', '?'):<18} "
+              f"@{row.get('entry', '?'):<16} "
               f"{row.get('states', 0):>3} states  eligible {span}  "
               f"{row['bytes'] / 1e3:.0f} kB")
     if args.json:

@@ -4,8 +4,9 @@ Serialized checkpoint sets are ``.snapset`` entries of the toolchain
 :class:`~repro.toolchain.cache.ArtifactCache` (same root, same
 sealed get/put as build artifacts and compiled code), so one ``--gc``
 budget governs them all and every fabric — lab shards, cluster
-workers, the campaign service — shares a single set per cell instead
-of each re-executing golden prefixes.
+workers, the campaign service — shares a single set per (workload,
+variant) cell, for every fault model, instead of each re-executing
+golden prefixes.
 
 The key digests everything that could change the bytes of the set:
 
@@ -19,8 +20,7 @@ The key digests everything that could change the bytes of the set:
 * the machine geometry (engine, budget, cache sizes, heap/stack
   capacity, call depth, counter mode) — a checkpoint is only resumable
   on the machine shape that produced it;
-* the fault model and placement config, which choose the capture
-  points;
+* the capture spacing constants of :mod:`repro.snap.build`;
 * the checkpoint serialization format version.
 
 A set body is ``RSST`` + version + meta JSON + length-prefixed state
@@ -54,12 +54,12 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
 
-def checkpoint_key(module, entry: str, args_key, ekey, model: str,
-                   budget: int, machine_key: tuple,
-                   placement_key: tuple) -> str:
+def checkpoint_key(module, entry: str, args_key, ekey,
+                   machine_key: tuple) -> str:
     """The content address of one checkpoint set."""
     from ..toolchain.build import module_digest, semantics_digest, \
         toolchain_digest
+    from .build import CAPTURES, MIN_INTERVAL
 
     return digest_of([
         "snap-set", SNAP_VERSION,
@@ -69,17 +69,15 @@ def checkpoint_key(module, entry: str, args_key, ekey, model: str,
         entry,
         list(args_key) if isinstance(args_key, tuple) else args_key,
         list(ekey) if isinstance(ekey, tuple) else ekey,
-        model,
-        budget,
         list(machine_key),
-        list(placement_key),
+        CAPTURES, MIN_INTERVAL,
     ])
 
 
 def golden_key(module, entry: str, args_key, ekey,
                machine_key: tuple) -> str:
     """The content address of one golden profile: the run coordinates
-    :func:`checkpoint_key` hashes, less what only placement needs."""
+    :func:`checkpoint_key` hashes, less the capture spacing."""
     from ..toolchain.build import module_digest, semantics_digest, \
         toolchain_digest
 

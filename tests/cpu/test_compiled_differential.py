@@ -60,8 +60,8 @@ from repro.ir import Module
 from repro.ir import types as T
 from repro.ir.instructions import PhiInst
 from repro.passes import elzar_transform, mem2reg
+from repro.snap.build import CapturePolicy
 from repro.snap.format import serialize_state
-from repro.snap.placement import CapturePolicy
 from repro.toolchain.cache import ArtifactCache
 from repro.workloads import ALL
 
@@ -348,8 +348,7 @@ def test_fault_models_identical_per_plan(seed, model):
                                    reference, budget)
                 for tier in TIERS}
     outcomes["campaign"] = _run_plans_fresh(module, entry, args, plans,
-                                            reference, budget,
-                                            fault_model=model)
+                                            reference, budget)
     assert outcomes["compiled"] == outcomes["records"], model
     assert outcomes["compiled"] == outcomes["reference"], model
     assert outcomes["campaign"] == outcomes["reference"], model
@@ -814,7 +813,7 @@ def test_capture_bytes_identical_across_engines():
                       ("compiled", run_resumable)):
         machine = Machine(module, MachineConfig())
         machine.count_only = True
-        policy = CapturePolicy({"": 7}, limit=1000)
+        policy = CapturePolicy(7)
         run(machine, entry, args, capture=policy)
         blobs[tier] = [serialize_state(s, machine) for s in policy.states]
     assert len(blobs["records"]) > 10

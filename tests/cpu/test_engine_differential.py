@@ -26,7 +26,6 @@ from repro.faults import (
     CampaignConfig,
     draw_model_plans,
     golden_profile,
-    golden_run,
     inject_once,
     model_names,
     run_campaign,
@@ -135,7 +134,8 @@ def test_armed_runs_identical(name):
     exception, and the counters."""
     built = ALL[name].build_at("test")
     module, entry, args = built.module, built.entry, built.args
-    _, eligible, executed = golden_run(module, entry, args)
+    _, profile = golden_profile(module, entry, args)
+    eligible, executed = profile.eligible, profile.executed
     rng = random.Random(name)
     for _ in range(6):
         plan = FaultPlan(target_index=rng.randrange(eligible),
@@ -236,27 +236,27 @@ def test_count_only_mode_matches_engines():
 
 
 def test_golden_run_has_no_sentinel_plan():
-    """golden_run must not arm any fault plan (the old target_index=-1
-    sentinel hack) — eligible counting rides on count_only mode."""
+    """golden_profile must not arm any fault plan (the old
+    target_index=-1 sentinel hack) — eligible counting rides on
+    count_only mode."""
     built = ALL["histogram"].build_at("test")
-    output, eligible, executed = golden_run(built.module, built.entry,
-                                            built.args)
+    output, profile = golden_profile(built.module, built.entry, built.args)
     assert output == built.expected
-    assert 0 < eligible <= executed
+    assert 0 < profile.eligible <= profile.executed
 
 
 def test_golden_run_cache_hit_and_invalidation():
     built = ALL["histogram"].build_at("test")
     module = built.module
     module._golden_cache.clear()
-    first = golden_run(module, built.entry, built.args)
+    first = golden_profile(module, built.entry, built.args)
     assert len(module._golden_cache) == 1
-    second = golden_run(module, built.entry, built.args)
+    second = golden_profile(module, built.entry, built.args)
     assert second == first
     assert len(module._golden_cache) == 1
     module.bump_version()
     assert len(module._golden_cache) == 0
-    third = golden_run(module, built.entry, built.args)
+    third = golden_profile(module, built.entry, built.args)
     assert third == first
 
 

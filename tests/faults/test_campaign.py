@@ -7,7 +7,6 @@ from repro.faults import (
     CampaignResult,
     Outcome,
     golden_profile,
-    golden_run,
     inject_once,
     run_campaign,
     run_plans,
@@ -57,14 +56,14 @@ class TestOutcomes:
 class TestGoldenRun:
     def test_reference_output_and_counts(self, hist):
         module, built = hist
-        output, eligible, executed = golden_run(module, built.entry, built.args)
+        output, profile = golden_profile(module, built.entry, built.args)
         assert output == built.expected
-        assert 0 < eligible <= executed
+        assert 0 < profile.eligible <= profile.executed
 
     def test_deterministic(self, hist):
         module, built = hist
-        a = golden_run(module, built.entry, built.args)
-        b = golden_run(module, built.entry, built.args)
+        a = golden_profile(module, built.entry, built.args)
+        b = golden_profile(module, built.entry, built.args)
         assert a == b
 
 
@@ -72,7 +71,8 @@ class TestInjectOnce:
     def test_masked_fault(self, hist):
         """Flipping a dead-upper bit of an i8-wide value is masked."""
         module, built = hist
-        reference, eligible, executed = golden_run(module, built.entry, built.args)
+        reference, profile = golden_profile(module, built.entry, built.args)
+        eligible, executed = profile.eligible, profile.executed
         outcome = inject_once(
             module, built.entry, built.args,
             FaultPlan(target_index=eligible - 1, bit=62),

@@ -6,7 +6,7 @@ from repro.faults import (
     CampaignConfig,
     collect_trace,
     functions_only,
-    golden_run,
+    golden_profile,
     hardened_only,
     run_campaign,
 )
@@ -43,17 +43,19 @@ class TestCollectTrace:
 
     def test_matches_golden_run_count(self, smatch):
         summary = collect_trace(smatch.module, smatch.entry, smatch.args)
-        _, eligible, _ = golden_run(smatch.module, smatch.entry, smatch.args)
-        assert summary.total == eligible
+        _, profile = golden_profile(smatch.module, smatch.entry,
+                                    smatch.args)
+        assert summary.total == profile.eligible
 
 
 class TestRegionRestriction:
     def test_predicate_shrinks_eligible_set(self, smatch):
-        full = golden_run(smatch.module, smatch.entry, smatch.args)[1]
-        restricted = golden_run(
+        full = golden_profile(smatch.module, smatch.entry,
+                              smatch.args)[1].eligible
+        restricted = golden_profile(
             smatch.module, smatch.entry, smatch.args,
             functions_only(frozenset({"main"})),
-        )[1]
+        )[1].eligible
         assert 0 < restricted < full
 
     def test_hardened_only_predicate(self, smatch):

@@ -139,6 +139,17 @@ class TestParserErrors:
         with pytest.raises(ParseError):
             parse_module("define void @f() {\nentry:\n  ret void\n")
 
+    @pytest.mark.parametrize("attr", [
+        "hardened()", "hardened(1x)", "hardened(a b)", "hardened", "junk",
+    ])
+    def test_malformed_hardening_scheme(self, attr):
+        with pytest.raises(ParseError):
+            parse_module(f"define void @f() {attr} {{\nentry:\n  ret void\n}}")
+
+    def test_hardening_scheme_round_trips(self):
+        text = "define void @f() hardened(elzar-float) {\nentry:\n  ret void\n}"
+        assert parse_module(text).get_function("f").hardened == "elzar-float"
+
     def test_type_mismatch_on_forward_ref(self):
         text = """
 define i64 @f(i64 %a) {

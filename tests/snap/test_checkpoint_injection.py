@@ -71,7 +71,7 @@ class TestModelMatrixIdentity:
         if plans is None:
             pytest.skip(f"{model} has no targets in {version}")
         snap = run_plans(built.module, built.entry, built.args, plans,
-                         reference, budget, fault_model=model)
+                         reference, budget)
         scratch = _per_plan(built, plans, reference, budget)
         ref_engine = _per_plan(built, plans, reference, budget,
                                engine="reference")
@@ -101,14 +101,14 @@ class TestStartStateBoundary:
         if drawn is None:
             pytest.skip(f"{model} has no targets in {version}")
         cset = _cell_checkpoints(built.module, built.entry, built.args,
-                                 budget, None, model)
+                                 budget, None)
         # A stream the first checkpoint has not reached yet (mark 0,
         # e.g. native checker sites) has no index before it.
         mark = stream_mark(cset.states[0], drawn[0])
         plans = [replace(drawn[0], target_index=index)
                  for index in sorted({0, max(mark - 1, 0), mark})]
         snap = run_plans(built.module, built.entry, built.args, plans,
-                         reference, budget, fault_model=model)
+                         reference, budget)
         assert snap == _per_plan(built, plans, reference, budget,
                                  engine="reference")
 

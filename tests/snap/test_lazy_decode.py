@@ -4,9 +4,9 @@ first selects it.
 The differential: per-plan outcome lists from a lazily loaded set (a
 fresh module over a warm cache) must equal those from the set a
 capture run holds in memory, and the reference interpreter's on the
-first and last plans, for every fault model. The counts: loading
-decodes nothing, a campaign decodes exactly the distinct states
-``nearest`` returns, and a forked campaign decodes in the parent
+first and last plans, for every fault model — all resuming from the
+cell's one shared set. The counts: loading decodes nothing, campaigns
+decode exactly the distinct states ``nearest`` returns, and a forked campaign decodes in the parent
 exactly the states its missing shards resolve to. A stale or damaged
 set never resumes: a set without per-state marks is an invalid miss
 that rebuilds, and a blob that fails to decode raises.
@@ -68,15 +68,15 @@ def _plans(profile, model):
         return None  # empty target stream for this cell
 
 
-def _checkpoints(built, budget, model):
+def _checkpoints(built, budget):
     return _cell_checkpoints(built.module, built.entry, built.args, budget,
-                             None, model)
+                             None)
 
 
-def _outcomes(built, reference, budget, plans, model):
+def _outcomes(built, reference, budget, plans):
     _SESSION_TLS.slot = None
     return run_plans(built.module, built.entry, built.args, plans,
-                     reference, budget, fault_model=model)
+                     reference, budget)
 
 
 @pytest.mark.parametrize("name,version", CELLS)
@@ -85,26 +85,30 @@ def test_lazy_set_outcomes_equal_captured_and_reference(name, version):
     models = [m for m in model_names()
               if _plans(captured_cell[2], m) is not None]
     assert len(models) >= 6
+    built, reference, profile, budget = captured_cell
+    cset = _checkpoints(built, budget)
+    assert cset is not None and not cset.from_cache
     captured = {}
     for model in models:
-        built, reference, profile, budget = captured_cell
-        cset = _checkpoints(built, budget, model)
-        assert cset is not None and not cset.from_cache
         captured[model] = _outcomes(built, reference, budget,
-                                    _plans(profile, model), model)
+                                    _plans(profile, model))
+        assert _checkpoints(built, budget) is cset
 
     before = fc.GOLDEN_RUNS
     built, reference, profile, budget = _fresh(name, version)
     assert fc.GOLDEN_RUNS == before  # the golden profile came from disk
+    cset = _checkpoints(built, budget)
+    assert cset.from_cache
+    assert len(cset.states) > 0
+    assert cset.decoded == 0
+    resumed = set()
     for model in models:
         plans = _plans(profile, model)
-        cset = _checkpoints(built, budget, model)
-        assert cset.from_cache
-        assert len(cset.states) > 0
-        assert cset.decoded == 0
-        resumed = {id(s) for s in map(cset.nearest, plans) if s is not None}
+        resumed |= {id(s) for s in map(cset.nearest, plans)
+                    if s is not None}
         assert cset.decoded == len(resumed)
-        lazy = _outcomes(built, reference, budget, plans, model)
+        lazy = _outcomes(built, reference, budget, plans)
+        assert _checkpoints(built, budget) is cset
         assert cset.decoded == len(resumed)
         assert lazy == captured[model], model
         for pos in (0, -1):
@@ -116,9 +120,9 @@ def test_lazy_set_outcomes_equal_captured_and_reference(name, version):
 def test_forked_campaign_decodes_in_parent_what_its_shards_resolve_to():
     config = CampaignConfig(injections=24, seed=5, workers=2)
     built, _, _, budget = _fresh("histogram", "elzar")
-    assert not _checkpoints(built, budget, config.fault_model).from_cache
+    assert not _checkpoints(built, budget).from_cache
     built, reference, profile, budget = _fresh("histogram", "elzar")
-    cset = _checkpoints(built, budget, config.fault_model)
+    cset = _checkpoints(built, budget)
     assert cset.from_cache and cset.decoded == 0
     plans = draw_model_plans(profile, config)
     wanted = {id(s) for s in map(cset.nearest, plans) if s is not None}
@@ -126,11 +130,10 @@ def test_forked_campaign_decodes_in_parent_what_its_shards_resolve_to():
     built, reference, profile, budget = _fresh("histogram", "elzar")
     forked = run_durable_campaign(built.module, built.entry, built.args,
                                   config=config, store=False, shard_size=6)
-    cset = _checkpoints(built, budget, config.fault_model)
+    cset = _checkpoints(built, budget)
     assert cset.from_cache
     assert cset.decoded == len(wanted) > 0
-    serial = Counter(_outcomes(built, reference, budget, plans,
-                               config.fault_model))
+    serial = Counter(_outcomes(built, reference, budget, plans))
     assert forked.result.counts == serial
     assert cset.decoded == len(wanted)
 
@@ -146,10 +149,9 @@ def test_set_without_stream_marks_is_an_invalid_miss_that_rebuilds():
     """A set written before per-state marks were recorded (its meta has
     only the eligible ``marks``) reads as invalid and is rebuilt."""
     built, _, _, budget = _fresh("histogram", "elzar")
-    model = CampaignConfig.fault_model
-    cset = _checkpoints(built, budget, model)
+    cset = _checkpoints(built, budget)
     old_meta = {"module": built.module.name, "entry": built.entry,
-                "model": model, "budget": budget, "marks": cset.marks}
+                "budget": budget, "marks": cset.marks}
     _corrupt_stored_set(cset.key, lambda blobs, meta: (blobs, old_meta))
 
     built, _, _, budget = _fresh("histogram", "elzar")
@@ -157,7 +159,7 @@ def test_set_without_stream_marks_is_an_invalid_miss_that_rebuilds():
     from repro.snap.build import build_checkpoints
 
     rebuilt = build_checkpoints(built.module, built.entry, built.args,
-                                budget=budget, model=model,
+                                budget=budget,
                                 eligible=golden_profile(
                                     built.module, built.entry,
                                     built.args)[1].eligible,
@@ -167,7 +169,7 @@ def test_set_without_stream_marks_is_an_invalid_miss_that_rebuilds():
     assert cache.stats_for(SNAPSET_SUFFIX).as_dict() == {
         "hits": 0, "misses": 1, "stores": 1, "invalid": 1}
     built, _, _, budget = _fresh("histogram", "elzar")
-    assert _checkpoints(built, budget, model).from_cache
+    assert _checkpoints(built, budget).from_cache
 
 
 def test_undecodable_blob_raises_and_removes_the_set():
@@ -176,12 +178,12 @@ def test_undecodable_blob_raises_and_removes_the_set():
     next acquisition rebuilds the set."""
     built, reference, profile, budget = _fresh("histogram", "elzar")
     model = CampaignConfig.fault_model
-    key = _checkpoints(built, budget, model).key
+    key = _checkpoints(built, budget).key
     _corrupt_stored_set(key, lambda blobs, meta: (
         [blob[:len(blob) // 2] for blob in blobs], meta))
 
     built, reference, profile, budget = _fresh("histogram", "elzar")
-    cset = _checkpoints(built, budget, model)
+    cset = _checkpoints(built, budget)
     assert cset.from_cache
     plans = _plans(profile, model)
     late = max(plans, key=lambda p: p.target_index)
@@ -189,9 +191,9 @@ def test_undecodable_blob_raises_and_removes_the_set():
         cset.nearest(late)
     assert cset._cache.stats_for(SNAPSET_SUFFIX).invalid == 1
     assert ArtifactCache().entries(SNAPSET_SUFFIX) == []
-    rebuilt = _checkpoints(built, budget, model)
+    rebuilt = _checkpoints(built, budget)
     assert rebuilt is not cset and not rebuilt.from_cache
-    assert _outcomes(built, reference, budget, [late], model) == [
+    assert _outcomes(built, reference, budget, [late]) == [
         inject_once(built.module, built.entry, built.args, late, reference,
                     budget, engine="reference")]
 
@@ -201,12 +203,12 @@ def test_state_disagreeing_with_its_marks_raises():
     stream counters must not be resumed in its place."""
     built, _, profile, budget = _fresh("histogram", "elzar")
     model = CampaignConfig.fault_model
-    key = _checkpoints(built, budget, model).key
+    key = _checkpoints(built, budget).key
     _corrupt_stored_set(key, lambda blobs, meta: (
         [blobs[0]] * len(blobs), meta))
 
     built, _, profile, budget = _fresh("histogram", "elzar")
-    cset = _checkpoints(built, budget, model)
+    cset = _checkpoints(built, budget)
     late = max(_plans(profile, model), key=lambda p: p.target_index)
     with pytest.raises(SnapFormatError, match=key):
         cset.nearest(late)
@@ -251,12 +253,12 @@ def test_nearest_is_the_latest_covering_state():
     from repro.cpu.resumable import stream_mark
 
     built, _, profile, budget = _fresh("histogram", "elzar")
+    cset = _checkpoints(built, budget)
+    states = list(cset.states)
     for model in model_names():
         plans = _plans(profile, model)
         if plans is None:
             continue
-        cset = _checkpoints(built, budget, model)
-        states = list(cset.states)
         marks = {stream_mark(s, plans[0]) for s in states}
         probes = plans + [replace(plans[0], target_index=t)
                           for m in marks for t in (m - 1, m, m + 1)
@@ -279,8 +281,8 @@ def test_nearest_takes_the_first_state_at_a_tied_mark():
 
     marks = [StreamMarks(e, 0, b, 0) for e, b in
              [(5, 1), (10, 2), (10, 2), (20, 2), (30, 3)]]
-    cset = CheckpointSet("k", "m", marks, slots=["s0", "s1", "s2", "s3",
-                                                 "s4"], from_cache=False)
+    cset = CheckpointSet("k", marks, slots=["s0", "s1", "s2", "s3", "s4"],
+                         from_cache=False)
     want = {4: None, 5: "s0", 9: "s0", 10: "s1", 19: "s1", 20: "s3",
             99: "s4"}
     for target, state in want.items():

@@ -1,84 +1,65 @@
-"""Placement-policy properties: determinism (the store's sharing
-precondition), interval bounds, and density adaptation to the fault
-model's exposed-site analysis.
+"""Capture spacing: one checkpoint every ``max(MIN_INTERVAL, eligible //
+CAPTURES)`` eligible instructions of the golden run, none at index 0,
+so a set holds at most ``eligible // interval`` (and so ``CAPTURES``)
+states — and a module rehydrated from the artifact cache captures the
+same bytes as the cold build it was stored from.
 """
 
 import pytest
 
-from repro.faults.models import model_names
-from repro.snap.placement import (
-    PlacementConfig,
-    function_intervals,
-    make_policy,
-)
-from repro.toolchain import default_toolchain
+from repro.faults.campaign import golden_profile, hang_budget
+from repro.snap.build import CAPTURES, MIN_INTERVAL, CapturePolicy, \
+    build_checkpoints
+from repro.snap.store import SNAPSET_SUFFIX, parse_set
+from repro.toolchain import ArtifactCache, Toolchain
 
 
-def _module():
-    return default_toolchain().build("histogram", "test", "elzar").module
+def _capture(built, cache):
+    _, profile = golden_profile(built.module, built.entry, built.args,
+                                cache=ArtifactCache.disabled())
+    cset = build_checkpoints(
+        built.module, built.entry, built.args,
+        budget=hang_budget(profile.executed, 4.0),
+        eligible=profile.eligible, cache=cache)
+    return cset, profile.eligible
 
 
-class TestFunctionIntervals:
-    @pytest.mark.parametrize("model", model_names())
-    def test_deterministic_per_model(self, model):
-        module = _module()
-        a = function_intervals(module, 20_000, model)
-        b = function_intervals(module, 20_000, model)
-        assert a == b
-
-    @pytest.mark.parametrize("model", model_names())
-    def test_min_interval_is_a_floor(self, model):
-        config = PlacementConfig(budget=1000, min_interval=300)
-        intervals = function_intervals(_module(), 20_000, model, config)
-        assert all(v >= 300 for v in intervals.values())
-
-    def test_base_tracks_budget(self):
-        module = _module()
-        sparse = function_intervals(module, 100_000, "register-bitflip",
-                                    PlacementConfig(budget=10))
-        dense = function_intervals(module, 100_000, "register-bitflip",
-                                   PlacementConfig(budget=50))
-        assert sparse[""] > dense[""]
-
-    def test_density_boost_shrinks_exposed_functions(self):
-        # With boost, at least one function must be denser than the
-        # base (elzar builds still expose sync/checker sites), and no
-        # function may be *sparser* than the base.
-        module = _module()
-        intervals = function_intervals(
-            module, 100_000, "instruction-skip",
-            PlacementConfig(budget=10, density_boost=8.0, min_interval=16),
-        )
-        base = intervals[""]
-        named = {k: v for k, v in intervals.items() if k}
-        assert named
-        assert all(v <= base for v in named.values())
-        assert any(v < base for v in named.values())
-
-    def test_boost_one_is_uniform(self):
-        intervals = function_intervals(
-            _module(), 100_000, "register-bitflip",
-            PlacementConfig(budget=10, density_boost=1.0, min_interval=16),
-        )
-        assert len(set(intervals.values())) == 1
+# blackscholes/native is short enough for the floor to set the
+# interval; histogram/elzar spreads CAPTURES states over its run.
+@pytest.mark.parametrize("name,version,floored", [
+    ("blackscholes", "native", True),
+    ("histogram", "elzar", False),
+])
+def test_uniform_spacing(name, version, floored):
+    built = Toolchain(cache=ArtifactCache.disabled()).build(
+        name, "test", version)
+    cset, eligible = _capture(built, ArtifactCache.disabled())
+    interval = max(MIN_INTERVAL, eligible // CAPTURES)
+    assert (interval == MIN_INTERVAL) == floored
+    marks = cset.marks
+    assert 0 < len(marks) <= eligible // interval <= CAPTURES
+    assert marks[0] >= interval
+    assert all(b - a >= interval for a, b in zip(marks, marks[1:]))
 
 
-class TestCapturePolicy:
-    def test_respects_max_checkpoints(self):
-        policy = make_policy(_module(), 1_000_000, "register-bitflip",
-                             PlacementConfig(max_checkpoints=3))
-        assert policy.limit == 3
+def test_policy_skips_index_zero():
+    policy = CapturePolicy(7)
+    assert policy.next_index == 7 and policy.states == []
 
-    def test_first_capture_skips_index_zero(self):
-        policy = make_policy(_module(), 20_000, "register-bitflip")
-        assert policy.next_index > 0
 
-    def test_config_cache_key_distinguishes_configs(self):
-        keys = {
-            PlacementConfig().cache_key(),
-            PlacementConfig(budget=7).cache_key(),
-            PlacementConfig(min_interval=512).cache_key(),
-            PlacementConfig(density_boost=2.0).cache_key(),
-            PlacementConfig(max_checkpoints=8).cache_key(),
-        }
-        assert len(keys) == 5
+@pytest.mark.parametrize("version", ["native", "elzar"])
+def test_rehydrated_module_captures_the_cold_set(tmp_path, version):
+    """A cold-built module and one rehydrated from the artifact cache
+    capture byte-identical sets under the same key."""
+    artifacts = ArtifactCache(str(tmp_path / "artifacts"))
+    cold = Toolchain(cache=artifacts).build("histogram", "test", version)
+    warm = Toolchain(cache=artifacts).build("histogram", "test", version)
+    assert not cold.from_cache and warm.from_cache
+    bodies = []
+    for built, root in ((cold, "cold"), (warm, "warm")):
+        cache = ArtifactCache(str(tmp_path / root))
+        cset, _ = _capture(built, cache)
+        assert not cset.from_cache
+        bodies.append((cset.key, cache.get(cset.key, SNAPSET_SUFFIX,
+                                           parse_set)))
+    assert bodies[0] == bodies[1]

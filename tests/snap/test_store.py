@@ -11,10 +11,9 @@ import pytest
 from repro.cpu.resumable import start_state
 from repro.snap.build import build_checkpoints
 from repro.snap.format import SnapFormatError
-from repro.snap.placement import PlacementConfig
 from repro.snap.store import SNAPSET_SUFFIX, checkpoint_key, machine_key, \
     parse_set, render_set
-from repro.toolchain import default_toolchain
+from repro.toolchain import Toolchain, default_toolchain
 from repro.toolchain.cache import ArtifactCache
 
 from .test_format import old_layout_blob
@@ -123,42 +122,54 @@ class TestStoredSets:
 
 
 class TestCheckpointKey:
-    def test_key_covers_model_budget_placement_machine(self):
+    def test_key_covers_machine_geometry(self):
         built = _built()
         from repro.cpu.interpreter import MachineConfig
 
-        mkey = machine_key(MachineConfig())
-        base = checkpoint_key(built.module, built.entry, ("a",), (),
-                              "register-bitflip", 1000, mkey,
-                              PlacementConfig().cache_key())
-        variants = [
+        keys = {
             checkpoint_key(built.module, built.entry, ("a",), (),
-                           "branch-flip", 1000, mkey,
-                           PlacementConfig().cache_key()),
-            checkpoint_key(built.module, built.entry, ("a",), (),
-                           "register-bitflip", 2000, mkey,
-                           PlacementConfig().cache_key()),
-            checkpoint_key(built.module, built.entry, ("a",), (),
-                           "register-bitflip", 1000, mkey,
-                           PlacementConfig(budget=7).cache_key()),
-            checkpoint_key(
-                built.module, built.entry, ("a",), (),
-                "register-bitflip", 1000,
-                machine_key(MachineConfig(cache_enabled=False)),
-                PlacementConfig().cache_key()),
-        ]
-        assert len({base, *variants}) == len(variants) + 1
+                           machine_key(config))
+            for config in (MachineConfig(), MachineConfig(max_instructions=7),
+                           MachineConfig(cache_enabled=False))
+        }
+        assert len(keys) == 3
 
     def test_key_is_stable_across_calls(self):
         built = _built()
         from repro.cpu.interpreter import MachineConfig
 
         mkey = machine_key(MachineConfig())
-        k1 = checkpoint_key(built.module, built.entry, (), (), "m", 9,
-                            mkey, PlacementConfig().cache_key())
-        k2 = checkpoint_key(built.module, built.entry, (), (), "m", 9,
-                            mkey, PlacementConfig().cache_key())
+        k1 = checkpoint_key(built.module, built.entry, (), (), mkey)
+        k2 = checkpoint_key(built.module, built.entry, (), (), mkey)
         assert k1 == k2
+
+    def test_one_key_and_one_stored_set_for_every_model(self, tmp_path,
+                                                        monkeypatch):
+        """Every fault model's campaign on a cell resumes from the same
+        set: one key, one ``.snapset`` entry."""
+        from repro.faults.campaign import (CampaignConfig, _SESSION_TLS,
+                                           draw_model_plans, golden_profile,
+                                           hang_budget, run_plans)
+        from repro.faults.models import model_names
+
+        monkeypatch.setenv("REPRO_TOOLCHAIN_CACHE", str(tmp_path))
+        built = Toolchain(cache=ArtifactCache.disabled()).build(
+            "histogram", "test", "elzar")
+        reference, profile = golden_profile(built.module, built.entry,
+                                            built.args)
+        budget = hang_budget(profile.executed, CampaignConfig.hang_factor)
+        for model in model_names():
+            _SESSION_TLS.slot = None
+            run_plans(built.module, built.entry, built.args,
+                      draw_model_plans(profile, CampaignConfig(
+                          injections=2, seed=3, fault_model=model)),
+                      reference, budget)
+        _SESSION_TLS.slot = None
+        keys = [slot[1] for slot in built.module._golden_cache
+                if isinstance(slot, tuple) and slot[0] == "snap-set"]
+        assert len(keys) == 1
+        assert [key for key, _ in ArtifactCache().entries(SNAPSET_SUFFIX)] \
+            == keys
 
 
 class TestBuilderStoreSharing:
@@ -176,16 +187,16 @@ class TestBuilderStoreSharing:
         budget = int(profile.executed * 4.0) + 10_000
         cache = ArtifactCache(root=str(tmp_path))
         cset = build_checkpoints(built.module, built.entry, built.args,
-                                 budget=budget, model="register-bitflip",
-                                 eligible=profile.eligible, cache=cache)
+                                 budget=budget, eligible=profile.eligible,
+                                 cache=cache)
         assert cset is not None and not cset.from_cache
         assert cache.stats_for(SNAPSET_SUFFIX).stores == 1
         # A second process would miss the in-module cache but hit the
         # disk; simulate by clearing the module-side slot.
         built.module._golden_cache.pop(("snap-set", cset.key))
         warm = build_checkpoints(built.module, built.entry, built.args,
-                                 budget=budget, model="register-bitflip",
-                                 eligible=profile.eligible, cache=cache)
+                                 budget=budget, eligible=profile.eligible,
+                                 cache=cache)
         assert warm.from_cache
         assert warm.key == cset.key
         assert warm.marks == cset.marks
@@ -212,8 +223,7 @@ class TestBuilderStoreSharing:
         def build(cache):
             return build_checkpoints(
                 built.module, built.entry, built.args, budget=budget,
-                model="register-bitflip", eligible=profile.eligible,
-                cache=cache)
+                eligible=profile.eligible, cache=cache)
 
         cset = build(ArtifactCache(root=str(tmp_path)))
         built.module._golden_cache.pop(("snap-set", cset.key))
@@ -232,8 +242,8 @@ class TestBuilderStoreSharing:
         built = _built()
         cache = ArtifactCache(root=str(tmp_path))
         assert build_checkpoints(built.module, built.entry, built.args,
-                                 budget=10_000, model="register-bitflip",
-                                 eligible=100, cache=cache) is None
+                                 budget=10_000, eligible=100,
+                                 cache=cache) is None
         import warnings
 
         with warnings.catch_warnings():
@@ -241,7 +251,7 @@ class TestBuilderStoreSharing:
             assert build_checkpoints(
                 built.module, built.entry, built.args, budget=10_000,
                 fault_eligible=lambda fn: True,
-                model="register-bitflip", eligible=100_000, cache=cache,
+                eligible=100_000, cache=cache,
             ) is None
 
 

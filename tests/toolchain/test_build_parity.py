@@ -7,9 +7,10 @@ used to mean the unvectorized base)."""
 import pytest
 
 from repro.cluster.cells import CellCache, build_cell
+from repro.faults import golden_profile, hardened_only
 from repro.harness import Session
 from repro.ir.printer import format_module
-from repro.toolchain import Toolchain, VARIANTS
+from repro.toolchain import ArtifactCache, Toolchain, VARIANTS
 from repro.toolchain.build import module_digest
 
 WORKLOADS = ("histogram", "blackscholes")
@@ -68,6 +69,29 @@ class TestWarmPathParity:
             # store time; print the module itself to check rehydration
             # against the cold text, not against that record.
             assert format_module(built.module) == texts[variant], variant
+
+    def test_rehydrated_functions_keep_their_hardening_scheme(
+            self, tmp_path, monkeypatch):
+        """``Function.hardened`` survives the artifact cache, so a
+        hardened-only campaign on a rehydrated module injects into the
+        same instructions as one on the cold build."""
+        monkeypatch.setenv("REPRO_TOOLCHAIN_CACHE", str(tmp_path))
+
+        def observe(built):
+            _, profile = golden_profile(
+                built.module, built.entry, built.args,
+                hardened_only(built.module), cache=ArtifactCache.disabled())
+            return ([(f.name, f.hardened)
+                     for f in built.module.functions.values()],
+                    profile.eligible)
+
+        cold = {variant: observe(Toolchain().build("histogram", "test",
+                                                   variant))
+                for variant in VARIANTS}
+        for variant in VARIANTS:
+            built = Toolchain().build("histogram", "test", variant)
+            assert built.from_cache, variant
+            assert observe(built) == cold[variant], variant
 
     def test_harden_from_rehydrated_base_matches_cold(
             self, tmp_path, monkeypatch):

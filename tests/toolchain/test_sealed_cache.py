@@ -43,8 +43,7 @@ def _checkpoints(root):
     cset = build_checkpoints(
         built.module, built.entry, built.args,
         budget=int(profile.executed * 4.0) + 10_000,
-        model="register-bitflip", eligible=profile.eligible,
-        cache=ArtifactCache(str(root)))
+        eligible=profile.eligible, cache=ArtifactCache(str(root)))
     return cset.key, (cset.marks, cset.from_cache)
 
 
@@ -209,8 +208,7 @@ def test_semantics_digest_salts_checkpoint_and_golden_keys_only(
     def keys():
         lab = build_spec(built.module, built.entry, built.args,
                          CampaignConfig(seed=1), profile.eligible)
-        return (checkpoint_key(built.module, built.entry, (), (), "m", 9,
-                               mkey, ()),
+        return (checkpoint_key(built.module, built.entry, (), (), mkey),
                 golden_key(built.module, built.entry, (), (), mkey),
                 Toolchain.artifact_key("histogram", "test", spec),
                 toolchain_digest(), lab.cell_key, lab.spec_key)
