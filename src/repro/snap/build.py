@@ -42,6 +42,12 @@ MIN_ELIGIBLE = 2048
 CAPTURES = 24
 MIN_INTERVAL = 256
 
+
+def capture_interval(eligible: int) -> int:
+    """Eligible instructions between two captures of a golden run of
+    ``eligible`` eligible instructions."""
+    return max(MIN_INTERVAL, eligible // CAPTURES)
+
 #: The stream names in the shape of marks: ``stream_mark(_STREAMS,
 #: plan)`` names the stream ``plan``'s fault site is counted on.
 _STREAMS = StreamMarks(*StreamMarks._fields)
@@ -228,7 +234,7 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
     # Cold: one count_only golden run on the trampoline, capturing at
     # uniformly spaced points.
     machine.count_only = True
-    policy = CapturePolicy(max(MIN_INTERVAL, eligible // CAPTURES))
+    policy = CapturePolicy(capture_interval(eligible))
     run_resumable(machine, entry, args, capture=policy)
     states = policy.states
     cset = CheckpointSet.captured(key, states)

@@ -8,8 +8,9 @@ same bytes as the cold build it was stored from.
 import pytest
 
 from repro.faults.campaign import golden_profile, hang_budget
-from repro.snap.build import CAPTURES, MIN_INTERVAL, CapturePolicy, \
-    build_checkpoints
+from repro.snap import build as snap_build
+from repro.snap.build import CAPTURES, MIN_ELIGIBLE, MIN_INTERVAL, \
+    CapturePolicy, build_checkpoints, capture_interval
 from repro.snap.store import SNAPSET_SUFFIX, parse_set
 from repro.toolchain import ArtifactCache, Toolchain
 
@@ -34,7 +35,7 @@ def test_uniform_spacing(name, version, floored):
     built = Toolchain(cache=ArtifactCache.disabled()).build(
         name, "test", version)
     cset, eligible = _capture(built, ArtifactCache.disabled())
-    interval = max(MIN_INTERVAL, eligible // CAPTURES)
+    interval = capture_interval(eligible)
     assert (interval == MIN_INTERVAL) == floored
     marks = cset.marks
     assert 0 < len(marks) <= eligible // interval <= CAPTURES
@@ -45,6 +46,45 @@ def test_uniform_spacing(name, version, floored):
 def test_policy_skips_index_zero():
     policy = CapturePolicy(7)
     assert policy.next_index == 7 and policy.states == []
+
+
+# The eligible count at which eligible // CAPTURES overtakes the floor.
+_KNEE = MIN_INTERVAL * CAPTURES
+
+
+class TestCaptureInterval:
+    @pytest.mark.parametrize("eligible", [MIN_ELIGIBLE, 4096, _KNEE - 1])
+    def test_min_interval_is_a_floor(self, eligible):
+        assert capture_interval(eligible) == MIN_INTERVAL
+
+    @pytest.mark.parametrize("eligible", [_KNEE, 100_000, 1_000_007])
+    def test_interval_tracks_eligible(self, eligible):
+        assert capture_interval(eligible) == eligible // CAPTURES
+        assert capture_interval(2 * eligible) > capture_interval(eligible)
+
+    @pytest.mark.parametrize("eligible", [
+        MIN_ELIGIBLE, _KNEE - 1, _KNEE, _KNEE + CAPTURES - 1, 1_000_007,
+    ])
+    def test_policy_captures_at_most_captures(self, eligible, monkeypatch):
+        """Driving the policy the way the run loop does (take once the
+        eligible count reaches ``next_index``) over a whole run takes
+        one state per interval, at multiples of it, never more than
+        CAPTURES."""
+        monkeypatch.setattr(snap_build, "capture_state",
+                            lambda M, stack, executed: M.eligible_executed)
+
+        class _Machine:
+            eligible_executed = 0
+
+        M = _Machine()
+        interval = capture_interval(eligible)
+        policy = CapturePolicy(interval)
+        while policy.next_index <= eligible:
+            M.eligible_executed = policy.next_index
+            policy.take(M, None, M.eligible_executed)
+        count = eligible // interval
+        assert policy.states == [interval * k for k in range(1, count + 1)]
+        assert count <= CAPTURES
 
 
 @pytest.mark.parametrize("version", ["native", "elzar"])

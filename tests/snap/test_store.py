@@ -143,6 +143,20 @@ class TestCheckpointKey:
         k2 = checkpoint_key(built.module, built.entry, (), (), mkey)
         assert k1 == k2
 
+    @pytest.mark.parametrize("constant", ["CAPTURES", "MIN_INTERVAL"])
+    def test_key_covers_capture_spacing(self, constant, monkeypatch):
+        """Sets captured under another spacing rule are not served."""
+        from repro.cpu.interpreter import MachineConfig
+        from repro.snap import build as snap_build
+
+        built = _built()
+        mkey = machine_key(MachineConfig())
+        before = checkpoint_key(built.module, built.entry, (), (), mkey)
+        monkeypatch.setattr(snap_build, constant,
+                            getattr(snap_build, constant) + 1)
+        after = checkpoint_key(built.module, built.entry, (), (), mkey)
+        assert before != after
+
     def test_one_key_and_one_stored_set_for_every_model(self, tmp_path,
                                                         monkeypatch):
         """Every fault model's campaign on a cell resumes from the same
