@@ -27,20 +27,7 @@ Quick start::
     result = Machine(hardened).run(built.entry, built.args)
 """
 
-from .avx import HASWELL, PROPOSED_AVX
-from .cpu import FaultPlan, Machine, MachineConfig, RunResult
-from .faults import CampaignConfig, Outcome, run_campaign
-from .ir import IRBuilder, Module, format_module, parse_module, verify_module
-from .passes import (
-    ElzarOptions,
-    SwiftOptions,
-    elzar_transform,
-    inline_module,
-    mem2reg,
-    swift_transform,
-    swiftr_transform,
-)
-from .passes.vectorize import vectorize
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -58,6 +45,10 @@ def harden(module, scheme: str = "elzar", **options):
     (and ideally ``inline_module``) first so data lives in registers,
     where replication can protect it.
     """
+    from .passes.elzar import elzar_transform
+    from .passes.options import ElzarOptions, SwiftOptions
+    from .passes.swiftr import swift_transform, swiftr_transform
+
     if scheme == "elzar":
         return elzar_transform(module, ElzarOptions(**options))
     if scheme == "swiftr":
@@ -94,3 +85,21 @@ __all__ = [
     "vectorize",
     "verify_module",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".avx.costs": ("HASWELL", "PROPOSED_AVX"),
+    ".cpu.interpreter": ("FaultPlan", "Machine", "MachineConfig", "RunResult"),
+    ".faults.campaign": ("CampaignConfig", "run_campaign"),
+    ".faults.outcomes": ("Outcome",),
+    ".ir.builder": ("IRBuilder",),
+    ".ir.module": ("Module",),
+    ".ir.parser": ("parse_module",),
+    ".ir.printer": ("format_module",),
+    ".ir.verifier": ("verify_module",),
+    ".passes.elzar": ("elzar_transform",),
+    ".passes.inline": ("inline_module",),
+    ".passes.mem2reg": ("mem2reg",),
+    ".passes.options": ("ElzarOptions", "SwiftOptions"),
+    ".passes.swiftr": ("swift_transform", "swiftr_transform"),
+    ".passes.vectorize": ("vectorize",),
+})

@@ -22,41 +22,27 @@ import argparse
 import sys
 import time
 
-from .harness import (
-    AppSession,
-    Session,
-    compute_scorecard,
-    fault_model_matrix,
-    fig01_simd_speedup,
-    fig11_overhead,
-    fig12_checks_breakdown,
-    fig13_fault_injection,
-    fig14_swiftr_comparison,
-    fig15_case_studies,
-    fig17_proposed_avx,
-    fp_only_overhead,
-    table2_native_stats,
-    table3_ilp,
-    table4_micro,
-)
+# The package only: its entry points load on first use, so the
+# subcommands dispatched below never import the harness.
+from . import harness
 
 _EXPERIMENTS = {
-    "fig1": lambda s, a, n, w: fig01_simd_speedup(s, a),
-    "fig11": lambda s, a, n, w: fig11_overhead(s),
-    "fig12": lambda s, a, n, w: fig12_checks_breakdown(s),
-    "fig13": lambda s, a, n, w: fig13_fault_injection(
+    "fig1": lambda s, a, n, w: harness.fig01_simd_speedup(s, a),
+    "fig11": lambda s, a, n, w: harness.fig11_overhead(s),
+    "fig12": lambda s, a, n, w: harness.fig12_checks_breakdown(s),
+    "fig13": lambda s, a, n, w: harness.fig13_fault_injection(
         injections=n, scale="fi" if s.scale == "perf" else "test", workers=w
     ),
-    "fault-models": lambda s, a, n, w: fault_model_matrix(
+    "fault-models": lambda s, a, n, w: harness.fault_model_matrix(
         injections=n, scale="fi" if s.scale == "perf" else "test", workers=w
     ),
-    "fig14": lambda s, a, n, w: fig14_swiftr_comparison(s),
-    "fig15": lambda s, a, n, w: fig15_case_studies(a),
-    "fig17": lambda s, a, n, w: fig17_proposed_avx(s),
-    "table2": lambda s, a, n, w: table2_native_stats(s),
-    "table3": lambda s, a, n, w: table3_ilp(s),
-    "table4": lambda s, a, n, w: table4_micro(s),
-    "fp-only": lambda s, a, n, w: fp_only_overhead(s),
+    "fig14": lambda s, a, n, w: harness.fig14_swiftr_comparison(s),
+    "fig15": lambda s, a, n, w: harness.fig15_case_studies(a),
+    "fig17": lambda s, a, n, w: harness.fig17_proposed_avx(s),
+    "table2": lambda s, a, n, w: harness.table2_native_stats(s),
+    "table3": lambda s, a, n, w: harness.table3_ilp(s),
+    "table4": lambda s, a, n, w: harness.table4_micro(s),
+    "fp-only": lambda s, a, n, w: harness.fp_only_overhead(s),
 }
 
 
@@ -155,9 +141,9 @@ def main(argv=None) -> int:
         )
 
     if args.experiment == "scorecard":
-        session = Session(args.scale)
-        apps = AppSession(args.scale)
-        card = compute_scorecard(session, apps, fi_injections=0)
+        session = harness.Session(args.scale)
+        apps = harness.AppSession(args.scale)
+        card = harness.compute_scorecard(session, apps, fi_injections=0)
         print(card.render())
         return 0 if card.failed == 0 else 1
 
@@ -167,8 +153,8 @@ def main(argv=None) -> int:
         print(f"unknown experiment(s): {unknown}; try 'list'", file=sys.stderr)
         return 2
 
-    session = Session(args.scale)
-    apps = AppSession(args.scale)
+    session = harness.Session(args.scale)
+    apps = harness.AppSession(args.scale)
     start = time.time()
     for name in names:
         experiment = _EXPERIMENTS[name](session, apps, args.injections,

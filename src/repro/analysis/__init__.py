@@ -1,23 +1,7 @@
 """repro.analysis — result aggregation, text rendering, and static
 module inspection."""
 
-from .inspect import (
-    FunctionReport,
-    ModuleReport,
-    diff_reports,
-    inspect_function,
-    inspect_module,
-)
-from .report import arithmetic_mean, fmt, geometric_mean, render_table
-from .vulnerability import (
-    CrossCheckRow,
-    FunctionVulnerability,
-    VulnerabilityReport,
-    analyze_function,
-    analyze_module,
-    cross_check,
-    exposed_sites_for_model,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "CrossCheckRow",
@@ -37,3 +21,16 @@ __all__ = [
     "inspect_module",
     "render_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".inspect": (
+        "FunctionReport", "ModuleReport", "diff_reports", "inspect_function",
+        "inspect_module",
+    ),
+    ".report": ("arithmetic_mean", "fmt", "geometric_mean", "render_table"),
+    ".vulnerability": (
+        "CrossCheckRow", "FunctionVulnerability", "VulnerabilityReport",
+        "analyze_function", "analyze_module", "cross_check",
+        "exposed_sites_for_model",
+    ),
+})

@@ -2,17 +2,7 @@
 a Memcached-like KV store, a SQLite3-like embedded database, and an
 Apache-like static web server, driven by a YCSB-style generator."""
 
-from . import kvstore, sqldb, webserver
-from .ycsb import (
-    OP_INSERT,
-    OP_READ,
-    OP_UPDATE,
-    YcsbTrace,
-    trace_by_name,
-    workload_a,
-    workload_d,
-    zipf_probabilities,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "OP_INSERT",
@@ -27,3 +17,11 @@ __all__ = [
     "workload_d",
     "zipf_probabilities",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".": ("kvstore", "sqldb", "webserver"),
+    ".ycsb": (
+        "OP_INSERT", "OP_READ", "OP_UPDATE", "YcsbTrace", "trace_by_name",
+        "workload_a", "workload_d", "zipf_probabilities",
+    ),
+})

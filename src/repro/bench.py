@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .cpu.compiled import run_records
 from .cpu.interpreter import Machine, MachineConfig
-from .workloads import ALL
+from .workloads.registry import ALL
 
 DEFAULT_WORKLOADS = (
     "histogram", "kmeans", "linear_regression", "matrix_multiply",

@@ -44,7 +44,7 @@ from .faults.campaign import (
     run_plans,
 )
 from .faults.models import DEFAULT_MODEL
-from .toolchain import default_toolchain
+from .toolchain.build import default_toolchain
 from .workloads.registry import FI_BENCHMARKS
 
 #: Fault sites are drawn uniformly from the last (1 - this) of the

@@ -8,23 +8,33 @@ in the whole lab/cluster stack and are imported lazily by the CLI.
 See docs/CHAOS.md.
 """
 
-from .hooks import (  # noqa: F401
-    CHAOS_ENV,
-    ChaosController,
-    ChaosCrash,
-    ChaosRule,
-    ChaosSpec,
-    activate,
-    activate_from_env,
-    active,
-    chaos_active,
-    chaos_point,
-    deactivate,
-    perform,
-)
-from .policy import (  # noqa: F401
-    RESULT_RESEND,
-    SERVICE_POLL,
-    WORKER_CONNECT,
-    RetryPolicy,
-)
+from .._lazy import lazy_exports
+
+__all__ = [
+    "CHAOS_ENV",
+    "ChaosController",
+    "ChaosCrash",
+    "ChaosRule",
+    "ChaosSpec",
+    "RESULT_RESEND",
+    "RetryPolicy",
+    "SERVICE_POLL",
+    "WORKER_CONNECT",
+    "activate",
+    "activate_from_env",
+    "active",
+    "chaos_active",
+    "chaos_point",
+    "deactivate",
+    "perform",
+]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".hooks": (
+        "CHAOS_ENV", "ChaosController", "ChaosCrash", "ChaosRule", "ChaosSpec",
+        "activate", "activate_from_env", "active", "chaos_active",
+        "chaos_point", "deactivate", "perform",
+    ),
+    ".policy": ("RESULT_RESEND", "SERVICE_POLL", "WORKER_CONNECT",
+                "RetryPolicy"),
+})

@@ -27,7 +27,7 @@ from ..lab.durable import run_durable_campaign
 from ..lab.events import CampaignInterrupted, EventBus
 from ..lab.scheduler import SchedulerPolicy
 from ..lab.store import ResultStore
-from ..toolchain import Toolchain, default_toolchain
+from ..toolchain.build import Toolchain, default_toolchain
 from .hooks import CHAOS_ENV, ChaosCrash, ChaosSpec, chaos_active
 from .scenarios import Scenario
 

@@ -31,23 +31,7 @@ or scattered across a cluster — and whichever machine a re-leased
 shard lands on.
 """
 
-from .cells import VERSIONS, build_cell
-from .coordinator import (
-    CellJob,
-    ClusterCoordinator,
-    run_distributed_campaign,
-)
-from .lease import LeasePolicy, LeaseTable, ShardExhausted
-from .proto import (
-    MAX_FRAME,
-    PROTO_VERSION,
-    ProtocolError,
-    plan_from_wire,
-    plan_to_wire,
-    shard_from_wire,
-    shard_to_wire,
-)
-from .worker import ClusterWorker
+from .._lazy import lazy_exports
 
 __all__ = [
     "CellJob",
@@ -67,3 +51,16 @@ __all__ = [
     "shard_from_wire",
     "shard_to_wire",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cells": ("VERSIONS", "build_cell"),
+    ".coordinator": (
+        "CellJob", "ClusterCoordinator", "run_distributed_campaign",
+    ),
+    ".lease": ("LeasePolicy", "LeaseTable", "ShardExhausted"),
+    ".proto": (
+        "MAX_FRAME", "PROTO_VERSION", "ProtocolError", "plan_from_wire",
+        "plan_to_wire", "shard_from_wire", "shard_to_wire",
+    ),
+    ".worker": ("ClusterWorker",),
+})

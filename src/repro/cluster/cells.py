@@ -20,7 +20,8 @@ from ..faults.models import StreamProfile, get_model
 from ..ir.module import Module
 from ..lab.checkpoint import golden_digest, module_digest
 from ..lab.store import _canonical, digest_of
-from ..toolchain import default_toolchain, get_variant, variant_names
+from ..toolchain.build import default_toolchain
+from ..toolchain.registry import get_variant, variant_names
 
 #: Version vocabulary for recipes on the wire: every registry variant
 #: (and its aliases). Kept as a mapping for backward compatibility —

@@ -66,7 +66,7 @@ from ..lab.durable import CellRun, DurableCampaign, _drive, _prefix_status
 from ..lab.events import EventBus
 from ..lab.sampling import AdaptiveStop
 from ..lab.store import LAB_SCHEMA, ResultStore, digest_of
-from ..toolchain import toolchain_digest
+from ..toolchain.build import toolchain_digest
 from .cells import handshake
 from .lease import LeasePolicy, LeaseTable, ShardExhausted
 from .proto import (

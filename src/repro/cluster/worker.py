@@ -40,7 +40,7 @@ from ..chaos import hooks as chaos
 from ..chaos.policy import RESULT_RESEND, WORKER_CONNECT, RetryPolicy
 from ..faults.campaign import golden_profile, hang_budget, run_plans
 from ..lab.store import LAB_SCHEMA
-from ..toolchain import toolchain_digest
+from ..toolchain.build import toolchain_digest
 from .cells import CellCache, handshake
 from .proto import (
     PROTO_VERSION,

@@ -1,28 +1,7 @@
 """repro.faults — single-event-upset injection and outcome
 classification (paper §IV-B, Table I, Figure 13)."""
 
-from .campaign import (
-    CampaignConfig,
-    InjectionSession,
-    draw_model_plans,
-    draw_plans,
-    golden_profile,
-    inject_once,
-    resolve_workers,
-    run_campaign,
-    run_plans,
-    trap_outcome,
-)
-from .models import (
-    DEFAULT_MODEL,
-    FaultModel,
-    StreamProfile,
-    get_model,
-    model_names,
-    register_model,
-)
-from .outcomes import CampaignResult, Outcome
-from .trace import TraceSummary, collect_trace, functions_only, hardened_only
+from .._lazy import lazy_exports
 
 __all__ = [
     "CampaignConfig",
@@ -48,3 +27,19 @@ __all__ = [
     "run_campaign",
     "trap_outcome",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".campaign": (
+        "CampaignConfig", "InjectionSession", "draw_model_plans", "draw_plans",
+        "golden_profile", "inject_once", "resolve_workers", "run_campaign",
+        "run_plans", "trap_outcome",
+    ),
+    ".models": (
+        "DEFAULT_MODEL", "FaultModel", "StreamProfile", "get_model",
+        "model_names", "register_model",
+    ),
+    ".outcomes": ("CampaignResult", "Outcome"),
+    ".trace": (
+        "TraceSummary", "collect_trace", "functions_only", "hardened_only",
+    ),
+})

@@ -40,7 +40,6 @@ every campaign's per-plan outcomes to it.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import random
 import threading
@@ -133,6 +132,8 @@ def _eligibility_key(fault_eligible: Optional[Callable]):
         return ()
     key = getattr(fault_eligible, "cache_key", None)
     if key is None:
+        import multiprocessing
+
         ident = id(fault_eligible)
         if (ident not in _warned_unkeyed_predicates
                 and multiprocessing.parent_process() is None):

@@ -5,23 +5,7 @@ See DESIGN.md's experiment index. Each function returns an
 reports.
 """
 
-from .ablations import lane_ablation, scheme_ablation
-from .apps_runner import AppSession, build_app
-from .base import Experiment
-from .case_studies import FIG15_THREADS, fig15_case_studies, relative_throughput
-from .fault_experiments import fault_model_matrix, fig13_fault_injection
-from .figures import (
-    PAPER_THREADS,
-    fig01_simd_speedup,
-    fig11_overhead,
-    fig12_checks_breakdown,
-    fig14_swiftr_comparison,
-    fig17_proposed_avx,
-    fp_only_overhead,
-)
-from .scorecard import Claim, Scorecard, compute_scorecard
-from .session import Session, VARIANTS
-from .tables import table2_native_stats, table3_ilp, table4_micro
+from .._lazy import lazy_exports
 
 __all__ = [
     "AppSession",
@@ -50,3 +34,21 @@ __all__ = [
     "table3_ilp",
     "table4_micro",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".ablations": ("lane_ablation", "scheme_ablation"),
+    ".apps_runner": ("AppSession", "build_app"),
+    ".base": ("Experiment",),
+    ".case_studies": (
+        "FIG15_THREADS", "fig15_case_studies", "relative_throughput",
+    ),
+    ".fault_experiments": ("fault_model_matrix", "fig13_fault_injection"),
+    ".figures": (
+        "PAPER_THREADS", "fig01_simd_speedup", "fig11_overhead",
+        "fig12_checks_breakdown", "fig14_swiftr_comparison",
+        "fig17_proposed_avx", "fp_only_overhead",
+    ),
+    ".scorecard": ("Claim", "Scorecard", "compute_scorecard"),
+    ".session": ("Session", "VARIANTS"),
+    ".tables": ("table2_native_stats", "table3_ilp", "table4_micro"),
+})

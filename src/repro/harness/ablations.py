@@ -21,9 +21,10 @@ from typing import Sequence
 from ..cpu.interpreter import Machine, MachineConfig
 from ..faults.campaign import CampaignConfig
 from ..faults.outcomes import Outcome
-from ..lab import run_durable_campaign
-from ..passes.elzar import ElzarOptions, elzar_transform
-from ..toolchain import default_toolchain
+from ..lab.durable import run_durable_campaign
+from ..passes.elzar import elzar_transform
+from ..passes.options import ElzarOptions
+from ..toolchain.build import default_toolchain
 from ..workloads.registry import SHORT_NAMES
 from .base import Experiment
 

@@ -5,12 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..apps import kvstore, sqldb, webserver, trace_by_name
+from ..apps import kvstore, sqldb, webserver
+from ..apps.ycsb import trace_by_name
 from ..cpu.interpreter import Machine, MachineConfig, RunResult
 from ..ir.module import Module
 from ..passes.inline import inline_module
 from ..passes.mem2reg import mem2reg
-from ..toolchain import get_variant
+from ..toolchain.registry import get_variant
 
 #: Per-scale request counts (ops, keyspace) for the KV/SQL traces and
 #: (requests, page size) for the web server.

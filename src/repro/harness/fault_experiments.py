@@ -8,8 +8,8 @@ from ..analysis.report import arithmetic_mean
 from ..faults.campaign import CampaignConfig
 from ..faults.models import model_names
 from ..faults.outcomes import Outcome
-from ..lab import run_durable_campaign
-from ..toolchain import default_toolchain
+from ..lab.durable import run_durable_campaign
+from ..toolchain.build import default_toolchain
 from ..workloads.registry import FI_BENCHMARKS, SHORT_NAMES
 from .base import Experiment
 

@@ -20,7 +20,8 @@ from typing import Dict, Tuple
 
 from ..cpu.interpreter import Machine, MachineConfig, RunResult
 from ..ir.module import Module
-from ..toolchain import VARIANTS, Toolchain, get_variant  # noqa: F401
+from ..toolchain.build import Toolchain
+from ..toolchain.registry import VARIANTS, get_variant  # noqa: F401
 from ..workloads.common import BuiltWorkload, outputs_match
 
 

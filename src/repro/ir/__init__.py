@@ -5,46 +5,7 @@ enough to express the ELZAR/SWIFT-R hardening transformations the paper
 describes, plus the workloads they are evaluated on.
 """
 
-from . import opcodes, types
-from .builder import IRBuilder, IfState, LoopState
-from .cfg import DominatorTree, Loop, find_natural_loops, reverse_postorder
-from .function import BasicBlock, Function
-from .instructions import (
-    AllocaInst,
-    BinaryInst,
-    BranchInst,
-    BroadcastInst,
-    CallInst,
-    CastInst,
-    ExtractElementInst,
-    FCmpInst,
-    GepInst,
-    ICmpInst,
-    InsertElementInst,
-    Instruction,
-    LoadInst,
-    PhiInst,
-    RetInst,
-    SelectInst,
-    ShuffleVectorInst,
-    StoreInst,
-    UnreachableInst,
-)
-from .module import Module
-from .parser import ParseError, parse_module
-from .printer import format_function, format_instruction, format_module
-from .values import (
-    Argument,
-    Constant,
-    GlobalVariable,
-    UndefValue,
-    Value,
-    const_bool,
-    const_float,
-    const_int,
-    const_splat,
-)
-from .verifier import VerificationError, verify_function, verify_module
+from .._lazy import lazy_exports
 
 __all__ = [
     "Argument",
@@ -96,3 +57,26 @@ __all__ = [
     "verify_function",
     "verify_module",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".": ("opcodes", "types"),
+    ".builder": ("IRBuilder", "IfState", "LoopState"),
+    ".cfg": (
+        "DominatorTree", "Loop", "find_natural_loops", "reverse_postorder",
+    ),
+    ".function": ("BasicBlock", "Function"),
+    ".instructions": (
+        "AllocaInst", "BinaryInst", "BranchInst", "BroadcastInst", "CallInst",
+        "CastInst", "ExtractElementInst", "FCmpInst", "GepInst", "ICmpInst",
+        "InsertElementInst", "Instruction", "LoadInst", "PhiInst", "RetInst",
+        "SelectInst", "ShuffleVectorInst", "StoreInst", "UnreachableInst",
+    ),
+    ".module": ("Module",),
+    ".parser": ("ParseError", "parse_module"),
+    ".printer": ("format_function", "format_instruction", "format_module"),
+    ".values": (
+        "Argument", "Constant", "GlobalVariable", "UndefValue", "Value",
+        "const_bool", "const_float", "const_int", "const_splat",
+    ),
+    ".verifier": ("VerificationError", "verify_function", "verify_module"),
+})

@@ -28,28 +28,7 @@ driver with the local executor) is what
 ``harness.ablations`` schedule onto.
 """
 
-from .checkpoint import (
-    DEFAULT_SHARD_SIZE,
-    CampaignSpec,
-    ShardPlan,
-    build_spec,
-    golden_digest,
-    module_digest,
-    partition,
-)
-from .durable import DurableCampaign, LabRunInfo, run_durable_campaign
-from .events import (
-    CampaignInterrupted,
-    ConsoleReporter,
-    EventBus,
-    EventLog,
-    JsonlSink,
-    LabEvent,
-    interrupt_after,
-)
-from .sampling import Z95, AdaptiveStop, wilson_halfwidth, wilson_interval
-from .scheduler import SchedulerPolicy, ShardScheduler
-from .store import LAB_SCHEMA, ResultStore, default_store, default_store_path
+from .._lazy import lazy_exports
 
 __all__ = [
     "AdaptiveStop",
@@ -80,3 +59,22 @@ __all__ = [
     "wilson_halfwidth",
     "wilson_interval",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".checkpoint": (
+        "DEFAULT_SHARD_SIZE", "CampaignSpec", "ShardPlan", "build_spec",
+        "golden_digest", "module_digest", "partition",
+    ),
+    ".durable": ("DurableCampaign", "LabRunInfo", "run_durable_campaign"),
+    ".events": (
+        "CampaignInterrupted", "ConsoleReporter", "EventBus", "EventLog",
+        "JsonlSink", "LabEvent", "interrupt_after",
+    ),
+    ".sampling": (
+        "Z95", "AdaptiveStop", "wilson_halfwidth", "wilson_interval",
+    ),
+    ".scheduler": ("SchedulerPolicy", "ShardScheduler"),
+    ".store": (
+        "LAB_SCHEMA", "ResultStore", "default_store", "default_store_path",
+    ),
+})

@@ -28,7 +28,8 @@ from ..faults.models import DEFAULT_MODEL, model_names
 from ..faults.outcomes import Outcome
 from ..harness.base import Experiment
 from ..service.runner import CampaignRunner
-from ..toolchain import default_toolchain, get_variant, variant_names
+from ..toolchain.build import default_toolchain
+from ..toolchain.registry import get_variant, variant_names
 from ..workloads.registry import FI_BENCHMARKS, SHORT_NAMES
 from .events import CampaignInterrupted, ConsoleReporter, EventBus, \
     JsonlSink, interrupt_after

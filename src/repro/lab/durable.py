@@ -29,7 +29,8 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, \
+    Tuple
 
 from ..faults.campaign import (
     CampaignConfig,
@@ -57,8 +58,10 @@ from .checkpoint import (
 )
 from .events import EventBus
 from .sampling import AdaptiveStop
-from .scheduler import SchedulerPolicy, ShardScheduler
 from .store import ResultStore, default_store
+
+if TYPE_CHECKING:
+    from .scheduler import SchedulerPolicy
 
 
 @contextmanager
@@ -269,6 +272,7 @@ def _local_executor(module: Module, entry: str, args: Sequence,
     between waves; workers may overrun the stopping point by at most
     one wave, and overrun shards land in the store (useful later) but
     are not counted."""
+    from .scheduler import ShardScheduler
 
     def execute(run: CellRun) -> Dict[int, Counter]:
         scheduler = ShardScheduler(policy, run.events)
@@ -345,6 +349,10 @@ def run_durable_campaign(
     ``policy`` (default: ``config.workers`` workers) supervises the
     shards.
     """
+    # Imported here: a process that only sets campaigns up (golden
+    # profiles, checkpoint sets) never compiles the scheduler.
+    from .scheduler import SchedulerPolicy
+
     config = config or CampaignConfig()
     if store is None:
         store = default_store()

@@ -22,8 +22,6 @@ invisible in the aggregated campaign.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -121,9 +119,14 @@ class ShardScheduler:
         """Worker processes :meth:`run` forks for ``shards`` shards; 1
         means it runs them in-process (one worker or shard, or no
         ``fork`` start method)."""
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-        return max(1, min(resolve_workers(self.policy.workers), shards))
+        width = max(1, min(resolve_workers(self.policy.workers), shards))
+        if width > 1:
+            # Imported only to fork: an in-process run never loads it.
+            import multiprocessing
+
+            if "fork" not in multiprocessing.get_all_start_methods():
+                return 1
+        return width
 
     def run(self, shards: List[ShardPlan], runner: ShardRunner,
             on_result: ResultSink) -> None:
@@ -190,6 +193,8 @@ class ShardScheduler:
 
     def _run_forked(self, shards: List[ShardPlan], runner: ShardRunner,
                     on_result: ResultSink, workers: int) -> None:
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         queue: List[_Queued] = [
             _Queued(shard=s, attempt=0, not_before=0.0) for s in shards
@@ -247,7 +252,9 @@ class ShardScheduler:
             timeout = max(0.0, min(wakeups) - now)
         conns = [f.conn for f in running.values()]
         if conns:
-            multiprocessing.connection.wait(conns, timeout)
+            from multiprocessing.connection import wait
+
+            wait(conns, timeout)
         elif timeout is not None:
             time.sleep(timeout)
 

@@ -1,22 +1,7 @@
 """repro.passes — IR transformations: optimization, vectorization, and
 the ELZAR / SWIFT-R / SWIFT hardening schemes."""
 
-from .clone import clone_function_into, clone_instruction, clone_module
-from .constant_folding import constant_folding, fold_function
-from .dce import dce, dce_function
-from .elzar import ElzarOptions, elzar_transform
-from .inline import inline_function_calls, inline_module
-from .mem2reg import mem2reg, promote_function
-from .pass_manager import PassManager
-from .simplify_cfg import simplify_cfg, simplify_function_cfg
-from .swiftr import SwiftOptions, swift_transform, swiftr_transform
-from .utils import (
-    build_use_map,
-    erase_instruction,
-    has_side_effects,
-    remove_unreachable_blocks,
-    replace_all_uses,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ElzarOptions",
@@ -44,3 +29,20 @@ __all__ = [
     "swift_transform",
     "swiftr_transform",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".clone": ("clone_function_into", "clone_instruction", "clone_module"),
+    ".constant_folding": ("constant_folding", "fold_function"),
+    ".dce": ("dce", "dce_function"),
+    ".elzar": ("elzar_transform",),
+    ".inline": ("inline_function_calls", "inline_module"),
+    ".mem2reg": ("mem2reg", "promote_function"),
+    ".options": ("ElzarOptions", "SwiftOptions"),
+    ".pass_manager": ("PassManager",),
+    ".simplify_cfg": ("simplify_cfg", "simplify_function_cfg"),
+    ".swiftr": ("swift_transform", "swiftr_transform"),
+    ".utils": (
+        "build_use_map", "erase_instruction", "has_side_effects",
+        "remove_unreachable_blocks", "replace_all_uses",
+    ),
+})

@@ -39,7 +39,6 @@ addresses (§V-C) is preserved: the extract happens *after* the check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..cpu import intrinsics as intr
@@ -66,53 +65,7 @@ from ..ir.instructions import (
 )
 from ..ir.module import Module
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
-
-LANES = 4
-
-
-@dataclass(frozen=True)
-class ElzarOptions:
-    """Configuration knobs for the experiments.
-
-    The check_* flags reproduce Figure 12's ablation ("no loads",
-    "+ no stores", "+ no branches", "all checks disabled");
-    ``float_only`` reproduces the stripped-down version of §V-B that
-    replicates floats/doubles but not integers and pointers.
-    """
-
-    lanes: int = LANES
-    check_loads: bool = True
-    check_stores: bool = True
-    check_branches: bool = True
-    check_other: bool = True  # calls, returns
-    float_only: bool = False
-    #: Detection-only ablation: checks fail-stop instead of recovering
-    #: by majority vote (the HAFT-style division of labour the paper
-    #: contrasts itself with in §II-A: detection in-thread, recovery
-    #: delegated to an external mechanism).
-    fail_stop: bool = False
-    #: Functions copied verbatim instead of hardened — the paper leaves
-    #: third-party libraries unprotected (§IV-A, §VI Apache).
-    exclude: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.lanes < 2:
-            raise ValueError("replication needs at least 2 lanes")
-        if self.lanes < 3 and not self.fail_stop:
-            raise ValueError(
-                "majority voting needs >=3 replicas (paper §II-B); use "
-                "fail_stop=True for 2-lane detection-only hardening"
-            )
-
-    @staticmethod
-    def no_checks() -> "ElzarOptions":
-        return ElzarOptions(
-            check_loads=False,
-            check_stores=False,
-            check_branches=False,
-            check_other=False,
-        )
-
+from .options import LANES, ElzarOptions
 
 def elzar_transform(
     module: Module, options: Optional[ElzarOptions] = None

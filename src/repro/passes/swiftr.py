@@ -19,7 +19,6 @@ plain SWIFT (DMR, detection only) for the ablation experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cpu import intrinsics as intr
@@ -45,21 +44,7 @@ from ..ir.instructions import (
 from ..ir.module import Module
 from ..ir.function import Function as FnValue
 from ..ir.values import Constant, GlobalVariable, UndefValue, Value
-
-
-@dataclass(frozen=True)
-class SwiftOptions:
-    copies: int = 3           # 3 = SWIFT-R (TMR), 2 = SWIFT (DMR)
-    check_loads: bool = True
-    check_stores: bool = True
-    check_branches: bool = True
-    check_other: bool = True
-    #: Functions copied verbatim instead of hardened (third-party code).
-    exclude: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.copies not in (2, 3):
-            raise ValueError("copies must be 2 (SWIFT) or 3 (SWIFT-R)")
+from .options import SwiftOptions
 
 
 def swiftr_transform(module: Module, options: Optional[SwiftOptions] = None) -> Module:

@@ -11,11 +11,7 @@ repro submit`` or :class:`~repro.service.client.ServiceClient`. The
 wire API and tenancy model are documented in docs/SERVICE.md.
 """
 
-from .admission import AdmissionController, QuotaExceeded, TenantQuotas
-from .app import ReproService
-from .client import ServiceClient, ServiceError
-from .runner import CampaignRunner
-from .spec import CampaignRequest, SpecError, parse_request
+from .._lazy import lazy_exports
 
 __all__ = [
     "AdmissionController",
@@ -29,3 +25,11 @@ __all__ = [
     "TenantQuotas",
     "parse_request",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".admission": ("AdmissionController", "QuotaExceeded", "TenantQuotas"),
+    ".app": ("ReproService",),
+    ".client": ("ServiceClient", "ServiceError"),
+    ".runner": ("CampaignRunner",),
+    ".spec": ("CampaignRequest", "SpecError", "parse_request"),
+})

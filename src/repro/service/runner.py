@@ -31,7 +31,7 @@ from ..lab.checkpoint import DEFAULT_SHARD_SIZE
 from ..lab.durable import DurableCampaign, run_durable_campaign
 from ..lab.events import EventBus
 from ..lab.store import ResultStore
-from ..toolchain import default_toolchain
+from ..toolchain.build import default_toolchain
 from .spec import CampaignRequest
 
 

@@ -29,7 +29,7 @@ from typing import Dict, Optional
 from ..faults.campaign import CampaignConfig
 from ..faults.models import DEFAULT_MODEL, model_names
 from ..lab.store import digest_of
-from ..toolchain import get_variant, variant_names
+from ..toolchain.registry import get_variant, variant_names
 from ..workloads.registry import ALL as ALL_WORKLOADS
 
 #: Per ``scale``: default (injections, shard_size) — identical to the

@@ -20,15 +20,7 @@ before its fault site and execute only the tail; a plan before every
 checkpoint resumes the start state.
 """
 
-from .build import MIN_ELIGIBLE, CapturePolicy, CheckpointSet, \
-    build_checkpoints
-from .format import (
-    SNAP_VERSION,
-    SnapFormatError,
-    deserialize_state,
-    serialize_state,
-)
-from .store import checkpoint_key, machine_key
+from .._lazy import lazy_exports
 
 __all__ = [
     "MIN_ELIGIBLE",
@@ -42,3 +34,14 @@ __all__ = [
     "checkpoint_key",
     "machine_key",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".build": (
+        "MIN_ELIGIBLE", "CapturePolicy", "CheckpointSet", "build_checkpoints",
+    ),
+    ".format": (
+        "SNAP_VERSION", "SnapFormatError", "deserialize_state",
+        "serialize_state",
+    ),
+    ".store": ("checkpoint_key", "machine_key"),
+})

@@ -23,7 +23,7 @@ import json
 from typing import List, Optional
 
 from ..faults import campaign as fc
-from ..toolchain import default_toolchain
+from ..toolchain.build import default_toolchain
 from ..toolchain.cache import ArtifactCache
 from ..workloads.registry import FI_BENCHMARKS
 from .build import build_checkpoints

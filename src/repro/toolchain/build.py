@@ -35,10 +35,7 @@ from ..ir.module import Module
 from ..ir.parser import parse_module
 from ..ir.printer import format_module
 from ..ir.verifier import verify_module
-from ..passes.inline import inline_module
-from ..passes.mem2reg import mem2reg
 from ..workloads.common import BuiltWorkload
-from ..workloads.registry import get
 from .cache import ArtifactCache
 from .digest import digest_of
 from .registry import VariantSpec, get_variant
@@ -244,6 +241,12 @@ class Toolchain:
         if base is not None:
             self._bases_from_cache.add(key)
         else:
+            # Only a miss builds: a warm process loads neither the
+            # workload generators nor the passes.
+            from ..passes.inline import inline_module
+            from ..passes.mem2reg import mem2reg
+            from ..workloads.registry import get
+
             base = get(workload).build_at(scale)
             mem2reg(base.module)
             inline_module(base.module)

@@ -16,7 +16,6 @@ import dataclasses
 import json
 from typing import List, Optional
 
-from ..workloads.registry import ALL
 from .build import (
     TOOLCHAIN_VERSION,
     Toolchain,
@@ -111,6 +110,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
 
     if args.workloads:
+        # Only the digest matrix needs the workload generators.
+        from ..workloads.registry import ALL
+
         if args.workloads.strip() == "all":
             names = sorted(ALL)
         else:

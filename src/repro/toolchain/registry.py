@@ -31,10 +31,7 @@ from typing import Dict, Optional, Tuple
 
 from ..avx.costs import HASWELL, PROPOSED_AVX, CostModel
 from ..ir.module import Module
-from ..passes.clone import clone_module
-from ..passes.elzar import ElzarOptions, elzar_transform
-from ..passes.swiftr import SwiftOptions, swift_transform, swiftr_transform
-from ..passes.vectorize import vectorize
+from ..passes.options import ElzarOptions, SwiftOptions
 
 #: Cost-profile name -> cost model (the registry stores the name so a
 #: spec stays a plain, digestable value).
@@ -120,16 +117,23 @@ def _canonical_field(value):
 
 
 # Hardening kinds -------------------------------------------------------------
+# Each kind imports its transform when it runs: a process that only reads
+# the registry (every warm build) loads no pass.
 
 def _identity(spec: VariantSpec, base: Module, exclude: frozenset) -> Module:
     return base
 
 
 def _vectorize(spec: VariantSpec, base: Module, exclude: frozenset) -> Module:
+    from ..passes.clone import clone_module
+    from ..passes.vectorize import vectorize
+
     return vectorize(clone_module(base, f"{base.name}.simd"), exclude=exclude)
 
 
 def _elzar(spec: VariantSpec, base: Module, exclude: frozenset) -> Module:
+    from ..passes.elzar import elzar_transform
+
     options = spec.options or ElzarOptions()
     if exclude:
         options = dataclasses.replace(options, exclude=exclude)
@@ -137,6 +141,8 @@ def _elzar(spec: VariantSpec, base: Module, exclude: frozenset) -> Module:
 
 
 def _swiftr(spec: VariantSpec, base: Module, exclude: frozenset) -> Module:
+    from ..passes.swiftr import swiftr_transform
+
     options = spec.options
     if exclude:
         options = dataclasses.replace(options or SwiftOptions(copies=3),
@@ -145,6 +151,8 @@ def _swiftr(spec: VariantSpec, base: Module, exclude: frozenset) -> Module:
 
 
 def _swift(spec: VariantSpec, base: Module, exclude: frozenset) -> Module:
+    from ..passes.swiftr import swift_transform
+
     options = spec.options
     if exclude:
         options = dataclasses.replace(options or SwiftOptions(copies=2),

@@ -1,18 +1,7 @@
 """repro.workloads — Phoenix/PARSEC-like benchmark kernels, the IR
 libc/libm they share, and the Table IV microbenchmarks."""
 
-from .common import BuiltWorkload, Workload, outputs_match, pick, rng
-from .registry import (
-    ALL,
-    BENCHMARKS,
-    FI_BENCHMARKS,
-    FP_ONLY_BENCHMARKS,
-    MICRO_WORKLOADS,
-    PARSEC,
-    PHOENIX,
-    SHORT_NAMES,
-    get,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ALL",
@@ -30,3 +19,11 @@ __all__ = [
     "pick",
     "rng",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".common": ("BuiltWorkload", "Workload", "outputs_match", "pick", "rng"),
+    ".registry": (
+        "ALL", "BENCHMARKS", "FI_BENCHMARKS", "FP_ONLY_BENCHMARKS",
+        "MICRO_WORKLOADS", "PARSEC", "PHOENIX", "SHORT_NAMES", "get",
+    ),
+})

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
 from ..cpu.threads import ScalabilityProfile
 from ..ir.module import Module
 
@@ -61,9 +59,13 @@ class Workload:
         return self.build(scale)
 
 
-def rng(seed: int) -> np.random.RandomState:
+def rng(seed: int) -> "numpy.random.RandomState":
     """Deterministic data source for workload inputs."""
-    return np.random.RandomState(seed)
+    # numpy is imported here, not at the top: campaigns compare outputs
+    # through this module and build no inputs.
+    import numpy
+
+    return numpy.random.RandomState(seed)
 
 
 def pick(scale: str, perf, fi, test):

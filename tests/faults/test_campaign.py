@@ -148,6 +148,7 @@ class TestEligibilityKeyProtocol:
     def test_forked_worker_does_not_warn(self, monkeypatch):
         """The dedupe set is copied into forked lab workers, but even a
         fresh child must stay silent: only the parent process emits."""
+        import multiprocessing
         import warnings
 
         from repro.faults import campaign as campaign_mod
@@ -157,7 +158,7 @@ class TestEligibilityKeyProtocol:
         class _FakeChild:
             pass
 
-        monkeypatch.setattr(campaign_mod.multiprocessing, "parent_process",
+        monkeypatch.setattr(multiprocessing, "parent_process",
                             lambda: _FakeChild())
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
