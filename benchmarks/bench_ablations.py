@@ -20,7 +20,8 @@ def test_scheme_ablation(benchmark, capsys):
     show(capsys, exp)
     rows = {(r[0], r[1]): r for r in exp.rows}
     for bench in ("hist", "black"):
-        native = rows[(bench, "native")]
+        # The scalar baseline row: harness/ablations.py names it noavx.
+        native = rows[(bench, "noavx")]
         elzar = rows[(bench, "elzar")]
         failstop = rows[(bench, "elzar-failstop")]
         swiftr = rows[(bench, "swiftr")]

@@ -130,6 +130,7 @@ def bench_cell(name: str, version: str, scale: str = "fi",
         "first_speedup": scalar_seconds / first_seconds,
         "warm_seconds": warm_seconds,
         "warm_ips": injections / warm_seconds,
+        "reconverged": warm.reconverged,
         "speedup": scalar_seconds / warm_seconds,
     }
 

@@ -504,7 +504,7 @@ class ClusterCoordinator:
         job = session.job
         committed = 0
         while True:
-            index, wire_counts, n, seconds, worker_id = \
+            index, wire_counts, n, seconds, reconverged, worker_id = \
                 await session.commits.get()
             # The coordinator-restart seam: "interrupt" kills this
             # session exactly as SIGTERM/power-loss would, with this
@@ -531,7 +531,7 @@ class ClusterCoordinator:
                     session, "shard-completed", index=index, n=n,
                     seconds=seconds, workload=job.workload,
                     version=job.version, worker=worker_id,
-                    counts=dict(wire_counts),
+                    counts=dict(wire_counts), reconverged=reconverged,
                 )
             except BaseException as exc:
                 session.fail(exc)
@@ -706,7 +706,8 @@ class ClusterCoordinator:
                 # reading the worker's socket.
                 await session.commits.put((
                     index, dict(message["counts"]), int(message["n"]),
-                    float(message.get("seconds", 0.0)), worker.worker_id,
+                    float(message.get("seconds", 0.0)),
+                    int(message.get("reconverged", 0)), worker.worker_id,
                 ))
             elif status == "duplicate":
                 self._emit_session(session, "late-commit-discarded",

@@ -263,11 +263,11 @@ class ClusterWorker:
                 last_beat = now
 
         try:
-            counts = Counter(run_plans(
+            outcomes = run_plans(
                 runtime.module, runtime.entry, runtime.args, plans,
                 runtime.reference, runtime.budget, runtime.rtol, None,
                 tick=beat,
-            ))
+            )
         except Exception as exc:
             send_message(self._sock, {
                 "kind": "shard-error", "cell": cell_id, "index": index,
@@ -283,7 +283,8 @@ class ClusterWorker:
             "cell": cell_id,
             "index": index,
             "n": len(plans),
-            "counts": counts_to_wire(counts),
+            "counts": counts_to_wire(Counter(outcomes)),
+            "reconverged": outcomes.reconverged,
             "seconds": time.perf_counter() - started,
         })
 

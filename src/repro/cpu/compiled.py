@@ -243,11 +243,13 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
     return value. ``executed`` continues the global dynamic-instruction
     count (``M._executed`` at entry, or a checkpoint's).
 
-    ``capture``, when given, is a placement policy with an integer
-    ``next_index`` attribute and a ``take(M, stack, executed)`` method;
-    the loop invokes ``take`` at the first body-record boundary at or
-    after each threshold. ``take`` must only *copy* state (see
-    :func:`capture_state`) and advance ``next_index``.
+    ``capture``, when given, is a hook with an integer ``next_index``
+    attribute and a ``take(M, stack, executed)`` method; the loop
+    invokes ``take`` at the first body-record boundary at or after each
+    threshold. ``take`` must leave the run unperturbed: it may copy or
+    read state (see :func:`capture_state`) and advance ``next_index``,
+    or end the run by raising (the exception unwinds the frame stack
+    like a trap's).
 
     Each step of the innermost frame runs one segment, or the record
     path over one block, and ends in a control code (the segment
@@ -266,11 +268,10 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
     # variant, which counts the four targeting streams and bails to the
     # record path before any block where a plan could fire or a
     # checkpoint be taken — unless a trace hook must see every event.
-    # Other frames run the unarmed variant unless capture placement
-    # polls (their eligible count is frozen, so only the record path's
+    # Other frames run the unarmed variant unless the capture hook is
+    # due (their eligible count is frozen, so only the record path's
     # per-record poll sees a threshold crossed by a callee's return).
     armed_ok = M._trace_eligible is None
-    plain_ok = capture is None
     vidx = 0 if timing is not None else 1
     ridx = vidx + _RECORD_VARIANT  # record functions, same timing mode
     ready = [False] * len(_VARIANTS)  # variants ensured this run
@@ -305,7 +306,9 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                                                 regs[dst], True)
                 f.i += 1
 
-            fast = armed_ok if inject else plain_ok
+            fast = (armed_ok if inject else
+                    capture is None
+                    or M.eligible_executed < capture.next_index)
             sidx = vidx + 2 if inject else vidx
             while True:  # block chain within this frame
                 block = f.block
@@ -756,17 +759,18 @@ def rebuild_frames(M, state: ResumeState) -> List[Frame]:
     return stack
 
 
-def resume_run(M, state: ResumeState, plans: Sequence) -> RunResult:
+def resume_run(M, state: ResumeState, plans: Sequence,
+               capture=None) -> RunResult:
     """Restore ``state``, arm ``plans`` against its stream marks, and
     execute the rest of the run — the whole run from a
     :func:`start_state`, only the tail from a checkpoint. Bit-identical
     to arming the same plans on a fresh machine and running from
     scratch, for every plan whose site ``state`` has not passed
-    (:func:`stream_mark`)."""
+    (:func:`stream_mark`). ``capture`` is :func:`run_stack`'s hook."""
     restore_payload(M, state)
     M._arm_plans(plans)
     stack = rebuild_frames(M, state)
-    return M._run_result(run_stack(M, stack, state.executed))
+    return M._run_result(run_stack(M, stack, state.executed, capture))
 
 
 # --- Checkpoint validity -----------------------------------------------------

@@ -30,7 +30,9 @@ Two performance layers (the paper amortized this cost across a
 
 Campaigns run one way: on the compiled engine, each injection resuming
 from the nearest mid-run checkpoint at or before its fault site
-(:mod:`repro.snap`) wherever the cell has a checkpoint set. The
+(:mod:`repro.snap`) wherever the cell has a checkpoint set, and ending
+early once its state is back on the golden run (the reconvergence
+poll, :class:`repro.snap.build.ReconvergencePoll`). The
 reference interpreter stays the oracle, reachable through exactly two
 entry points, ``MachineConfig(engine="reference")`` and
 ``inject_once(..., engine="reference")``; the differential tests hold
@@ -52,6 +54,7 @@ from ..cpu.errors import DetectedError, HangError, Trap
 from ..cpu.interpreter import FaultPlan, Machine, MachineConfig, RunResult
 from ..cpu.resumable import resume_run, start_state
 from ..ir.module import Module
+from ..snap.build import Reconverged, ReconvergencePoll
 from ..workloads.common import outputs_match
 from .models import DEFAULT_MODEL, StreamProfile, get_model
 from .outcomes import CampaignResult, Outcome
@@ -349,6 +352,28 @@ def inject_once(
     return _classify(lambda: machine.run(entry, args), list(reference), rtol)
 
 
+def reconverged_outcome(executed: int, corrections: int,
+                        budget: int) -> Outcome:
+    """Table-I outcome of a run the reconvergence poll ended: its rest
+    is the golden run's, which cannot trap, emits the golden output and
+    corrects nothing. So it hangs when it would end past ``budget``
+    (``executed`` instructions), else it is corrected when it corrected
+    anything on the way back, else masked."""
+    if executed > budget:
+        return Outcome.HANG
+    if corrections > 0:
+        return Outcome.CORRECTED
+    return Outcome.MASKED
+
+
+class Outcomes(list):
+    """Per-plan outcomes of one :func:`run_plans` call, in plan order;
+    ``reconverged`` counts the injections the reconvergence poll
+    ended."""
+
+    reconverged = 0
+
+
 class InjectionSession:
     """Per-cell injection scaffolding, hoisted out of the per-plan loop.
 
@@ -359,7 +384,8 @@ class InjectionSession:
     (:func:`repro.cpu.resumable.start_state`), and turns each injection
     into resume → classify. Classification is :func:`_classify`, as in
     :func:`inject_once`, and the differential tests pin per-plan
-    outcome identity between the two.
+    outcome identity between the two. With a checkpoint set attached,
+    every injection also carries the set's reconvergence poll.
     """
 
     def __init__(self, module: Module, entry: str, args: Sequence,
@@ -378,14 +404,19 @@ class InjectionSession:
         compile_records(self.machine, entry)
         self.start = start_state(self.machine, entry, args)
         self._checkpoints = None  # CheckpointSet, attached per run_plans
+        self._poll = None
+        #: Injections the reconvergence poll ended.
+        self.reconverged = 0
 
     def attach_checkpoints(self, cset) -> None:
         """Resume injections from ``cset``'s mid-run checkpoints (a
-        :class:`repro.snap.CheckpointSet`); None resumes every injection
-        from the start state. Attached per :func:`run_plans` call
-        because the set is per fault model while the session is shared
-        across models."""
+        :class:`repro.snap.CheckpointSet`) and poll them for
+        reconvergence; None resumes every injection from the start
+        state and runs it to its end. Attached per :func:`run_plans`
+        call."""
         self._checkpoints = cset
+        self._poll = (ReconvergencePoll(cset)
+                      if cset is not None and cset.polls else None)
 
     def inject(self, plan: FaultPlan) -> Outcome:
         """One injection on the reused machine, classified per Table I.
@@ -393,13 +424,24 @@ class InjectionSession:
         Resumes the latest checkpoint at or before the plan's fault
         site and executes only the tail; a plan whose site precedes
         every checkpoint (or a session with none attached) resumes the
-        start state. Either way the outcome is bit-identical to a run
-        from scratch (tests/snap pins it)."""
+        start state. A run the poll finds back on the golden run ends
+        there, its outcome derived (:func:`reconverged_outcome`).
+        Either way the outcome is bit-identical to a run from scratch
+        (tests/snap pins it)."""
         state = (self._checkpoints.nearest(plan)
                  if self._checkpoints is not None else None)
-        return _classify(
-            lambda: resume_run(self.machine, state or self.start, (plan,)),
-            self.reference, self.rtol)
+        poll = self._poll
+        if poll is not None:
+            poll.arm(plan)
+        try:
+            return _classify(
+                lambda: resume_run(self.machine, state or self.start,
+                                   (plan,), poll),
+                self.reference, self.rtol)
+        except Reconverged as end:
+            self.reconverged += 1
+            return reconverged_outcome(end.executed, end.corrections,
+                                       self.budget)
 
 
 #: The one live injection session, as ``(module, key, session)``. A
@@ -467,13 +509,15 @@ def run_plans(
     fault_eligible: Optional[Callable] = None,
     fault_model: str = DEFAULT_MODEL,
     tick: Optional[Callable] = None,
-) -> List[Outcome]:
+) -> Outcomes:
     """Classify a list of fault plans, in plan order, on a reused
     :class:`InjectionSession`; the shard-level entry point every fabric
     (in-process, forked workers, cluster agents) runs. ``tick``, when given,
     is called after every injection (cluster workers heartbeat there).
     Each injection resumes from the nearest mid-run checkpoint at or
-    before its fault site (:mod:`repro.snap`) where the cell has one.
+    before its fault site (:mod:`repro.snap`) where the cell has one,
+    and ends once the reconvergence poll finds it back on the golden
+    run (counted in the result's ``reconverged``).
     ``fault_model`` is ignored (one checkpoint set serves every model);
     the e2ebench harness still passes it."""
     session = _get_session(module, entry, args, reference, budget, rtol,
@@ -484,9 +528,11 @@ def run_plans(
         cset = _cell_checkpoints(module, entry, args, budget,
                                  fault_eligible)
     session.attach_checkpoints(cset)
-    outcomes = []
+    outcomes = Outcomes()
+    before = session.reconverged
     for plan in plans:
         outcomes.append(session.inject(plan))
         if tick is not None:
             tick()
+    outcomes.reconverged = session.reconverged - before
     return outcomes

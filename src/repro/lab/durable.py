@@ -290,13 +290,15 @@ def _local_executor(module: Module, entry: str, args: Sequence,
         executed: Dict[int, Counter] = {}
         done: Dict[int, Counter] = dict(run.loaded)
 
-        def runner(shard: ShardPlan) -> Counter:
-            return Counter(run_plans(
+        def runner(shard: ShardPlan) -> Tuple[Counter, int]:
+            outcomes = run_plans(
                 module, entry, args, shard.plans, run.reference, run.budget,
-                config.rtol, config.fault_eligible))
+                config.rtol, config.fault_eligible)
+            return Counter(outcomes), outcomes.reconverged
 
-        def on_result(shard: ShardPlan, counts: Counter,
+        def on_result(shard: ShardPlan, result: Tuple[Counter, int],
                       seconds: float) -> None:
+            counts, reconverged = result
             executed[shard.index] = done[shard.index] = counts
             if run.store is not None:
                 run.store.put_shard(run.spec.spec_key, run.spec.cell_key,
@@ -306,6 +308,7 @@ def _local_executor(module: Module, entry: str, args: Sequence,
                 "shard-completed", index=shard.index, n=len(shard.plans),
                 seconds=seconds, workload=workload, version=version,
                 counts={o.value: int(c) for o, c in counts.items()},
+                reconverged=reconverged,
             )
 
         if run.stopper is None:

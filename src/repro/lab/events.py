@@ -20,7 +20,9 @@ Event kinds emitted today:
 ``campaign-started``   workload, version, shards, injections, from_store,
                        cluster (shards leased to cluster agents)
 ``shard-store-hit``    index, n
-``shard-completed``    index, n, seconds, counts (by outcome value)
+``shard-completed``    index, n, seconds, counts (by outcome value),
+                       reconverged (injections the reconvergence
+                       poll ended early)
 ``shard-retry``        index, attempt, reason
 ``shard-degraded``     index, reason (runs in-process from here on)
 ``engine-compile``     digest, variant, functions, blocks, segments,

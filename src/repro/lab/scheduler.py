@@ -23,23 +23,22 @@ invisible in the aggregated campaign.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..chaos.hooks import chaos_point
 from ..chaos.policy import RetryPolicy
 from ..faults.campaign import resolve_workers
-from ..faults.outcomes import Outcome
 from .checkpoint import ShardPlan
 from .events import EventBus
 
-#: runner(shard) -> Counter of Outcome; executed in workers (and, on
+#: runner(shard) -> the shard's result (picklable: a forked worker
+#: sends it back over its pipe); executed in workers (and, on
 #: degradation, in the supervisor).
-ShardRunner = Callable[[ShardPlan], Counter]
-#: on_result(shard, counts, seconds) — called in the supervisor, in
+ShardRunner = Callable[[ShardPlan], Any]
+#: on_result(shard, result, seconds) — called in the supervisor, in
 #: completion order, after each shard finishes.
-ResultSink = Callable[[ShardPlan, Counter, float], None]
+ResultSink = Callable[[ShardPlan, Any, float], None]
 
 
 @dataclass
@@ -67,16 +66,15 @@ class SchedulerPolicy:
 
 def _shard_child(conn, runner: ShardRunner, shard: ShardPlan,
                  attempt: int) -> None:
-    """Worker body: run one shard, ship counts back over the pipe."""
+    """Worker body: run one shard, ship its result back over the pipe."""
     try:
         # Fork inherits the driver's armed chaos controller, so seeded
         # worker kills/stalls/errors fire here, inside the child —
         # degradation to the supervisor stays chaos-free.
         chaos_point("lab.worker.shard", index=shard.index, attempt=attempt)
         start = time.perf_counter()
-        counts = runner(shard)
-        payload = {o.value: int(n) for o, n in counts.items()}
-        conn.send(("ok", payload, time.perf_counter() - start))
+        result = runner(shard)
+        conn.send(("ok", result, time.perf_counter() - start))
     except BaseException as exc:  # report, never hang the supervisor
         try:
             conn.send(("error", repr(exc), 0.0))
@@ -143,8 +141,8 @@ class ShardScheduler:
     def _run_in_process(self, shard: ShardPlan, runner: ShardRunner,
                         on_result: ResultSink) -> None:
         start = time.perf_counter()
-        counts = runner(shard)
-        on_result(shard, counts, time.perf_counter() - start)
+        result = runner(shard)
+        on_result(shard, result, time.perf_counter() - start)
 
     # Forked path -------------------------------------------------------------
 
@@ -222,10 +220,7 @@ class ShardScheduler:
                     kind, payload, seconds = status
                     self._reap(flight)
                     if kind == "ok":
-                        counts = Counter(
-                            {Outcome(k): v for k, v in payload.items()}
-                        )
-                        on_result(flight.shard, counts, seconds)
+                        on_result(flight.shard, payload, seconds)
                     else:
                         self._handle_failure(flight, payload, queue, runner,
                                              on_result)

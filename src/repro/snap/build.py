@@ -12,7 +12,14 @@ at or before their dynamic site (:meth:`CheckpointSet.nearest`).
 A set read from the cache decodes nothing up front: it keeps the
 sealed state blobs and each state's stream marks (from the set's
 meta), chooses among states by their marks, and decodes a state the
-first time a plan selects it.
+first time a plan selects it or the reconvergence poll reads it.
+
+The set also drives the *reconvergence poll* (:class:`ReconvergencePoll`),
+the capture hook an injection run carries: once every plan has fired,
+it compares the live machine with each golden state after the fault
+site and, on an exact match, ends the run (:class:`Reconverged`); the
+rest of the run is the golden run's (docs/CHECKPOINT.md,
+"Reconvergence").
 """
 
 from __future__ import annotations
@@ -22,12 +29,14 @@ import threading
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Sequence, Tuple
 
+from ..cpu.compiled import _NEVER
 from ..cpu.resumable import ResumeState, capture_state, run_resumable, \
     stream_mark
 from ..toolchain.cache import DECODE_ERRORS, ArtifactCache
-from .format import SnapFormatError, deserialize_state, serialize_state
-from .store import SNAPSET_SUFFIX, StreamMarks, checkpoint_key, \
-    machine_key, marks_meta, parse_set, render_set, set_marks
+from .format import _F64, SnapFormatError, deserialize_state, \
+    serialize_state
+from .store import SNAPSET_SUFFIX, GoldenEnd, StreamMarks, checkpoint_key, \
+    machine_key, marks_meta, parse_set, render_set, set_end, set_marks
 
 #: Below this many eligible instructions the golden prefix is too short
 #: for checkpoints to pay for their capture run and restore cost;
@@ -58,16 +67,19 @@ class CheckpointSet:
 
     Each slot holds a decoded :class:`ResumeState` or, for a set read
     from the cache, the state's blob until a plan first selects it
-    (:meth:`nearest`); the decoded state replaces the blob. ``states``
-    is a sequence view: its length costs no decode, indexing decodes
-    that one state.
+    (:meth:`nearest`) or the reconvergence poll reads it; the decoded
+    state replaces the blob. ``states`` is a sequence view: its length
+    costs no decode, indexing decodes that one state. ``end`` is where
+    the golden run ends (None: unknown, so no poll).
     """
 
     def __init__(self, key: str, marks: Sequence[StreamMarks],
                  slots: list, from_cache: bool, machine=None,
-                 cache: Optional[ArtifactCache] = None):
+                 cache: Optional[ArtifactCache] = None,
+                 end: Optional[GoldenEnd] = None):
         self.key = key
         self.from_cache = from_cache
+        self.end = end
         self._marks = tuple(marks)
         self._columns = {name: [getattr(m, name) for m in self._marks]
                          for name in StreamMarks._fields}
@@ -81,11 +93,18 @@ class CheckpointSet:
         self.decoded = 0
 
     @classmethod
-    def captured(cls, key: str,
-                 states: Sequence[ResumeState]) -> "CheckpointSet":
+    def captured(cls, key: str, states: Sequence[ResumeState],
+                 end: Optional[GoldenEnd] = None) -> "CheckpointSet":
         """A set of states in memory (a capture run's)."""
         return cls(key, marks=[_marks_of(s) for s in states],
-                   slots=list(states), from_cache=False)
+                   slots=list(states), from_cache=False, end=end)
+
+    @property
+    def polls(self) -> bool:
+        """Whether injections from this set carry the reconvergence
+        poll: its outcome rule needs a golden run that corrects
+        nothing, since a reconverged run's tail is the golden's."""
+        return self.end is not None and self.end.corrections == 0
 
     @property
     def states(self) -> "_States":
@@ -110,10 +129,31 @@ class CheckpointSet:
         i = self._index(plan)
         return None if i < 0 else self.state(i)
 
+    def _after(self, plan) -> int:
+        """Index of the first checkpoint past ``plan``'s fault site on
+        its stream: where the reconvergence poll starts."""
+        marks = self._columns[stream_mark(_STREAMS, plan)]
+        return bisect_right(marks, plan.target_index)
+
+    def reachable(self, plans) -> List[int]:
+        """Indices of the states injections of ``plans`` can read, in
+        order: what :meth:`nearest` returns for each, and, where the
+        set polls, every state past the earliest of their fault
+        sites."""
+        wanted = set()
+        first = len(self._slots)
+        for plan in plans:
+            wanted.add(self._index(plan))
+            first = min(first, self._after(plan))
+        if self.polls:
+            wanted.update(range(first, len(self._slots)))
+        return sorted(wanted - {-1})
+
     def prefetch(self, plans) -> None:
-        """Decode now every state :meth:`nearest` would return for
-        ``plans`` (before forking workers, so they inherit it)."""
-        for i in sorted({self._index(plan) for plan in plans} - {-1}):
+        """Decode now every state injections of ``plans`` can read
+        (:meth:`reachable`; before forking workers, so they inherit
+        them)."""
+        for i in self.reachable(plans):
             self.state(i)
 
     def state(self, i: int) -> ResumeState:
@@ -165,6 +205,126 @@ class _States(collections.abc.Sequence):
         if not 0 <= i < len(self):
             raise IndexError(i)
         return self._cset.state(i)
+
+
+def same_bits(a, b) -> bool:
+    """Whether two register values or output items are the same bits:
+    the same type at every level (``True`` is not ``1``), floats
+    compared by their IEEE-754 bits (``-0.0`` is not ``0.0``, NaN
+    payloads are told apart, an equal NaN matches), lane tuples lane
+    by lane. Python ``==`` answers none of these correctly."""
+    if a is b:
+        return True
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is float:
+        return _F64.pack(a) == _F64.pack(b)
+    if kind is tuple or kind is list:
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    return a == b
+
+
+def same_values(live: list, golden: tuple) -> bool:
+    """:func:`same_bits` over a live register file or output list and
+    its golden tuple. The C-level tuple compare rejects most
+    mismatches first (bitwise equal implies ``==`` but for NaN, whose
+    register then finds no match: a lost early exit, never a wrong
+    outcome)."""
+    return (len(live) == len(golden) and tuple(live) == golden
+            and all(map(same_bits, live, golden)))
+
+
+class Reconverged(Exception):
+    """Raised by :class:`ReconvergencePoll` to end an injection run
+    whose state is exactly a golden checkpoint's, so the rest of the
+    run is the golden run's. ``executed`` is the instruction count the
+    run would end at, ``corrections`` the corrections it made (the
+    golden tail makes none). Not a :class:`~repro.cpu.errors.Trap`."""
+
+    def __init__(self, executed: int, corrections: int):
+        super().__init__(executed, corrections)
+        self.executed = executed
+        self.corrections = corrections
+
+
+def _all_fired(M) -> bool:
+    """Every armed plan has fired, on all four stream cursors."""
+    return (M._next_plan >= len(M.fault_plans)
+            and M._next_mem_plan >= len(M._mem_plans)
+            and M._next_branch_plan >= len(M._branch_plans)
+            and M._next_checker_plan >= len(M._checker_plans))
+
+
+class ReconvergencePoll:
+    """The capture hook of an injection run (``run_stack``'s
+    ``capture``). :meth:`arm` points it at the first golden state past
+    the plan's fault site; from then on, at each golden state's
+    eligible mark, once every plan has fired, :meth:`take` compares
+    the live machine with that state and on an exact match raises
+    :class:`Reconverged`.
+
+    Compared: both memory tops, the used heap and stack prefixes (in
+    place, ``bytearray.startswith``: a memcmp, no copy), the output,
+    and every frame's function and block, cursor, stack mark and
+    registers, bit for bit (:func:`same_bits`). Not compared: counters,
+    timing, cache, predictor, branch-PC numbering, stream counters and
+    ``executed``, none of which steers the program. A poll that falls
+    where the golden run took no state (a run out of step) finds no
+    match, which costs only the early exit, never an outcome."""
+
+    __slots__ = ("next_index", "_cset", "_marks", "_k", "_taken")
+
+    def __init__(self, cset: CheckpointSet):
+        self._cset = cset
+        self._marks = cset._columns["eligible"]
+        self._k = len(self._marks)
+        self._taken = 0
+        self.next_index = _NEVER
+
+    def arm(self, plan) -> None:
+        k = self._k = self._cset._after(plan)
+        self._taken = 0
+        self.next_index = self._marks[k] if k < len(self._marks) else _NEVER
+
+    def take(self, M, stack, executed) -> None:
+        marks = self._marks
+        # The latest due state: the one taken here, if the run is in
+        # step with the golden run.
+        k = bisect_right(marks, M.eligible_executed, self._k) - 1
+        if _all_fired(M):
+            state = self._cset.state(k)
+            if _matches(M, stack, state):
+                end = self._cset.end
+                raise Reconverged(executed + end.executed - state.executed,
+                                  M.counters.corrections)
+        # Each poll sends the block it falls in to the record path, and
+        # a run that matches at all mostly matches at one of its first
+        # three polls (fig13 cells at fi scale), so polls back off: they
+        # fall 1, 1, 2, 4, 8... states apart.
+        self._taken += 1
+        k += 1 << max(self._taken - 2, 0)
+        self._k = k
+        self.next_index = marks[k] if k < len(marks) else _NEVER
+
+
+def _matches(M, stack, state: ResumeState) -> bool:
+    """Whether the live machine is exactly at golden ``state``: the
+    cheap checks first, the memcmps, then registers bit for bit."""
+    memory = M.memory
+    if (memory.heap_top != state.heap_top
+            or memory.stack_top != state.stack_top
+            or len(stack) != len(state.frames)):
+        return False
+    for f, fs in zip(stack, state.frames):
+        if (f.i != fs.i or f.mark != fs.mark or f.dfn.fn.name != fs.fn
+                or f.dfn.blocks[fs.block] is not f.block):
+            return False
+    return (memory._heap.startswith(state.heap)
+            and memory._stack.startswith(state.stack_mem)
+            and same_values(M.output, state.output)
+            and all(same_values(f.regs, fs.regs)
+                    for f, fs in zip(stack, state.frames)))
 
 
 class CapturePolicy:
@@ -225,9 +385,9 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
     cache = cache if cache is not None else ArtifactCache()
     stored = cache.get(key, SNAPSET_SUFFIX, read_set)
     if stored is not None:
-        blobs, marks = stored
+        blobs, marks, end = stored
         cset = CheckpointSet(key, marks, slots=blobs, from_cache=True,
-                             machine=machine, cache=cache)
+                             machine=machine, cache=cache, end=end)
         module._golden_cache[cache_slot] = cset
         return cset
 
@@ -235,9 +395,10 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
     # uniformly spaced points.
     machine.count_only = True
     policy = CapturePolicy(capture_interval(eligible))
-    run_resumable(machine, entry, args, capture=policy)
+    result = run_resumable(machine, entry, args, capture=policy)
     states = policy.states
-    cset = CheckpointSet.captured(key, states)
+    end = GoldenEnd(machine._executed, result.counters.corrections)
+    cset = CheckpointSet.captured(key, states, end)
     module._golden_cache[cache_slot] = cset
     if cache.enabled and states:
         blobs = [serialize_state(s, machine) for s in states]
@@ -246,13 +407,15 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
             "entry": entry,
             "budget": budget,
             "streams": marks_meta(states),
+            "end": list(end),
         }))
     return cset
 
 
-def read_set(body: bytes) -> Tuple[List[bytes], Tuple[StreamMarks, ...]]:
-    """``(state blobs, per-state marks)`` of a stored set; raises
-    :class:`SnapFormatError` on a framing error or a meta without
-    marks."""
+def read_set(body: bytes) -> Tuple[List[bytes], Tuple[StreamMarks, ...],
+                                   GoldenEnd]:
+    """``(state blobs, per-state marks, golden end)`` of a stored set;
+    raises :class:`SnapFormatError` on a framing error or a meta
+    without marks or end."""
     blobs, meta = parse_set(body)
-    return blobs, set_marks(meta, len(blobs))
+    return blobs, set_marks(meta, len(blobs)), set_end(meta)

@@ -26,10 +26,12 @@ The key digests everything that could change the bytes of the set:
 A set body is ``RSST`` + version + meta JSON + length-prefixed state
 blobs (:func:`render_set`); the cache seals it. The meta records every
 state's four stream counters (:func:`set_marks`), so a reader chooses
-among states without decoding any. :func:`parse_set` and
-:func:`set_marks` raise :class:`SnapFormatError` on any framing error
-or missing marks, so the cache counts such a set as invalid, removes
-it, and reads it as a miss.
+among states without decoding any, and where the golden run ends
+(:func:`set_end`), which the reconvergence poll derives outcomes from.
+:func:`parse_set`, :func:`set_marks` and :func:`set_end` raise
+:class:`SnapFormatError` on any framing error or missing meta, so the
+cache counts such a set as invalid, removes it, and reads it as a
+miss.
 
 A cell's golden profile — the fault-free output and the five stream
 totals a campaign draws its plans from — is a ``.golden`` entry
@@ -142,6 +144,26 @@ def set_marks(meta: Dict, count: int) -> Tuple[StreamMarks, ...]:
            for col in columns):
         raise SnapFormatError("malformed checkpoint stream marks")
     return tuple(StreamMarks(*row) for row in zip(*columns))
+
+
+class GoldenEnd(NamedTuple):
+    """Where the golden run a set was captured from ends: its dynamic
+    instruction count and the corrections it made, as the set's meta
+    records them (``end``)."""
+
+    executed: int
+    corrections: int
+
+
+def set_end(meta: Dict) -> GoldenEnd:
+    """The golden end of a set's meta; raises :class:`SnapFormatError`
+    when the meta has none (a set written before it was recorded) or
+    it is not two non-negative counts."""
+    end = meta.get("end")
+    if (not isinstance(end, list) or len(end) != 2
+            or not all(type(v) is int and v >= 0 for v in end)):
+        raise SnapFormatError("checkpoint set without its golden end")
+    return GoldenEnd(*end)
 
 
 def render_set(blobs: Sequence[bytes], meta: Dict) -> bytes:

@@ -178,6 +178,14 @@ class TestOneDriver:
         assert kinds["cluster"] == kinds["local"]
         assert kinds["local"] == ["campaign-started", "shard-completed",
                                   "shard-completed", "campaign-finished"]
+        # The worker reports how many injections the reconvergence poll
+        # ended with each shard's result, as the local executor does.
+        reconverged = {
+            name: sorted((e.data["index"], e.data["reconverged"])
+                         for e in log.of("shard-completed"))
+            for name, log in logs.items()}
+        assert reconverged["cluster"] == reconverged["local"]
+        assert all(type(n) is int for _, n in reconverged["local"])
 
 
 class TestEventsLog:

@@ -120,9 +120,9 @@ def test_every_injection_resumes_a_state(monkeypatch):
     resumed = []
     real = campaign.resume_run
 
-    def counting(machine, state, plans):
+    def counting(machine, state, plans, *poll):
         resumed.append(state)
-        return real(machine, state, plans)
+        return real(machine, state, plans, *poll)
 
     monkeypatch.setattr(campaign, "resume_run", counting)
     plans = [FaultPlan(target_index=0, bit=3)] + _model_plans(

@@ -6,8 +6,10 @@ fresh module over a warm cache) must equal those from the set a
 capture run holds in memory, and the reference interpreter's on the
 first and last plans, for every fault model — all resuming from the
 cell's one shared set. The counts: loading decodes nothing, campaigns
-decode exactly the distinct states ``nearest`` returns, and a forked campaign decodes in the parent
-exactly the states its missing shards resolve to. A stale or damaged
+decode every distinct state ``nearest`` returns and nothing outside
+what their plans can reach (``reachable``: those states plus the ones
+the reconvergence poll can read), and a forked campaign decodes in the
+parent exactly the states its missing shards can reach. A stale or damaged
 set never resumes: a set without per-state marks is an invalid miss
 that rebuilds, and a blob that fails to decode raises.
 """
@@ -102,14 +104,16 @@ def test_lazy_set_outcomes_equal_captured_and_reference(name, version):
     assert len(cset.states) > 0
     assert cset.decoded == 0
     resumed = set()
+    reachable = set()
     for model in models:
         plans = _plans(profile, model)
         resumed |= {id(s) for s in map(cset.nearest, plans)
                     if s is not None}
-        assert cset.decoded == len(resumed)
+        reachable |= set(cset.reachable(plans))
+        assert len(resumed) <= cset.decoded <= len(reachable)
         lazy = _outcomes(built, reference, budget, plans)
         assert _checkpoints(built, budget) is cset
-        assert cset.decoded == len(resumed)
+        assert len(resumed) <= cset.decoded <= len(reachable)
         assert lazy == captured[model], model
         for pos in (0, -1):
             assert lazy[pos] == inject_once(
@@ -125,8 +129,8 @@ def test_forked_campaign_decodes_in_parent_what_its_shards_resolve_to():
     cset = _checkpoints(built, budget)
     assert cset.from_cache and cset.decoded == 0
     plans = draw_model_plans(profile, config)
-    wanted = {id(s) for s in map(cset.nearest, plans) if s is not None}
-    # ``nearest`` just decoded them; start over on another fresh module.
+    wanted = cset.reachable(plans)
+    assert cset.polls and cset.decoded == 0
     built, reference, profile, budget = _fresh("histogram", "elzar")
     forked = run_durable_campaign(built.module, built.entry, built.args,
                                   config=config, store=False, shard_size=6)
