@@ -19,6 +19,12 @@ checkpointed timings per cell:
   with the set already in the module cache. The headline ``speedup``
   is scalar/warm.
 
+Each row also reports the checkpoint format's cost on the cell's set:
+``state_bytes`` (its state blobs in total) and ``encode_ms_per_state``
+/ ``decode_ms_per_state`` (best of :data:`CODEC_REPEAT` passes of
+:func:`~repro.snap.format.serialize_state` /
+:func:`~repro.snap.format.deserialize_state` over every state).
+
 Correctness is asserted, not assumed: the outcome *list* of every
 checkpointed run must be bit-identical to the from-scratch baseline,
 or the benchmark fails instead of reporting a speedup for a different
@@ -35,7 +41,7 @@ import random
 import time
 from typing import Dict, List, Optional, Sequence
 
-from .cpu.interpreter import FaultPlan
+from .cpu.interpreter import FaultPlan, Machine
 from .faults.campaign import (
     CampaignConfig,
     InjectionSession,
@@ -44,6 +50,8 @@ from .faults.campaign import (
     run_plans,
 )
 from .faults.models import DEFAULT_MODEL
+from .snap.build import build_checkpoints
+from .snap.format import deserialize_state, serialize_state
 from .toolchain.build import default_toolchain
 from .workloads.registry import FI_BENCHMARKS
 
@@ -53,6 +61,9 @@ LATE_FRACTION = 0.75
 
 #: Injections per cell.
 DEFAULT_INJECTIONS = 64
+
+#: Timed passes of the codec over a cell's set; the best one counts.
+CODEC_REPEAT = 5
 
 
 def _reset_campaign_state(module) -> None:
@@ -76,6 +87,35 @@ def draw_late_plans(profile, injections: int, seed: int) -> List[FaultPlan]:
         )
         for _ in range(injections)
     ]
+
+
+def _best_seconds(run, repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def codec_timing(module, cset, repeat: int = CODEC_REPEAT) -> Dict:
+    """Size and per-state encode/decode time of ``cset``'s states in
+    the checkpoint format (all None for a cell without a set)."""
+    if cset is None or not cset.states:
+        return {"state_bytes": None, "encode_ms_per_state": None,
+                "decode_ms_per_state": None}
+    machine = Machine(module)
+    states = list(cset.states)
+    blobs = [serialize_state(s, machine) for s in states]
+    encode = _best_seconds(
+        lambda: [serialize_state(s, machine) for s in states], repeat)
+    decode = _best_seconds(
+        lambda: [deserialize_state(b, machine) for b in blobs], repeat)
+    return {
+        "state_bytes": sum(map(len, blobs)),
+        "encode_ms_per_state": encode * 1e3 / len(states),
+        "decode_ms_per_state": decode * 1e3 / len(states),
+    }
 
 
 def bench_cell(name: str, version: str, scale: str = "fi",
@@ -116,6 +156,8 @@ def bench_cell(name: str, version: str, scale: str = "fi",
             f"{name}/{version}: warm checkpointed outcomes diverge from "
             f"scratch")
 
+    cset = build_checkpoints(module, entry, args, budget=budget,
+                             eligible=profile.eligible)
     return {
         "workload": name,
         "version": version,
@@ -132,6 +174,7 @@ def bench_cell(name: str, version: str, scale: str = "fi",
         "warm_ips": injections / warm_seconds,
         "reconverged": warm.reconverged,
         "speedup": scalar_seconds / warm_seconds,
+        **codec_timing(module, cset),
     }
 
 

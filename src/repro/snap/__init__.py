@@ -7,9 +7,11 @@ The subsystem in three layers (docs/CHECKPOINT.md has the full story):
   extends) — explicit-frame trampoline execution of decoded functions,
   mid-run capture into :class:`~repro.cpu.resumable.ResumeState`, and
   bit-identical resume with mid-run fault arming;
-* :mod:`repro.snap.format` / :mod:`repro.snap.store` — version-tagged
-  binary serialization, the checkpoint-set key and framing of the
-  ``.snapset`` entries the toolchain cache stores;
+* :mod:`repro.snap.format` / :mod:`repro.snap.store` — one value
+  encoding (plain trees written by ``marshal``, pinned to version 2,
+  objects rebuilt only from an allowlist) under state blobs, golden
+  bodies and set bodies, and the keys of the ``.snapset`` and
+  ``.golden`` entries the toolchain cache stores;
 * :mod:`repro.snap.build` — the builder that turns one golden capture
   run, with checkpoints spaced uniformly along the eligible stream,
   into the :class:`CheckpointSet` every fault model of a cell shares.

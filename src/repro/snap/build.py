@@ -25,6 +25,7 @@ rest of the run is the golden run's (docs/CHECKPOINT.md,
 from __future__ import annotations
 
 import collections.abc
+import struct
 import threading
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Sequence, Tuple
@@ -33,8 +34,7 @@ from ..cpu.compiled import _NEVER
 from ..cpu.resumable import ResumeState, capture_state, run_resumable, \
     stream_mark
 from ..toolchain.cache import DECODE_ERRORS, ArtifactCache
-from .format import _F64, SnapFormatError, deserialize_state, \
-    serialize_state
+from .format import SnapFormatError, deserialize_state, serialize_state
 from .store import SNAPSET_SUFFIX, GoldenEnd, StreamMarks, checkpoint_key, \
     machine_key, marks_meta, parse_set, render_set, set_end, set_marks
 
@@ -94,10 +94,12 @@ class CheckpointSet:
 
     @classmethod
     def captured(cls, key: str, states: Sequence[ResumeState],
-                 end: Optional[GoldenEnd] = None) -> "CheckpointSet":
-        """A set of states in memory (a capture run's)."""
+                 end: Optional[GoldenEnd] = None,
+                 machine=None) -> "CheckpointSet":
+        """A set of states in memory (a capture run's on ``machine``)."""
         return cls(key, marks=[_marks_of(s) for s in states],
-                   slots=list(states), from_cache=False, end=end)
+                   slots=list(states), from_cache=False, machine=machine,
+                   end=end)
 
     @property
     def polls(self) -> bool:
@@ -179,6 +181,15 @@ class CheckpointSet:
                 self.decoded += 1
             return self._slots[i]
 
+    def blob(self, i: int) -> bytes:
+        """State ``i`` serialized: its stored blob while it is not
+        decoded, else its encoding (a decoded state re-encodes to the
+        bytes it was read from)."""
+        slot = self._slots[i]
+        if type(slot) is bytes:
+            return slot
+        return serialize_state(slot, self._machine)
+
     def _discard(self) -> None:
         self._machine.module._golden_cache.pop(("snap-set", self.key), None)
         if self._cache is not None:
@@ -205,6 +216,9 @@ class _States(collections.abc.Sequence):
         if not 0 <= i < len(self):
             raise IndexError(i)
         return self._cset.state(i)
+
+
+_F64 = struct.Struct("<d")
 
 
 def same_bits(a, b) -> bool:
@@ -398,7 +412,7 @@ def build_checkpoints(module, entry: str, args: Sequence, *,
     result = run_resumable(machine, entry, args, capture=policy)
     states = policy.states
     end = GoldenEnd(machine._executed, result.counters.corrections)
-    cset = CheckpointSet.captured(key, states, end)
+    cset = CheckpointSet.captured(key, states, end, machine)
     module._golden_cache[cache_slot] = cset
     if cache.enabled and states:
         blobs = [serialize_state(s, machine) for s in states]

@@ -14,11 +14,15 @@ would build lazily on first injection — so lab shards, cluster
 workers and the service all start warm. A second
 ``build`` is a pure cache pass (100% hits, zero golden and capture
 runs, zero states decoded); CI asserts that.
+Its ``--json`` report lists each cell's key, marks and the sha256 of
+every state blob, so two processes' sets can be compared byte for
+byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 from typing import List, Optional
 
@@ -95,6 +99,8 @@ def _cmd_build(args) -> int:
                 "key": cset.key, "states": len(cset.states),
                 "marks": cset.marks, "from_cache": cset.from_cache,
                 "eligible": profile.eligible,
+                "state_sha256": [hashlib.sha256(cset.blob(i)).hexdigest()
+                                 for i in range(len(cset.states))],
             })
             source = "cache" if cset.from_cache else "built"
             print(f"  {name:<18} {variant:<12} {len(cset.states):>3} "

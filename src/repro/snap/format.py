@@ -9,21 +9,27 @@ string that any process holding the same module build can restore:
 * branch PCs are rewritten to stable instruction coordinates —
   ``(function name, block index)`` of the conditional-branch
   terminator — and mapped back onto the reader's decoded module;
-* component objects are encoded as class-tagged state dictionaries
-  over a closed value domain (no pickle: only the allowlisted classes
-  in ``_CLASSES`` can be instantiated, via ``__new__`` + ``__dict__``);
-* floats are stored as raw IEEE-754 bits (``<d``) so resumed timing
-  and register values are bit-exact, never ``repr``-rounded.
+* every value becomes a plain tree (None, bool, int, float, str,
+  bytes, tuple, list, dict) that the interpreter's ``marshal`` writes
+  (:func:`encode_value`). Component objects and bytearrays become
+  tagged nodes ``(..., name, payload)``: no data value is an
+  ``Ellipsis``, so a node is never mistaken for a data tuple. Objects
+  are rebuilt only from the allowlisted classes in ``_CLASSES``, via
+  ``__new__`` + ``__dict__`` (no pickle), and any other type in a
+  payload — a code object, set, complex — is rejected;
+* marshal stores floats as raw IEEE-754 bits, so resumed timing and
+  register values are bit-exact, never ``repr``-rounded.
 
-The format is versioned (:data:`SNAP_VERSION` inside :data:`MAGIC`'d
-header); readers reject unknown versions and truncated payloads with
-:class:`SnapFormatError`, which the cache treats as an invalid miss.
+The format is versioned (:data:`SNAP_VERSION` after the :data:`MAGIC`);
+readers reject unknown versions, truncated or non-canonical payloads
+and foreign types with :class:`SnapFormatError`, which the cache
+treats as an invalid miss.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Dict, List, Tuple
+import marshal
+from typing import Dict, Tuple
 
 from ..avx.costs import CostModel
 from ..cpu.branch_predictor import GSharePredictor
@@ -33,9 +39,16 @@ from ..cpu.resumable import FrameState, ResumeState
 from ..cpu.timing import TimingModel
 
 MAGIC = b"RSNP"
-SNAP_VERSION = 1
+SNAP_VERSION = 2
 
-_F64 = struct.Struct("<d")
+#: The marshal format of every encoded value. Version 2 writes each
+#: value in full; versions 3 and 4 flag shared references by refcount,
+#: so equal trees built from distinct objects (a cold capture and a
+#: rehydrated one) would encode to different bytes.
+MARSHAL_VERSION = 2
+
+#: A state blob's head: the magic and the format version in one byte.
+_HEADER = MAGIC + bytes((SNAP_VERSION,))
 
 
 class SnapFormatError(ValueError):
@@ -58,207 +71,94 @@ _CLASSES = {
 }
 _CLASS_NAMES = {cls: name for name, cls in _CLASSES.items()}
 
-# Value tags.
-_T_NONE = 0
-_T_TRUE = 1
-_T_FALSE = 2
-_T_INT = 3
-_T_FLOAT = 4
-_T_STR = 5
-_T_BYTES = 6
-_T_BYTEARRAY = 7
-_T_TUPLE = 8
-_T_LIST = 9
-_T_DICT = 10
-# Tag 11 held a deque: the timing model's ROB before it became a ring.
-# Sets that still carry one fail to read (unknown tag) and rebuild.
-_T_OBJECT = 12
+#: The leaf types of a tree; marshal writes and reads them as they are.
+_SCALARS = frozenset((type(None), bool, int, float, str, bytes))
 
 
-class _Writer:
-    __slots__ = ("parts",)
-
-    def __init__(self):
-        self.parts: List[bytes] = []
-
-    def u8(self, v: int) -> None:
-        self.parts.append(bytes((v,)))
-
-    def varint(self, v: int) -> None:
-        # Unsigned LEB128.
-        out = bytearray()
-        while True:
-            b = v & 0x7F
-            v >>= 7
-            if v:
-                out.append(b | 0x80)
-            else:
-                out.append(b)
-                break
-        self.parts.append(bytes(out))
-
-    def svarint(self, v: int) -> None:
-        # Zigzag for signed (arbitrary-precision) ints.
-        self.varint((v << 1) ^ (v >> (v.bit_length() + 1)) if v < 0
-                    else v << 1)
-
-    def raw(self, data: bytes) -> None:
-        self.varint(len(data))
-        self.parts.append(bytes(data))
-
-    def value(self, v) -> None:
-        t = type(v)
-        if v is None:
-            self.u8(_T_NONE)
-        elif t is bool:
-            self.u8(_T_TRUE if v else _T_FALSE)
-        elif t is int:
-            self.u8(_T_INT)
-            self.svarint(v)
-        elif t is float:
-            self.u8(_T_FLOAT)
-            self.parts.append(_F64.pack(v))
-        elif t is str:
-            self.u8(_T_STR)
-            self.raw(v.encode("utf-8"))
-        elif t is bytes:
-            self.u8(_T_BYTES)
-            self.raw(v)
-        elif t is bytearray:
-            self.u8(_T_BYTEARRAY)
-            self.raw(v)
-        elif t is tuple:
-            self.u8(_T_TUPLE)
-            self.varint(len(v))
-            for item in v:
-                self.value(item)
-        elif t is list:
-            self.u8(_T_LIST)
-            self.varint(len(v))
-            for item in v:
-                self.value(item)
-        elif t is dict:
-            self.u8(_T_DICT)
-            self.varint(len(v))
-            for k, item in v.items():
-                self.value(k)
-                self.value(item)
-        else:
-            name = _CLASS_NAMES.get(t)
-            if name is None:
-                raise SnapFormatError(
-                    f"cannot serialize {t.__module__}.{t.__qualname__}"
-                )
-            self.u8(_T_OBJECT)
-            self.raw(name.encode("ascii"))
-            state = v.__dict__
-            self.varint(len(state))
-            for k, item in state.items():
-                self.raw(k.encode("utf-8"))
-                self.value(item)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.parts)
+def _flatten(v):
+    """``v`` as a plain tree: objects and bytearrays as tagged nodes.
+    Containers of scalars are passed through as they are."""
+    t = type(v)
+    if t in _SCALARS:
+        return v
+    if t is tuple or t is list:
+        if _SCALARS.issuperset(map(type, v)):
+            return v
+        items = [_flatten(item) for item in v]
+        return tuple(items) if t is tuple else items
+    if t is dict:
+        if (_SCALARS.issuperset(map(type, v))
+                and _SCALARS.issuperset(map(type, v.values()))):
+            return v
+        return {_flatten(k): _flatten(item) for k, item in v.items()}
+    if t is bytearray:
+        return (..., "bytearray", bytes(v))
+    name = _CLASS_NAMES.get(t)
+    if name is None:
+        raise SnapFormatError(
+            f"cannot serialize {t.__module__}.{t.__qualname__}")
+    return (..., name, _flatten(v.__dict__))
 
 
-class _Reader:
-    __slots__ = ("data", "pos")
+def _rebuild(v):
+    """Inverse of :func:`_flatten` over a freshly loaded tree (whose
+    lists it may fill in place); raises :class:`SnapFormatError` on any
+    type outside the closed domain."""
+    t = type(v)
+    if t in _SCALARS:
+        return v
+    if t is list:
+        if not _SCALARS.issuperset(map(type, v)):
+            v[:] = map(_rebuild, v)
+        return v
+    if t is tuple:
+        if v and v[0] is ...:
+            return _node(v)
+        if _SCALARS.issuperset(map(type, v)):
+            return v
+        return tuple(map(_rebuild, v))
+    if t is dict:
+        if (_SCALARS.issuperset(map(type, v))
+                and _SCALARS.issuperset(map(type, v.values()))):
+            return v
+        return {_rebuild(k): _rebuild(item) for k, item in v.items()}
+    raise SnapFormatError(f"foreign value type {t.__name__!r}")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def u8(self) -> int:
-        pos = self.pos
-        if pos >= len(self.data):
-            raise SnapFormatError("truncated checkpoint payload")
-        self.pos = pos + 1
-        return self.data[pos]
-
-    def varint(self) -> int:
-        shift = 0
-        out = 0
-        while True:
-            b = self.u8()
-            out |= (b & 0x7F) << shift
-            if not b & 0x80:
-                return out
-            shift += 7
-
-    def svarint(self) -> int:
-        z = self.varint()
-        return (z >> 1) ^ -(z & 1)
-
-    def raw(self) -> bytes:
-        n = self.varint()
-        pos = self.pos
-        end = pos + n
-        if end > len(self.data):
-            raise SnapFormatError("truncated checkpoint payload")
-        self.pos = end
-        return self.data[pos:end]
-
-    def value(self):
-        tag = self.u8()
-        if tag == _T_NONE:
-            return None
-        if tag == _T_TRUE:
-            return True
-        if tag == _T_FALSE:
-            return False
-        if tag == _T_INT:
-            return self.svarint()
-        if tag == _T_FLOAT:
-            pos = self.pos
-            end = pos + 8
-            if end > len(self.data):
-                raise SnapFormatError("truncated checkpoint payload")
-            self.pos = end
-            return _F64.unpack_from(self.data, pos)[0]
-        if tag == _T_STR:
-            return self.raw().decode("utf-8")
-        if tag == _T_BYTES:
-            return self.raw()
-        if tag == _T_BYTEARRAY:
-            return bytearray(self.raw())
-        if tag == _T_TUPLE:
-            return tuple(self.value() for _ in range(self.varint()))
-        if tag == _T_LIST:
-            return [self.value() for _ in range(self.varint())]
-        if tag == _T_DICT:
-            return {self.value(): self.value()
-                    for _ in range(self.varint())}
-        if tag == _T_OBJECT:
-            name = self.raw().decode("ascii")
-            cls = _CLASSES.get(name)
-            if cls is None:
-                raise SnapFormatError(f"unknown checkpoint class {name!r}")
-            obj = cls.__new__(cls)
-            state = {}
-            for _ in range(self.varint()):
-                k = self.raw().decode("utf-8")
-                state[k] = self.value()
-            obj.__dict__.update(state)
-            return obj
-        raise SnapFormatError(f"unknown value tag {tag}")
+def _node(v):
+    """The bytearray or allowlisted object of a tagged node."""
+    if len(v) != 3 or type(v[1]) is not str:
+        raise SnapFormatError("malformed value node")
+    _, name, payload = v
+    if name == "bytearray" and type(payload) is bytes:
+        return bytearray(payload)
+    cls = _CLASSES.get(name)
+    if cls is None:
+        raise SnapFormatError(f"unknown checkpoint class {name!r}")
+    if type(payload) is not dict or not all(type(k) is str for k in payload):
+        raise SnapFormatError(f"malformed {name} state")
+    obj = cls.__new__(cls)
+    obj.__dict__.update(_rebuild(payload))
+    return obj
 
 
 def encode_value(value) -> bytes:
-    """``value`` (from the closed domain) in the checkpoint value
-    encoding, floats as raw IEEE-754 bits."""
-    w = _Writer()
-    w.value(value)
-    return w.getvalue()
+    """``value`` (from the closed domain) as a marshalled plain tree."""
+    return marshal.dumps(_flatten(value), MARSHAL_VERSION)
 
 
 def decode_value(data: bytes):
-    """Inverse of :func:`encode_value`; raises :class:`SnapFormatError`
-    on a truncated payload or trailing bytes."""
-    r = _Reader(data)
-    value = r.value()
-    if r.pos != len(data):
-        raise SnapFormatError("trailing bytes after encoded value")
-    return value
+    """Inverse of :func:`encode_value`. Raises :class:`SnapFormatError`
+    on any marshal error, on bytes that are not the canonical encoding
+    of what they decode to (a truncated payload, trailing bytes), and on
+    a type outside the closed domain."""
+    try:
+        tree = marshal.loads(data)
+        if marshal.dumps(tree, MARSHAL_VERSION) != data:
+            raise SnapFormatError("not the canonical encoding")
+        return _rebuild(tree)
+    except (EOFError, ValueError, TypeError) as exc:
+        raise SnapFormatError(f"malformed encoded value: {exc}") from exc
 
 
 def _condbr_coords(machine):
@@ -292,18 +192,6 @@ def serialize_state(state: ResumeState, machine) -> bytes:
     build the coordinates are relative to (any machine configured like
     the one that will resume)."""
     id2coord, _ = _condbr_coords(machine)
-    w = _Writer()
-    w.parts.append(MAGIC)
-    w.varint(SNAP_VERSION)
-    w.raw(state.heap)
-    w.raw(state.stack_mem)
-    w.varint(state.heap_top)
-    w.varint(state.stack_top)
-    w.value(tuple(state.output))
-    w.value(state.counters)
-    w.value(state.cache)
-    w.value(state.predictor)
-    w.value(state.timing)
     pcs = []
     for key, pc in state.branch_pcs.items():
         coord = id2coord.get(key)
@@ -311,22 +199,14 @@ def serialize_state(state: ResumeState, machine) -> bytes:
             raise SnapFormatError("branch PC outside the decoded module")
         pcs.append((coord[0], coord[1], pc))
     pcs.sort()
-    w.value(pcs)
-    w.varint(state.next_pc)
-    w.varint(state.executed)
-    w.varint(state.eligible)
-    w.varint(state.checker_sites)
-    w.varint(state.mem_accesses)
-    w.varint(state.cond_branches)
-    w.varint(len(state.frames))
-    for fs in state.frames:
-        w.raw(fs.fn.encode("utf-8"))
-        w.varint(fs.block)
-        w.varint(fs.i)
-        w.value(fs.regs)
-        w.value(fs.times)
-        w.varint(fs.mark)
-    return w.getvalue()
+    return _HEADER + encode_value((
+        state.heap, state.stack_mem, state.heap_top, state.stack_top,
+        tuple(state.output), state.counters, state.cache, state.predictor,
+        state.timing, pcs, state.next_pc, state.executed, state.eligible,
+        state.checker_sites, state.mem_accesses, state.cond_branches,
+        tuple((fs.fn, fs.block, fs.i, fs.regs, fs.times, fs.mark)
+              for fs in state.frames),
+    ))
 
 
 def deserialize_state(data: bytes, machine) -> ResumeState:
@@ -335,46 +215,22 @@ def deserialize_state(data: bytes, machine) -> ResumeState:
     indistinguishable from resuming the in-memory original."""
     if data[:4] != MAGIC:
         raise SnapFormatError("bad checkpoint magic")
-    r = _Reader(data)
-    r.pos = 4
-    version = r.varint()
+    version = data[4] if len(data) > 4 else None
     if version != SNAP_VERSION:
         raise SnapFormatError(f"unsupported checkpoint version {version}")
-    heap = r.raw()
-    stack_mem = r.raw()
-    heap_top = r.varint()
-    stack_top = r.varint()
-    output = r.value()
-    counters = r.value()
-    cache = r.value()
-    predictor = r.value()
-    timing = r.value()
-    pcs = r.value()
+    value = decode_value(data[5:])
     _, coord2id = _condbr_coords(machine)
-    branch_pcs: Dict[int, int] = {}
-    for fn_name, bi, pc in pcs:
-        key = coord2id.get((fn_name, bi))
-        if key is None:
-            raise SnapFormatError(
-                f"checkpoint branch @{fn_name}#{bi} not in this module"
-            )
-        branch_pcs[key] = pc
-    next_pc = r.varint()
-    executed = r.varint()
-    eligible = r.varint()
-    checker_sites = r.varint()
-    mem_accesses = r.varint()
-    cond_branches = r.varint()
-    frames = []
-    for _ in range(r.varint()):
-        fn = r.raw().decode("utf-8")
-        block = r.varint()
-        i = r.varint()
-        regs = r.value()
-        times = r.value()
-        mark = r.varint()
-        frames.append(FrameState(fn=fn, block=block, i=i, regs=regs,
-                                 times=times, mark=mark))
+    try:
+        (heap, stack_mem, heap_top, stack_top, output, counters, cache,
+         predictor, timing, pcs, next_pc, executed, eligible, checker_sites,
+         mem_accesses, cond_branches, frames) = value
+        branch_pcs = {coord2id[fn_name, bi]: pc for fn_name, bi, pc in pcs}
+        frames = tuple(FrameState(*frame) for frame in frames)
+    except KeyError as exc:
+        raise SnapFormatError(
+            f"checkpoint branch {exc} not in this module") from exc
+    except (ValueError, TypeError) as exc:
+        raise SnapFormatError(f"malformed checkpoint state: {exc}") from exc
     return ResumeState(
         heap=heap,
         stack_mem=stack_mem,
@@ -392,5 +248,5 @@ def deserialize_state(data: bytes, machine) -> ResumeState:
         checker_sites=checker_sites,
         mem_accesses=mem_accesses,
         cond_branches=cond_branches,
-        frames=tuple(frames),
+        frames=frames,
     )

@@ -14,8 +14,9 @@ The key digests everything that could change the bytes of the set:
   scale + variant are subsumed by the latter — any pass change or
   version bump invalidates cleanly to a miss, never a wrong state);
 * the machine-semantics digest (the sources of ``repro.cpu``,
-  ``repro.avx`` and the checkpoint format): a state captured under
-  other instruction semantics or another state layout never resumes;
+  ``repro.avx`` and the checkpoint format, its marshal version
+  included): a state captured under other instruction semantics or
+  another state layout never resumes;
 * the run coordinates: entry, args key, eligibility-predicate key;
 * the machine geometry (engine, budget, cache sizes, heap/stack
   capacity, call depth, counter mode) — a checkpoint is only resumable
@@ -23,8 +24,9 @@ The key digests everything that could change the bytes of the set:
 * the capture spacing constants of :mod:`repro.snap.build`;
 * the checkpoint serialization format version.
 
-A set body is ``RSST`` + version + meta JSON + length-prefixed state
-blobs (:func:`render_set`); the cache seals it. The meta records every
+A set body is ``RSST`` + one encoded ``(version, meta, state blobs)``
+tree (:func:`render_set`, the value encoding of
+:mod:`repro.snap.format`); the cache seals it. The meta records every
 state's four stream counters (:func:`set_marks`), so a reader chooses
 among states without decoding any, and where the golden run ends
 (:func:`set_end`), which the reconvergence poll derives outcomes from.
@@ -35,14 +37,12 @@ miss.
 
 A cell's golden profile — the fault-free output and the five stream
 totals a campaign draws its plans from — is a ``.golden`` entry
-(:func:`golden_key`, :func:`render_golden`): ``RGLD`` + the checkpoint
-value encoding, so float outputs stay bit-exact.
+(:func:`golden_key`, :func:`render_golden`): ``RGLD`` + the same value
+encoding, so float outputs stay bit-exact.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from ..toolchain.digest import digest_of
@@ -52,8 +52,6 @@ SNAPSET_MAGIC = b"RSST"
 SNAPSET_SUFFIX = ".snapset"
 GOLDEN_MAGIC = b"RGLD"
 GOLDEN_SUFFIX = ".golden"
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
 
 def checkpoint_key(module, entry: str, args_key, ekey,
@@ -168,42 +166,24 @@ def set_end(meta: Dict) -> GoldenEnd:
 
 def render_set(blobs: Sequence[bytes], meta: Dict) -> bytes:
     """The body of one ``.snapset`` entry."""
-    meta_json = json.dumps(meta, sort_keys=True).encode("utf-8")
-    parts = [SNAPSET_MAGIC, _U32.pack(SNAP_VERSION),
-             _U32.pack(len(meta_json)), meta_json,
-             _U32.pack(len(blobs))]
-    for blob in blobs:
-        parts.append(_U64.pack(len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
+    return SNAPSET_MAGIC + encode_value((SNAP_VERSION, meta, list(blobs)))
 
 
 def parse_set(body: bytes) -> Tuple[List[bytes], Dict]:
     """``(state blobs, meta)`` of a :func:`render_set` body; raises
     :class:`SnapFormatError` when the body is not one of this format
     version."""
-    if len(body) < 12 or body[:4] != SNAPSET_MAGIC:
+    if body[:4] != SNAPSET_MAGIC:
         raise SnapFormatError("not a checkpoint set")
-    (version,) = _U32.unpack_from(body, 4)
-    (meta_len,) = _U32.unpack_from(body, 8)
+    value = decode_value(body[4:])
+    if type(value) is not tuple or len(value) != 3:
+        raise SnapFormatError("malformed checkpoint set")
+    version, meta, blobs = value
     if version != SNAP_VERSION:
         raise SnapFormatError(f"checkpoint set version {version}")
-    try:
-        pos = 12
-        meta = json.loads(body[pos:pos + meta_len].decode("utf-8"))
-        pos += meta_len
-        (count,) = _U32.unpack_from(body, pos)
-        pos += 4
-        blobs = []
-        for _ in range(count):
-            (n,) = _U64.unpack_from(body, pos)
-            pos += 8
-            blobs.append(body[pos:pos + n])
-            pos += n
-    except (struct.error, ValueError) as exc:
-        raise SnapFormatError(f"malformed checkpoint set: {exc}") from exc
-    if pos != len(body):
-        raise SnapFormatError("trailing bytes after checkpoint set")
+    if (type(meta) is not dict or type(blobs) is not list
+            or not all(type(blob) is bytes for blob in blobs)):
+        raise SnapFormatError("malformed checkpoint set")
     return blobs, meta
 
 

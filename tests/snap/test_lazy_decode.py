@@ -11,7 +11,8 @@ what their plans can reach (``reachable``: those states plus the ones
 the reconvergence poll can read), and a forked campaign decodes in the
 parent exactly the states its missing shards can reach. A stale or damaged
 set never resumes: a set without per-state marks is an invalid miss
-that rebuilds, and a blob that fails to decode raises.
+that rebuilds, and a blob that fails to decode (truncated, or holding
+a type outside the closed domain) raises.
 """
 
 from collections import Counter
@@ -200,6 +201,34 @@ def test_undecodable_blob_raises_and_removes_the_set():
     assert _outcomes(built, reference, budget, [late]) == [
         inject_once(built.module, built.entry, built.args, late, reference,
                     budget, engine="reference")]
+
+
+def test_foreign_typed_blob_raises_and_removes_the_set():
+    """A blob whose tree holds a type outside the closed domain (a code
+    object in place of the output) is a format error on first use: the
+    set is removed from the cache and rebuilt, never resumed."""
+    import marshal
+
+    built, _, _, budget = _fresh("histogram", "elzar")
+    key = _checkpoints(built, budget).key
+
+    def foreign(blob):
+        tree = list(marshal.loads(blob[5:]))
+        tree[4] = (compile("0", "<snap>", "eval"),)
+        return blob[:5] + marshal.dumps(tuple(tree), 2)
+
+    _corrupt_stored_set(key, lambda blobs, meta: (
+        [foreign(blob) for blob in blobs], meta))
+
+    built, _, _, budget = _fresh("histogram", "elzar")
+    cset = _checkpoints(built, budget)
+    assert cset.from_cache
+    with pytest.raises(SnapFormatError, match="foreign value type 'code'"):
+        cset.state(0)
+    assert cset._cache.stats_for(SNAPSET_SUFFIX).invalid == 1
+    assert ArtifactCache().entries(SNAPSET_SUFFIX) == []
+    rebuilt = _checkpoints(built, budget)
+    assert rebuilt is not cset and not rebuilt.from_cache
 
 
 def test_state_disagreeing_with_its_marks_raises():

@@ -16,7 +16,7 @@ from repro.snap.store import SNAPSET_SUFFIX, checkpoint_key, machine_key, \
 from repro.toolchain import Toolchain, default_toolchain
 from repro.toolchain.cache import ArtifactCache
 
-from .test_format import old_layout_blob
+from .test_format import version1_blob
 
 
 def _built():
@@ -216,11 +216,11 @@ class TestBuilderStoreSharing:
         assert warm.marks == cset.marks
         assert cache.stats_for(SNAPSET_SUFFIX).hits == 1
 
-    def test_old_timed_set_is_an_invalid_miss_that_rebuilds(
-            self, tmp_path, monkeypatch):
-        """A set whose states still carry the deque ROB of the timing
-        model's old layout never resumes: it counts as invalid, is
-        removed, and the set is rebuilt and stored anew."""
+    def test_old_timed_set_is_an_invalid_miss_that_rebuilds(self, tmp_path):
+        """A set of timed states in the version-1 layout (the one that
+        also carried the timing model's old deque ROB) never resumes:
+        it counts as invalid, is removed, and the set is rebuilt and
+        stored anew."""
         built = _built()
         from repro.cpu import Machine, MachineConfig
         from repro.faults.campaign import golden_profile
@@ -232,7 +232,7 @@ class TestBuilderStoreSharing:
         budget = int(profile.executed * 4.0) + 10_000
         timed = Machine(built.module, MachineConfig())
         start = start_state(timed, built.entry, built.args)
-        old = old_layout_blob(start, timed, monkeypatch)
+        old = version1_blob(start)
 
         def build(cache):
             return build_checkpoints(
