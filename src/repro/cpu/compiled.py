@@ -51,8 +51,9 @@ The parts:
 Bit-identity contract: a trampoline run — on segments, on records, or
 any mix — is indistinguishable from a reference ``Machine.run``: return
 value, output, every counter (including the exact partial flushes of
-trap-abandoned blocks), cycles, branch-predictor/cache state, fault
-behaviour, and exception type. Segments inline the *same* statement
+trap-abandoned blocks), cycles, branch-predictor/cache state (a timed
+machine's; an untimed one simulates neither), fault behaviour, and
+exception type. Segments inline the *same* statement
 order the record functions and ``TimingModel.issue`` execute; the
 differential tests in ``tests/cpu/`` and ``tests/snap/`` pin the
 contract across workloads, fault models and machine configurations.
@@ -461,16 +462,16 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                                     taken = bool(regs[s] if s >= 0 else c)
                                     if M._branch_stream_live:
                                         taken = M._branch_step(taken, inst)
-                                    pcs = M._branch_pcs
-                                    key = id(inst)
-                                    pc = pcs.get(key)
-                                    if pc is None:
-                                        pc = M._next_pc
-                                        M._next_pc = pc + 1
-                                        pcs[key] = pc
-                                    correct = M.predictor.predict_and_update(
-                                        pc, taken)
                                     if timing is not None:
+                                        pcs = M._branch_pcs
+                                        key = id(inst)
+                                        pc = pcs.get(key)
+                                        if pc is None:
+                                            pc = M._next_pc
+                                            M._next_pc = pc + 1
+                                            pcs[key] = pc
+                                        correct = M.predictor \
+                                            .predict_and_update(pc, taken)
                                         resolve = timing.issue(
                                             "br", lat,
                                             (times[s] if s >= 0 else 0.0,),
@@ -479,8 +480,6 @@ def run_stack(M, stack: List[Frame], executed: int, capture=None):
                                         if not correct:
                                             cd["branch_misses"] += 1
                                             timing.branch_mispredict(resolve)
-                                    elif not correct:
-                                        cd["branch_misses"] += 1
                                     succ = tb if taken else eb
                                 f.prev = block
                                 f.block = succ
@@ -673,7 +672,7 @@ def capture_state(M, stack: List[Frame], executed: int) -> ResumeState:
         output=tuple(M.output),
         counters=M.counters.copy(),
         cache=_copied(M.cache),
-        predictor=M.predictor.copy(),
+        predictor=_copied(M.predictor),
         timing=_copied(M.timing),
         branch_pcs=dict(M._branch_pcs),
         next_pc=M._next_pc,
@@ -697,8 +696,8 @@ def start_state(M, fn_name: str, args: Sequence = ()) -> ResumeState:
 
 
 def _copied(component):
-    """``component.copy()``, or None for a disabled one (the cache and
-    timing model are optional)."""
+    """``component.copy()``, or None for a disabled one (an untimed
+    machine has no cache, predictor or timing model)."""
     return component.copy() if component is not None else None
 
 
@@ -713,7 +712,7 @@ def restore_payload(M, state: ResumeState) -> None:
     M.output = list(state.output)
     M.counters = state.counters.copy()
     M.cache = _copied(state.cache)
-    M.predictor = state.predictor.copy()
+    M.predictor = _copied(state.predictor)
     M.timing = _copied(state.timing)
     M._branch_pcs = dict(state.branch_pcs)
     M._next_pc = state.next_pc
@@ -1318,7 +1317,10 @@ def _emit_cache_probe(E, d, size, for_store):
     locals — the access per se is a handful of list operations, so the
     method-call round trip and the (level, latency) tuple dominated the
     memory-bound kernels. A straddling access (rare) falls back to the
-    real method. Record functions always call it, like the reference."""
+    real method. Record functions always call it, like the reference.
+    Untimed variants emit nothing: an untimed machine has no cache."""
+    if not E.with_timing:
+        return
     w = E.w
     if E.records:
         w(d, "_ch = M.cache")
@@ -2119,7 +2121,7 @@ def _event_guard(events) -> str:
     return " or ".join(terms)
 
 
-#: Hoisted by any region with a conditional branch (the inlined
+#: Hoisted by any timing region with a conditional branch (the inlined
 #: gshare update reads these every iteration).
 _PRED_HOISTS = (
     "_pcs = M._branch_pcs",
@@ -2128,7 +2130,7 @@ _PRED_HOISTS = (
     "_bpm = _bp.mask",
 )
 
-#: Hoisted by any region with a load or store: the inlined
+#: Hoisted by any timing region with a load or store: the inlined
 #: cache probe's working set (see :func:`_emit_cache_probe`). The
 #: nested lines carry their own indentation on top of the splice depth.
 _CACHE_HOISTS = (
@@ -2232,31 +2234,31 @@ def _emit_terminator(E, d, db, costs, region, bi_of, rtp):
         cs, cc, tb, eb, inst, lat = db.term
         cond = f"regs[{cs}]" if cs >= 0 else E.K(cc)
         E.w(d, f"_tk = True if {cond} else False")
-        pckey = E.K(id(inst))
-        E.uses_pred = True
-        E.w(d, f"_pc = _pcs.get({pckey})")
-        E.w(d, "if _pc is None:")
-        E.w(d + 1, "_pc = M._next_pc")
-        E.w(d + 1, "M._next_pc = _pc + 1")
-        E.w(d + 1, f"_pcs[{pckey}] = _pc")
-        # Inline GSharePredictor.predict_and_update: same index/counter/
-        # history evolution, minus the method-call round trip.
-        E.w(d, "_bh = _bp.history")
-        E.w(d, "_bx = (_pc ^ _bh) & _bpm")
-        E.w(d, "_bc = _bpc[_bx]")
-        E.w(d, "_cor = (_bc >= 2) == _tk")
-        E.w(d, "_bp.predictions += 1")
-        E.w(d, "if not _cor:")
-        E.w(d + 1, "_bp.misses += 1")
-        E.w(d, "if _tk:")
-        E.w(d + 1, "if _bc < 3:")
-        E.w(d + 2, "_bpc[_bx] = _bc + 1")
-        E.w(d + 1, "_bp.history = ((_bh << 1) | 1) & _bpm")
-        E.w(d, "else:")
-        E.w(d + 1, "if _bc > 0:")
-        E.w(d + 2, "_bpc[_bx] = _bc - 1")
-        E.w(d + 1, "_bp.history = (_bh << 1) & _bpm")
-        if t:
+        if t:  # an untimed machine has no predictor
+            pckey = E.K(id(inst))
+            E.uses_pred = True
+            E.w(d, f"_pc = _pcs.get({pckey})")
+            E.w(d, "if _pc is None:")
+            E.w(d + 1, "_pc = M._next_pc")
+            E.w(d + 1, "M._next_pc = _pc + 1")
+            E.w(d + 1, f"_pcs[{pckey}] = _pc")
+            # Inline GSharePredictor.predict_and_update: same index/counter/
+            # history evolution, minus the method-call round trip.
+            E.w(d, "_bh = _bp.history")
+            E.w(d, "_bx = (_pc ^ _bh) & _bpm")
+            E.w(d, "_bc = _bpc[_bx]")
+            E.w(d, "_cor = (_bc >= 2) == _tk")
+            E.w(d, "_bp.predictions += 1")
+            E.w(d, "if not _cor:")
+            E.w(d + 1, "_bp.misses += 1")
+            E.w(d, "if _tk:")
+            E.w(d + 1, "if _bc < 3:")
+            E.w(d + 2, "_bpc[_bx] = _bc + 1")
+            E.w(d + 1, "_bp.history = ((_bh << 1) | 1) & _bpm")
+            E.w(d, "else:")
+            E.w(d + 1, "if _bc > 0:")
+            E.w(d + 2, "_bpc[_bx] = _bc - 1")
+            E.w(d + 1, "_bp.history = (_bh << 1) & _bpm")
             E.issue(d, E.K(lat),
                     (f"times[{cs}]" if cs >= 0 else None,), None,
                     1, False, None, rtp)
@@ -2267,9 +2269,6 @@ def _emit_terminator(E, d, db, costs, region, bi_of, rtp):
             E.w(d + 1, "_r = _d + _bmp")
             E.w(d + 1, "if _r > _ti:")
             E.w(d + 2, "_ti = _r")
-        else:
-            E.w(d, "if not _cor:")
-            E.w(d + 1, "cd['branch_misses'] += 1")
         if E.armed:
             E.pend_ev[2] += 1
         E.w(d, "if _tk:")

@@ -1,9 +1,11 @@
 """The simulated machine: an IR interpreter with performance modelling
 and fault-injection hooks.
 
-One :class:`Machine` owns a module plus the architectural state: flat
-memory, cache hierarchy, branch predictor, perf counters, and the
-dataflow timing model. ``run()`` executes a function and returns a
+One :class:`Machine` owns a module plus the architectural state (flat
+memory, perf counters) and, when timed, the microarchitecture: cache
+hierarchy, branch predictor and the dataflow timing model. An untimed
+machine simulates the architecture alone. ``run()`` executes a
+function and returns a
 :class:`RunResult` with the return value, program output, cycle count,
 and counters.
 
@@ -92,6 +94,13 @@ ENGINES = ("reference", "compiled")
 
 @dataclass
 class MachineConfig:
+    """How a :class:`Machine` runs. ``collect_timing=False`` makes an
+    architecture-only machine: no timing model, cache hierarchy,
+    prefetcher or branch predictor (fault campaigns, whose outcomes
+    depend on output, traps, corrections and the instruction count
+    only). ``cache_enabled`` and the cache sizes shape timed machines
+    only; an untimed one has no cache whatever they say."""
+
     cost_model: C.CostModel = C.HASWELL
     collect_timing: bool = True
     cache_enabled: bool = True
@@ -321,17 +330,18 @@ class Machine:
         self.memory = Memory(self.config.heap_capacity, self.config.stack_capacity)
         self.counters = PerfCounters()
         self.counters.collect_by_opcode = self.config.collect_by_opcode
+        timed = self.config.collect_timing  # else architecture only
         self.cache = (
             CacheHierarchy(
                 l1_size=self.config.l1_size,
                 l2_size=self.config.l2_size,
                 l3_size=self.config.l3_size,
             )
-            if self.config.cache_enabled
+            if timed and self.config.cache_enabled
             else None
         )
-        self.predictor = GSharePredictor()
-        self.timing = TimingModel(self.config.cost_model) if self.config.collect_timing else None
+        self.predictor = GSharePredictor() if timed else None
+        self.timing = TimingModel(self.config.cost_model) if timed else None
         self.output: List = []
         self.globals_addr: Dict[str, int] = {}
         self._executed = 0
@@ -821,21 +831,19 @@ class Machine:
         taken = bool(cond)
         if self._branch_stream_live:
             taken = self._branch_step(taken, inst)
-        pc = self._branch_pcs.get(id(inst))
-        if pc is None:
-            pc = self._next_pc
-            self._next_pc += 1
-            self._branch_pcs[id(inst)] = pc
-        correct = self.predictor.predict_and_update(pc, taken)
         if timing is not None:
+            pc = self._branch_pcs.get(id(inst))
+            if pc is None:
+                pc = self._next_pc
+                self._next_pc += 1
+                self._branch_pcs[id(inst)] = pc
+            correct = self.predictor.predict_and_update(pc, taken)
             resolve = timing.issue(
                 "br", costs.scalar["br"], [times.get(inst.cond, 0.0)]
             )
             if not correct:
                 counters.branch_misses += 1
                 timing.branch_mispredict(resolve)
-        elif not correct:
-            counters.branch_misses += 1
         return inst.then_block if taken else inst.else_block
 
     # Instruction semantics ------------------------------------------------------------

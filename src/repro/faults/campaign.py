@@ -378,8 +378,10 @@ class InjectionSession:
     """Per-cell injection scaffolding, hoisted out of the per-plan loop.
 
     :func:`inject_once` rebuilds the whole machine for every injection —
-    memory arenas, global layout, cache/predictor/timing state, and
-    (first time through) the decoded module. A session builds the
+    memory arenas, global layout and (first time through) the decoded
+    module. Both run architecture-only machines (``collect_timing=False``:
+    no timing model, cache or branch predictor to build, copy or
+    restore), as the paper's SDE-based injector did. A session builds the
     machine once, warms the decode, captures the run's start state
     (:func:`repro.cpu.resumable.start_state`), and turns each injection
     into resume → classify. Classification is :func:`_classify`, as in

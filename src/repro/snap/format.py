@@ -147,14 +147,17 @@ def encode_value(value) -> bytes:
     return marshal.dumps(_flatten(value), MARSHAL_VERSION)
 
 
-def decode_value(data: bytes):
-    """Inverse of :func:`encode_value`. Raises :class:`SnapFormatError`
+def decode_value(data: bytes, start: int = 0):
+    """Inverse of :func:`encode_value` over ``data[start:]``, read in
+    place (no copy of the payload). Raises :class:`SnapFormatError`
     on any marshal error, on bytes that are not the canonical encoding
     of what they decode to (a truncated payload, trailing bytes), and on
     a type outside the closed domain."""
     try:
-        tree = marshal.loads(data)
-        if marshal.dumps(tree, MARSHAL_VERSION) != data:
+        tree = marshal.loads(memoryview(data)[start:])
+        dumped = marshal.dumps(tree, MARSHAL_VERSION)
+        if (len(dumped) != len(data) - start
+                or not data.startswith(dumped, start)):
             raise SnapFormatError("not the canonical encoding")
         return _rebuild(tree)
     except (EOFError, ValueError, TypeError) as exc:
@@ -218,7 +221,7 @@ def deserialize_state(data: bytes, machine) -> ResumeState:
     version = data[4] if len(data) > 4 else None
     if version != SNAP_VERSION:
         raise SnapFormatError(f"unsupported checkpoint version {version}")
-    value = decode_value(data[5:])
+    value = decode_value(data, 5)
     _, coord2id = _condbr_coords(machine)
     try:
         (heap, stack_mem, heap_top, stack_top, output, counters, cache,

@@ -175,7 +175,7 @@ def parse_set(body: bytes) -> Tuple[List[bytes], Dict]:
     version."""
     if body[:4] != SNAPSET_MAGIC:
         raise SnapFormatError("not a checkpoint set")
-    value = decode_value(body[4:])
+    value = decode_value(body, 4)
     if type(value) is not tuple or len(value) != 3:
         raise SnapFormatError("malformed checkpoint set")
     version, meta, blobs = value
@@ -198,7 +198,7 @@ def parse_golden(body: bytes) -> Tuple[tuple, Tuple[int, ...]]:
     :class:`SnapFormatError` when the body is not one."""
     if body[:4] != GOLDEN_MAGIC:
         raise SnapFormatError("not a golden profile")
-    value = decode_value(body[4:])
+    value = decode_value(body, 4)
     if (type(value) is not tuple or len(value) != 2
             or type(value[0]) is not tuple or type(value[1]) is not tuple
             or not all(type(v) is int and v >= 0 for v in value[1])):

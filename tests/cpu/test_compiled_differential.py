@@ -234,6 +234,31 @@ def test_armed_random_runs_identical_across_engines(seed):
         assert runs["compiled"] == runs["reference"], plan
 
 
+#: The counters only the cache and branch predictor move.
+_MISS_COUNTERS = ("branch_misses", "l1_misses", "l2_misses", "l3_misses")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_untimed_runs_count_no_microarchitecture(seed):
+    """An untimed machine simulates the architecture only: every tier
+    reports the same counters, no cache or branch miss among them, and
+    every other counter equals a timed run's."""
+    module, entry, args = build_random_module(seed)
+    runs = {engine: _observe(module, entry, args, engine,
+                             collect_timing=False)
+            for engine in TIERS}
+    assert runs["records"] == runs["reference"]
+    assert runs["compiled"] == runs["reference"]
+    untimed = runs["reference"]["counters"]
+    assert untimed["cond_branches"] > 0 and untimed["l1_accesses"] > 0
+    assert all(untimed[name] == 0 for name in _MISS_COUNTERS)
+    timed = _observe(module, entry, args, "reference")["counters"]
+    assert timed["l1_misses"] > 0
+    for name in _MISS_COUNTERS:
+        timed[name] = 0
+    assert timed == untimed
+
+
 @pytest.mark.parametrize("seed", range(0, 8, 3))
 def test_trapping_modules_identical_across_engines(seed):
     module, entry, args = build_random_module(seed, trap=True)
