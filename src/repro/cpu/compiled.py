@@ -118,7 +118,7 @@ from .interpreter import (
     RunResult,
     intrinsic_impl,
 )
-from .memory import HEAP_BASE, STACK_BASE, _FLOAT_FMT
+from .memory import HEAP_BASE, STACK_BASE, _FLOAT_FMT, _UINT_CODE
 
 from struct import Struct as _Struct
 
@@ -1405,6 +1405,22 @@ def _emit_cache_probe(E, d, size, for_store):
     w(p + 1, "_lu[_vt] = _pfo._clock")
 
 
+def _lane_code(elem, store: bool) -> Optional[str]:
+    """The struct code under which a whole vector of ``elem`` lanes
+    loads (``store`` False) or stores in one call, bit for bit as one
+    ``Memory.load_scalar``/``store_scalar`` per lane, or None: sub-byte
+    and odd-sized ints, and f32 stores (a lane past the f32 range
+    raises in ``pack`` after the lanes before it were written one by
+    one, but before a whole-vector pack writes any)."""
+    if elem.is_float:
+        if elem.bits == 64:
+            return "d"
+        return "f" if elem.bits == 32 and not store else None
+    if elem.is_int and elem.width % 8 == 0:
+        return _UINT_CODE.get(elem.width // 8)
+    return None
+
+
 def _emit_address(E, d, pp, inst):
     """A load/store address into ``_a``. Record functions step the
     memory targeting stream on it (an ``addr`` plan corrupts it) —
@@ -1566,7 +1582,20 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
         E.need_mem = True
         mf = E.KI(MemoryFault)
         _emit_address(E, d, pp, inst)
-        if ty.is_vector:
+        code = _lane_code(ty.elem, False) if ty.is_vector else None
+        if code is not None:
+            # Whole vector in one unpack when it lies in one region;
+            # anything else (a lane past a top faults) takes the
+            # per-lane helper, whose MemoryFault names that lane.
+            uf = E.K(_Struct(f"<{ty.count}{code}").unpack_from)
+            w(d, f"_e = _a + {size}")
+            w(d, f"if {HEAP_BASE} <= _a and _e <= _mem.heap_top:")
+            w(d + 1, f"regs[{dst}] = {uf}(_mem._heap, _a - {HEAP_BASE})")
+            w(d, f"elif {STACK_BASE} <= _a and _e <= _mem.stack_top:")
+            w(d + 1, f"regs[{dst}] = {uf}(_mem._stack, _a - {STACK_BASE})")
+            w(d, "else:")
+            w(d + 1, f"regs[{dst}] = _mem.load_value({E.KI(ty)}, _a)")
+        elif ty.is_vector:
             w(d, f"regs[{dst}] = _mem.load_value({E.KI(ty)}, _a)")
         elif ty.is_float:
             uf = E.K(_Struct(_FLOAT_FMT[ty.bits]).unpack_from)
@@ -1623,7 +1652,23 @@ def _emit_record(E, d, inst, dst, rv, costs, rtp):
         mf = E.KI(MemoryFault)
         _emit_address(E, d, pp, inst)
         w(d, f"_v = {E.oexpr(pv)}")
-        if vty.is_vector:
+        code = _lane_code(vty.elem, True) if vty.is_vector else None
+        if code is not None:
+            # One pack_into, lanes masked as Memory.store_scalar masks
+            # them; out of range, the per-lane helper writes the lanes
+            # before the faulting one, as the reference does.
+            pf = E.K(_Struct(f"<{vty.count}{code}").pack_into)
+            lanes = ("*_v" if vty.elem.is_float else
+                     f"*[int(_ln) & {(1 << vty.elem.width) - 1}"
+                     " for _ln in _v]")
+            w(d, f"_e = _a + {size}")
+            w(d, f"if {HEAP_BASE} <= _a and _e <= _mem.heap_top:")
+            w(d + 1, f"{pf}(_mem._heap, _a - {HEAP_BASE}, {lanes})")
+            w(d, f"elif {STACK_BASE} <= _a and _e <= _mem.stack_top:")
+            w(d + 1, f"{pf}(_mem._stack, _a - {STACK_BASE}, {lanes})")
+            w(d, "else:")
+            w(d + 1, f"_mem.store_value({E.KI(vty)}, _a, _v)")
+        elif vty.is_vector:
             w(d, f"_mem.store_value({E.KI(vty)}, _a, _v)")
         elif vty.is_float:
             pf = E.K(_Struct(_FLOAT_FMT[vty.bits]).pack_into)

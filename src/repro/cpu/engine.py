@@ -103,7 +103,7 @@ class DecodedBlock:
 
 class DecodedFunction:
     __slots__ = ("fn", "dmod", "nargs", "nslots", "slot_map", "rv", "entry",
-                 "blocks")
+                 "blocks", "live")
 
     def __init__(self, fn: Function, dmod: "DecodedModule"):
         self.fn = fn
@@ -114,6 +114,7 @@ class DecodedFunction:
         self.rv = None                      # operand resolver over slot_map
         self.entry: Optional[DecodedBlock] = None
         self.blocks: List[DecodedBlock] = []
+        self.live = None  # live_masks(self), computed on first use
 
 
 # --- Decode: static counter deltas -------------------------------------------
@@ -456,6 +457,92 @@ def _fill_function(dmod, dfn):
             if ok:
                 moves_by_pred[bmap[id(pred)]] = tuple(moves)
         db.phi_moves = moves_by_pred
+
+
+# --- Register liveness -------------------------------------------------------
+
+
+def live_masks(dfn: DecodedFunction) -> tuple:
+    """The register slots live at every body-record boundary of
+    ``dfn``, as int bitmasks (bit ``s``: slot ``s`` may still be read):
+    ``live_masks(dfn)[b][k]`` before record ``k`` of block ``b``,
+    ``[b][n]`` before its terminator. One backward dataflow over the
+    decoded blocks, computed on first use and kept on ``dfn``.
+
+    A record reads the slots of its operands and writes its own; a
+    raiser record (an undecodable terminator included) reads its
+    operands too, which over-approximates. A conditional branch reads
+    its condition, a return its value. On an edge into a block with
+    phis, the incoming value from this predecessor is live and the
+    phis' own slots are not (the edge's parallel moves write them)."""
+    live = dfn.live
+    if live is None:
+        live = dfn.live = _liveness(dfn)
+    return live
+
+
+def _liveness(dfn: DecodedFunction) -> tuple:
+    slot_map = dfn.slot_map
+    blocks = dfn.blocks
+    index = {id(db): b for b, db in enumerate(blocks)}
+
+    def bits(values) -> int:
+        mask = 0
+        for v in values:
+            s = slot_map.get(id(v))
+            if s is not None:
+                mask |= 1 << s
+        return mask
+
+    steps = []    # per block: (reads, writes) per record, last first
+    tails = []    # per block: the terminator's reads
+    edges = []    # per block: (successor, its phis, what its moves read)
+    for db in blocks:
+        steps.append([(bits(inst.operands), bits((inst,)))
+                      for inst in reversed(db.records)])
+        kind, term = db.term_kind, db.term
+        tails.append(1 << term[0] if kind in (_T_CONDBR, _T_RET)
+                     and term[0] >= 0 else 0)
+        out = []
+        for succ in ((term[0],) if kind == _T_BR else
+                     (term[2], term[3]) if kind == _T_CONDBR else ()):
+            reads = 0
+            for _dst, s, _c in (succ.phi_moves or {}).get(db, ()):
+                if s >= 0:
+                    reads |= 1 << s
+            phis = bits(phi for _ty, phi in succ.phi_meta)
+            out.append((index[id(succ)], phis, reads))
+        edges.append(out)
+
+    def walk(b, live):
+        """Live masks before each record of block ``b``, last first,
+        from the mask ``live`` before its terminator."""
+        row = [live]
+        for reads, writes in steps[b]:
+            live = (live & ~writes) | reads
+            row.append(live)
+        return row
+
+    # Round-robin to the fixpoint: a block's live-in is what its
+    # records and terminator read before writing, plus what its
+    # out-edges need that it does not write.
+    live_in = [walk(b, tails[b])[-1] for b in range(len(blocks))]
+    live_out = [0] * len(blocks)
+    changed = True
+    while changed:
+        changed = False
+        for b in reversed(range(len(blocks))):
+            out = 0
+            for s, phis, reads in edges[b]:
+                out |= (live_in[s] & ~phis) | reads
+            if out != live_out[b]:
+                live_out[b] = out
+                new = walk(b, out | tails[b])[-1]
+                if new != live_in[b]:
+                    live_in[b] = new
+                    changed = True
+    return tuple(tuple(reversed(walk(b, live_out[b] | tails[b])))
+                 for b in range(len(blocks)))
 
 
 # --- Module-level decode + cache ---------------------------------------------

@@ -279,8 +279,9 @@ def _local_executor(module: Module, entry: str, args: Sequence,
         width = scheduler.width(len(run.missing))
         if width > 1:
             # Forked shard workers inherit the checkpoint set, the
-            # states their plans resume from and the record functions
-            # instead of each decoding and compiling them again.
+            # states their plans resume from, the live registers their
+            # polls compare and the record functions instead of each
+            # decoding, computing and compiling them again.
             cset = _cell_checkpoints(module, entry, args, run.budget,
                                      config.fault_eligible)
             if cset is not None:

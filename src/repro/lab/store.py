@@ -112,6 +112,14 @@ class ResultStore:
             parent = os.path.dirname(os.path.abspath(path))
             os.makedirs(parent, exist_ok=True)
         self._conn = sqlite3.connect(path, timeout=30.0)
+        if path != ":memory:":
+            # A commit appends to the write-ahead log and does not wait
+            # for an fsync: rows a process committed survive its being
+            # killed, and only a power loss can drop the last ones,
+            # which resume re-executes (every row is a deterministic,
+            # idempotent upsert).
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA_SQL)
         self._conn.commit()
 
@@ -182,11 +190,13 @@ class ResultStore:
 
     def put_shard(self, spec_key: str, cell_key: str, index: int, n: int,
                   counts: Counter, seconds: float) -> None:
-        # The write-durability seam: "lose-write" is the machine dying
-        # with the row still in the page cache (the shard's work is
-        # gone and must be re-executed on resume); "crash-after-write"
-        # dies with the row fsync'd (resume must treat the row as a
-        # hit, not a stale duplicate). Both rely on put_shard being an
+        # The write-durability seam: "lose-write" is the row never
+        # reaching the store (a crash before the commit, or a power
+        # loss before the write-ahead log reached the disk: the
+        # shard's work is gone and must be re-executed on resume);
+        # "crash-after-write" dies with the row committed (a killed
+        # process keeps it, and resume must treat the row as a hit,
+        # not a stale duplicate). Both rely on put_shard being an
         # idempotent upsert of deterministic data.
         rule = chaos_point("lab.store.put-shard", index=index)
         if rule is not None and rule.action == "lose-write":

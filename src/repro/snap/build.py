@@ -31,6 +31,7 @@ from bisect import bisect_left, bisect_right
 from typing import List, Optional, Sequence, Tuple
 
 from ..cpu.compiled import _NEVER
+from ..cpu.engine import decoded_module, live_masks
 from ..cpu.resumable import ResumeState, capture_state, run_resumable, \
     stream_mark
 from ..toolchain.cache import DECODE_ERRORS, ArtifactCache
@@ -84,6 +85,9 @@ class CheckpointSet:
         self._columns = {name: [getattr(m, name) for m in self._marks]
                          for name in StreamMarks._fields}
         self._slots = slots
+        # Per state, what the poll compares of each frame's registers
+        # (:meth:`live`), filled on first use.
+        self._live: list = [None] * len(slots)
         # What a first-use decode needs: the module build the blobs'
         # coordinates are relative to, and where the entry lives.
         self._machine = machine
@@ -142,21 +146,61 @@ class CheckpointSet:
         order: what :meth:`nearest` returns for each, and, where the
         set polls, every state past the earliest of their fault
         sites."""
-        wanted = set()
+        resumed, polled = self._reads(plans)
+        return sorted(resumed.union(polled))
+
+    def _reads(self, plans) -> Tuple[set, range]:
+        """The states injections of ``plans`` resume (a set) and the
+        states their polls can compare (a range)."""
+        resumed = set()
         first = len(self._slots)
         for plan in plans:
-            wanted.add(self._index(plan))
+            resumed.add(self._index(plan))
             first = min(first, self._after(plan))
-        if self.polls:
-            wanted.update(range(first, len(self._slots)))
-        return sorted(wanted - {-1})
+        resumed.discard(-1)
+        return resumed, range(first if self.polls else len(self._slots),
+                              len(self._slots))
 
     def prefetch(self, plans) -> None:
         """Decode now every state injections of ``plans`` can read
-        (:meth:`reachable`; before forking workers, so they inherit
-        them)."""
-        for i in self.reachable(plans):
+        (:meth:`reachable`), and find the live registers of every state
+        their polls can compare (:meth:`live`): before forking workers,
+        so they inherit both."""
+        resumed, polled = self._reads(plans)
+        for i in sorted(resumed.union(polled)):
             self.state(i)
+        for i in polled:
+            self.live(i)
+
+    def live(self, i: int) -> tuple:
+        """What the poll compares of state ``i``'s registers: per frame,
+        the live slots and their golden values. The innermost frame's
+        live slots are those live before its cursor's record; a
+        suspended caller's are those live after its call record, but
+        for the call's destination, which the return writes. Liveness
+        is computed once per function (``live_masks``)."""
+        live = self._live[i]
+        if live is None:
+            state = self.state(i)
+            machine = self._machine
+            module = machine.module
+            dmod = decoded_module(module, machine.config.cost_model,
+                                  machine.globals_addr)
+            inner = len(state.frames) - 1
+            live = []
+            for depth, fs in enumerate(state.frames):
+                dfn = dmod.function(module.get_function(fs.fn))
+                masks = live_masks(dfn)[fs.block]
+                if depth == inner:
+                    mask = masks[fs.i]
+                else:
+                    dst = dfn.blocks[fs.block].call_meta[fs.i][1]
+                    mask = masks[fs.i + 1] & ~(1 << dst if dst >= 0 else 0)
+                slots = tuple(s for s in range(mask.bit_length())
+                              if mask >> s & 1)
+                live.append((slots, tuple(fs.regs[s] for s in slots)))
+            live = self._live[i] = tuple(live)
+        return live
 
     def state(self, i: int) -> ResumeState:
         """State ``i``, decoded on first use. A blob that does not
@@ -280,8 +324,10 @@ class ReconvergencePoll:
 
     Compared: both memory tops, the used heap and stack prefixes (in
     place, ``bytearray.startswith``: a memcmp, no copy), the output,
-    and every frame's function and block, cursor, stack mark and
-    registers, bit for bit (:func:`same_bits`). Not compared: counters,
+    every frame's function and block, cursor and stack mark, and the
+    registers live at each frame's position (:meth:`CheckpointSet.live`),
+    bit for bit (:func:`same_bits`). Not compared: dead registers,
+    which nothing reads before it writes them again, and counters,
     timing, cache, predictor, branch-PC numbering, stream counters and
     ``executed``, none of which steers the program. A poll that falls
     where the golden run took no state (a run out of step) finds no
@@ -306,12 +352,11 @@ class ReconvergencePoll:
         # The latest due state: the one taken here, if the run is in
         # step with the golden run.
         k = bisect_right(marks, M.eligible_executed, self._k) - 1
-        if _all_fired(M):
-            state = self._cset.state(k)
-            if _matches(M, stack, state):
-                end = self._cset.end
-                raise Reconverged(executed + end.executed - state.executed,
-                                  M.counters.corrections)
+        cset = self._cset
+        if _all_fired(M) and _matches(M, stack, cset, k):
+            raise Reconverged(executed + cset.end.executed
+                              - cset.state(k).executed,
+                              M.counters.corrections)
         # Each poll sends the block it falls in to the record path, and
         # a run that matches at all mostly matches at one of its first
         # three polls (fig13 cells at fi scale), so polls back off: they
@@ -322,9 +367,11 @@ class ReconvergencePoll:
         self.next_index = marks[k] if k < len(marks) else _NEVER
 
 
-def _matches(M, stack, state: ResumeState) -> bool:
-    """Whether the live machine is exactly at golden ``state``: the
-    cheap checks first, the memcmps, then registers bit for bit."""
+def _matches(M, stack, cset: CheckpointSet, k: int) -> bool:
+    """Whether the live machine is at ``cset``'s golden state ``k`` in
+    everything the program can still read: the cheap checks first, the
+    memcmps, then the live registers bit for bit."""
+    state = cset.state(k)
     memory = M.memory
     if (memory.heap_top != state.heap_top
             or memory.stack_top != state.stack_top
@@ -337,8 +384,8 @@ def _matches(M, stack, state: ResumeState) -> bool:
     return (memory._heap.startswith(state.heap)
             and memory._stack.startswith(state.stack_mem)
             and same_values(M.output, state.output)
-            and all(same_values(f.regs, fs.regs)
-                    for f, fs in zip(stack, state.frames)))
+            and all(same_values([f.regs[s] for s in slots], golden)
+                    for f, (slots, golden) in zip(stack, cset.live(k))))
 
 
 class CapturePolicy:

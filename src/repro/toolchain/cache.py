@@ -189,20 +189,25 @@ class ArtifactCache:
         path = self._path(key, suffix)
         try:
             with open(path, "rb") as fh:
-                data = fh.read()
+                # The body and the trailer are read apart, so the body
+                # is never copied out of the file's bytes.
+                size = os.fstat(fh.fileno()).st_size
+                body = fh.read(max(size - _TRAILER_LEN, 0))
+                trailer = fh.read()
         except OSError:
             stats.misses += 1
             return None
         rule = chaos_point("toolchain.cache.read", suffix=suffix)
-        if rule is not None and rule.action == "corrupt" and data:
-            data = data[:-1] + bytes([data[-1] ^ 0x01])  # a flipped bit
-        body = _unseal(data)
-        if body is not None:
+        if rule is not None and rule.action == "corrupt" and trailer:
+            # A flipped bit (in the trailer, as in the file's last byte).
+            trailer = trailer[:-1] + bytes([trailer[-1] ^ 0x01])
+        valid = _trailer(body) == trailer  # else truncated or corrupted
+        if valid:
             try:
                 value = decode(body)
             except DECODE_ERRORS:
-                body = None
-        if body is None:
+                valid = False
+        if not valid:
             stats.misses += 1
             stats.invalid += 1
             _quietly_remove(path)
@@ -337,21 +342,10 @@ def _trailer(body: bytes) -> bytes:
 
 
 def _seal(body: bytes) -> bytes:
-    """``body`` plus its blake2b trailer: the framing of every entry."""
+    """``body`` plus its blake2b trailer: the framing of every entry.
+    The trailer catches damage, not tampering: anyone who can write
+    the cache dir can write a matching trailer."""
     return body + _trailer(body)
-
-
-def _unseal(data: bytes) -> Optional[bytes]:
-    """The body of a :func:`_seal`-ed entry, or None when the trailer
-    does not match (truncated or corrupted file). The trailer catches
-    damage, not tampering: anyone who can write the cache dir can
-    write a matching trailer."""
-    if len(data) < _TRAILER_LEN:
-        return None
-    body = data[:-_TRAILER_LEN]
-    if _trailer(body) != data[-_TRAILER_LEN:]:
-        return None
-    return body
 
 
 def _touch(path: str) -> None:

@@ -1,5 +1,6 @@
 """Tests for the SQLite result store (repro.lab.store)."""
 
+import os
 from collections import Counter
 
 from repro.faults.outcomes import Outcome
@@ -45,6 +46,32 @@ class TestShardRows:
         reopened = ResultStore(path)
         n, counts = reopened.get_shard("spec", 3)
         assert n == 7 and counts == _counts(hang=7)
+
+    def test_killed_writer_keeps_its_committed_row(self, tmp_path):
+        """A file store commits to a write-ahead log without an fsync
+        per commit; a process killed after its commit, with the store
+        never closed, still leaves the row for the next reader."""
+        path = str(tmp_path / "s.sqlite")
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                store = ResultStore(path)
+                store.put_shard("spec", "cell", 2, 6, _counts(sdc=6), 0.3)
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        n, counts = ResultStore(path).get_shard("spec", 2)
+        assert n == 6 and counts == _counts(sdc=6)
+
+    def test_file_store_uses_a_write_ahead_log(self, tmp_path):
+        store = ResultStore(str(tmp_path / "s.sqlite"))
+        assert store._conn.execute(
+            "PRAGMA journal_mode").fetchone() == ("wal",)
+        assert store._conn.execute(
+            "PRAGMA synchronous").fetchone() == (1,)  # NORMAL
 
     def test_upsert_idempotent(self, tmp_path):
         store = ResultStore(str(tmp_path / "s.sqlite"))
